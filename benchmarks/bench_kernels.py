@@ -3,15 +3,15 @@
 The fused-kernel compiler (:mod:`repro.lang.kernel`) lowers each path
 condition into one generated NumPy function; the claim is (a) it is never
 *semantically* different from the closure-tree oracle — fixed-seed hit counts
-must be bit-identical on every subject, tier, and executor backend — and
+must be bit-identical on every subject, evaluator, and executor backend — and
 (b) it is faster wherever predicate evaluation, not RNG sampling, dominates.
 This benchmark measures both on real volcomp workloads:
 
-* **throughput** — samples/sec per subject for the closure and fused tiers
-  (and the numba tier when numba is importable), each measured on the serial,
-  thread and process backends at an identical seeded budget;
+* **throughput** — samples/sec per subject for the fused kernels on the
+  serial, thread and process backends, and for the closure oracle on the
+  serial backend, at an identical seeded budget;
 * **bit-identity** — the per-subject hit total must be one number across
-  every (tier, backend) cell of the sweep.
+  every (evaluator, backend) cell of the sweep.
 
 ATRIAL is the stress subject: ~1700 distinct path conditions per assertion
 exercise the kernel cache itself, not just the generated code.  Subjects
@@ -31,6 +31,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 try:
@@ -38,9 +39,11 @@ try:
 except ImportError:  # executed directly: benchmarks/ is sys.path[0]
     from conftest import FULL_SCALE, record_bench, write_bench_summary
 from repro.analysis.results import Table
-from repro.core.montecarlo import hit_or_miss_sharded
+from repro.core.montecarlo import hit_or_miss, hit_or_miss_sharded
 from repro.exec import SeedStream, make_executor
-from repro.lang.kernel import TIER_ENV, _numba_njit, clear_kernel_cache, get_kernel, set_kernel_tier
+from repro.exec.scheduler import shard_budget
+from repro.lang.compiler import compile_path_condition
+from repro.lang.kernel import clear_kernel_cache, get_kernel
 from repro.subjects.volcomp_suite import subject_by_name
 
 #: Summary file this benchmark writes (uploaded as a CI artifact).
@@ -61,6 +64,9 @@ BACKENDS: Tuple[Tuple[str, Optional[str], Optional[int]], ...] = (
     ("process", "process", 2),
 )
 
+#: Evaluators swept: the closure-tree oracle and the fused kernels.
+EVALUATORS = ("closure", "fused")
+
 #: Chunk size feeding the sharded sampler (2 chunks per PC at reduced scale).
 CHUNK = 50_000
 
@@ -68,38 +74,51 @@ CHUNK = 50_000
 SEED = 9000
 
 
-def kernel_tiers() -> Tuple[str, ...]:
-    """Tiers worth measuring here: the oracle, the default, numba when present."""
-    tiers = ["closure", "fused"]
-    if _numba_njit() is not None:
-        tiers.append("numba")
-    return tuple(tiers)
-
-
 def _noop(value):
     return value
 
 
+def _closure_hits(pc, profile, budget: int, seeds: SeedStream, predicate) -> int:
+    """The serial sharded sampler's chunk loop, evaluated by the closure oracle.
+
+    Same chunks, same spawned seeds, same draw order as
+    :func:`hit_or_miss_sharded` on the serial backend — only the predicate
+    differs, so the hit total must match the fused run exactly.
+    """
+    names = tuple(sorted(pc.free_variables()))
+    hits = 0
+    for chunk in shard_budget(budget, CHUNK):
+        rng = np.random.default_rng(seeds.spawn_sequence())
+        hits += hit_or_miss(pc, profile, chunk, rng, variables=names, predicate=predicate).hits
+    return hits
+
+
 def run_subject_once(
-    name: str, tier: str, executor: Optional[str], workers: Optional[int], budget: int
+    name: str, evaluator: str, executor: Optional[str], workers: Optional[int], budget: int
 ) -> Tuple[int, float]:
     """One timed sweep over every path condition of a subject's first assertion.
 
-    Returns ``(total_hits, seconds)``.  The tier is installed both in-process
-    and in the environment *before* the pool is created, so process-backend
-    workers inherit it; kernel compilation is warmed outside the timed region
-    (compilation is once-per-deployment, throughput is what recurs).
+    Returns ``(total_hits, seconds)``.  Predicate compilation is warmed
+    outside the timed region (compilation is once-per-deployment, throughput
+    is what recurs).  The closure oracle runs on the serial backend only: its
+    compiled closures do not pickle.
     """
     subject = subject_by_name(name)
     constraint_set = subject.constraint_set(subject.assertions[0])
     profile = subject.profile()
 
-    os.environ[TIER_ENV] = tier
-    set_kernel_tier(tier)
     clear_kernel_cache()
+    if evaluator == "closure":
+        predicates = [compile_path_condition(pc) for pc in constraint_set.path_conditions]
+        started = time.perf_counter()
+        hits = sum(
+            _closure_hits(pc, profile, budget, SeedStream(SEED + index), predicate)
+            for index, (pc, predicate) in enumerate(zip(constraint_set.path_conditions, predicates))
+        )
+        return hits, time.perf_counter() - started
+
     for pc in constraint_set.path_conditions:
         get_kernel(pc)
-
     backend = make_executor(executor, workers) if executor is not None else None
     try:
         if backend is not None:
@@ -115,48 +134,48 @@ def run_subject_once(
     finally:
         if backend is not None:
             backend.close()
-        os.environ.pop(TIER_ENV, None)
-        set_kernel_tier(None)
     return hits, elapsed
 
 
+def _cells(backends):
+    """The (evaluator, backend) cells swept: closure serially, fused everywhere."""
+    cells = [("closure", "serial", None, None)] if any(label == "serial" for label, _, _ in backends) else []
+    return cells + [("fused", label, executor, workers) for label, executor, workers in backends]
+
+
 def bench_subject(name: str, budget: int, repeats: int, backends=BACKENDS) -> Dict:
-    """Full (tier × backend) sweep of one subject, with the bit-identity check."""
+    """Full (evaluator × backend) sweep of one subject, with the bit-identity check."""
     subject = subject_by_name(name)
     path_conditions = len(subject.constraint_set(subject.assertions[0]).path_conditions)
     total_samples = budget * path_conditions
 
     runs: List[Dict] = []
-    for tier in kernel_tiers():
-        for label, executor, workers in backends:
-            times: List[float] = []
-            hits = None
-            for _ in range(repeats):
-                hits, elapsed = run_subject_once(name, tier, executor, workers, budget)
-                times.append(elapsed)
-            seconds = min(times)
-            runs.append(
-                {
-                    "tier": tier,
-                    "backend": label,
-                    "workers": workers,
-                    "seconds": seconds,
-                    "seconds_all": times,
-                    "samples_per_second": total_samples / seconds if seconds > 0 else 0.0,
-                    "hits": hits,
-                }
-            )
+    for evaluator, label, executor, workers in _cells(backends):
+        times: List[float] = []
+        hits = None
+        for _ in range(repeats):
+            hits, elapsed = run_subject_once(name, evaluator, executor, workers, budget)
+            times.append(elapsed)
+        seconds = min(times)
+        runs.append(
+            {
+                "evaluator": evaluator,
+                "backend": label,
+                "workers": workers,
+                "seconds": seconds,
+                "seconds_all": times,
+                "samples_per_second": total_samples / seconds if seconds > 0 else 0.0,
+                "hits": hits,
+            }
+        )
 
     hit_values = {run["hits"] for run in runs}
-    by_cell = {(run["tier"], run["backend"]): run for run in runs}
-    speedups = {
-        f"fused_vs_closure_{label}": (
-            by_cell[("closure", label)]["seconds"] / by_cell[("fused", label)]["seconds"]
-            if by_cell[("fused", label)]["seconds"] > 0
-            else 0.0
+    by_cell = {(run["evaluator"], run["backend"]): run for run in runs}
+    speedups = {}
+    if ("closure", "serial") in by_cell and by_cell[("fused", "serial")]["seconds"] > 0:
+        speedups["fused_vs_closure_serial"] = (
+            by_cell[("closure", "serial")]["seconds"] / by_cell[("fused", "serial")]["seconds"]
         )
-        for label, _, _ in backends
-    }
     return {
         "subject": name,
         "path_conditions": path_conditions,
@@ -177,8 +196,7 @@ def collect_results(budget: int = BUDGET, repeats: int = 2, subjects=SUBJECTS, b
         "chunk_size": CHUNK,
         "seed": SEED,
         "cpu_count": os.cpu_count(),
-        "tiers": list(kernel_tiers()),
-        "numba_available": _numba_njit() is not None,
+        "evaluators": list(EVALUATORS),
         "backends": [label for label, _, _ in backends],
         "subjects": rows,
         "all_hits_match": all(row["hits_match"] for row in rows),
@@ -197,7 +215,7 @@ def generate_table(payload: Dict) -> Table:
         ("closure serial", "fused serial", "fused thread", "fused process", "speedup serial", "hits match"),
     )
     for row in payload["subjects"]:
-        by_cell = {(run["tier"], run["backend"]): run for run in row["runs"]}
+        by_cell = {(run["evaluator"], run["backend"]): run for run in row["runs"]}
         table.add_row(
             row["subject"],
             by_cell[("closure", "serial")]["samples_per_second"] / 1e6,
@@ -218,10 +236,10 @@ class TestKernelBench:
     TEST_SUBJECTS = ("CORONARY", "VOL")
 
     @pytest.mark.parametrize("name", list(TEST_SUBJECTS))
-    def test_hits_bit_identical_across_tiers_and_backends(self, name):
+    def test_hits_bit_identical_across_evaluators_and_backends(self, name):
         row = bench_subject(name, self.TEST_BUDGET, repeats=1)
         assert row["hits_match"], {
-            (run["tier"], run["backend"]): run["hits"] for run in row["runs"]
+            (run["evaluator"], run["backend"]): run["hits"] for run in row["runs"]
         }
 
     def test_summary_registered(self):

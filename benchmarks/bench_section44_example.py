@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.pipeline import ProbabilisticAnalysisPipeline
 from repro.analysis.results import Table
+from repro.api import Session
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.subjects import programs
 from repro.symexec import execute_program, parse_program
@@ -20,11 +20,13 @@ EXACT = programs.SAFETY_MONITOR_EXACT
 
 
 def run_pipeline(samples: int = 30_000, seed: int = 0):
-    pipeline = ProbabilisticAnalysisPipeline(
-        programs.SAFETY_MONITOR,
-        config=QCoralConfig.strat_partcache(samples, seed=seed),
-    )
-    return pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
+    with Session() as session:
+        query = session.analyze(
+            programs.SAFETY_MONITOR,
+            programs.SAFETY_MONITOR_EVENT,
+            config=QCoralConfig.strat_partcache(samples, seed=seed),
+        )
+        return query.run()
 
 
 def generate_table() -> Table:

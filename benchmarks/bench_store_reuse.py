@@ -30,8 +30,8 @@ try:
     from benchmarks.conftest import FULL_SCALE, record_bench, write_bench_summary
 except ImportError:  # executed directly: benchmarks/ is sys.path[0]
     from conftest import FULL_SCALE, record_bench, write_bench_summary
-from repro.analysis.pipeline import ProbabilisticAnalysisPipeline
 from repro.analysis.results import Table
+from repro.api import Session
 from repro.core.qcoral import QCoralConfig
 from repro.subjects import programs
 
@@ -49,18 +49,18 @@ EVENT = programs.SAFETY_MONITOR_EVENT
 
 
 def run_phase(source: str, store_path: str, backend: str, seed: int) -> dict:
-    """One pipeline analysis against the store; returns reuse metrics."""
+    """One program analysis against the store; returns reuse metrics."""
     config = QCoralConfig.strat_partcache(BUDGET, seed=seed).with_store(store_path, backend)
     started = time.perf_counter()
-    with ProbabilisticAnalysisPipeline(source, config=config) as pipeline:
-        result = pipeline.analyze(EVENT)
+    with Session() as session:
+        report = session.analyze(source, EVENT, config=config).run()
     elapsed = time.perf_counter() - started
-    stats = result.cache_statistics
+    stats = report.cache_statistics
     lookups = stats.store_lookups
     return {
-        "mean": result.mean,
-        "std": result.std,
-        "samples": result.qcoral_result.total_samples,
+        "mean": report.mean,
+        "std": report.std,
+        "samples": report.total_samples,
         "factors": lookups,
         "reused": stats.store_hits,
         "warm_starts": stats.warm_starts,

@@ -16,7 +16,7 @@ a tracked quality metric regressed by more than the tolerance:
   along — the all-changed run must stay bit-identical to its cold twin, and
   the one-factor edit must draw at most 25% of the cold run's samples.
 * **fused-kernel summaries** (``BENCH_kernels.json``) — per-subject hit counts
-  must be bit-identical across every kernel tier and executor backend
+  must be bit-identical across the closure oracle and every executor backend
   (unconditional, no tolerance); fused-vs-closure speedups gate against the
   baseline with a loose floor since CI timing is noisy.
 * **serving** (``BENCH_serve.json``) — served results must stay bit-identical
@@ -214,7 +214,7 @@ def compare_incremental(family: str, baseline: dict, fresh: dict) -> List[Findin
 def compare_kernels(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     """Fused-kernel summary: hit bit-identity is hard, speedups are soft.
 
-    ``hits_match`` compares the fresh run against *itself* (every tier/backend
+    ``hits_match`` compares the fresh run against *itself* (every evaluator/backend
     cell must agree), so it gates unconditionally — a mismatch means the fused
     codegen changed semantics, which no tolerance can excuse.  Speedups are
     compared against the committed baseline with a loose floor because CI

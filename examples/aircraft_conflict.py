@@ -12,8 +12,7 @@ Run with:  python examples/aircraft_conflict.py
 
 from __future__ import annotations
 
-from repro import QCoralConfig, UsageProfile
-from repro.analysis.pipeline import ProbabilisticAnalysisPipeline
+from repro import QCoralConfig, Session, UsageProfile
 from repro.core.profiles import TruncatedNormalDistribution, UniformDistribution
 from repro.subjects.aerospace import tsafe_conflict
 from repro.core.qcoral import QCoralAnalyzer
@@ -48,10 +47,9 @@ if (currentDistance <= 5.0) {
 
 
 def analyze_under_profile(name: str, profile: UsageProfile) -> None:
-    pipeline = ProbabilisticAnalysisPipeline(
-        CONFLICT_PROBE, profile=profile, config=QCoralConfig.strat_partcache(20_000, seed=11)
-    )
-    result = pipeline.analyze("conflict")
+    with Session() as session:
+        config = QCoralConfig.strat_partcache(20_000, seed=11)
+        result = session.analyze(CONFLICT_PROBE, "conflict", profile, config=config).run()
     print(f"{name:28s} P(conflict) = {result.mean:.6f}  std = {result.std:.3e}")
 
 

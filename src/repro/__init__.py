@@ -24,18 +24,13 @@ The public way in is the **Session facade** (:mod:`repro.api`)::
 * ``register_method`` / ``register_executor`` / ``register_store_backend`` —
   pluggable backend registries behind method/executor/store resolution.
 
-The pre-facade entry points (``quantify``, ``ProbabilisticAnalysisPipeline``,
-``PipelineResult``, ``analyze_program``, ``repeat_quantification``) remain
-available as deprecated shims with bit-identical fixed-seed results; the
-lower layers (:mod:`repro.core`, :mod:`repro.exec`, :mod:`repro.store`,
+The lower layers (:mod:`repro.core`, :mod:`repro.exec`, :mod:`repro.store`,
 :mod:`repro.symexec`, :mod:`repro.baselines`) stay importable directly.
 """
 
 from __future__ import annotations
 
-import importlib
 import logging
-import warnings
 
 from repro.api import (
     SCHEMA_VERSION,
@@ -80,13 +75,10 @@ from repro.exec import (
 )
 from repro.lang.ast import Constraint, ConstraintSet, PathCondition
 from repro.lang.kernel import (
-    KERNEL_TIERS,
     clear_kernel_cache,
-    current_kernel_tier,
     get_kernel,
     kernel_cache_info,
     kernel_cache_stats,
-    set_kernel_tier,
 )
 from repro.obs import Observability
 from repro.lang.parser import (
@@ -143,13 +135,10 @@ __all__ = [
     "parse_constraint_set",
     # Fused constraint kernels
     "get_kernel",
-    "KERNEL_TIERS",
-    "set_kernel_tier",
-    "current_kernel_tier",
     "kernel_cache_stats",
     "kernel_cache_info",
     "clear_kernel_cache",
-    # Engine layer (stable, non-deprecated lower-level surface)
+    # Engine layer (stable lower-level surface)
     "QCoralAnalyzer",
     "QCoralConfig",
     "QCoralResult",
@@ -182,38 +171,3 @@ __all__ = [
     "open_store",
     "__version__",
 ]
-# Deprecated shims (quantify, ProbabilisticAnalysisPipeline, PipelineResult,
-# analyze_program, repeat_quantification) resolve through __getattr__ below
-# with a DeprecationWarning.  They are deliberately NOT in __all__ so that
-# `from repro import *` stays warning-free; the API-surface snapshot tracks
-# them through _DEPRECATED_EXPORTS instead.
-
-#: Deprecated exports: name → (module, attribute, replacement in the warning).
-_DEPRECATED_EXPORTS = {
-    "quantify": ("repro.core.qcoral", "quantify", "Session().quantify(...).run()"),
-    "ProbabilisticAnalysisPipeline": (
-        "repro.analysis.pipeline",
-        "ProbabilisticAnalysisPipeline",
-        "Session().analyze(...)",
-    ),
-    "PipelineResult": ("repro.analysis.pipeline", "PipelineResult", "repro.Report"),
-    "analyze_program": ("repro.analysis.pipeline", "analyze_program", "Session().analyze(...).run()"),
-    "repeat_quantification": ("repro.analysis.runner", "repeat_quantification", "Query.repeat(...)"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute, replacement = _DEPRECATED_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_DEPRECATED_EXPORTS))

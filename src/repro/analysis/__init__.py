@@ -1,19 +1,6 @@
-"""End-to-end pipeline, experiment runner, and result formatting.
-
-The pipeline/runner entry points that predate the Session facade —
-``ProbabilisticAnalysisPipeline``, ``PipelineResult``, ``analyze_program``,
-and ``repeat_quantification`` — are still exported here but deprecated:
-accessing them through this package emits a :class:`DeprecationWarning`
-pointing at the :mod:`repro.api` replacement.  They keep returning
-numerically identical fixed-seed results (the facade compiles down to the
-same engine), and importing them from their defining submodules stays silent
-for internal use.
-"""
+"""Repeated-trial experiment runner and result formatting."""
 
 from __future__ import annotations
-
-import importlib
-import warnings
 
 from repro.analysis.results import Table, TableRow, format_interval
 from repro.analysis.runner import (
@@ -34,32 +21,3 @@ __all__ = [
     "TableRow",
     "format_interval",
 ]
-# The deprecated entry points (ProbabilisticAnalysisPipeline, PipelineResult,
-# analyze_program, repeat_quantification) resolve through __getattr__ below
-# with a DeprecationWarning; they are NOT in __all__ so star-imports stay
-# warning-free.
-
-#: Deprecated exports: name → (defining module, replacement shown in the warning).
-_DEPRECATED = {
-    "ProbabilisticAnalysisPipeline": ("repro.analysis.pipeline", "repro.Session().analyze(...)"),
-    "PipelineResult": ("repro.analysis.pipeline", "repro.Report"),
-    "analyze_program": ("repro.analysis.pipeline", "repro.Session().analyze(...).run()"),
-    "repeat_quantification": ("repro.analysis.runner", "Query.repeat(...)"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    warnings.warn(
-        f"repro.analysis.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_DEPRECATED))

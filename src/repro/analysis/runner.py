@@ -28,7 +28,6 @@ from repro.exec.seeds import SeedStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.api.query import Query
-    from repro.core.qcoral import QCoralResult
     from repro.exec.executor import Executor
 
 
@@ -178,47 +177,6 @@ def repeat_analysis(
     return RepeatedResult(outcomes)
 
 
-def _timed_quantification_trial(run: Callable[[int], "QCoralResult"], seed: int) -> TrialOutcome:
-    started = time.perf_counter()
-    result = run(seed)
-    elapsed = time.perf_counter() - started
-    if math.isnan(result.mean) or math.isnan(result.std):
-        raise ValueError(f"trial with seed {seed} produced NaN results")
-    cache = result.cache_statistics
-    return TrialOutcome(
-        result.mean,
-        result.std,
-        elapsed,
-        result.total_samples,
-        result.rounds,
-        store_hits=cache.store_hits,
-        warm_starts=cache.warm_starts,
-        store_merges=cache.store_merges,
-    )
-
-
-def repeat_quantification(
-    run: Callable[[int], "QCoralResult"],
-    runs: int = 30,
-    base_seed: int = 0,
-    executor: Optional["Executor"] = None,
-) -> RepeatedResult:
-    """Like :func:`repeat_analysis` for callables returning a full result.
-
-    Deprecated entry point: prefer building a :class:`~repro.api.query.Query`
-    and calling ``query.repeat(...)`` (which runs through :func:`repeat_query`
-    below).  ``run(seed)`` must return a
-    :class:`~repro.core.qcoral.QCoralResult`; the per-trial sample counts and
-    adaptive round counts are recorded alongside the estimate, so
-    convergence-vs-budget trajectories can be aggregated the same way the
-    paper aggregates estimates.
-    """
-    if runs < 1:
-        raise ValueError("at least one run is required")
-    outcomes = _run_trials(functools.partial(_timed_quantification_trial, run), trial_seeds(runs, base_seed), executor)
-    return RepeatedResult(outcomes)
-
-
 def _timed_query_trial(query: "Query", seed: int) -> TrialOutcome:
     started = time.perf_counter()
     report = query.seed(seed).run()
@@ -246,9 +204,9 @@ def repeat_query(
 ) -> RepeatedResult:
     """Run a facade :class:`~repro.api.query.Query` at ``runs`` spawned seeds.
 
-    The facade-native form of :func:`repeat_quantification`: each trial is
-    ``query.seed(s).run()`` for the seeds of :func:`trial_seeds`, so a query
-    and a hand-rolled ``quantify``-per-seed loop aggregate identically.
+    Each trial is ``query.seed(s).run()`` for the seeds of
+    :func:`trial_seeds`, so a query and a hand-rolled run-per-seed loop
+    aggregate identically.
     Dispatching trials on a process executor requires the query to pickle;
     session-bound queries generally do not, so use the serial/thread backends
     (or None) there.

@@ -11,10 +11,6 @@ The one documented way in:
 * :class:`Report` — the unified result type with a versioned JSON schema.
 * ``register_method`` / ``register_executor`` / ``register_store_backend`` —
   the pluggable backend registries.
-
-The historical entry points (``quantify``, ``ProbabilisticAnalysisPipeline``,
-``repeat_quantification``) keep working as deprecated shims over the same
-engine, with bit-identical fixed-seed results.
 """
 
 from repro.api.query import Query, RoundStream

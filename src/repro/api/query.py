@@ -25,12 +25,14 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.api.report import Report
 from repro.core.estimate import Estimate
+from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, RoundReport
 from repro.errors import AnalysisError, ConfigurationError
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
 from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, ledger_entry_for, open_ledger
 from repro.symexec.ast import Program
+from repro.symexec.symbolic import execute_program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session builds queries)
     from repro.api.session import Session
@@ -457,27 +459,19 @@ class Query:
         # Program target: bounded symbolic execution, then quantification of
         # the event's constraint set — streamed — and of the bound-hitting
         # paths (the paper's confidence measure) as a final blocking step.
-        from repro.analysis.pipeline import (
-            ProbabilisticAnalysisPipeline,
-            bounded_probability_estimate,
-            require_event,
-        )
-
+        # One analyzer serves both, so factors shared between the event and
+        # the bound-hitting paths are sampled once.
         target = self._target
-        pipeline = ProbabilisticAnalysisPipeline(
-            target.program,
-            self._profile,  # None = uniform over the program's declared bounds
-            config,
-            max_depth=target.max_depth,
-            max_paths=target.max_paths,
-            executor=executor,
-            store=store,
-            observability=observability,
-        )
+        profile = self._profile if self._profile is not None else UsageProfile.uniform(target.program.input_bounds())
+        analyzer: Optional[QCoralAnalyzer] = None
         try:
-            symbolic = pipeline.symbolic_execution()
-            require_event(symbolic, target.event)
-            analyzer = pipeline.analyzer()
+            symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
+            if target.event not in symbolic.events():
+                raise AnalysisError(
+                    f"event {target.event!r} never occurs on any explored path; "
+                    f"known events: {list(symbolic.events())}"
+                )
+            analyzer = QCoralAnalyzer(profile, config, executor=executor, store=store, observability=observability)
             # Pump the event stream by hand (rather than `yield from`) so the
             # consumer's stop signal is visible here: a cancelled stream must
             # not fall through into a full-budget bounded-paths analysis.
@@ -497,19 +491,25 @@ class Query:
                 # Closing an already-finished generator is a no-op; on
                 # abandonment this triggers the engine's GeneratorExit flush.
                 rounds.close()
-            if stopped and symbolic.bounded_constraint_set().path_conditions:
+            bounded_set = symbolic.bounded_constraint_set()
+            bounded: Optional[Estimate]
+            if not bounded_set.path_conditions:
+                # No path hit the execution bound: exactly zero mass.
+                bounded = Estimate.zero()
+            elif stopped:
                 # The caller cancelled the run: the bound-hitting mass was
                 # never quantified, and None says so (0.0 would claim an
                 # exact confidence measure that was not computed).
-                bounded: Optional[Estimate] = None
+                bounded = None
             else:
-                bounded = bounded_probability_estimate(analyzer, symbolic)
+                bounded = analyzer.analyze(bounded_set).estimate
         finally:
-            pipeline.close()
+            if analyzer is not None:
+                analyzer.close()
             if owned_obs is not None:
                 owned_obs.flush_trace()
         report = Report.from_qcoral(result, kind="program", event=target.event, bounded=bounded)
-        self._record_run(report, pipeline.profile)
+        self._record_run(report, profile)
         return report
 
     def _record_run(self, report: Report, profile: Optional[object]) -> None:

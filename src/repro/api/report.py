@@ -1,12 +1,10 @@
 """The unified :class:`Report` result type with a versioned JSON schema.
 
-One dataclass replaces the three divergent result surfaces that accreted over
-the first PRs — :class:`~repro.core.qcoral.QCoralResult` (direct
-quantification), :class:`~repro.analysis.pipeline.PipelineResult` (program
-analysis), and :class:`~repro.analysis.runner.RepeatedResult` (repeated
-trials).  The old types keep working as deprecated aliases behind the facade;
-every new surface (``Session``/``Query``, ``qcoral ... --json``) speaks
-:class:`Report`.
+One dataclass covers every result the facade produces — a constraint-set
+quantification or a program analysis (both from the engine's
+:class:`~repro.core.qcoral.QCoralResult`) and repeated trials (from
+:class:`~repro.analysis.runner.RepeatedResult`).  Every surface
+(``Session``/``Query``, ``qcoral ... --json``) speaks :class:`Report`.
 
 Serialisation contract
 ----------------------
@@ -162,16 +160,6 @@ class Report:
             metrics=result.metrics,
             store_statistics=result.store_statistics,
             diagnostics=result.diagnostics,
-        )
-
-    @classmethod
-    def from_pipeline(cls, result) -> "Report":
-        """Build a report from a :class:`~repro.analysis.pipeline.PipelineResult`."""
-        return cls.from_qcoral(
-            result.qcoral_result,
-            kind="program",
-            event=result.event,
-            bounded=result.bounded_probability,
         )
 
     @classmethod

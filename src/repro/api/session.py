@@ -309,7 +309,7 @@ class Session:
         """A query analysing ``program`` end to end for ``event`` (Figure 1).
 
         With ``profile`` None the program's declared input bounds define a
-        uniform profile, exactly like the legacy pipeline.
+        uniform profile.
         """
         self._check_open()
         parsed = parse_program(program) if isinstance(program, str) else program

@@ -66,7 +66,6 @@ from repro.core.stratified import ALLOCATION_POLICIES
 from repro.errors import ConfigurationError, DomainError, ReproError, UsageError
 from repro.exec.executor import EXECUTOR_KINDS
 from repro.incremental import diff_constraint_sets
-from repro.lang.kernel import KERNEL_TIERS, TIER_ENV, set_kernel_tier
 from repro.lang.parser import parse_constraint_set
 from repro.obs import Observability
 from repro.obs.export import lint_trace
@@ -240,17 +239,6 @@ def _common_parser() -> argparse.ArgumentParser:
         choices=list(ALLOCATION_POLICIES),
         default="even",
         help="per-stratum budget split: even (paper), neyman (variance-driven), or mass",
-    )
-    common.add_argument(
-        "--kernel-tier",
-        choices=list(KERNEL_TIERS),
-        default=None,
-        help=(
-            "constraint-kernel tier: fused (generated numpy kernel, the "
-            "default), numba (njit-compiled when numba is installed, falls "
-            "back to fused), closure (reference evaluator), or auto "
-            "(numba when available); also via QCORAL_KERNEL_TIER"
-        ),
     )
     common.add_argument(
         "--show-rounds",
@@ -1036,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="default sampling budget when a request names none (default 30000)",
     )
-    serve.set_defaults(handler=_command_serve, verbose=0, kernel_tier=None)
+    serve.set_defaults(handler=_command_serve, verbose=0)
 
     obs = subparsers.add_parser("obs", help="analyse run ledgers and trace files across runs")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
@@ -1079,11 +1067,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # `obs` subcommands do not take the estimation/observability flag set.
     _configure_logging(getattr(args, "verbose", 0))
     try:
-        if getattr(args, "kernel_tier", None) is not None:
-            # Set the environment too so process-pool workers spawned later
-            # inherit the tier choice along with the in-process override.
-            os.environ[TIER_ENV] = args.kernel_tier
-            set_kernel_tier(args.kernel_tier)
         return args.handler(args)
     except UsageError as error:
         # Usage failures are exit 2 so CI distinguishes "the gate tripped"

@@ -45,7 +45,6 @@ from repro.core.qcoral import (
     QCoralConfig,
     QCoralResult,
     RoundReport,
-    quantify,
 )
 from repro.core.stratified import (
     ALLOCATION_POLICIES,
@@ -106,5 +105,4 @@ __all__ = [
     "RoundReport",
     "PathConditionReport",
     "FactorReport",
-    "quantify",
 ]

@@ -583,7 +583,7 @@ class QCoralAnalyzer:
             self._owns_executor = self._executor is not None
         if store is not None:
             # Same borrowing rule as executors: shared store handles (e.g.
-            # one store across a pipeline's analyzers) are never closed here.
+            # one store across a session's analyzers) are never closed here.
             self._store: Optional[EstimateStore] = store
             self._owns_store = False
         elif config.wants_store:
@@ -739,11 +739,8 @@ class QCoralAnalyzer:
     _KERNEL_METRICS = (
         ("lookups", "kernel_lookups_total"),
         ("memory_hits", "kernel_memory_hits_total"),
-        ("disk_hits", "kernel_disk_hits_total"),
         ("codegens", "kernel_codegens_total"),
-        ("numba_fallbacks", "kernel_numba_fallbacks_total"),
         ("evictions", "kernel_evictions_total"),
-        ("disk_regens", "kernel_disk_regens_total"),
         ("compile_seconds", "kernel_compile_seconds_total"),
     )
 
@@ -1393,18 +1390,3 @@ def _drain(stream):
             next(stream)
         except StopIteration as finished:
             return finished.value
-
-
-def quantify(
-    constraint_set: ast.ConstraintSet,
-    profile: UsageProfile,
-    config: QCoralConfig = QCoralConfig(),
-) -> QCoralResult:
-    """One-shot convenience wrapper around :class:`QCoralAnalyzer`.
-
-    Deprecated entry point: prefer ``Session().quantify(...).run()`` from
-    :mod:`repro.api`.  Any executor pool the configuration requests is shut
-    down on return.
-    """
-    with QCoralAnalyzer(profile, config) as analyzer:
-        return analyzer.analyze(constraint_set)

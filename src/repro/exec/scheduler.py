@@ -14,11 +14,9 @@ Two properties make the scheme deterministic:
 * each task draws from its own :class:`numpy.random.SeedSequence`, so the
   samples it sees are a function of the plan position only.
 
-Workers compile each distinct predicate once through the shared fused-kernel
-cache (:func:`repro.lang.kernel.get_kernel`) — compiled kernels do not pickle,
-so they cannot travel with the task, but the persistent on-disk source cache
-means a freshly forked worker skips codegen for any kernel the parent (or a
-previous run) already emitted.
+Workers compile each distinct predicate once through the fused-kernel cache
+(:func:`repro.lang.kernel.get_kernel`) — compiled kernels do not pickle, so
+they cannot travel with the task; each worker process compiles its own.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fused-kernel constraint compiler with a persistent cross-process cache.
+"""Fused-kernel constraint compiler with an in-process kernel cache.
 
 :mod:`repro.lang.compiler` evaluates a path condition as a tree of NumPy
 closures: every AST node is one Python call plus one intermediate ndarray per
@@ -20,91 +20,34 @@ The compiled semantics is bit-identical to the closure compiler's: the same
 ufuncs run in the same per-expression order, domain errors (division by zero,
 roots/logs of negatives) produce the same NaN/inf entries under the same
 ``errstate``, and comparisons involving NaN are unsatisfied.  The closure
-compiler stays as the reference oracle (`tier="closure"`).
-
-Tiers
------
-``fused``
-    The generated NumPy kernel, ``compile()``/``exec()``-ed.  The default.
-``numba``
-    The fused kernel wrapped in ``numba.njit``.  Requires numba; when it is
-    not importable — or the jitted kernel fails a probe-batch equivalence
-    check against the fused kernel — the fused tier is used instead and a
-    ``RuntimeWarning`` is emitted once.
-``closure``
-    The pre-existing closure-tree compiler, kept as the reference oracle and
-    kill-switch (kernels are still cached, just not fused).
-``auto``
-    ``numba`` when importable, else ``fused``.
-
-The tier is selected per call (``get_kernel(..., tier=...)``), per process
-(:func:`set_kernel_tier`), or per environment (``QCORAL_KERNEL_TIER``); the
-``qcoral`` CLI exposes ``--kernel-tier``.
+compiler stays as the reference oracle the kernel tests hold this one to.
 
 Caching
 -------
 Kernels are keyed by the **alpha-renamed canonical text** of the constraint
-(:mod:`repro.lang.canonical`) plus :data:`KERNEL_VERSION`, so alpha-equivalent
-factors — ``x <= 0.5`` and ``y <= 0.5`` — share one compiled kernel, and a
-codegen change invalidates every stale entry.  Two tiers of cache:
-
-* an in-process, thread-safe LRU (``QCORAL_KERNEL_CACHE_SIZE``, default 4096)
-  holding compiled kernel functions;
-* a persistent on-disk **source** cache under ``~/.cache/qcoral/kernels``
-  (override with ``QCORAL_KERNEL_CACHE_DIR``; disable with
-  ``QCORAL_KERNEL_DISK_CACHE=0``), so repeated runs and freshly forked
-  ProcessPool workers skip codegen — the JIT-cache pattern Bodo uses for
-  repeated pandas/numpy workloads.  Files are written atomically and
-  validated (version + key digest + a sha256 of the function body) before
-  reuse, so a corrupt, stale, or tampered file is regenerated, never trusted.
+(:mod:`repro.lang.canonical`), so alpha-equivalent factors — ``x <= 0.5`` and
+``y <= 0.5`` — share one compiled kernel.  The cache is an in-process,
+thread-safe LRU (``QCORAL_KERNEL_CACHE_SIZE``, default 4096 entries); process
+workers compile their own kernels on first use.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import math
 import os
-import tempfile
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, EvaluationError, UnknownFunctionError, UnknownVariableError
+from repro.errors import EvaluationError, UnknownFunctionError, UnknownVariableError
 from repro.lang import ast
 from repro.lang.canonical import alpha_canonical_greedy, canonical_name
-from repro.lang.compiler import (
-    CompiledPredicate,
-    SampleBatch,
-    _batch_length,
-    compile_constraint_set,
-    compile_path_condition,
-)
+from repro.lang.compiler import CompiledPredicate, SampleBatch, _batch_length
 from repro.lang.substitution import substitute_constraint
-
-#: Version tag of the kernel codegen.  Folded into every cache key (memory and
-#: disk), so bumping it invalidates all previously emitted kernels; bump on any
-#: change to the generated source or its semantics.
-KERNEL_VERSION = "qcoral-kernel-3"
-
-#: Selectable kernel tiers (see module docstring).
-KERNEL_TIERS = ("auto", "fused", "numba", "closure")
-
-#: Environment variable selecting the tier for a whole process tree (workers
-#: inherit it), overridden by :func:`set_kernel_tier` and the ``tier=`` arg.
-TIER_ENV = "QCORAL_KERNEL_TIER"
-
-#: Environment variable overriding the persistent cache directory.
-CACHE_DIR_ENV = "QCORAL_KERNEL_CACHE_DIR"
-
-#: Environment variable disabling the persistent cache; case-insensitive
-#: ``0``/``false``/``no``/``off`` disable, anything else (or unset) enables.
-DISK_CACHE_ENV = "QCORAL_KERNEL_DISK_CACHE"
 
 #: Environment variable bounding the in-process LRU (entries, default 4096).
 CACHE_SIZE_ENV = "QCORAL_KERNEL_CACHE_SIZE"
@@ -114,8 +57,6 @@ DEFAULT_CACHE_SIZE = 4096
 
 #: Name of the generated function inside an emitted kernel source.
 _KERNEL_FUNC = "qcoral_kernel"
-
-_LOGGER = logging.getLogger("repro.lang.kernel")
 
 #: Anything :func:`get_kernel` accepts.
 Compilable = Union[ast.Constraint, ast.PathCondition, ast.ConstraintSet]
@@ -148,69 +89,6 @@ _BINARY_NUMPY: Dict[str, str] = {
 
 
 # --------------------------------------------------------------------------- #
-# Tier selection
-# --------------------------------------------------------------------------- #
-_TIER_LOCK = threading.Lock()
-_TIER_OVERRIDE: Optional[str] = None
-_NUMBA_WARNED = False
-
-
-def set_kernel_tier(tier: Optional[str]) -> None:
-    """Set the process-wide kernel tier (None resets to the environment)."""
-    global _TIER_OVERRIDE
-    if tier is not None and tier not in KERNEL_TIERS:
-        raise ConfigurationError(f"unknown kernel tier {tier!r}; expected one of {KERNEL_TIERS}")
-    with _TIER_LOCK:
-        _TIER_OVERRIDE = tier
-
-
-def current_kernel_tier() -> str:
-    """The configured tier: the process override, else the environment, else ``fused``."""
-    with _TIER_LOCK:
-        if _TIER_OVERRIDE is not None:
-            return _TIER_OVERRIDE
-    configured = os.environ.get(TIER_ENV, "").strip()
-    if not configured:
-        return "fused"
-    if configured not in KERNEL_TIERS:
-        raise ConfigurationError(f"{TIER_ENV}={configured!r} is not one of {KERNEL_TIERS}")
-    return configured
-
-
-def _numba_njit() -> Optional[Callable]:
-    """``numba.njit`` when importable, else None (checked once per process)."""
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    except Exception:  # pragma: no cover - depends on the environment
-        return None
-    return njit
-
-
-def _warn_numba_fallback(reason: str) -> None:
-    global _NUMBA_WARNED
-    with _TIER_LOCK:
-        if _NUMBA_WARNED:
-            return
-        _NUMBA_WARNED = True
-    message = f"numba kernel tier unavailable ({reason}); falling back to fused"
-    # Both channels on purpose: the warning keeps the pre-logging behaviour
-    # visible in bare scripts, the logger feeds the ``repro`` hierarchy that
-    # ``--verbose`` and library embedders subscribe to.
-    _LOGGER.warning(message)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def _resolve_tier(tier: Optional[str]) -> str:
-    """Resolve the requested/configured tier to a concrete one."""
-    requested = tier if tier is not None else current_kernel_tier()
-    if requested not in KERNEL_TIERS:
-        raise ConfigurationError(f"unknown kernel tier {requested!r}; expected one of {KERNEL_TIERS}")
-    if requested == "auto":
-        return "numba" if _numba_njit() is not None else "fused"
-    return requested
-
-
-# --------------------------------------------------------------------------- #
 # Canonicalisation: cache keys and renamed ASTs
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
@@ -220,20 +98,13 @@ class _Lowered:
     Attributes:
         kind: ``"pc"`` (conjunction) or ``"cs"`` (disjunction of conjunctions).
         text: Alpha-renamed canonical text — the cache key.
-        digest: SHA-256 over ``KERNEL_VERSION + kind + text`` — the disk key.
         variables: Original variable names in canonical order; position ``i``
             is the variable kernel argument ``v{i}`` binds to.
     """
 
     kind: str
     text: str
-    digest: str
     variables: Tuple[str, ...]
-
-
-def _digest(kind: str, text: str) -> str:
-    material = "\x1f".join((KERNEL_VERSION, kind, text))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 def _renamed_sorted_constraints(
@@ -258,7 +129,7 @@ def _lower_path_condition(pc: ast.PathCondition) -> Tuple[_Lowered, List[ast.Con
     # factors with shape-tied conjuncts; that duplicates a kernel, nothing else.
     alpha = alpha_canonical_greedy(pc)
     renamed = _renamed_sorted_constraints(pc.constraints, alpha.variables)
-    lowered = _Lowered("pc", alpha.text, _digest("pc", alpha.text), alpha.variables)
+    lowered = _Lowered("pc", alpha.text, alpha.variables)
     return lowered, renamed
 
 
@@ -275,7 +146,7 @@ def _lower_constraint_set(cs: ast.ConstraintSet) -> Tuple[_Lowered, List[List[as
     texts = [" && ".join(c.canonical() for c in constraints) or "true" for constraints in renamed_pcs]
     ordered = sorted(range(len(texts)), key=lambda index: texts[index])
     text = " || ".join(texts[index] for index in ordered) or "false"
-    lowered = _Lowered("cs", text, _digest("cs", text), names)
+    lowered = _Lowered("cs", text, names)
     return lowered, [renamed_pcs[index] for index in ordered]
 
 
@@ -378,24 +249,12 @@ class _Emitter:
         return name
 
 
-#: Header line carrying the sha256 of everything after it (the function body),
-#: so :func:`_disk_read` can reject a tampered or truncated cache file.
-_BODY_SHA_PREFIX = "# source-sha256: "
-
-
 def _render(lowered: _Lowered, body: Sequence[str]) -> str:
-    """Assemble the final kernel source with its validation header."""
+    """Assemble the final kernel source under a short provenance header."""
     args = ", ".join(["n"] + [f"v{index}" for index in range(len(lowered.variables))])
     code_lines = [f"def {_KERNEL_FUNC}({args}):"] + [f"    {line}" for line in body]
-    code = "\n".join(code_lines) + "\n"
-    header = [
-        "# qcoral fused kernel (generated; do not edit)",
-        f"# version: {KERNEL_VERSION}",
-        f"# kind: {lowered.kind}",
-        f"# key-sha256: {lowered.digest}",
-        f"{_BODY_SHA_PREFIX}{hashlib.sha256(code.encode('utf-8')).hexdigest()}",
-    ]
-    return "\n".join(header) + "\n" + code
+    header = ["# qcoral fused kernel (generated; do not edit)", f"# kind: {lowered.kind}"]
+    return "\n".join(header + code_lines) + "\n"
 
 
 def _generate_source(node: Compilable) -> Tuple[_Lowered, str]:
@@ -437,92 +296,10 @@ def _generate_source(node: Compilable) -> Tuple[_Lowered, str]:
     raise EvaluationError(f"cannot build a kernel for node of type {type(node).__name__}")
 
 
-# --------------------------------------------------------------------------- #
-# Persistent on-disk source cache
-# --------------------------------------------------------------------------- #
-#: Normalised values of :data:`DISK_CACHE_ENV` that disable the disk cache;
-#: anything else (including unset or empty) leaves it enabled.
-_DISK_CACHE_DISABLED = frozenset({"0", "false", "no", "off"})
-
-
-def kernel_cache_dir() -> Optional[str]:
-    """The persistent cache directory, or None when the disk tier is disabled."""
-    if os.environ.get(DISK_CACHE_ENV, "").strip().lower() in _DISK_CACHE_DISABLED:
-        return None
-    custom = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if custom:
-        return custom
-    xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "qcoral", "kernels")
-
-
-def _disk_path(digest: str) -> Optional[str]:
-    directory = kernel_cache_dir()
-    if directory is None:
-        return None
-    return os.path.join(directory, f"{digest}.py")
-
-
-def _disk_read(digest: str) -> Tuple[Optional[str], str]:
-    """Validated source from the disk cache plus a status tag.
-
-    Returns ``(source, "hit")`` on success and ``(None, status)`` otherwise,
-    where ``status`` distinguishes why the read produced nothing:
-    ``"disabled"`` (no disk tier), ``"miss"`` (no file), or ``"stale"``
-    (a file existed but failed version/digest/body validation and must be
-    regenerated).  The split feeds the ``disk_misses``/``disk_regens``
-    counters — a regeneration storm is a cache-invalidation signal that a
-    plain miss count would hide.
-    """
-    path = _disk_path(digest)
-    if path is None:
-        return None, "disabled"
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError:
-        return None, "miss"
-    # Trust nothing: a file is reused only when its embedded version and key
-    # digest match what we would generate AND the body hashes to the value the
-    # header recorded at write time — a tampered or truncated body falls
-    # through to regeneration instead of being exec'd.
-    if f"# version: {KERNEL_VERSION}" not in source or f"# key-sha256: {digest}" not in source:
-        return None, "stale"
-    marker = f"\n{_BODY_SHA_PREFIX}"
-    _head, separator, remainder = source.partition(marker)
-    if not separator:
-        return None, "stale"
-    recorded, newline, body = remainder.partition("\n")
-    if not newline or not body.startswith(f"def {_KERNEL_FUNC}("):
-        return None, "stale"
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != recorded.strip():
-        return None, "stale"
-    return source, "hit"
-
-
-def _disk_write(digest: str, source: str) -> None:
-    """Atomically persist kernel source (best-effort; disk errors are ignored)."""
-    path = _disk_path(digest)
-    if path is None:
-        return
-    try:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(source)
-            os.replace(temp_path, path)
-        except BaseException:
-            os.unlink(temp_path)
-            raise
-    except OSError:  # pragma: no cover - disk-full / permission environments
-        return
 
 
 # --------------------------------------------------------------------------- #
-# In-process caches and statistics
+# In-process cache and statistics
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class KernelCacheStats:
@@ -530,30 +307,27 @@ class KernelCacheStats:
 
     lookups: int = 0
     memory_hits: int = 0
-    disk_hits: int = 0
     codegens: int = 0
-    numba_fallbacks: int = 0
     evictions: int = 0
-    disk_misses: int = 0
-    disk_regens: int = 0
     compile_seconds: float = 0.0
+
+    @property
+    def disk_hits(self) -> int:
+        """Always 0: kernels are cached in memory only."""
+        return 0
 
 
 _CACHE_LOCK = threading.Lock()
-#: Compiled kernels: (tier, kind, canonical text) -> callable.
-_KERNEL_CACHE: "OrderedDict[Tuple[str, str, str], Callable]" = OrderedDict()
+#: Compiled kernels: (kind, canonical text) -> positional kernel function.
+_KERNEL_CACHE: "OrderedDict[Tuple[str, str], Callable]" = OrderedDict()
 #: Lowering results: (kind, node) -> _Lowered (alpha-canonicalisation is the
 #: expensive part of the key, so it is memoised on the hashable AST itself).
 _LOWERED_CACHE: "OrderedDict[Tuple[str, Compilable], _Lowered]" = OrderedDict()
 _STATS: Dict[str, float] = {
     "lookups": 0,
     "memory_hits": 0,
-    "disk_hits": 0,
     "codegens": 0,
-    "numba_fallbacks": 0,
     "evictions": 0,
-    "disk_misses": 0,
-    "disk_regens": 0,
     "compile_seconds": 0.0,
 }
 
@@ -589,22 +363,19 @@ def _lru_put(cache: OrderedDict, key, value, count_evictions: bool = False) -> N
 
 
 def kernel_cache_stats() -> KernelCacheStats:
-    """Current cache counters (lookups, hits per tier, codegen runs)."""
+    """Current cache counters (lookups, hits, codegen runs)."""
     with _CACHE_LOCK:
         return KernelCacheStats(**_STATS)  # type: ignore[arg-type]
 
 
 def kernel_cache_info() -> Dict[str, object]:
-    """Structured view of both cache tiers, for observability surfaces.
+    """Structured view of the cache, for observability surfaces.
 
-    Unlike :func:`kernel_cache_stats` (a flat counter snapshot), this nests
-    the counters by tier and adds live capacity/occupancy and the disk-tier
-    configuration, so a dashboard or ``--verbose`` dump can tell an LRU that
-    is thrashing (evictions climbing against a full ``size``) from a disk
-    tier that is invalidating (``regenerations`` climbing).
+    Unlike :func:`kernel_cache_stats` (a flat counter snapshot), this adds the
+    live occupancy and capacity, so a dashboard or ``--verbose`` dump can tell
+    an LRU that is thrashing (evictions climbing against a full ``size``).
     """
     capacity = _cache_capacity()
-    directory = kernel_cache_dir()
     with _CACHE_LOCK:
         stats = dict(_STATS)
         kernel_size = len(_KERNEL_CACHE)
@@ -618,39 +389,23 @@ def kernel_cache_info() -> Dict[str, object]:
             "lowered_size": lowered_size,
             "capacity": capacity,
         },
-        "disk": {
-            "enabled": directory is not None,
-            "directory": directory,
-            "hits": int(stats["disk_hits"]),
-            "misses": int(stats["disk_misses"]),
-            "regenerations": int(stats["disk_regens"]),
-        },
         "codegens": int(stats["codegens"]),
-        "numba_fallbacks": int(stats["numba_fallbacks"]),
         "compile_seconds": float(stats["compile_seconds"]),
     }
 
 
 def clear_kernel_cache(disk: bool = False) -> None:
-    """Drop every in-process kernel (and, with ``disk=True``, the disk cache).
+    """Drop every compiled kernel and reset the counters.
 
-    Counters are reset too, so tests can assert on deltas from zero.
+    Counters are reset too, so tests can assert on deltas from zero.  ``disk``
+    is accepted for callers that also cleared a kernel directory; kernels are
+    never written to disk, so it changes nothing.
     """
     with _CACHE_LOCK:
         _KERNEL_CACHE.clear()
         _LOWERED_CACHE.clear()
         for counter in _STATS:
             _STATS[counter] = 0
-    if disk:
-        directory = kernel_cache_dir()
-        if directory is None or not os.path.isdir(directory):
-            return
-        for entry in os.listdir(directory):
-            if entry.endswith(".py"):
-                try:
-                    os.unlink(os.path.join(directory, entry))
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
 
 
 def _bump(counter: str, amount: float = 1) -> None:
@@ -659,57 +414,13 @@ def _bump(counter: str, amount: float = 1) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Compilation and tier application
+# Compilation
 # --------------------------------------------------------------------------- #
-def _compile_source(source: str, digest: str) -> Callable:
-    path = _disk_path(digest)
-    filename = path if path is not None else f"<qcoral-kernel-{digest[:12]}>"
+def _compile_source(source: str, kind: str) -> Callable:
     namespace: Dict[str, object] = {"np": np}
-    code = compile(source, filename, "exec")
+    code = compile(source, f"<qcoral-kernel-{kind}>", "exec")
     exec(code, namespace)  # noqa: S102 - executing our own generated source
     return namespace[_KERNEL_FUNC]  # type: ignore[return-value]
-
-
-#: Deterministic probe batch for the numba equivalence check: sign changes,
-#: zero, values past 1, extreme magnitudes (overflow-prone), a denormal, and
-#: the non-finite specials — the inputs where fastmath/libm skew shows up.
-_PROBE_VALUES = np.array(
-    [-2.0, -0.5, 0.0, 0.5, 1.0, 3.0, 1e300, -1e300, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
-)
-
-
-def _probe_arrays(arity: int) -> List[np.ndarray]:
-    return [np.roll(_PROBE_VALUES, index) for index in range(arity)]
-
-
-def _apply_numba(fused: Callable, lowered: _Lowered) -> Callable:
-    """JIT the fused kernel, verifying it against the Python version.
-
-    The jitted kernel must reproduce the fused kernel bit-for-bit on the
-    probe batch (:data:`_PROBE_VALUES`); any compile error or mismatch falls
-    back to the fused tier with a one-time warning.  The check is a probe,
-    not a proof: agreement on it is strong evidence, not a guarantee of
-    bit-identity on every input.
-    """
-    njit = _numba_njit()
-    if njit is None:
-        _warn_numba_fallback("numba is not importable")
-        _bump("numba_fallbacks")
-        return fused
-    try:
-        jitted = njit(fused)
-        probe = _probe_arrays(len(lowered.variables))
-        length = _PROBE_VALUES.size
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            expected = fused(length, *probe)
-            observed = jitted(length, *probe)
-        if not np.array_equal(np.asarray(observed), np.asarray(expected)):
-            raise EvaluationError("jitted kernel disagrees with the fused kernel on the probe batch")
-    except Exception as error:
-        _warn_numba_fallback(str(error))
-        _bump("numba_fallbacks")
-        return fused
-    return jitted
 
 
 def _lowered_for(node: Compilable) -> _Lowered:
@@ -728,9 +439,9 @@ def _lowered_for(node: Compilable) -> _Lowered:
     return lowered
 
 
-def _raw_kernel(node: Compilable, lowered: _Lowered, tier: str) -> Callable:
-    """The positional kernel function for ``lowered`` at ``tier`` (cached)."""
-    key = (tier, lowered.kind, lowered.text)
+def _raw_kernel(node: Compilable, lowered: _Lowered) -> Callable:
+    """The positional kernel function for ``lowered`` (cached)."""
+    key = (lowered.kind, lowered.text)
     _bump("lookups")
     with _CACHE_LOCK:
         cached = _lru_get(_KERNEL_CACHE, key)
@@ -738,21 +449,9 @@ def _raw_kernel(node: Compilable, lowered: _Lowered, tier: str) -> Callable:
         _bump("memory_hits")
         return cached
     started = time.perf_counter()
-    source, disk_status = _disk_read(lowered.digest)
-    if source is not None:
-        _bump("disk_hits")
-    else:
-        if disk_status == "stale":
-            _bump("disk_regens")
-        elif disk_status == "miss":
-            _bump("disk_misses")
-        _bump("codegens")
-        generated, source = _generate_source(node)
-        assert generated.digest == lowered.digest  # key and source must agree
-        _disk_write(lowered.digest, source)
-    kernel = _compile_source(source, lowered.digest)
-    if tier == "numba":
-        kernel = _apply_numba(kernel, lowered)
+    _bump("codegens")
+    _, source = _generate_source(node)
+    kernel = _compile_source(source, lowered.kind)
     _bump("compile_seconds", time.perf_counter() - started)
     with _CACHE_LOCK:
         _lru_put(_KERNEL_CACHE, key, kernel, count_evictions=True)
@@ -790,28 +489,6 @@ def _make_predicate(kernel: Callable, variables: Tuple[str, ...]) -> CompiledPre
     return predicate
 
 
-def _closure_kernel(node: Compilable) -> CompiledPredicate:
-    """The reference closure-tree evaluator, cached like every other tier."""
-    kind = "pc" if isinstance(node, ast.PathCondition) else "cs"
-    key = ("closure", kind, node.canonical() if kind == "pc" else str(node))
-    _bump("lookups")
-    with _CACHE_LOCK:
-        cached = _lru_get(_KERNEL_CACHE, key)
-    if cached is not None:
-        _bump("memory_hits")
-        return cached
-    _bump("codegens")
-    started = time.perf_counter()
-    if isinstance(node, ast.PathCondition):
-        predicate = compile_path_condition(node)
-    else:
-        predicate = compile_constraint_set(node)
-    _bump("compile_seconds", time.perf_counter() - started)
-    with _CACHE_LOCK:
-        _lru_put(_KERNEL_CACHE, key, predicate, count_evictions=True)
-    return predicate
-
-
 # --------------------------------------------------------------------------- #
 # Public entry points
 # --------------------------------------------------------------------------- #
@@ -823,27 +500,20 @@ def _normalise(constraint: Compilable) -> Union[ast.PathCondition, ast.Constrain
     raise EvaluationError(f"cannot build a kernel for node of type {type(constraint).__name__}")
 
 
-def get_kernel(constraint: Compilable, tier: Optional[str] = None) -> CompiledPredicate:
-    """The cached compiled predicate of ``constraint`` at the selected tier.
+def get_kernel(constraint: Compilable) -> CompiledPredicate:
+    """The cached fused-kernel predicate of ``constraint``.
 
-    This is the one entry point every evaluator goes through: it replaces the
-    previously scattered ``compile_path_condition`` call sites and their
-    ad-hoc per-module caches.  The returned callable has the exact
-    :data:`~repro.lang.compiler.CompiledPredicate` contract — sample batch in,
-    boolean hit array out — and is bit-identical across tiers.
+    This is the one entry point every evaluator goes through.  The returned
+    callable has the exact :data:`~repro.lang.compiler.CompiledPredicate`
+    contract — sample batch in, boolean hit array out — and is bit-identical
+    to the closure compiler's predicate.
 
     Args:
         constraint: An atomic constraint, path condition, or constraint set.
-        tier: Kernel tier override for this call; defaults to
-            :func:`current_kernel_tier` (``--kernel-tier`` / ``QCORAL_KERNEL_TIER``).
     """
     node = _normalise(constraint)
-    resolved = _resolve_tier(tier)
-    if resolved == "closure":
-        return _closure_kernel(node)
     lowered = _lowered_for(node)
-    kernel = _raw_kernel(node, lowered, resolved)
-    return _make_predicate(kernel, lowered.variables)
+    return _make_predicate(_raw_kernel(node, lowered), lowered.variables)
 
 
 def kernel_source(constraint: Compilable) -> str:
@@ -855,8 +525,3 @@ def kernel_source(constraint: Compilable) -> str:
 def kernel_key(constraint: Compilable) -> str:
     """The alpha-renamed canonical cache key of ``constraint``."""
     return _lowered_for(_normalise(constraint)).text
-
-
-def kernel_digest(constraint: Compilable) -> str:
-    """The persistent-cache digest (version + kind + canonical key)."""
-    return _lowered_for(_normalise(constraint)).digest

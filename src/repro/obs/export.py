@@ -58,11 +58,8 @@ METRIC_HELP: Mapping[str, str] = {
     "store_merge_seconds": "Latency of one persistent-store merge",
     "kernel_lookups_total": "Kernel cache lookups during the analysis",
     "kernel_memory_hits_total": "Kernel lookups served from the in-process LRU",
-    "kernel_disk_hits_total": "Kernel lookups served from the disk source cache",
     "kernel_codegens_total": "Kernel sources generated from scratch",
     "kernel_evictions_total": "Kernels evicted from the in-process LRU",
-    "kernel_disk_regens_total": "Disk-cached kernel sources regenerated after validation failure",
-    "kernel_numba_fallbacks_total": "Numba-tier compilations that fell back to NumPy",
     "kernel_compile_seconds_total": "Time spent generating and compiling kernels",
 }
 

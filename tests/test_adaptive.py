@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 from repro.core.estimate import Estimate, RunningEstimate
 from repro.core.montecarlo import hit_or_miss
 from repro.core.profiles import UsageProfile
-from repro.core.qcoral import (
-    DEFAULT_ADAPTIVE_ROUNDS,
-    QCoralAnalyzer,
-    QCoralConfig,
-    quantify,
-)
+from repro.core.qcoral import DEFAULT_ADAPTIVE_ROUNDS, QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import (
     StratifiedSampler,
     allocate_budget,
@@ -35,6 +30,12 @@ from repro.core.stratified import (
 from repro.errors import ConfigurationError
 from repro.icp.config import ICPConfig
 from repro.lang.parser import parse_constraint_set, parse_path_condition
+
+
+def run_engine(constraint_set, profile, config):
+    """One engine run of ``constraint_set``; closes any pool the config opened."""
+    with QCoralAnalyzer(profile, config) as analyzer:
+        return analyzer.analyze(constraint_set)
 
 
 @pytest.fixture
@@ -285,7 +286,7 @@ class TestAdaptiveLoop:
     def test_stops_once_target_met(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
         config = QCoralConfig(samples_per_query=100_000, target_std=5e-3, seed=21, allocation="neyman")
-        result = quantify(cs, square_profile, config)
+        result = run_engine(cs, square_profile, config)
         assert result.met_target
         assert result.std <= 5e-3
         assert result.rounds < config.max_rounds
@@ -294,7 +295,7 @@ class TestAdaptiveLoop:
     def test_never_exceeds_budget(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1 || x > 0.5 && sin(y) > 0.3")
         config = QCoralConfig(samples_per_query=5000, target_std=1e-12, seed=22, allocation="neyman")
-        result = quantify(cs, square_profile, config)
+        result = run_engine(cs, square_profile, config)
         sampled_factors = sum(1 for report in result.path_reports for factor in report.factors if factor.samples > 0)
         assert not result.met_target
         assert result.total_samples <= 5000 * sampled_factors
@@ -303,7 +304,7 @@ class TestAdaptiveLoop:
     def test_round_reports_are_monotone(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
         config = QCoralConfig(samples_per_query=20_000, seed=23, allocation="neyman", max_rounds=5)
-        result = quantify(cs, square_profile, config)
+        result = run_engine(cs, square_profile, config)
         assert result.rounds == 5
         cumulative = [report.total_samples for report in result.round_reports]
         assert cumulative == sorted(cumulative)
@@ -312,21 +313,21 @@ class TestAdaptiveLoop:
 
     def test_adaptive_reproduces_fixed_budget_mean(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
-        fixed = quantify(cs, square_profile, QCoralConfig.strat_partcache(20_000, seed=24))
-        adaptive = quantify(cs, square_profile, QCoralConfig.adaptive(20_000, seed=24))
+        fixed = run_engine(cs, square_profile, QCoralConfig.strat_partcache(20_000, seed=24))
+        adaptive = run_engine(cs, square_profile, QCoralConfig.adaptive(20_000, seed=24))
         assert adaptive.total_samples == fixed.total_samples
         assert adaptive.mean == pytest.approx(fixed.mean, abs=0.02)
         assert adaptive.mean == pytest.approx(np.pi / 4, abs=0.02)
 
     def test_single_round_has_one_report(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
-        result = quantify(cs, square_profile, QCoralConfig.strat_partcache(2000, seed=25))
+        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(2000, seed=25))
         assert result.rounds == 1
         assert result.round_reports[0].total_samples == result.total_samples
 
     def test_exact_queries_have_no_rounds(self, square_profile):
         cs = parse_constraint_set("x <= 2")
-        result = quantify(cs, square_profile, QCoralConfig.adaptive(1000, seed=26))
+        result = run_engine(cs, square_profile, QCoralConfig.adaptive(1000, seed=26))
         assert result.rounds == 0
         assert result.total_samples == 0
         assert result.mean == pytest.approx(1.0, abs=1e-9)
@@ -340,7 +341,7 @@ class TestAdaptiveLoop:
             seed=27,
             allocation="neyman",
         )
-        result = quantify(cs, square_profile, config)
+        result = run_engine(cs, square_profile, config)
         assert result.total_samples == 10_000
         assert result.mean == pytest.approx(np.pi / 4, abs=0.03)
 
@@ -350,39 +351,5 @@ class TestAdaptiveLoop:
         """Non-exact single-factor queries spend exactly their budget."""
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         cs = parse_constraint_set("x * x + y * y <= 1")
-        result = quantify(cs, profile, QCoralConfig.adaptive(budget, seed=seed))
+        result = run_engine(cs, profile, QCoralConfig.adaptive(budget, seed=seed))
         assert result.total_samples == budget
-
-
-# --------------------------------------------------------------------------- #
-# Pipeline analyzer sharing
-# --------------------------------------------------------------------------- #
-class TestPipelineAnalyzerSharing:
-    def test_single_analyzer_shared_between_analyses(self):
-        from repro.analysis.pipeline import ProbabilisticAnalysisPipeline
-        from repro.subjects import programs
-
-        pipeline = ProbabilisticAnalysisPipeline(
-            programs.SAFETY_MONITOR, config=QCoralConfig.strat_partcache(2000, seed=31)
-        )
-        assert pipeline.analyzer() is pipeline.analyzer()
-        result = pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        assert result.mean == pytest.approx(0.737848, abs=0.05)
-
-    def test_cache_shared_across_events(self):
-        from repro.analysis.pipeline import ProbabilisticAnalysisPipeline
-        from repro.subjects import programs
-
-        pipeline = ProbabilisticAnalysisPipeline(
-            programs.SAFETY_MONITOR, config=QCoralConfig.strat_partcache(2000, seed=32)
-        )
-        first = pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        # The statistics object is shared with the analyzer's live cache, so
-        # snapshot the counter before the second run mutates it.
-        hits_after_first = first.qcoral_result.cache_statistics.hits
-        second = pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        # The second analysis of the same event is served from the factor
-        # cache of the shared analyzer: no new samples are drawn.
-        assert second.qcoral_result.total_samples == 0
-        assert second.qcoral_result.cache_statistics.hits > hits_after_first
-        assert second.mean == pytest.approx(first.mean, abs=1e-12)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.pipeline import ProbabilisticAnalysisPipeline, analyze_program
-from repro.analysis.runner import repeat_quantification
+from repro.analysis.runner import repeat_analysis
 from repro.api import (
     Query,
     Report,
@@ -18,13 +17,15 @@ from repro.api import (
 from repro.cli import build_parser, main
 from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY
 from repro.core.profiles import UniformDistribution, UsageProfile
-from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, quantify
+from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import StratifiedSampler
 from repro.errors import AnalysisError, ConfigurationError
 from repro.exec.executor import EXECUTOR_KINDS, SerialExecutor, make_executor
 from repro.lang.parser import parse_constraint_set
 from repro.store.backends import STORE_BACKENDS, MemoryStore, open_store
 from repro.subjects import programs
+from repro.symexec.parser import parse_program
+from repro.symexec.symbolic import execute_program
 
 TRIANGLE = "x <= 0 - y && y <= x"
 BOUNDS = {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}
@@ -88,14 +89,14 @@ class TestQueryBuilder:
 
 
 class TestRunAndStream:
-    def test_run_matches_legacy_quantify_bit_for_bit(self):
+    def test_run_matches_engine_bit_for_bit(self):
         config = QCoralConfig.strat_partcache(4000, seed=11)
-        legacy = quantify(parse_constraint_set(TRIANGLE), triangle_profile(), config)
+        engine = QCoralAnalyzer(triangle_profile(), config).analyze(parse_constraint_set(TRIANGLE))
         with Session() as session:
             report = session.quantify(TRIANGLE, BOUNDS, config=config).run()
-        assert report.mean == legacy.mean
-        assert report.std == legacy.std
-        assert report.total_samples == legacy.total_samples
+        assert report.mean == engine.mean
+        assert report.std == engine.std
+        assert report.total_samples == engine.total_samples
 
     def test_stream_yields_the_same_rounds_as_run(self):
         with Session() as session:
@@ -147,16 +148,22 @@ class TestRunAndStream:
             with pytest.raises(AnalysisError):
                 stream.report
 
-    def test_program_query_matches_legacy_pipeline(self):
+    def test_program_query_matches_hand_built_engine_run(self):
+        # Figure 1 by hand: symbolic execution, then the engine on the
+        # event's constraint set under the program's uniform profile.
         config = QCoralConfig.strat_partcache(3000, seed=5)
-        legacy = analyze_program(programs.SAFETY_MONITOR, programs.SAFETY_MONITOR_EVENT, config=config)
+        program = parse_program(programs.SAFETY_MONITOR)
+        symbolic = execute_program(program)
+        profile = UsageProfile.uniform(program.input_bounds())
+        engine = QCoralAnalyzer(profile, config).analyze(symbolic.constraint_set_for(programs.SAFETY_MONITOR_EVENT))
         with Session() as session:
             report = session.analyze(programs.SAFETY_MONITOR, programs.SAFETY_MONITOR_EVENT, config=config).run()
         assert report.kind == "program"
         assert report.event == programs.SAFETY_MONITOR_EVENT
-        assert report.mean == legacy.mean
-        assert report.std == legacy.std
-        assert report.bounded.mean == legacy.bounded_probability.mean
+        assert report.mean == engine.mean
+        assert report.std == engine.std
+        assert not symbolic.bounded_constraint_set().path_conditions
+        assert report.bounded.mean == 0.0
 
     def test_stopped_program_stream_skips_the_bounded_analysis(self):
         source = """
@@ -186,20 +193,21 @@ class TestRunAndStream:
             with pytest.raises(AnalysisError):
                 query.run()
 
-    def test_repeat_matches_repeat_quantification(self):
+    def test_repeat_matches_hand_rolled_trials(self):
         config = QCoralConfig.strat_partcache(1500)
         constraint_set = parse_constraint_set(TRIANGLE)
-        legacy = repeat_quantification(
-            lambda seed: quantify(constraint_set, triangle_profile(), config.with_seed(seed)),
-            runs=3,
-            base_seed=9,
-        )
+
+        def trial(seed):
+            result = QCoralAnalyzer(triangle_profile(), config.with_seed(seed)).analyze(constraint_set)
+            return result.mean, result.std
+
+        hand_rolled = repeat_analysis(trial, runs=3, base_seed=9)
         with Session() as session:
             report = session.quantify(TRIANGLE, BOUNDS, config=config).repeat(runs=3, base_seed=9)
         assert report.kind == "repeated"
-        assert report.mean == legacy.mean_estimate
-        assert report.std == pytest.approx(legacy.empirical_std)
-        assert [t.estimate for t in report.trials] == [t.estimate for t in legacy.outcomes]
+        assert report.mean == hand_rolled.mean_estimate
+        assert report.std == pytest.approx(hand_rolled.empirical_std)
+        assert [t.estimate for t in report.trials] == [t.estimate for t in hand_rolled.outcomes]
         # The repeated report keeps the trials' shared configuration metadata.
         assert report.method == "hit-or-miss"
         assert report.feature_label == "qCORAL{STRAT,PARTCACHE}"
@@ -383,18 +391,6 @@ class TestLifecycles:
             # Inner exit already closed; outer exit must be a no-op.
             assert analyzer.closed
         assert pool.closes == 0 and store.closes == 0  # borrowed
-
-    def test_pipeline_close_is_idempotent(self):
-        pool = CountingExecutor()
-        pipeline = ProbabilisticAnalysisPipeline(
-            programs.SAFETY_MONITOR, config=QCoralConfig.plain(200, seed=1), executor=pool
-        )
-        with pipeline:
-            with pipeline:
-                pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        pipeline.close()
-        assert pipeline.closed
-        assert pool.closes == 0
 
 
 class TestRegistries:

@@ -58,14 +58,8 @@ def _class_lines(name, cls):
 
 def render_surface() -> str:
     lines = []
-    # Deprecated shims are not in __all__ (star-imports must stay silent) but
-    # are still public surface: the snapshot tracks them so their removal is
-    # a visible change.
-    names = set(repro.__all__) | set(repro._DEPRECATED_EXPORTS)
-    for name in sorted(names):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            obj = getattr(repro, name)
+    for name in sorted(repro.__all__):
+        obj = getattr(repro, name)
         if inspect.isclass(obj):
             lines.extend(_class_lines(name, obj))
         elif inspect.isfunction(obj) or inspect.isbuiltin(obj):
@@ -90,17 +84,13 @@ def test_public_api_matches_snapshot():
 
 
 def test_all_names_resolve():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None, name
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
 
 
 def test_star_import_is_warning_free():
-    # Deprecated shims live outside __all__: `from repro import *` (which
-    # getattrs every __all__ entry) must not trip DeprecationWarnings.
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("error")
         namespace = {}
         exec("from repro import *", namespace)  # noqa: S102 - deliberate star-import probe
     assert "Session" in namespace

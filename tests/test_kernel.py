@@ -1,11 +1,10 @@
-"""Fused-kernel compiler: closure-oracle equivalence, caching, and tiers.
+"""Fused-kernel compiler: closure-oracle equivalence and caching.
 
 The closure-tree compiler (:mod:`repro.lang.compiler`) is the reference
 oracle; every test here holds the fused codegen to *bit-identical* outputs —
 including the domain-error semantics (division by zero, roots/logs of
 negatives) that feed hit counts — and pins the cache-key contract:
-alpha-equivalent constraints share one kernel, a version bump invalidates,
-and the persistent source cache survives an in-process cache clear.
+alpha-equivalent constraints share one kernel, distinct ones never do.
 """
 
 from __future__ import annotations
@@ -18,32 +17,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, UnknownFunctionError, UnknownVariableError
+from repro.errors import UnknownFunctionError, UnknownVariableError
 from repro.lang import ast, kernel
 from repro.lang.compiler import compile_constraint_set, compile_path_condition
-from repro.lang.kernel import (
-    clear_kernel_cache,
-    current_kernel_tier,
-    get_kernel,
-    kernel_cache_stats,
-    kernel_digest,
-    kernel_key,
-    kernel_source,
-    set_kernel_tier,
-)
+from repro.lang.kernel import clear_kernel_cache, get_kernel, kernel_cache_stats, kernel_key, kernel_source
 from repro.lang.parser import parse_constraint_set, parse_path_condition
 
 
 @pytest.fixture(autouse=True)
-def isolated_kernel_cache(tmp_path, monkeypatch):
-    """Every test gets an empty private disk cache and a reset tier."""
-    monkeypatch.setenv(kernel.CACHE_DIR_ENV, str(tmp_path / "kernels"))
-    monkeypatch.delenv(kernel.TIER_ENV, raising=False)
-    monkeypatch.setattr(kernel, "_NUMBA_WARNED", False)
-    set_kernel_tier(None)
+def isolated_kernel_cache():
+    """Every test starts and ends with an empty kernel cache."""
     clear_kernel_cache()
     yield
-    set_kernel_tier(None)
+    clear_kernel_cache()
+
+
+def closure_kernel(constraint):
+    """The closure-oracle predicate, with :func:`get_kernel`'s signature."""
+    if isinstance(constraint, ast.ConstraintSet):
+        return compile_constraint_set(constraint)
+    if isinstance(constraint, ast.Constraint):
+        constraint = ast.PathCondition.of([constraint])
+    return compile_path_condition(constraint)
+
+
+@pytest.fixture
+def closure_oracle(monkeypatch):
+    """Route every evaluator through the closure compiler instead of fused kernels."""
+    from repro.core import montecarlo, qcoral, stratified
+    from repro.exec import scheduler
+
+    for module in (montecarlo, qcoral, stratified, scheduler):
+        monkeypatch.setattr(module, "get_kernel", closure_kernel)
     clear_kernel_cache()
 
 
@@ -75,7 +80,7 @@ def test_fused_matches_closure_on_path_conditions(text):
     pc = parse_path_condition(text)
     batch = random_batch(sorted(pc.free_variables()), seed=7)
     expected = compile_path_condition(pc)(batch)
-    observed = get_kernel(pc, tier="fused")(batch)
+    observed = get_kernel(pc)(batch)
     assert observed.dtype == np.bool_
     assert np.array_equal(observed, expected)
 
@@ -86,7 +91,7 @@ def test_fused_matches_closure_on_constraint_sets():
     )
     batch = random_batch(["x", "y"], seed=11)
     expected = compile_constraint_set(cs)(batch)
-    observed = get_kernel(cs, tier="fused")(batch)
+    observed = get_kernel(cs)(batch)
     assert np.array_equal(observed, expected)
 
 
@@ -206,11 +211,11 @@ def test_hit_counts_identical_closure_vs_fused_on_domain_error_heavy_batch():
 # --------------------------------------------------------------------------- #
 def test_overflowing_literal_parses_to_inf_and_fused_matches_closure():
     # `1e999` overflows float64 at parse time, producing Constant(inf); the
-    # fused tier must emit it in a form that evaluates, not a bare `inf`.
+    # fused kernel must emit it in a form that evaluates, not a bare `inf`.
     pc = parse_path_condition("x < 1e999")
     batch = {"x": np.array([-1.0, 0.0, 1e308, np.inf])}
     expected = compile_path_condition(pc)(batch)
-    observed = get_kernel(pc, tier="fused")(batch)
+    observed = get_kernel(pc)(batch)
     assert list(expected) == [True, True, True, False]
     assert np.array_equal(observed, expected)
 
@@ -222,7 +227,7 @@ def test_simplify_folded_division_inf_constant_compiles():
     pc = simplify_path_condition(parse_path_condition("1.0 / 0.0 >= x"))
     batch = {"x": np.array([0.0, np.inf, -np.inf])}
     expected = compile_path_condition(pc)(batch)
-    observed = get_kernel(pc, tier="fused")(batch)
+    observed = get_kernel(pc)(batch)
     assert np.array_equal(observed, expected)
 
 
@@ -236,7 +241,7 @@ def test_nonfinite_constants_fused_matches_closure(value):
     )
     batch = {"x": np.array([-2.0, 0.0, 2.0, np.nan])}
     expected = compile_path_condition(pc)(batch)
-    observed = get_kernel(pc, tier="fused")(batch)
+    observed = get_kernel(pc)(batch)
     assert np.array_equal(observed, expected)
     source = kernel_source(pc)
     assert "float64(inf" not in source and "float64(nan" not in source
@@ -290,7 +295,7 @@ def test_random_ast_fused_equals_closure(constraints, seed):
     pc = ast.PathCondition.of(constraints)
     batch = random_batch(VARIABLES, size=64, seed=seed)
     expected = compile_path_condition(pc)(batch)
-    observed = get_kernel(pc, tier="fused")(batch)
+    observed = get_kernel(pc)(batch)
     assert np.array_equal(observed, expected)
 
 
@@ -303,18 +308,17 @@ def test_random_ast_constraint_set_fused_equals_closure(path_conditions, seed):
     cs = ast.ConstraintSet.of([ast.PathCondition.of(cs) for cs in path_conditions])
     batch = random_batch(VARIABLES, size=64, seed=seed)
     expected = compile_constraint_set(cs)(batch)
-    observed = get_kernel(cs, tier="fused")(batch)
+    observed = get_kernel(cs)(batch)
     assert np.array_equal(observed, expected)
 
 
 # --------------------------------------------------------------------------- #
-# Cache keys: alpha equivalence, version invalidation, two-tier behaviour
+# Cache keys: alpha equivalence and the in-process LRU
 # --------------------------------------------------------------------------- #
 def test_alpha_equivalent_constraints_share_a_kernel():
     first = parse_path_condition("x * x + y <= 1 && y > 0")
     second = parse_path_condition("u * u + v <= 1 && v > 0")
     assert kernel_key(first) == kernel_key(second)
-    assert kernel_digest(first) == kernel_digest(second)
 
     get_kernel(first)
     before = kernel_cache_stats()
@@ -329,100 +333,8 @@ def test_alpha_equivalent_constraints_share_a_kernel():
 
 
 def test_different_constraints_do_not_share_keys():
-    assert kernel_digest(parse_path_condition("x <= 1")) != kernel_digest(parse_path_condition("x < 1"))
-    assert kernel_digest(parse_path_condition("x <= 1")) != kernel_digest(parse_path_condition("x <= 2"))
-
-
-def test_version_tag_bump_invalidates_cached_kernels(monkeypatch):
-    pc = parse_path_condition("x * y <= 0.5")
-    old_digest = kernel_digest(pc)
-    get_kernel(pc)
-    assert kernel_cache_stats().codegens == 1
-
-    monkeypatch.setattr(kernel, "KERNEL_VERSION", "qcoral-kernel-TEST")
-    clear_kernel_cache()  # drop the in-memory tier; the disk file survives
-    assert kernel_digest(pc) != old_digest
-    get_kernel(pc)
-    stats = kernel_cache_stats()
-    assert stats.codegens == 1  # regenerated: the old disk entry keys differently
-    assert stats.disk_hits == 0
-
-
-def test_disk_cache_survives_memory_clear_and_rejects_corruption(tmp_path):
-    pc = parse_path_condition("x + y * y <= 2.5")
-    get_kernel(pc)
-    assert kernel_cache_stats().codegens == 1
-    path = kernel._disk_path(kernel_digest(pc))
-    assert path is not None and path.startswith(str(tmp_path))
-
-    clear_kernel_cache()
-    get_kernel(pc)  # simulates a fresh worker process: source comes from disk
-    stats = kernel_cache_stats()
-    assert stats.disk_hits == 1
-    assert stats.codegens == 0
-
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("# corrupted\n")
-    clear_kernel_cache()
-    get_kernel(pc)
-    assert kernel_cache_stats().codegens == 1  # corrupt file regenerated, not trusted
-
-
-def test_disk_cache_rejects_tampered_body_with_intact_header(tmp_path):
-    # A file whose header lines survive but whose body was altered must not
-    # be exec'd: the body hash recorded at write time catches the tampering.
-    pc = parse_path_condition("x - y <= 1.25")
-    get_kernel(pc)
-    path = kernel._disk_path(kernel_digest(pc))
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    tampered = source.replace("out &=", "out |=")
-    assert tampered != source
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(tampered)
-
-    clear_kernel_cache()
-    batch = random_batch(["x", "y"], seed=17)
-    observed = get_kernel(pc)(batch)
-    stats = kernel_cache_stats()
-    assert stats.disk_hits == 0
-    assert stats.codegens == 1  # tampered file regenerated, not trusted
-    assert np.array_equal(observed, compile_path_condition(pc)(batch))
-
-
-def test_disk_cache_can_be_disabled(monkeypatch):
-    monkeypatch.setenv(kernel.DISK_CACHE_ENV, "0")
-    assert kernel.kernel_cache_dir() is None
-    pc = parse_path_condition("x <= 0.125")
-    get_kernel(pc)
-    clear_kernel_cache()
-    get_kernel(pc)
-    stats = kernel_cache_stats()
-    assert stats.disk_hits == 0
-    assert stats.codegens == 1
-
-
-@pytest.mark.parametrize("value", ["0", "false", "FALSE", "No", " off ", "OFF"])
-def test_disk_cache_env_disabled_values_are_normalised(monkeypatch, value):
-    monkeypatch.setenv(kernel.DISK_CACHE_ENV, value)
-    assert kernel.kernel_cache_dir() is None
-
-
-@pytest.mark.parametrize("value", ["", "1", "true", "yes", "anything"])
-def test_disk_cache_env_other_values_keep_it_enabled(monkeypatch, value):
-    monkeypatch.setenv(kernel.DISK_CACHE_ENV, value)
-    assert kernel.kernel_cache_dir() is not None
-
-
-def test_clear_kernel_cache_disk_removes_sources():
-    pc = parse_path_condition("x <= 0.0625")
-    get_kernel(pc)
-    path = kernel._disk_path(kernel_digest(pc))
-    import os
-
-    assert os.path.exists(path)
-    clear_kernel_cache(disk=True)
-    assert not os.path.exists(path)
+    assert kernel_key(parse_path_condition("x <= 1")) != kernel_key(parse_path_condition("x < 1"))
+    assert kernel_key(parse_path_condition("x <= 1")) != kernel_key(parse_path_condition("x <= 2"))
 
 
 def test_lru_capacity_is_bounded(monkeypatch):
@@ -436,8 +348,7 @@ def test_kernel_source_is_deterministic_and_headed():
     pc = parse_path_condition("x * y >= 18 && x + y <= 30")
     source = kernel_source(pc)
     assert source == kernel_source(pc)
-    assert f"# version: {kernel.KERNEL_VERSION}" in source
-    assert f"# key-sha256: {kernel_digest(pc)}" in source
+    assert source.startswith("# qcoral fused kernel (generated; do not edit)\n# kind: pc\n")
     assert source.count("def qcoral_kernel(") == 1
 
 
@@ -449,55 +360,7 @@ def test_common_subexpressions_are_fused_once():
 
 
 # --------------------------------------------------------------------------- #
-# Tier selection
-# --------------------------------------------------------------------------- #
-def test_tier_resolution_env_override_and_validation(monkeypatch):
-    assert current_kernel_tier() == "fused"
-    monkeypatch.setenv(kernel.TIER_ENV, "closure")
-    assert current_kernel_tier() == "closure"
-    set_kernel_tier("fused")
-    assert current_kernel_tier() == "fused"
-    set_kernel_tier(None)
-    assert current_kernel_tier() == "closure"
-    monkeypatch.setenv(kernel.TIER_ENV, "warp-drive")
-    with pytest.raises(ConfigurationError):
-        current_kernel_tier()
-    with pytest.raises(ConfigurationError):
-        set_kernel_tier("warp-drive")
-
-
-def test_closure_tier_is_cached_and_equivalent():
-    pc = parse_path_condition("x * x + y * y <= 1")
-    batch = random_batch(["x", "y"], seed=21, low=-1.0, high=1.0)
-    closure = get_kernel(pc, tier="closure")
-    fused = get_kernel(pc, tier="fused")
-    assert np.array_equal(closure(batch), fused(batch))
-    before = kernel_cache_stats()
-    get_kernel(pc, tier="closure")
-    assert kernel_cache_stats().memory_hits == before.memory_hits + 1
-
-
-def test_numba_tier_degrades_gracefully():
-    pc = parse_path_condition("x * y >= 18 && x + y <= 30 && x / y <= 4")
-    batch = random_batch(["x", "y"], seed=23, low=-5.0, high=35.0)
-    expected = compile_path_condition(pc)(batch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        observed = get_kernel(pc, tier="numba")(batch)
-    assert np.array_equal(observed, expected)
-    if kernel._numba_njit() is None:
-        assert kernel_cache_stats().numba_fallbacks >= 1
-        assert any("numba" in str(w.message) for w in caught)
-
-
-def test_auto_tier_resolves_to_an_available_backend():
-    resolved = kernel._resolve_tier("auto")
-    expected = "numba" if kernel._numba_njit() is not None else "fused"
-    assert resolved == expected
-
-
-# --------------------------------------------------------------------------- #
-# Thread safety and pipeline bit-identity
+# Thread safety and engine bit-identity
 # --------------------------------------------------------------------------- #
 def test_get_kernel_is_thread_safe():
     texts = [f"x * y >= {float(index)} && x + y <= 30" for index in range(6)]
@@ -524,41 +387,44 @@ def test_get_kernel_is_thread_safe():
     assert not failures
 
 
-def test_engine_estimates_bit_identical_across_tiers():
+def _engine_run():
     from repro.api import Session
 
-    results = {}
-    for tier in ("closure", "fused"):
-        set_kernel_tier(tier)
-        clear_kernel_cache()
-        with Session() as session:
-            report = (
-                session.quantify(
-                    "x * x + y * y <= 1 && x / (y + 2.0) <= 0.4",
-                    {"x": (-1, 1), "y": (-1, 1)},
-                )
-                .with_budget(20_000)
-                .seed(3)
-                .run()
+    with Session() as session:
+        report = (
+            session.quantify(
+                "x * x + y * y <= 1 && x / (y + 2.0) <= 0.4",
+                {"x": (-1, 1), "y": (-1, 1)},
             )
-        results[tier] = (report.mean, report.std, report.total_samples)
-    assert results["closure"] == results["fused"]
+            .with_budget(20_000)
+            .seed(3)
+            .run()
+        )
+    return report.mean, report.std, report.total_samples
 
 
-def test_sharded_worker_path_bit_identical_across_tiers():
+def _sharded_run():
     from repro.core.montecarlo import hit_or_miss_sharded
     from repro.core.profiles import UsageProfile
     from repro.exec import SeedStream, ThreadPoolExecutor
 
     pc = parse_path_condition("x * y >= 18 && x + y <= 30")
     profile = UsageProfile.uniform({"x": (0.0, 30.0), "y": (0.0, 40.0)})
-    counts = {}
-    for tier in ("closure", "fused"):
-        set_kernel_tier(tier)
-        clear_kernel_cache()
-        with ThreadPoolExecutor(2) as pool:
-            result = hit_or_miss_sharded(
-                pc, profile, 60_000, SeedStream(123), executor=pool, chunk_size=10_000
-            )
-        counts[tier] = (result.hits, result.samples)
-    assert counts["closure"] == counts["fused"]
+    with ThreadPoolExecutor(2) as pool:
+        result = hit_or_miss_sharded(pc, profile, 60_000, SeedStream(123), executor=pool, chunk_size=10_000)
+    return result.hits, result.samples
+
+
+def test_engine_estimates_bit_identical_across_tiers(request):
+    # Tiers here are the two evaluators: fused kernels and the closure oracle.
+    fused = _engine_run()
+    request.getfixturevalue("closure_oracle")
+    assert _engine_run() == fused
+    assert kernel_cache_stats().lookups == 0  # the oracle really ran
+
+
+def test_sharded_worker_path_bit_identical_across_tiers(request):
+    fused = _sharded_run()
+    request.getfixturevalue("closure_oracle")
+    assert _sharded_run() == fused
+    assert kernel_cache_stats().lookups == 0  # the oracle really ran

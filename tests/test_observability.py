@@ -311,9 +311,8 @@ def test_store_statistics_and_metrics_in_report():
 
 def test_kernel_cache_info_shape():
     info = kernel_cache_info()
-    assert set(info) == {"memory", "disk", "codegens", "numba_fallbacks", "compile_seconds"}
+    assert set(info) == {"memory", "codegens", "compile_seconds"}
     assert {"hits", "misses", "evictions", "size", "lowered_size", "capacity"} <= set(info["memory"])
-    assert {"enabled", "directory", "hits", "misses", "regenerations"} <= set(info["disk"])
     assert info["memory"]["size"] <= info["memory"]["capacity"]
     assert info["compile_seconds"] >= 0.0
 
@@ -334,21 +333,6 @@ def test_disabled_hub_is_inert_singleton():
 def test_repro_logger_has_null_handler():
     logger = logging.getLogger("repro")
     assert any(isinstance(handler, logging.NullHandler) for handler in logger.handlers)
-
-
-def test_numba_fallback_routes_through_logger(caplog):
-    from repro.lang import kernel as kernel_module
-    from repro.lang.parser import parse_path_condition
-
-    previously_warned = kernel_module._NUMBA_WARNED
-    kernel_module._NUMBA_WARNED = False
-    try:
-        with caplog.at_level(logging.WARNING, logger="repro.lang.kernel"):
-            with pytest.warns(RuntimeWarning, match="falling back to fused"):
-                kernel_module.get_kernel(parse_path_condition("x <= 0.125"), tier="numba")
-        assert any("falling back to fused" in record.message for record in caplog.records)
-    finally:
-        kernel_module._NUMBA_WARNED = previously_warned
 
 
 # --------------------------------------------------------------------------- #

@@ -9,13 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.runner import repeat_analysis, repeat_quantification, trial_seeds
+from repro.analysis.runner import repeat_analysis, repeat_query, trial_seeds
+from repro.api import Session
 from repro.cli import main
 from repro.core.cache import EstimateCache
 from repro.core.estimate import Estimate
 from repro.core.montecarlo import hit_or_miss_sharded
 from repro.core.profiles import UsageProfile
-from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, quantify
+from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import StratifiedSampler
 from repro.errors import ConfigurationError
 from repro.exec import (
@@ -30,6 +31,12 @@ from repro.exec import (
     shard_budget,
 )
 from repro.lang.parser import parse_constraint_set, parse_path_condition
+
+
+def run_engine(constraint_set, profile, config):
+    """One engine run of ``constraint_set``; closes any pool the config opened."""
+    with QCoralAnalyzer(profile, config) as analyzer:
+        return analyzer.analyze(constraint_set)
 
 #: A non-trivial workload: two disjoint paths, a shared non-linear factor.
 CONSTRAINTS = "x * x + y * y <= 1 && z <= 0.5 || x * x + y * y <= 1 && z > 0.5 && z <= 0.75"
@@ -211,7 +218,7 @@ class TestAnalyzerDeterminism:
     @pytest.fixture(scope="class")
     def reference(self):
         config = QCoralConfig(samples_per_query=3_000, seed=17, executor="serial", chunk_size=CHUNK)
-        return quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        return run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
 
     @pytest.mark.parametrize(
         "kind,workers",
@@ -219,7 +226,7 @@ class TestAnalyzerDeterminism:
     )
     def test_backend_and_worker_count_invariance(self, reference, kind, workers):
         config = QCoralConfig(samples_per_query=3_000, seed=17, executor=kind, workers=workers, chunk_size=CHUNK)
-        result = quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        result = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
         assert result.mean == reference.mean
         assert result.variance == reference.variance
         assert result.total_samples == reference.total_samples
@@ -228,7 +235,7 @@ class TestAnalyzerDeterminism:
         """The variance-driven loop re-allocates identically on all backends."""
         def run(kind, workers):
             config = replace(QCoralConfig.adaptive(4_000, seed=5).with_executor(kind, workers), chunk_size=CHUNK)
-            return quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
+            return run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
 
         serial = run("serial", None)
         threaded = run("thread", 3)
@@ -248,21 +255,21 @@ class TestAnalyzerDeterminism:
                 workers=workers,
                 chunk_size=CHUNK,
             )
-            return quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
+            return run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
 
         assert run("serial", None).estimate == run("thread", 2).estimate
 
     def test_legacy_path_unchanged_by_default(self):
         """executor=None keeps the pre-subsystem single-stream behaviour."""
         config = QCoralConfig(samples_per_query=2_000, seed=13)
-        first = quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
-        second = quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        first = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        second = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
         assert first.estimate == second.estimate
         assert first.executor is None
 
     def test_executor_recorded_in_repr(self):
         config = QCoralConfig(samples_per_query=1_000, seed=1, executor="thread", workers=2, chunk_size=CHUNK)
-        result = quantify(parse_constraint_set("x >= 0"), UsageProfile.uniform({"x": (-1, 1)}), config)
+        result = run_engine(parse_constraint_set("x >= 0"), UsageProfile.uniform({"x": (-1, 1)}), config)
         assert "exec=thread×2" in repr(result)
 
     def test_invalid_executor_config_rejected(self):
@@ -339,18 +346,14 @@ class TestRunnerExecutor:
             threaded = repeat_analysis(run, runs=6, base_seed=3, executor=backend)
         assert [o.estimate for o in threaded.outcomes] == [o.estimate for o in serial.outcomes]
 
-    def test_repeat_quantification_with_executor(self):
-        def run(seed):
-            config = QCoralConfig(samples_per_query=500, seed=seed)
-            return quantify(
-                parse_constraint_set("x * x + y * y <= 1"),
-                UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)}),
-                config,
-            )
-
-        with ThreadPoolExecutor(2) as backend:
-            aggregated = repeat_quantification(run, runs=4, base_seed=1, executor=backend)
+    def test_repeat_query_with_executor(self):
+        with Session() as session:
+            query = session.quantify("x * x + y * y <= 1", {"x": (-1, 1), "y": (-1, 1)}).with_budget(500)
+            serial = repeat_query(query, runs=4, base_seed=1)
+            with ThreadPoolExecutor(2) as backend:
+                aggregated = repeat_query(query, runs=4, base_seed=1, executor=backend)
         assert aggregated.runs == 4
+        assert [o.estimate for o in aggregated.outcomes] == [o.estimate for o in serial.outcomes]
         assert aggregated.mean_estimate == pytest.approx(np.pi / 4, abs=0.1)
         assert aggregated.mean_samples == 500
 

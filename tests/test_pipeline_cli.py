@@ -4,47 +4,46 @@ import statistics
 
 import pytest
 
-from repro.analysis.pipeline import ProbabilisticAnalysisPipeline, analyze_program
 from repro.analysis.results import Table, format_interval
 from repro.analysis.runner import repeat_analysis, trial_seeds
+from repro.api import Session
 from repro.cli import main
 from repro.core.qcoral import QCoralConfig
 from repro.errors import AnalysisError
 from repro.subjects import programs
 
 
+def analyze(source, event, config, profile=None, max_depth=50):
+    with Session() as session:
+        return session.analyze(source, event, profile=profile, max_depth=max_depth, config=config).run()
+
+
 class TestPipeline:
     def test_safety_monitor_end_to_end(self):
-        result = analyze_program(
+        report = analyze(
             programs.SAFETY_MONITOR,
             programs.SAFETY_MONITOR_EVENT,
-            config=QCoralConfig.strat_partcache(20_000, seed=1),
+            QCoralConfig.strat_partcache(20_000, seed=1),
         )
-        assert result.mean == pytest.approx(programs.SAFETY_MONITOR_EXACT, abs=0.02)
-        assert result.bounded_probability.mean == 0.0
+        assert report.mean == pytest.approx(programs.SAFETY_MONITOR_EXACT, abs=0.02)
+        assert report.bounded.mean == 0.0
 
     def test_unknown_event_rejected(self):
         with pytest.raises(AnalysisError):
-            analyze_program(programs.SAFETY_MONITOR, "noSuchEvent", config=QCoralConfig.plain(100))
-
-    def test_symbolic_execution_is_cached(self):
-        pipeline = ProbabilisticAnalysisPipeline(programs.SAFETY_MONITOR, config=QCoralConfig.plain(500, seed=2))
-        first = pipeline.symbolic_execution()
-        second = pipeline.symbolic_execution()
-        assert first is second
+            analyze(programs.SAFETY_MONITOR, "noSuchEvent", QCoralConfig.plain(100))
 
     def test_custom_profile_overrides_bounds(self):
         from repro.core.profiles import UsageProfile
 
         profile = UsageProfile.uniform({"altitude": (9500, 20000), "headFlap": (-10, 10), "tailFlap": (-10, 10)})
-        result = analyze_program(
+        report = analyze(
             programs.SAFETY_MONITOR,
             programs.SAFETY_MONITOR_EVENT,
+            QCoralConfig.strat_partcache(2000, seed=3),
             profile=profile,
-            config=QCoralConfig.strat_partcache(2000, seed=3),
         )
         # With altitude always above 9000 the supervisor is always called.
-        assert result.mean == pytest.approx(1.0, abs=1e-6)
+        assert report.mean == pytest.approx(1.0, abs=1e-6)
 
     def test_bounded_paths_probability_reported(self):
         source = """
@@ -53,19 +52,17 @@ class TestPipeline:
         while (total <= 3) { total = total + x; }
         observe(done);
         """
-        pipeline = ProbabilisticAnalysisPipeline(source, config=QCoralConfig.strat_partcache(1000, seed=4), max_depth=8)
-        result = pipeline.analyze("done")
-        assert result.bounded_probability.mean > 0.0
-        assert "bound" in result.confidence_note
+        report = analyze(source, "done", QCoralConfig.strat_partcache(1000, seed=4), max_depth=8)
+        assert report.bounded.mean > 0.0
 
     def test_assert_violation_analysis(self):
-        result = analyze_program(
+        report = analyze(
             programs.SCORING_WITH_ASSERT,
             "assert.violation",
-            config=QCoralConfig.strat_partcache(5000, seed=5),
+            QCoralConfig.strat_partcache(5000, seed=5),
         )
         # P(score + bonus > 110) over [0,100]x[0,20] = 50/2000 = 0.025.
-        assert result.mean == pytest.approx(0.025, abs=0.01)
+        assert report.mean == pytest.approx(0.025, abs=0.01)
 
 
 class TestRunner:

@@ -209,14 +209,14 @@ class TestQuantificationProperties:
     )
     def test_box_events_are_estimated_exactly(self, x_low, x_width, y_low, y_width):
         """Axis-aligned box events are resolved by ICP with zero variance."""
-        from repro.core.qcoral import QCoralConfig, quantify
+        from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
         from repro.lang.parser import parse_constraint_set
 
         x_high = x_low + x_width
         y_high = y_low + y_width
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         cs = parse_constraint_set(f"x >= {x_low} && x <= {x_high} && y >= {y_low} && y <= {y_high}")
-        result = quantify(cs, profile, QCoralConfig.strat_partcache(200, seed=1))
+        result = QCoralAnalyzer(profile, QCoralConfig.strat_partcache(200, seed=1)).analyze(cs)
         exact = (x_width / 2.0) * (y_width / 2.0)
         assert result.mean == pytest.approx(exact, abs=1e-6)
         assert result.variance == pytest.approx(0.0, abs=1e-12)

@@ -4,9 +4,15 @@
 import pytest
 
 from repro.core.profiles import UsageProfile
-from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, quantify
+from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.errors import ConfigurationError, DomainError
 from repro.lang.parser import parse_constraint_set, parse_path_condition
+
+
+def run_engine(constraint_set, profile, config):
+    """One engine run of ``constraint_set``; closes any pool the config opened."""
+    with QCoralAnalyzer(profile, config) as analyzer:
+        return analyzer.analyze(constraint_set)
 
 
 @pytest.fixture
@@ -39,18 +45,18 @@ class TestAnalyzer:
             QCoralConfig.strat(10_000, seed=1),
             QCoralConfig.strat_partcache(10_000, seed=1),
         ):
-            result = quantify(cs, square_profile, config)
+            result = run_engine(cs, square_profile, config)
             assert result.mean == pytest.approx(0.25, abs=0.03)
 
     def test_disjoint_paths_sum(self, square_profile):
         cs = parse_constraint_set("x > 0.5 || x <= 0 - 0.5")
-        result = quantify(cs, square_profile, QCoralConfig.strat_partcache(5000, seed=2))
+        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(5000, seed=2))
         assert result.mean == pytest.approx(0.5, abs=0.03)
         assert len(result.path_reports) == 2
 
     def test_independent_factors_multiply(self, square_profile):
         cs = parse_constraint_set("x >= 0 && y >= 0")
-        result = quantify(cs, square_profile, QCoralConfig.strat_partcache(5000, seed=3))
+        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(5000, seed=3))
         assert result.mean == pytest.approx(0.25, abs=1e-6)
         report = result.path_reports[0]
         assert report.factor_count == 2
@@ -65,38 +71,38 @@ class TestAnalyzer:
 
     def test_no_partcache_treats_pc_as_single_factor(self, square_profile):
         cs = parse_constraint_set("x >= 0 && y >= 0")
-        result = quantify(cs, square_profile, QCoralConfig.strat(2000, seed=5))
+        result = run_engine(cs, square_profile, QCoralConfig.strat(2000, seed=5))
         assert result.path_reports[0].factor_count == 1
         assert result.cache_statistics.lookups == 0
 
     def test_exact_probability_one(self, square_profile):
         cs = parse_constraint_set("x <= 2")
-        result = quantify(cs, square_profile, QCoralConfig.strat_partcache(1000, seed=6))
+        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(1000, seed=6))
         assert result.mean == pytest.approx(1.0, abs=1e-9)
         assert result.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_probability_zero(self, square_profile):
         cs = parse_constraint_set("x > 2")
-        result = quantify(cs, square_profile, QCoralConfig.strat_partcache(1000, seed=7))
+        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(1000, seed=7))
         assert result.mean == 0.0
 
     def test_empty_path_condition_counts_whole_domain(self, square_profile):
         from repro.lang.ast import ConstraintSet, PathCondition
 
         cs = ConstraintSet.of([PathCondition.of([])])
-        result = quantify(cs, square_profile, QCoralConfig.strat_partcache(100, seed=8))
+        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(100, seed=8))
         assert result.mean == 1.0
 
     def test_missing_profile_variable_rejected(self, square_profile):
         cs = parse_constraint_set("z >= 0")
         with pytest.raises(DomainError):
-            quantify(cs, square_profile, QCoralConfig.plain(100))
+            run_engine(cs, square_profile, QCoralConfig.plain(100))
 
     def test_seeded_runs_are_reproducible(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
         config = QCoralConfig.strat_partcache(3000, seed=99)
-        first = quantify(cs, square_profile, config)
-        second = quantify(cs, square_profile, config)
+        first = run_engine(cs, square_profile, config)
+        second = run_engine(cs, square_profile, config)
         assert first.mean == second.mean
         assert first.variance == second.variance
 
@@ -113,7 +119,7 @@ class TestAnalyzer:
 
     def test_total_samples_reported(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
-        result = quantify(cs, square_profile, QCoralConfig.strat(2000, seed=11))
+        result = run_engine(cs, square_profile, QCoralConfig.strat(2000, seed=11))
         assert result.total_samples > 0
         assert result.analysis_time >= 0.0
 
@@ -123,7 +129,7 @@ class TestPaperExamples:
         """The paper's running example: P(callSupervisor) ≈ 0.737848."""
         profile = UsageProfile.uniform({"altitude": (0, 20000), "headFlap": (-10, 10), "tailFlap": (-10, 10)})
         cs = parse_constraint_set("altitude > 9000 || altitude <= 9000 && sin(headFlap * tailFlap) > 0.25")
-        result = quantify(cs, profile, QCoralConfig.strat_partcache(30_000, seed=12))
+        result = run_engine(cs, profile, QCoralConfig.strat_partcache(30_000, seed=12))
         assert result.mean == pytest.approx(0.737848, abs=0.01)
         # altitude-only PCs are resolved exactly by ICP, so the variance comes
         # only from the sin factor and stays small.
@@ -133,7 +139,7 @@ class TestPaperExamples:
         """ICP resolves the box constraint `altitude > 9000` with zero variance."""
         profile = UsageProfile.uniform({"altitude": (0, 20000)})
         cs = parse_constraint_set("altitude > 9000")
-        result = quantify(cs, profile, QCoralConfig.strat_partcache(1000, seed=13))
+        result = run_engine(cs, profile, QCoralConfig.strat_partcache(1000, seed=13))
         assert result.mean == pytest.approx(0.55, abs=1e-6)
         assert result.variance == pytest.approx(0.0, abs=1e-12)
 
@@ -146,7 +152,7 @@ class TestPaperExamples:
         estimates = []
         reported_variances = []
         for seed in range(15):
-            result = quantify(cs, profile, QCoralConfig.strat_partcache(2000, seed=seed))
+            result = run_engine(cs, profile, QCoralConfig.strat_partcache(2000, seed=seed))
             estimates.append(result.mean)
             reported_variances.append(result.variance)
         empirical_variance = float(np.var(estimates, ddof=1))

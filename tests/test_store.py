@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.analysis.pipeline import ProbabilisticAnalysisPipeline
+from repro.api import Session
 from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.errors import ConfigurationError
@@ -467,13 +467,13 @@ class TestConcurrentAnalyzers:
 
     @pytest.mark.parametrize("executor_kind", ("thread", "process"))
     def test_concurrent_trials_pool_into_one_store(self, executor_kind, tmp_path):
-        from repro.analysis.runner import repeat_quantification
+        from repro.analysis.runner import trial_seeds
         from repro.exec.executor import make_executor
 
         path = str(tmp_path / "store.db")
         SqliteStore(path).close()  # create the schema before workers race
         with make_executor(executor_kind, 2) as pool:
-            aggregated = repeat_quantification(_store_trial_factory(path), runs=4, base_seed=77, executor=pool)
+            store_hits = sum(pool.map(_StoreTrial(path), trial_seeds(4, base_seed=77)))
         store = SqliteStore(path)
         (key,) = store.keys()
         entry = store.get(key)
@@ -484,7 +484,7 @@ class TestConcurrentAnalyzers:
         assert entry.samples == entry.runs * 1500
         assert 1 <= entry.runs <= 4
         assert 0 <= entry.hits <= entry.samples
-        assert entry.runs + aggregated.total_store_hits == 4
+        assert entry.runs + store_hits == 4
         store.close()
 
 
@@ -494,43 +494,41 @@ class _StoreTrial:
     def __init__(self, path: str) -> None:
         self.path = path
 
-    def __call__(self, seed: int):
+    def __call__(self, seed: int) -> int:
+        """Run one trial and return its store-hit count."""
         config = QCoralConfig(samples_per_query=1500, stratified=False, seed=seed, store_path=self.path)
         with QCoralAnalyzer(PROFILE_2D, config) as analyzer:
-            return analyzer.analyze(parse_constraint_set(CIRCLE))
-
-
-def _store_trial_factory(path: str) -> _StoreTrial:
-    return _StoreTrial(path)
+            return analyzer.analyze(parse_constraint_set(CIRCLE)).cache_statistics.store_hits
 
 
 # --------------------------------------------------------------------------- #
-# Cross-run reuse through the pipeline
+# Cross-run reuse through program analysis
 # --------------------------------------------------------------------------- #
+def _analyze_program(source, config):
+    with Session() as session:
+        return session.analyze(source, programs.SAFETY_MONITOR_EVENT, config=config).run()
+
+
 class TestPipelineReuse:
     def test_warm_pipeline_rerun_resamples_zero_factors(self, tmp_path):
         config = QCoralConfig.strat_partcache(3000, seed=2).with_store(str(tmp_path / "p.db"))
-        with ProbabilisticAnalysisPipeline(programs.SAFETY_MONITOR, config=config) as pipeline:
-            cold = pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        with ProbabilisticAnalysisPipeline(programs.SAFETY_MONITOR, config=config) as pipeline:
-            warm = pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        assert cold.qcoral_result.total_samples > 0
-        assert warm.qcoral_result.total_samples == 0
+        cold = _analyze_program(programs.SAFETY_MONITOR, config)
+        warm = _analyze_program(programs.SAFETY_MONITOR, config)
+        assert cold.total_samples > 0
+        assert warm.total_samples == 0
         assert warm.mean == cold.mean
         assert warm.cache_statistics.store_hits >= 1
-        assert warm.store_label is not None
+        assert warm.store is not None
 
     def test_mutated_program_reuses_unaffected_factors(self, tmp_path):
         config = QCoralConfig.strat_partcache(3000, seed=2).with_store(str(tmp_path / "p.db"))
-        with ProbabilisticAnalysisPipeline(programs.SAFETY_MONITOR, config=config) as pipeline:
-            pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
+        _analyze_program(programs.SAFETY_MONITOR, config)
         mutated = programs.SAFETY_MONITOR.replace("sin(headFlap * tailFlap) > 0.25", "sin(headFlap * tailFlap) > 0.3")
-        with ProbabilisticAnalysisPipeline(mutated, config=config) as pipeline:
-            result = pipeline.analyze(programs.SAFETY_MONITOR_EVENT)
-        stats = result.cache_statistics
+        report = _analyze_program(mutated, config)
+        stats = report.cache_statistics
         # The altitude factors are untouched by the mutation and must be
         # served from the store; the flap-angle factor changed and must miss
         # (and be re-sampled from scratch).
         assert stats.store_hits >= 1
         assert stats.store_misses >= 1
-        assert result.qcoral_result.total_samples == 3000
+        assert report.total_samples == 3000
