@@ -6,12 +6,14 @@ three phases:
 * **cold** — an empty store: every factor pays its full sampling cost and the
   counts are written back;
 * **warm** — the identical program re-analysed: every factor is served from
-  the store, zero samples are drawn (reuse fraction 1.0);
+  the store, zero samples are drawn (reuse fraction 1.0) and nothing is
+  re-paved — stratified factors rebuild their strata from the stored paving;
 * **mutated** — one branch condition of the program changed: factors touched
   by the mutation are re-sampled, everything else is still served.
 
-Each phase records the factors reused vs sampled, the samples drawn, and the
-wall-clock time, for both file-backed store backends (JSONL and SQLite).  The
+Each phase records the factors reused vs sampled, the samples drawn, the
+``ICPSolver.pave`` calls, and the wall-clock time, for both file-backed store
+backends (JSONL and SQLite).  The
 machine-readable summary lands in ``benchmarks/BENCH_store.json``.
 
 Run directly (``python benchmarks/bench_store_reuse.py``) for the table, or
@@ -20,6 +22,7 @@ via pytest for the assertion-checked reduced version.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import time
@@ -33,6 +36,7 @@ except ImportError:  # executed directly: benchmarks/ is sys.path[0]
 from repro.analysis.results import Table
 from repro.api import Session
 from repro.core.qcoral import QCoralConfig
+from repro.icp.solver import ICPSolver
 from repro.subjects import programs
 
 #: Summary file of this benchmark family.
@@ -48,11 +52,28 @@ MUTATED = programs.SAFETY_MONITOR.replace("sin(headFlap * tailFlap) > 0.25", "si
 EVENT = programs.SAFETY_MONITOR_EVENT
 
 
+@contextlib.contextmanager
+def counting_paves():
+    """Count ``ICPSolver.pave`` calls inside the block (yields a one-item list)."""
+    calls = [0]
+    original = ICPSolver.pave
+
+    def pave(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    ICPSolver.pave = pave
+    try:
+        yield calls
+    finally:
+        ICPSolver.pave = original
+
+
 def run_phase(source: str, store_path: str, backend: str, seed: int) -> dict:
     """One program analysis against the store; returns reuse metrics."""
     config = QCoralConfig.strat_partcache(BUDGET, seed=seed).with_store(store_path, backend)
     started = time.perf_counter()
-    with Session() as session:
+    with counting_paves() as paves, Session() as session:
         report = session.analyze(source, EVENT, config=config).run()
     elapsed = time.perf_counter() - started
     stats = report.cache_statistics
@@ -67,6 +88,7 @@ def run_phase(source: str, store_path: str, backend: str, seed: int) -> dict:
         "published": stats.store_publishes,
         "merged": stats.store_merges,
         "reuse_fraction": (stats.store_hits / lookups) if lookups else 0.0,
+        "pave_calls": paves[0],
         "time": elapsed,
     }
 
@@ -99,7 +121,7 @@ def collect_results(backend: str, seed: int = 17) -> dict:
 def generate_table() -> Table:
     table = Table(
         f"Persistent-store reuse at {BUDGET} samples/factor (safety monitor)",
-        ("phase", "samples", "factors", "reused", "fraction", "time"),
+        ("phase", "samples", "factors", "reused", "fraction", "paves", "time"),
     )
     for backend in ("jsonl", "sqlite"):
         payload = collect_results(backend)
@@ -112,6 +134,7 @@ def generate_table() -> Table:
                 row["factors"],
                 row["reused"],
                 row["reuse_fraction"],
+                row["pave_calls"],
                 f"{row['time']:.3f}s",
             )
     return table
@@ -131,6 +154,9 @@ def test_store_reuse(backend):
     assert warm["reuse_fraction"] == 1.0
     assert warm["samples"] == 0
     assert warm["mean"] == cold["mean"]
+    # ...and re-paves nothing: stratified factors rebuild from the stored paving.
+    assert cold["pave_calls"] > 0
+    assert warm["pave_calls"] == 0
 
     # After a one-constraint mutation only the affected factor is re-sampled.
     assert 0.0 < mutated["reuse_fraction"] < 1.0

@@ -44,6 +44,9 @@ def register_method(
     ``make_sampler(factor, profile, rng, *, variables, solver, seed_stream,
     chunk_size, config)`` must build a resumable
     :class:`~repro.core.stratified.StratifiedSampler` (subclasses welcome).
+    A factory that also takes a ``paving`` keyword receives a warm factor's
+    stored paving (its strata, ready-made) and may skip ICP; factories
+    without it re-pave on warm runs.
     ``store_method`` maps a config to the persistent-store method tag; the
     default prefixes the stratified tag with the method name so a custom
     method's counts never pool with another method's (identical sampling

@@ -20,14 +20,23 @@ The cache is thread-safe: lookups, inserts, and the counters are guarded by
 one reentrant lock, so a :class:`~repro.core.qcoral.QCoralAnalyzer` (or
 several) may share an instance under the thread executor backend without
 corrupting entries or statistics.  L2 handles carry their own lock.
+
+Runs that share one writable L2 handle (a session's runs, a server's
+requests) also sample each factor once: :meth:`EstimateCache.claim` holds the
+store keys of a run's factors until the run has published its counts, and a
+run that needs a key another run holds waits for that publish and then reads
+the pooled entry, instead of drawing the same factor's samples a second time.
+How much a concurrent run samples then no longer depends on how its requests
+happen to overlap in time.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.core.estimate import Estimate
 from repro.lang import ast
@@ -76,6 +85,63 @@ class CacheStatistics:
     def reused_factors(self) -> int:
         """Factors this run did not have to sample from scratch."""
         return self.hits + self.store_hits
+
+
+#: Longest a run waits for other runs to publish factors it needs (seconds).
+#: Past it the run samples those factors itself, as if it had not waited, so
+#: a stalled or abandoned run never blocks another one for good.
+CLAIM_WAIT_S = 30.0
+
+
+class _Claims:
+    """Store keys that runs through one store handle are sampling right now.
+
+    A run takes all of its keys at once (:meth:`acquire`), so no run ever
+    holds some keys while waiting for others and two runs cannot wait on each
+    other.  Keys are owned by the thread that took them; a thread never waits
+    for itself (one thread interleaving two streams of the same factor).
+    """
+
+    def __init__(self) -> None:
+        self._owners: Dict[str, int] = {}
+        self._changed = threading.Condition(threading.Lock())
+
+    def acquire(self, keys: Set[str], timeout: float) -> Tuple[FrozenSet[str], bool]:
+        """Wait until no other thread holds any of ``keys`` (at most ``timeout``
+        seconds), then take the free ones.  Returns them and whether it waited."""
+        me = threading.get_ident()
+        deadline = time.monotonic() + timeout
+        waited = False
+        with self._changed:
+            while any(self._owners.get(key, me) != me for key in keys):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                waited = True
+                self._changed.wait(remaining)
+            taken = frozenset(key for key in keys if key not in self._owners)
+            for key in taken:
+                self._owners[key] = me
+        return taken, waited
+
+    def release(self, keys: Iterable[str]) -> None:
+        with self._changed:
+            for key in keys:
+                self._owners.pop(key, None)
+            self._changed.notify_all()
+
+
+#: One claim table per store handle, dropped with the handle.
+_CLAIMS: "weakref.WeakKeyDictionary[EstimateStore, _Claims]" = weakref.WeakKeyDictionary()
+_CLAIMS_LOCK = threading.Lock()
+
+
+def _claims_for(store: EstimateStore) -> _Claims:
+    with _CLAIMS_LOCK:
+        claims = _CLAIMS.get(store)
+        if claims is None:
+            claims = _CLAIMS[store] = _Claims()
+        return claims
 
 
 class EstimateCache:
@@ -213,6 +279,25 @@ class EstimateCache:
             else:
                 self._statistics.store_hits += 1
         return entry
+
+    def claim(self, keys: Iterable[FactorKey]) -> FrozenSet[str]:
+        """Hold ``keys`` for one run; first wait while other runs hold any of them.
+
+        Call before :meth:`fetch_entry` for a run's factors and pass the
+        result to :meth:`release` once the run has published its deltas.  A
+        read-only handle never publishes, so it neither claims nor waits.
+        """
+        if self._store is None or self._store.readonly:
+            return frozenset()
+        taken, waited = _claims_for(self._store).acquire({key.digest for key in keys}, CLAIM_WAIT_S)
+        if waited:
+            self._obs.count("store_claim_waits_total")
+        return taken
+
+    def release(self, claimed: FrozenSet[str]) -> None:
+        """Give back the keys a :meth:`claim` took."""
+        if claimed:
+            _claims_for(self._store).release(claimed)
 
     def publish(self, key: FactorKey, delta: StoreEntry, merged_into_prior: bool = False) -> None:
         """Fold one run's delta counts for ``key`` into the persistent tier.

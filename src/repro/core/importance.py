@@ -43,9 +43,11 @@ not coordinates), so they are written off — tracked in
 :attr:`ImportanceSampler.discarded_samples` and still charged against the
 sampling budget.  Adaptive refinement trades those samples for a finer paving
 where the variance actually is; it also makes the final paving depend on the
-run's sample history, so the persistent store only reuses/publishes
-importance entries whose paving fingerprint still matches (the analyzer
-guards this).
+run's sample history, so such runs re-pave instead of adopting a stored
+paving, and the persistent store only reuses/publishes importance entries
+whose paving fingerprint still matches (the analyzer guards this).  Without
+adaptive splits a warm run rebuilds the refined strata straight from the
+stored paving.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from repro.core.stratified import StratifiedResult, StratifiedSampler, Stratum
 from repro.errors import AnalysisError, ConfigurationError
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import contract
-from repro.icp.hc4 import constraint_certainly_holds
+from repro.icp.hc4 import constraint_trees
 from repro.icp.solver import ICPSolver, PavedBox, Paving
 from repro.intervals.box import Box
 from repro.intervals.interval import Interval
@@ -206,15 +208,13 @@ class ImportanceSampler(StratifiedSampler):
         # certification over discrete variables must clear the boundary with
         # no floating-point slack (same rule the paving solver applies).
         strict = bool(self._integer_names)
+        trees = constraint_trees(self._pc)
         children: List[PavedBox] = []
         for half in paved.box.split(name, at):
-            contracted = contract(self._pc, half, self._icp_config)
+            contracted = contract(self._pc, half, self._icp_config, trees)
             if contracted is None:
                 continue
-            inner = all(
-                constraint_certainly_holds(constraint, contracted, strict)
-                for constraint in self._pc.constraints
-            )
+            inner = all(tree.certainly_holds(contracted, strict) for tree in trees)
             children.append(PavedBox(contracted, inner=inner))
         return children
 
@@ -386,6 +386,24 @@ class ImportanceSampler(StratifiedSampler):
         top of the method-tag separation the store key already enforces.
         """
         return f"imp{self._max_boxes}|" + super().paving_fingerprint(canonical_order)
+
+
+class _StoredImportanceSampler(ImportanceSampler):
+    """An :class:`ImportanceSampler` whose strata are a stored, already refined paving.
+
+    Building it runs neither ICP nor the upfront mass refinement: the stored
+    boxes are the strata as they were when the entry was written.
+    """
+
+    def __init__(self, *args: Any, paving: Paving, **kwargs: Any) -> None:
+        self._stored_paving = paving
+        super().__init__(*args, **kwargs)
+
+    def _pave(self, solver: ICPSolver, domain: Box) -> Paving:
+        return self._stored_paving
+
+    def _refined_boxes(self, paving: Paving) -> Sequence[PavedBox]:
+        return paving.boxes
 
 
 def importance_sampling(

@@ -23,16 +23,17 @@ about one method:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.importance import ImportanceSampler
+from repro.core.importance import ImportanceSampler, _StoredImportanceSampler
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedSampler
 from repro.exec.seeds import SeedStream
-from repro.icp.solver import ICPSolver
+from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
 from repro.registry import Registry
 from repro.store.keys import importance_method, stratified_method
@@ -78,6 +79,7 @@ def _make_hit_or_miss(
     chunk_size: Optional[int],
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
+    paving: Optional[Paving] = None,
 ) -> StratifiedSampler:
     return StratifiedSampler(
         factor,
@@ -88,6 +90,7 @@ def _make_hit_or_miss(
         seed_stream=seed_stream,
         chunk_size=chunk_size,
         observability=observability,
+        paving=paving,
     )
 
 
@@ -102,11 +105,9 @@ def _make_importance(
     chunk_size: Optional[int],
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
+    paving: Optional[Paving] = None,
 ) -> StratifiedSampler:
-    return ImportanceSampler(
-        factor,
-        profile,
-        rng,
+    kwargs = dict(
         variables=variables,
         solver=solver,
         seed_stream=seed_stream,
@@ -115,6 +116,11 @@ def _make_importance(
         adaptive_splits=config.mass_split_adaptive,
         observability=observability,
     )
+    # Adaptive splits make the stored paving depend on the sample history,
+    # so such runs re-pave and re-refine rather than adopt it.
+    if paving is not None and config.mass_split_adaptive == 0:
+        return _StoredImportanceSampler(factor, profile, rng, paving=paving, **kwargs)
+    return ImportanceSampler(factor, profile, rng, **kwargs)
 
 
 METHOD_REGISTRY.register(
@@ -136,6 +142,19 @@ METHOD_REGISTRY.register(
         feature="IMP",
     ),
 )
+
+
+def accepts_paving(method: EstimationMethod) -> bool:
+    """True when ``method``'s factory takes a ready-made ``paving`` keyword.
+
+    The analyzer hands a warm factor's stored paving only to factories that
+    accept it; factories registered without the keyword keep re-paving.
+    """
+    try:
+        parameters = inspect.signature(method.make_sampler).parameters.values()
+    except (TypeError, ValueError):
+        return False
+    return any(p.name == "paving" or p.kind == p.VAR_KEYWORD for p in parameters)
 
 
 def store_method_tag(config: "QCoralConfig") -> str:

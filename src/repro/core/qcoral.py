@@ -49,13 +49,14 @@ from repro.core.composition import (
 from repro.core.dependency import DependencyPartition, compute_dependency_partition
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
-from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY
+from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY, accepts_paving
 from repro.core.montecarlo import SamplingResult, hit_or_miss
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
     ALLOCATION_POLICIES,
     StratifiedSampler,
     allocate_budget,
+    decode_paving,
     laplace_sigma_floor,
 )
 from repro.errors import ConfigurationError
@@ -63,7 +64,7 @@ from repro.exec.executor import EXECUTOR_KINDS, Executor, resolve_executor
 from repro.exec.scheduler import SamplingTask, run_sampling_tasks, shard_budget
 from repro.exec.seeds import SeedStream
 from repro.icp.config import ICPConfig, PAPER_CONFIG
-from repro.icp.solver import ICPSolver
+from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
 from repro.lang.analysis import group_constraints_by_block
 from repro.lang.kernel import KernelCacheStats, get_kernel, kernel_cache_stats
@@ -717,20 +718,23 @@ class QCoralAnalyzer:
         ]
 
         partition = self._partition_for(path_conditions)
-        plan, states = self._build_plan(path_conditions, partition)
+        plan, states, claimed = self._build_plan(path_conditions, partition)
 
         try:
-            rounds = yield from self._round_loop(plan, states)
-        except GeneratorExit:
-            # The consumer abandoned the stream without asking for a result;
-            # still flush caches/stores with what was drawn (best-effort —
-            # whoever closed us cannot handle errors raised from here).
             try:
-                self._finalize(plan, states, (), started, kernel_before)
-            except Exception:
-                pass
-            raise
-        return self._finalize(plan, states, rounds, started, kernel_before)
+                rounds = yield from self._round_loop(plan, states)
+            except GeneratorExit:
+                # The consumer abandoned the stream without asking for a result;
+                # still flush caches/stores with what was drawn (best-effort —
+                # whoever closed us cannot handle errors raised from here).
+                try:
+                    self._finalize(plan, states, (), started, kernel_before)
+                except Exception:
+                    pass
+                raise
+            return self._finalize(plan, states, rounds, started, kernel_before)
+        finally:
+            self._cache.release(claimed)
 
     #: Kernel-cache counter fields mapped to the metric names they feed; the
     #: delta between the snapshots taken at analysis start and end lands in
@@ -844,6 +848,7 @@ class QCoralAnalyzer:
                     discarded_samples=getattr(sampler, "discarded_samples", 0),
                     effective_sample_size=ess,
                     strata=strata,
+                    paving_time_capped=sampler is not None and sampler.time_capped,
                 )
             )
             index += 1
@@ -858,15 +863,18 @@ class QCoralAnalyzer:
         """Quantify a single path condition in isolation."""
         simplified = simplify_path_condition(pc) if self._config.simplify else pc
         partition = self._partition_for([simplified])
-        plan, states = self._build_plan([simplified], partition)
-        self._run_rounds(plan, states)
-        (entry,) = plan
-        report = self._report_for(*entry)
-        if self._config.partition_and_cache:
-            for state in states:
-                if not state.cached:
-                    self._cache.put(state.factor, state.estimate())
-            self._publish_states(states)
+        plan, states, claimed = self._build_plan([simplified], partition)
+        try:
+            self._run_rounds(plan, states)
+            (entry,) = plan
+            report = self._report_for(*entry)
+            if self._config.partition_and_cache:
+                for state in states:
+                    if not state.cached:
+                        self._cache.put(state.factor, state.estimate())
+                self._publish_states(states)
+        finally:
+            self._cache.release(claimed)
         return report
 
     # ------------------------------------------------------------------ #
@@ -889,18 +897,24 @@ class QCoralAnalyzer:
 
     def _build_plan(
         self, path_conditions: Sequence[ast.PathCondition], partition: DependencyPartition
-    ) -> Tuple[List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]], List[_FactorState]]:
+    ) -> Tuple[List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]], List[_FactorState], FrozenSet[str]]:
         """Deduplicate factors into resumable states; keep per-PC occurrence lists.
 
         Each plan entry pairs a path condition with its factors; an occurrence
         is ``(state, first)`` where ``first`` marks the occurrence that owns
         the state's samples (later occurrences are in-run cache shares).
+
+        With a store, the store keys of every factor are claimed before any
+        entry is read (:meth:`EstimateCache.claim`), so a factor another run
+        is sampling right now is read after that run has published it.  The
+        claimed keys are returned last; release them once the run's deltas
+        are published.
         """
-        states: Dict[str, _FactorState] = {}
-        plan: List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]] = []
         sharing = self._config.partition_and_cache
+        factors: Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]] = {}
+        layout: List[Tuple[ast.PathCondition, List[str]]] = []
         for index, pc in enumerate(path_conditions):
-            occurrences: List[Tuple[_FactorState, bool]] = []
+            keys: List[str] = []
             if pc.constraints:
                 for variables, factor in self._split_factors(pc, partition):
                     ordered = tuple(sorted(variables & factor.free_variables())) or tuple(
@@ -909,18 +923,40 @@ class QCoralAnalyzer:
                     # Without caching, factors are never shared between PCs:
                     # a per-PC key keeps every occurrence independent.
                     key = EstimateCache.key_for(factor) if sharing else f"pc{index}:{factor.canonical()}"
+                    factors.setdefault(key, (factor, ordered))
+                    keys.append(key)
+            layout.append((pc, keys))
+
+        store_keys: Dict[str, FactorKey] = {}
+        if sharing and self._cache.has_store:
+            store_keys = {
+                key: self._cache.store_key(factor) for key, (factor, ordered) in factors.items() if ordered
+            }
+        claimed = self._cache.claim(store_keys.values())
+        try:
+            states: Dict[str, _FactorState] = {}
+            plan: List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]] = []
+            for pc, keys in layout:
+                occurrences: List[Tuple[_FactorState, bool]] = []
+                for key in keys:
                     state = states.get(key)
                     if state is None:
-                        state = self._new_state(key, factor, ordered)
+                        factor, ordered = factors[key]
+                        state = self._new_state(key, factor, ordered, store_keys.get(key))
                         states[key] = state
                         occurrences.append((state, True))
                     else:
                         self._cache.record_shared_hit()
                         occurrences.append((state, False))
-            plan.append((pc, occurrences))
-        return plan, list(states.values())
+                plan.append((pc, occurrences))
+        except BaseException:
+            self._cache.release(claimed)
+            raise
+        return plan, list(states.values()), claimed
 
-    def _new_state(self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...]) -> _FactorState:
+    def _new_state(
+        self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], store_key: Optional[FactorKey]
+    ) -> _FactorState:
         state = _FactorState(key, factor, variables)
         entry: Optional[StoreEntry] = None
         if self._config.partition_and_cache:
@@ -929,9 +965,9 @@ class QCoralAnalyzer:
                 state.exact = cached
                 state.cached = True
                 return state
-            if self._cache.has_store and variables:
-                state.store_key = self._cache.store_key(factor)
-                entry = self._cache.fetch_entry(state.store_key)
+            if store_key is not None:
+                state.store_key = store_key
+                entry = self._cache.fetch_entry(store_key)
                 if entry is not None and entry.is_exact:
                     # A previous run resolved the factor without sampling
                     # (ICP-exact); reuse skips even the paving work.
@@ -961,7 +997,14 @@ class QCoralAnalyzer:
             )
             if self._obs.enabled:
                 factory_kwargs["observability"] = self._obs
-            sampler: StratifiedSampler = METHOD_REGISTRY.get(self._config.method).make_sampler(
+            method = METHOD_REGISTRY.get(self._config.method)
+            paving = self._stored_paving(entry, state.store_key, variables)
+            if paving is not None and accepts_paving(method):
+                # A warm factor rebuilds its strata from the stored paving
+                # instead of re-paving with ICP.
+                factory_kwargs["paving"] = paving
+                self._obs.count("qcoral_store_paving_reuse_total")
+            sampler: StratifiedSampler = method.make_sampler(
                 factor,
                 self._profile,
                 None if parallel else self._rng,
@@ -1030,6 +1073,25 @@ class QCoralAnalyzer:
         if state.sampler is not None:
             state.sampler.reseed(state.rng)
 
+    def _stored_paving(
+        self, entry: Optional[StoreEntry], key: Optional[FactorKey], variables: Tuple[str, ...]
+    ) -> Optional[Paving]:
+        """The paving a stratified entry's counts refer to, decoded from its text.
+
+        None — pave with ICP instead — unless the text decodes into one box
+        per stored stratum, each over the factor's variables and inside its
+        domain.
+        """
+        if entry is None or key is None or entry.kind != "stratified" or entry.samples <= 0:
+            return None
+        boxes = decode_paving(entry.paving, key.variables, variables)
+        if boxes is None or len(boxes) != len(entry.strata):
+            return None
+        domain = self._profile.restrict(variables).domain()
+        if not all(domain.contains_box(paved.box) for paved in boxes):
+            return None
+        return Paving(domain, boxes)
+
     def _warm_start_mc(self, state: _FactorState, entry: StoreEntry) -> None:
         if entry.kind != "mc" or entry.samples <= 0:
             return
@@ -1046,9 +1108,10 @@ class QCoralAnalyzer:
             return
         fingerprint = sampler.paving_fingerprint(state.store_key.variables)
         if entry.paving != fingerprint or len(entry.strata) != len(sampler.strata):
-            # The stored counts refer to a different paving (the ICP solver
-            # has a wall-clock budget, so pavings can drift); reusing them
-            # would misattribute counts to boxes.  Treat as a miss.
+            # The sampler was not built from this entry's paving (its text
+            # did not decode, or the method re-paves) and ICP paved it
+            # differently; reusing the counts would misattribute them to
+            # boxes.  Treat as a miss.
             return
         sampler.preload_counts(entry.strata)
         state.prior_samples = entry.samples

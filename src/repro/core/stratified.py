@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver, PavedBox, Paving
 from repro.intervals.box import Box
+from repro.intervals.interval import Interval
 from repro.lang import ast
 from repro.lang.kernel import get_kernel
 from repro.obs import Observability, ensure_observability
@@ -255,17 +256,83 @@ def allocation_priorities(strata: Sequence[Stratum], policy: str) -> List[float]
 
 
 # --------------------------------------------------------------------------- #
+# Paving text: the store's exact rendering of the strata
+# --------------------------------------------------------------------------- #
+def render_paving(boxes: Iterable[Union[Stratum, PavedBox]], canonical_order: Sequence[str]) -> str:
+    """Render strata as ``|``-joined boxes: ``I``/``B``, then ``[lo,hi]`` per variable.
+
+    Variables appear in ``canonical_order`` (position ``i`` is the variable
+    the store calls ``$v{i}``) and bounds as ``repr`` floats, so the text is
+    renaming-invariant and :func:`decode_paving` inverts it exactly.
+    """
+    rendered = []
+    for paved in boxes:
+        cells = ",".join(
+            f"[{paved.box.interval(name).lo!r},{paved.box.interval(name).hi!r}]"
+            for name in canonical_order
+            if name in paved.box
+        )
+        rendered.append(("I" if paved.inner else "B") + cells)
+    return "|".join(rendered)
+
+
+def decode_paving(
+    text: str, canonical_order: Sequence[str], variables: Sequence[str]
+) -> Optional[Tuple[PavedBox, ...]]:
+    """Exact inverse of :func:`render_paving`; None for text it did not render.
+
+    Position ``i`` of each rendered box becomes ``canonical_order[i]``; the
+    boxes list their variables in ``variables`` order (the sampler's, which
+    fixes the order of every per-box product), a permutation of
+    ``canonical_order``.  A leading segment that is not a box is a sampler's
+    header (``ImportanceSampler`` writes ``imp<cap>``) and is skipped.  Every
+    box must carry one ``[lo,hi]`` cell per variable with ``lo <= hi``, each
+    bound written exactly as its ``repr``, so the decoded boxes render back
+    to exactly ``text``.
+    """
+    if sorted(variables) != sorted(canonical_order):
+        return None
+    segments = text.split("|") if text else []
+    if segments and segments[0][:1] not in ("I", "B"):
+        segments = segments[1:]
+    boxes = []
+    for segment in segments:
+        kind, cells = segment[:1], segment[1:]
+        if kind not in ("I", "B"):
+            return None
+        bounds = cells[1:-1].split("],[") if cells else []
+        if len(bounds) != len(canonical_order) or (cells and (cells[0], cells[-1]) != ("[", "]")):
+            return None
+        intervals = {}
+        for name, pair in zip(canonical_order, bounds):
+            parts = pair.split(",")
+            if len(parts) != 2:
+                return None
+            try:
+                lo, hi = float(parts[0]), float(parts[1])
+            except ValueError:
+                return None
+            if not lo <= hi or repr(lo) != parts[0] or repr(hi) != parts[1]:
+                return None
+            intervals[name] = Interval(lo, hi)
+        boxes.append(PavedBox(Box({name: intervals[name] for name in variables}), inner=kind == "I"))
+    return tuple(boxes)
+
+
+# --------------------------------------------------------------------------- #
 # The persistent sampler
 # --------------------------------------------------------------------------- #
 class StratifiedSampler:
     """Resumable ICP-stratified estimator of one path condition.
 
-    The paving is computed once at construction; every call to :meth:`extend`
-    then distributes an additional sample budget over the persistent strata
-    and folds the new counts into the per-stratum accumulators.  The current
-    combined estimate is available at any time through :meth:`estimate` /
-    :meth:`result`, so callers can interleave sampling with convergence
-    checks.
+    The paving is computed once at construction — or handed in ready-made
+    through ``paving``, whose boxes then become the strata as they are (a
+    warm run rebuilds them from its store entry, see :func:`decode_paving`) —
+    and every call to :meth:`extend` then distributes an additional sample
+    budget over the persistent strata and folds the new counts into the
+    per-stratum accumulators.  The current combined estimate is available at
+    any time through :meth:`estimate` / :meth:`result`, so callers can
+    interleave sampling with convergence checks.
 
     When built with a :class:`~repro.exec.seeds.SeedStream` (and optionally
     an :class:`~repro.exec.executor.Executor`), each round is planned as
@@ -288,6 +355,7 @@ class StratifiedSampler:
         seed_stream: Optional["SeedStream"] = None,
         chunk_size: Optional[int] = None,
         observability: Optional[Observability] = None,
+        paving: Optional[Paving] = None,
     ) -> None:
         if rng is None and seed_stream is None:
             raise ConfigurationError(
@@ -308,6 +376,9 @@ class StratifiedSampler:
         self._strata: List[Stratum] = []
         self._exact: Optional[Estimate] = None
         self._predicate = None
+        #: True when ICP stopped on its wall-clock budget while paving this
+        #: factor (so the paving depends on machine load).
+        self.time_capped = False
 
         if not self._names:
             from repro.lang.evaluator import holds_path_condition
@@ -316,25 +387,21 @@ class StratifiedSampler:
             return
 
         restricted = profile.restrict(self._names)
-        domain = restricted.domain()
         icp_solver = solver if solver is not None else ICPSolver(icp_config)
         self._icp_config = icp_solver.config
         self._integer_names = restricted.discrete_variables()
-        if self._obs.enabled:
-            with self._obs.span("icp.pave", variables=len(self._names)):
-                pave_started = time.perf_counter()
-                paving: Paving = icp_solver.pave(pc, domain, integer_variables=self._integer_names)
-                self._obs.observe("icp_pave_seconds", time.perf_counter() - pave_started)
-            self._obs.count("icp_boxes_explored_total", paving.boxes_explored)
-            self._obs.count("icp_contraction_passes_total", paving.contraction_passes)
+        if paving is not None:
+            # Ready-made strata (a stored paving): no ICP, no refinement.
+            boxes: Sequence[PavedBox] = paving.boxes
         else:
-            paving = icp_solver.pave(pc, domain, integer_variables=self._integer_names)
+            paving = self._pave(icp_solver, restricted.domain())
+            self.time_capped = paving.time_capped
+            if paving.is_unsatisfiable():
+                self._exact = Estimate.zero()
+                return
+            boxes = self._refined_boxes(paving)
 
-        if paving.is_unsatisfiable():
-            self._exact = Estimate.zero()
-            return
-
-        for paved in self._refined_boxes(paving):
+        for paved in boxes:
             self._strata.append(Stratum(paved.box, profile.mass(paved.box), paved.inner))
 
         if not any(stratum.sampleable for stratum in self._strata):
@@ -346,6 +413,20 @@ class StratifiedSampler:
         # On the sharded path (seed_stream set) workers compile and cache
         # their own predicate; compiling here would be wasted work.
         self._predicate = get_kernel(pc) if self._seed_stream is None else None
+
+    def _pave(self, solver: ICPSolver, domain: Box) -> Paving:
+        """Pave the constraint over ``domain``, recording solver effort on the hub."""
+        if not self._obs.enabled:
+            return solver.pave(self._pc, domain, integer_variables=self._integer_names)
+        with self._obs.span("icp.pave", variables=len(self._names)):
+            pave_started = time.perf_counter()
+            paving = solver.pave(self._pc, domain, integer_variables=self._integer_names)
+            self._obs.observe("icp_pave_seconds", time.perf_counter() - pave_started)
+        self._obs.count("icp_boxes_explored_total", paving.boxes_explored)
+        self._obs.count("icp_contraction_passes_total", paving.contraction_passes)
+        if paving.time_capped:
+            self._obs.count("icp_time_capped_total")
+        return paving
 
     def _refined_boxes(self, paving: "Paving") -> Sequence["PavedBox"]:
         """Hook mapping the ICP paving to the stratum boxes (identity here).
@@ -542,9 +623,9 @@ class StratifiedSampler:
         """Warm-start the strata from counts a previous run stored.
 
         ``counts`` must line up with this sampler's paving (same length, same
-        order) — the caller checks that via :meth:`paving_fingerprint` before
-        preloading, because pavings are not perfectly reproducible (the ICP
-        solver has a wall-clock budget).
+        order).  A warm run builds the sampler from the entry's own paving,
+        so they do; the caller still compares :meth:`paving_fingerprint`
+        before preloading, which catches a sampler that had to re-pave.
         """
         if len(counts) != len(self._strata):
             raise AnalysisError(f"cannot preload {len(counts)} strata into a paving of {len(self._strata)}")
@@ -561,15 +642,7 @@ class StratifiedSampler:
         when their pavings are structurally identical — the condition under
         which stored per-stratum counts line up with local strata.
         """
-        rendered = []
-        for stratum in self._strata:
-            cells = ",".join(
-                f"[{stratum.box.interval(name).lo!r},{stratum.box.interval(name).hi!r}]"
-                for name in canonical_order
-                if name in stratum.box
-            )
-            rendered.append(("I" if stratum.inner else "B") + cells)
-        return "|".join(rendered)
+        return render_paving(self._strata, canonical_order)
 
     # ------------------------------------------------------------------ #
     # Results

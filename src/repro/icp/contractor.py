@@ -9,27 +9,36 @@ when the conjunction is certainly unsatisfiable there).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.icp.config import ICPConfig, PAPER_CONFIG
-from repro.icp.hc4 import hc4_revise
+from repro.icp.hc4 import ConstraintTree, constraint_trees
 from repro.intervals.box import Box
 from repro.lang import ast
 
 
-def contract(pc: ast.PathCondition, box: Box, config: ICPConfig = PAPER_CONFIG) -> Optional[Box]:
+def contract(
+    pc: ast.PathCondition,
+    box: Box,
+    config: ICPConfig = PAPER_CONFIG,
+    trees: Optional[Sequence[ConstraintTree]] = None,
+) -> Optional[Box]:
     """Contract ``box`` with respect to every conjunct of ``pc``.
 
     Returns the narrowed box, or ``None`` when some conjunct is certainly
     unsatisfiable over the box (the conjunction has no solution there).
+    ``trees`` are ``pc``'s :func:`constraint_trees`; callers contracting many
+    boxes pass them in so they are built once.
     """
     if box.is_empty():
         return None
+    if trees is None:
+        trees = constraint_trees(pc)
     current = box
     for _ in range(config.max_contractor_iterations):
         previous = current
-        for constraint in pc.constraints:
-            narrowed = hc4_revise(constraint, current)
+        for tree in trees:
+            narrowed = tree.revise(current)
             if narrowed is None:
                 return None
             current = narrowed

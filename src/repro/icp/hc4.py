@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ICPError
 from repro.intervals.box import Box
@@ -49,11 +49,17 @@ _RELATION_RANGES: Dict[str, Interval] = {
 
 @dataclass
 class _Node:
-    """Mutable evaluation-tree node used by the two HC4 sweeps."""
+    """Mutable evaluation-tree node used by the two HC4 sweeps.
+
+    ``square`` marks ``e * e`` products, decided once when the tree is
+    built.  Every forward sweep overwrites ``value`` on every node, so a tree
+    can be swept again over any number of boxes.
+    """
 
     expression: ast.Expression
     children: List["_Node"] = field(default_factory=list)
     value: Interval = ENTIRE
+    square: bool = False
 
 
 def relation_range(operator: str) -> Interval:
@@ -68,7 +74,8 @@ def relation_range(operator: str) -> Interval:
 # Forward sweep
 # --------------------------------------------------------------------------- #
 def _build_tree(expression: ast.Expression) -> _Node:
-    return _Node(expression, [_build_tree(child) for child in expression.children()])
+    square = isinstance(expression, ast.BinaryOp) and expression.operator == "*" and _is_square(expression)
+    return _Node(expression, [_build_tree(child) for child in expression.children()], square=square)
 
 
 def _forward(node: _Node, box: Box) -> Interval:
@@ -85,7 +92,7 @@ def _forward(node: _Node, box: Box) -> Interval:
     elif isinstance(expression, ast.BinaryOp):
         left = node.children[0].value
         right = node.children[1].value
-        if expression.operator == "*" and _is_square(expression):
+        if node.square:
             # ``e * e`` is a square: the tight enclosure avoids the spurious
             # negative range of the generic product rule.
             node.value = left.sqr()
@@ -112,15 +119,67 @@ def _forward_binary(operator: str, left: Interval, right: Interval) -> Interval:
 
 
 def evaluate_interval(expression: ast.Expression, box: Box) -> Interval:
-    """Interval enclosure of ``expression`` over ``box`` (forward sweep only)."""
-    tree = _build_tree(expression)
-    return _forward(tree, box)
+    """Interval enclosure of ``expression`` over ``box`` (forward sweep only).
+
+    The same rules as :func:`_forward`, walked straight over the expression:
+    a one-shot enclosure needs no tree to keep node values in.
+    """
+    if isinstance(expression, ast.Constant):
+        return Interval.point(expression.value)
+    if isinstance(expression, ast.Variable):
+        return box.interval(expression.name) if expression.name in box else ENTIRE
+    if isinstance(expression, ast.UnaryOp):
+        return -evaluate_interval(expression.operand, box)
+    if isinstance(expression, ast.BinaryOp):
+        left = evaluate_interval(expression.left, box)
+        right = evaluate_interval(expression.right, box)
+        if expression.operator == "*" and _is_square(expression):
+            return left.sqr()
+        return _forward_binary(expression.operator, left, right)
+    if isinstance(expression, ast.FunctionCall):
+        return apply_function(expression.name, [evaluate_interval(argument, box) for argument in expression.arguments])
+    raise ICPError(f"cannot evaluate node of type {type(expression).__name__}")  # pragma: no cover
+
+
+class ConstraintTree:
+    """One constraint's ``left - right`` tree, built once and swept per box.
+
+    Building the tree (and deciding which products are squares) costs more
+    than a sweep, so the paving solver and the contractor build one tree per
+    constraint per query and reuse it for every box they visit.  A tree is
+    mutable scratch space: share it within one thread only.
+    """
+
+    __slots__ = ("constraint", "root")
+
+    def __init__(self, constraint: ast.Constraint) -> None:
+        self.constraint = constraint
+        self.root = _build_tree(ast.BinaryOp("-", constraint.left, constraint.right))
+
+    def certainly_holds(self, box: Box, strict_boundaries: bool = False) -> bool:
+        """:func:`constraint_certainly_holds` on this tree."""
+        return _certainly_holds(self.constraint.operator, _forward(self.root, box), strict_boundaries)
+
+    def revise(self, box: Box) -> Optional[Box]:
+        """:func:`hc4_revise` on this tree."""
+        value = _forward(self.root, box)
+        feasible = value.intersect(relation_range(self.constraint.operator))
+        if feasible.is_empty():
+            return None
+        domains: Dict[str, Interval] = {name: iv for name, iv in box.items()}
+        if not _backward(self.root, feasible, domains):
+            return None
+        return Box(domains)
+
+
+def constraint_trees(pc: ast.PathCondition) -> Tuple[ConstraintTree, ...]:
+    """One :class:`ConstraintTree` per conjunct of ``pc``, in order."""
+    return tuple(ConstraintTree(constraint) for constraint in pc.constraints)
 
 
 def constraint_range(constraint: ast.Constraint, box: Box) -> Interval:
     """Interval enclosure of ``left - right`` for a constraint over ``box``."""
-    difference = ast.BinaryOp("-", constraint.left, constraint.right)
-    return evaluate_interval(difference, box)
+    return evaluate_interval(ast.BinaryOp("-", constraint.left, constraint.right), box)
 
 
 #: Tolerance used when classifying a box as certainly satisfying a constraint.
@@ -148,23 +207,26 @@ def constraint_certainly_holds(constraint: ast.Constraint, box: Box, strict_boun
     the boundary with no slack (boundary-touching boxes stay undecided and
     get sampled, which is unbiased).
     """
-    value = constraint_range(constraint, box)
+    return _certainly_holds(constraint.operator, constraint_range(constraint, box), strict_boundaries)
+
+
+def _certainly_holds(operator: str, value: Interval, strict_boundaries: bool) -> bool:
     if value.is_empty():
         return False
     slack = _CERTAINTY_TOLERANCE * max(1.0, value.magnitude())
-    if constraint.operator == "<":
+    if operator == "<":
         return value.hi < 0.0 if strict_boundaries else value.hi <= slack
-    if constraint.operator == ">":
+    if operator == ">":
         return value.lo > 0.0 if strict_boundaries else value.lo >= -slack
-    if constraint.operator == "<=":
+    if operator == "<=":
         return value.hi <= slack
-    if constraint.operator == ">=":
+    if operator == ">=":
         return value.lo >= -slack
-    if constraint.operator == "==":
+    if operator == "==":
         return value.magnitude() <= slack
-    if constraint.operator == "!=":
+    if operator == "!=":
         return not value.contains(0.0)
-    raise ICPError(f"unsupported comparison operator {constraint.operator!r}")
+    raise ICPError(f"unsupported comparison operator {operator!r}")
 
 
 def constraint_certainly_fails(constraint: ast.Constraint, box: Box) -> bool:
@@ -185,17 +247,7 @@ def hc4_revise(constraint: ast.Constraint, box: Box) -> Optional[Box]:
     Returns the contracted box, or ``None`` when the constraint is certainly
     unsatisfiable over ``box``.
     """
-    difference = ast.BinaryOp("-", constraint.left, constraint.right)
-    tree = _build_tree(difference)
-    value = _forward(tree, box)
-    feasible = value.intersect(relation_range(constraint.operator))
-    if feasible.is_empty():
-        return None
-
-    domains: Dict[str, Interval] = {name: iv for name, iv in box.items()}
-    if not _backward(tree, feasible, domains):
-        return None
-    return Box(domains)
+    return ConstraintTree(constraint).revise(box)
 
 
 def _backward(node: _Node, projected: Interval, domains: Dict[str, Interval]) -> bool:
@@ -242,7 +294,7 @@ def _backward_binary(operator: str, node: _Node, value: Interval, domains: Dict[
     left_node, right_node = node.children
     left, right = left_node.value, right_node.value
 
-    if operator == "*" and _is_square(node.expression):
+    if node.square:
         # Invert the square: |e| <= sqrt(max feasible value).
         feasible = value.intersect(Interval(0.0, math.inf))
         if feasible.is_empty():

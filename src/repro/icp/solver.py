@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import DomainError
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import contract
-from repro.icp.hc4 import constraint_certainly_holds
+from repro.icp.hc4 import ConstraintTree, constraint_trees
 from repro.intervals.box import Box
 from repro.lang import ast
 
@@ -46,12 +46,16 @@ class Paving:
 
     ``boxes_explored`` and ``contraction_passes`` are solver-effort counters
     (heap pops and HC4 contraction calls); trivial pavings report zero.
+    ``time_capped`` is True when the wall-clock budget stopped the search
+    while some box was still worth splitting, so the paving depends on how
+    fast the machine ran.
     """
 
     domain: Box
     boxes: Tuple[PavedBox, ...]
     boxes_explored: int = 0
     contraction_passes: int = 0
+    time_capped: bool = False
 
     def is_unsatisfiable(self) -> bool:
         """True when the paving proves the constraints have no solution."""
@@ -117,8 +121,9 @@ class ICPSolver:
         deadline = time.monotonic() + self._config.time_budget
         contraction_passes = 1
         boxes_explored = 0
+        trees = constraint_trees(pc)
 
-        initial = contract(pc, domain, self._config)
+        initial = contract(pc, domain, self._config, trees)
         if initial is None:
             return Paving(domain, (), boxes_explored=0, contraction_passes=contraction_passes)
 
@@ -134,6 +139,7 @@ class ICPSolver:
         # variable is integer-supported, so inner certification must not use
         # the continuous measure-zero boundary slack there.
         strict = bool(integers)
+        time_capped = False
 
         while pending:
             budget_left = self._config.max_boxes - len(finished) - len(pending)
@@ -141,10 +147,12 @@ class ICPSolver:
 
             _, _, box = heapq.heappop(pending)
             boxes_explored += 1
-            inner = self._is_inner(pc, box, strict)
+            inner = self._is_inner(trees, box, strict)
             too_small = box.max_width() <= self._config.precision
 
-            if inner or too_small or budget_left <= 0 or out_of_time:
+            settled = inner or too_small or budget_left <= 0
+            if settled or out_of_time:
+                time_capped = time_capped or not settled
                 finished.append(PavedBox(box, inner=inner))
                 continue
 
@@ -154,11 +162,17 @@ class ICPSolver:
                 continue
             for half in halves:
                 contraction_passes += 1
-                contracted = contract(pc, half, self._config)
+                contracted = contract(pc, half, self._config, trees)
                 if contracted is not None:
                     heapq.heappush(pending, (-contracted.volume(), next(counter), contracted))
 
-        return Paving(domain, tuple(finished), boxes_explored=boxes_explored, contraction_passes=contraction_passes)
+        return Paving(
+            domain,
+            tuple(finished),
+            boxes_explored=boxes_explored,
+            contraction_passes=contraction_passes,
+            time_capped=time_capped,
+        )
 
     def _split_box(self, box: Box, integers: frozenset) -> Optional[Tuple[Box, Box]]:
         """Bisect the widest splittable dimension (half-integer cuts on integer dims).
@@ -188,9 +202,9 @@ class ICPSolver:
             return box.split(name, at)
         return None
 
-    def _is_inner(self, pc: ast.PathCondition, box: Box, strict_boundaries: bool = False) -> bool:
+    def _is_inner(self, trees: Sequence[ConstraintTree], box: Box, strict_boundaries: bool = False) -> bool:
         """True when every constraint certainly holds over the whole box."""
-        return all(constraint_certainly_holds(constraint, box, strict_boundaries) for constraint in pc.constraints)
+        return all(tree.certainly_holds(box, strict_boundaries) for tree in trees)
 
     def _check_domain(self, pc: ast.PathCondition, domain: Box) -> None:
         missing = sorted(pc.free_variables() - set(domain.variables))

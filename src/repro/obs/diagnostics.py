@@ -26,6 +26,9 @@ assumptions the qCORAL estimator relies on:
 * **Discard burn** — adaptive paving splits throw away the samples drawn in
   the parent box; ``DISCARD_BURN`` flags runs that spent a large fraction of
   their budget on discarded draws.
+* **Time-capped paving** — ICP stops on its wall-clock budget as a last
+  resort, which makes a paving depend on machine load; a run that paved any
+  factor under that cap gets ``PAVING_TIME_CAPPED`` (``timing=True``).
 * **Wall-clock attribution** — from the run's span histograms: paving vs
   sampling vs kernel compile vs store I/O (``WALL_CLOCK_ATTRIBUTION``), and
   ``OVERHEAD_DOMINANT`` when non-sampling overhead exceeds sampling time.
@@ -154,6 +157,7 @@ class FactorHealth:
     discarded_samples: int = 0
     effective_sample_size: Optional[float] = None
     strata: Tuple[StratumHealth, ...] = ()
+    paving_time_capped: bool = False
 
 
 def _diag(
@@ -346,6 +350,26 @@ def _factor_checks(factors: Sequence[FactorHealth]) -> List[Diagnostic]:
     return diagnostics
 
 
+def _paving_check(factors: Sequence[FactorHealth]) -> List[Diagnostic]:
+    """One warning naming every factor whose ICP paving hit the wall-clock cap."""
+    capped = tuple(factor.index for factor in factors if factor.paving_time_capped)
+    if not capped:
+        return []
+    return [
+        _diag(
+            "warning",
+            "PAVING_TIME_CAPPED",
+            (
+                f"ICP stopped on its time budget while paving {len(capped)} factor(s) "
+                f"{list(capped)}; their pavings depend on machine load"
+            ),
+            timing=True,
+            capped_factors=len(capped),
+            factors=",".join(str(index) for index in capped),
+        )
+    ]
+
+
 def _histogram_seconds(metrics: MetricsSnapshot, name: str) -> float:
     """Total observed seconds across every label set of one histogram."""
     return sum(hist.total for (metric, _), hist in metrics.histograms.items() if metric == name)
@@ -413,12 +437,14 @@ def diagnose_run(
     whether observability was enabled or not.
 
     Emission order is fixed (trajectory, consistency, per-factor in index
-    order, timing last) so equal inputs produce byte-identical output.
+    order, time-capped paving, timing last) so equal inputs produce
+    byte-identical output.
     """
     diagnostics: List[Diagnostic] = []
     diagnostics.extend(_convergence_checks(round_reports, target_std))
     diagnostics.extend(_sigma_consistency_check(round_reports))
     diagnostics.extend(_factor_checks(factors))
+    diagnostics.extend(_paving_check(factors))
     if metrics is not None:
         diagnostics.extend(_timing_checks(metrics))
     return tuple(diagnostics)

@@ -35,6 +35,7 @@ METRIC_HELP: Mapping[str, str] = {
     "qcoral_factor_sigma": "Latest per-factor standard deviation estimate",
     "qcoral_store_outright_reuse_total": "Factors answered exactly from the store without sampling",
     "qcoral_store_warm_freeze_total": "Warm-started factors frozen without further sampling",
+    "qcoral_store_paving_reuse_total": "Factors whose strata were rebuilt from a stored paving instead of ICP",
     "sampler_draws_total": "Samples drawn, labelled by estimation method",
     "sampler_hits_total": "Satisfying samples, labelled by estimation method",
     "importance_refinement_splits_total": "Upfront mass-driven paving splits",
@@ -42,6 +43,7 @@ METRIC_HELP: Mapping[str, str] = {
     "importance_discarded_samples_total": "Samples discarded by adaptive refinement",
     "icp_boxes_explored_total": "Boxes popped by the ICP paving solver",
     "icp_contraction_passes_total": "Contraction passes run by the ICP solver",
+    "icp_time_capped_total": "ICP pavings cut short by the wall-clock budget",
     "icp_pave_seconds": "Wall-clock duration of one ICP paving",
     "exec_chunks_total": "Sampling chunks executed",
     "exec_samples_total": "Samples drawn inside executor chunks",
@@ -54,6 +56,7 @@ METRIC_HELP: Mapping[str, str] = {
     "store_hits_total": "Persistent-store lookups that found an entry",
     "store_publishes_total": "Delta publications into the persistent store",
     "store_warm_starts_total": "Factors warm-started from a store entry",
+    "store_claim_waits_total": "Runs that waited for another run to publish factors they need",
     "store_get_seconds": "Latency of one persistent-store get",
     "store_merge_seconds": "Latency of one persistent-store merge",
     "kernel_lookups_total": "Kernel cache lookups during the analysis",

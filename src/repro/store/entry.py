@@ -8,10 +8,11 @@ one of three kinds:
     Whole-domain hit-or-miss counts — ``hits`` out of ``samples``.
 ``"stratified"``
     Per-stratum hit-or-miss counts, one ``(hits, samples)`` pair per ICP
-    stratum in paving order.  The stratum boxes themselves are *not* stored:
-    the paving is a deterministic function of the factor, the domain, and the
-    ICP configuration, all three of which are part of the entry's key, so a
-    reader re-derives identical boxes and only needs the counts.
+    stratum in paving order, plus the paving itself: ``paving`` renders every
+    stratum box exactly (:func:`repro.core.stratified.render_paving`), so a
+    warm reader rebuilds its strata from the entry instead of re-paving with
+    ICP.  The key already commits to every input of that paving (factor,
+    domain, ICP configuration).
 ``"exact"``
     A probability resolved without sampling (ICP-exact factors), stored so a
     re-run skips the paving work too.
@@ -52,10 +53,11 @@ class StoreEntry:
         samples: Total samples drawn for this factor, across all merged runs.
         strata: Per-stratum ``(hits, samples)`` pairs (``"stratified"`` kind).
         exact_mean: The resolved probability (``"exact"`` kind).
-        paving: Canonical fingerprint of the ICP paving the stratum counts
-            refer to (``"stratified"`` kind).  The paving is *not* perfectly
-            reproducible — the solver has a wall-clock budget — so counts may
-            only be reused or pooled when the fingerprints agree.
+        paving: The paving the stratum counts refer to, rendered exactly in
+            canonical variable order (``"stratified"`` kind).  A warm run
+            rebuilds its strata from it; counts only pool into an entry with
+            the same paving text, because a re-paved factor (the solver has
+            a wall-clock budget) can come out different.
         spawned: Seed-stream children consumed drawing these samples (the
             warm-start fast-forward distance on the sharded path).
         runs: How many run deltas have been merged into this entry.
@@ -124,10 +126,11 @@ class StoreEntry:
         """The finished estimate this entry encodes.
 
         Stratified entries need the per-stratum *weights* (probability masses
-        of the paved boxes under the profile), which the reader re-derives
-        from the paving; inner boxes are not part of the stored counts, so
-        callers that need the full stratified estimate should instead preload
-        a :class:`~repro.core.stratified.StratifiedSampler` and ask it.
+        of the stored boxes under the profile), which the reader computes from
+        the boxes decoded out of ``paving``; inner strata carry no counts, so
+        callers that need the full stratified estimate should instead build a
+        :class:`~repro.core.stratified.StratifiedSampler` over the decoded
+        paving, preload the counts, and ask it.
         """
         if self.kind == "exact":
             return Estimate.exact(self.exact_mean)
@@ -162,10 +165,12 @@ class StoreEntry:
         can pave exactly on a fast machine (an ``exact`` delta) and time out
         into sampled strata on a loaded one (a ``stratified`` delta) under
         one key.  Similarly, stratified counts are only poolable over *the
-        same paving*; on a paving (or residual kind) mismatch the merge
-        keeps whichever pool holds more samples instead of corrupting both —
-        losing the smaller pool is the price of an append-forever store that
-        never blocks a writer.
+        same paving*.  Warm runs adopt the stored paving, so their deltas
+        match it; a concurrent cold run may have paved differently, and on
+        such a paving (or residual kind) mismatch the merge keeps whichever
+        pool holds more samples instead of corrupting both — losing the
+        smaller pool is the price of an append-forever store that never
+        blocks a writer.
         """
         if self.kind == "exact" or other.kind == "exact":
             exact = self if self.kind == "exact" else other

@@ -14,6 +14,7 @@ from repro.icp import (
     hc4_revise,
     pave,
 )
+from repro.icp.hc4 import constraint_trees
 from repro.intervals import Box, Interval
 from repro.lang.parser import parse_constraint, parse_expression, parse_path_condition
 
@@ -187,6 +188,23 @@ class TestPaving:
         pc = parse_path_condition("x * x + y * y <= 1")
         paving = pave(pc, box(x=(-2, 2), y=(-2, 2)))
         assert 0.0 < paving.covered_fraction() <= 1.0
+
+    def test_time_capped_flag(self):
+        pc = parse_path_condition("x * x + y * y <= 1")
+        domain = box(x=(-2, 2), y=(-2, 2))
+        # The box budget, not the clock, ends the default search.
+        assert not pave(pc, domain).time_capped
+        assert pave(pc, domain, ICPConfig(max_boxes=1000, time_budget=1e-9)).time_capped
+
+    def test_reused_constraint_trees_match_fresh_contraction(self):
+        pc = parse_path_condition("x * x + y * y <= 1 && sin(x * y) >= -0.5 && (x - y) * (x - y) <= 2")
+        trees = constraint_trees(pc)
+        for low in (-2.0, -1.0, -0.5, 0.0, 0.5):
+            start = box(x=(low, low + 1.5), y=(-low - 1, 2))
+            assert contract(pc, start, trees=trees) == contract(pc, start)
+            for tree, constraint in zip(trees, pc.constraints):
+                assert tree.revise(start) == hc4_revise(constraint, start)
+                assert tree.certainly_holds(start) == constraint_certainly_holds(constraint, start)
 
     def test_inner_volume_below_exact_solution_volume(self):
         pc = parse_path_condition("x * x + y * y <= 1")

@@ -380,6 +380,26 @@ def test_diagnostics_shape_and_round_trip():
         Diagnostic.from_dict({"severity": "fatal", "code": "X", "message": "bad severity"})
 
 
+def test_time_capped_paving_is_reported():
+    import dataclasses
+
+    from repro.icp.config import ICPConfig
+
+    capped = dataclasses.replace(
+        QCoralConfig.strat_partcache(SAMPLES, seed=SEED), icp=ICPConfig(max_boxes=1000, time_budget=1e-9)
+    )
+    hub = Observability()
+    with Session(observability=hub) as session:
+        report = session.quantify("x * x + y * y <= 1", BOUNDS, config=capped).run()
+    (record,) = [record for record in report.diagnostics if record.code == "PAVING_TIME_CAPPED"]
+    assert record.severity == "warning" and record.timing
+    assert dict(record.evidence) == {"capped_factors": 1, "factors": "0"}
+    assert record not in deterministic_diagnostics(report.diagnostics)
+    assert hub.snapshot().counter("icp_time_capped_total") == 1
+    # An uncapped run reports neither.
+    assert "PAVING_TIME_CAPPED" not in {record.code for record in _run().diagnostics}
+
+
 def test_metrics_from_dict_rejects_malformed_payloads():
     good = _run(observability=Observability()).metrics.to_dict()
     assert MetricsSnapshot.from_dict(good) is not None

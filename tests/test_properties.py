@@ -5,6 +5,7 @@ on:
 
 * interval arithmetic and the interval evaluator are *enclosing*;
 * HC4 contraction and paving never lose solutions (soundness of ICP);
+* the stored paving text decodes back to exactly the boxes it renders;
 * the estimate algebra matches the closed-form mean/variance formulas;
 * the compiled NumPy evaluator agrees with the reference interpreter;
 * stratified estimates converge to the exact probability for box-shaped events.
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core.estimate import Estimate, product_independent, sum_disjoint
 from repro.core.profiles import UsageProfile
+from repro.core.stratified import decode_paving, render_paving
 from repro.icp.hc4 import evaluate_interval, hc4_revise
+from repro.icp.solver import PavedBox
 from repro.intervals import Box, Interval
 from repro.lang import ast
 from repro.lang.compiler import compile_expression
@@ -155,6 +158,40 @@ class TestEnclosureProperties:
                 assert math.isnan(actual)
             else:
                 assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+# --------------------------------------------------------------------------- #
+# Stored paving text
+# --------------------------------------------------------------------------- #
+any_bounds = st.floats(allow_nan=False)
+
+
+@st.composite
+def pavings(draw):
+    """Boxes over a random variable order, plus a canonical order of the same names."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    canonical = draw(st.permutations(names))
+    boxes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        intervals = {}
+        for name in names:
+            low, high = sorted((draw(any_bounds), draw(any_bounds)))
+            intervals[name] = Interval(low, high)
+        boxes.append(PavedBox(Box(intervals), inner=draw(st.booleans())))
+    return tuple(names), tuple(canonical), tuple(boxes)
+
+
+class TestPavingTextProperties:
+    @settings(max_examples=100)
+    @given(pavings())
+    def test_decode_inverts_render(self, paving):
+        names, canonical, boxes = paving
+        text = render_paving(boxes, canonical)
+        decoded = decode_paving(text, canonical, names)
+        assert decoded == boxes
+        assert all(paved.box.variables == names for paved in decoded)
+        # Exact, sign of zero included: the decoded boxes render to the same text.
+        assert render_paving(decoded, canonical) == text
 
 
 # --------------------------------------------------------------------------- #

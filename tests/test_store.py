@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.errors import ConfigurationError
 from repro.lang.canonical import alpha_canonical, alpha_equivalent
 from repro.lang.parser import parse_constraint_set, parse_path_condition
+from repro.obs import Observability
 from repro.store import (
     ESTIMATOR_VERSION,
     JsonlStore,
@@ -532,3 +534,294 @@ class TestPipelineReuse:
         assert stats.store_hits >= 1
         assert stats.store_misses >= 1
         assert report.total_samples == 3000
+
+
+# --------------------------------------------------------------------------- #
+# Warm factors rebuild their strata from the stored paving
+# --------------------------------------------------------------------------- #
+FILE_BACKENDS = ("jsonl", "sqlite")
+TWO_FACTORS = "x * x + y * y <= 1 && sin(z) <= 0.5"
+PROFILE_3D = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1), "z": (0, 3)})
+
+
+@pytest.fixture
+def pave_calls(monkeypatch):
+    """Counts ``ICPSolver.pave`` calls; read and reset ``counter["calls"]``."""
+    from repro.icp.solver import ICPSolver
+
+    counter = {"calls": 0}
+    original = ICPSolver.pave
+
+    def pave(solver, *args, **kwargs):
+        counter["calls"] += 1
+        return original(solver, *args, **kwargs)
+
+    monkeypatch.setattr(ICPSolver, "pave", pave)
+    return counter
+
+
+def _force_icp(monkeypatch):
+    """Make every stored paving undecodable, so warm factors re-pave with ICP."""
+    import repro.core.qcoral as qcoral_module
+
+    monkeypatch.setattr(qcoral_module, "decode_paving", lambda *args, **kwargs: None)
+
+
+def _run(profile, text, config, store, observability=None):
+    with QCoralAnalyzer(profile, config, store=store, observability=observability) as analyzer:
+        return analyzer.analyze(parse_constraint_set(text))
+
+
+def _entries(store):
+    return {key: store.get(key).to_dict() for key in store.keys()}
+
+
+def _normal_profile():
+    from repro.core.profiles import TruncatedNormalDistribution
+
+    return UsageProfile(
+        {
+            "x": TruncatedNormalDistribution(0.2, 0.4, -1.0, 1.0),
+            "y": TruncatedNormalDistribution(-0.1, 0.5, -1.0, 1.0),
+            "z": TruncatedNormalDistribution(1.0, 0.8, 0.0, 3.0),
+        }
+    )
+
+
+class TestStoredPavingReuse:
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    def test_warm_rerun_makes_no_pave_calls(self, backend, tmp_path, pave_calls):
+        store = make_store(backend, tmp_path)
+        config = QCoralConfig.strat_partcache(4000, seed=5)
+        cold = _run(PROFILE_3D, TWO_FACTORS, config, store)
+        assert cold.total_samples > 0
+        assert pave_calls["calls"] == 2
+        pave_calls["calls"] = 0
+        warm = _run(PROFILE_3D, TWO_FACTORS, config, store)
+        assert warm.total_samples == 0
+        assert (warm.mean, warm.variance) == (cold.mean, cold.variance)
+        # A top-up warm-starts both factors from their stored pavings.
+        hub = Observability()
+        topup = _run(PROFILE_3D, TWO_FACTORS, QCoralConfig.strat_partcache(9000, seed=5), store, hub)
+        assert topup.total_samples == 10_000
+        assert topup.cache_statistics.warm_starts == 2
+        assert hub.snapshot().counter("qcoral_store_paving_reuse_total") == 2
+        assert pave_calls["calls"] == 0
+        store.close()
+
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    @pytest.mark.parametrize("method", ("hit-or-miss", "importance"))
+    def test_decoded_paving_matches_forced_icp(self, backend, method, tmp_path, pave_calls, monkeypatch):
+        if method == "importance":
+            profile = _normal_profile()
+            cold_config = QCoralConfig.importance(3000, seed=21, mass_split_boxes=12)
+            warm_config = QCoralConfig.importance(7000, seed=21, mass_split_boxes=12)
+        else:
+            profile = PROFILE_3D
+            cold_config = QCoralConfig.strat_partcache(3000, seed=21)
+            warm_config = QCoralConfig.strat_partcache(7000, seed=21)
+        stores = []
+        for name in ("decoded", "forced"):
+            (tmp_path / name).mkdir()
+            stores.append(make_store(backend, tmp_path / name))
+            _run(profile, TWO_FACTORS, cold_config, stores[-1])
+        decoded_store, forced_store = stores
+
+        pave_calls["calls"] = 0
+        decoded = _run(profile, TWO_FACTORS, warm_config, decoded_store)
+        assert pave_calls["calls"] == 0
+        _force_icp(monkeypatch)
+        forced = _run(profile, TWO_FACTORS, warm_config, forced_store)
+        assert pave_calls["calls"] == 2
+
+        assert decoded.mean.hex() == forced.mean.hex()
+        assert decoded.variance.hex() == forced.variance.hex()
+        assert decoded.total_samples == forced.total_samples > 0
+        assert decoded.cache_statistics.warm_starts == forced.cache_statistics.warm_starts == 2
+        assert _entries(decoded_store) == _entries(forced_store)
+        for store in stores:
+            store.close()
+
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    @pytest.mark.parametrize("damage", ("garbage", "box_count", "arity", "outside_domain"))
+    def test_malformed_paving_falls_back_to_icp(self, backend, damage, tmp_path, pave_calls):
+        import re
+
+        config = QCoralConfig.strat_partcache(3000, seed=4)
+        source = MemoryStore()
+        cold = _run(PROFILE_2D, CIRCLE, config, source)
+        (key,) = source.keys()
+        entry = source.get(key)
+        boxes = entry.paving.split("|")
+        assert len(boxes) > 1
+        if damage == "garbage":
+            paving = "not a paving"
+        elif damage == "box_count":
+            paving = "|".join(boxes[:-1])
+        elif damage == "arity":
+            paving = "|".join(re.sub(r"^([IB])\[[^\]]*\],", r"\1", box) for box in boxes)
+        else:
+            paving = "|".join([re.sub(r"^([IB])\[[^\]]*\]", r"\1[-1.0,5.0]", boxes[0])] + boxes[1:])
+        assert paving != entry.paving
+        store = make_store(backend, tmp_path)
+        store.merge(key, dataclasses.replace(entry, paving=paving))
+
+        pave_calls["calls"] = 0
+        warm = _run(PROFILE_2D, CIRCLE, config, store)
+        # ICP re-paved the factor; its paving differs from the damaged text,
+        # so the counts are not reused and the run equals the cold one.
+        assert pave_calls["calls"] == 1
+        assert warm.cache_statistics.warm_starts == 0
+        assert warm.total_samples == cold.total_samples
+        assert (warm.mean, warm.variance) == (cold.mean, cold.variance)
+        store.close()
+
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    def test_renamed_factor_maps_stored_boxes_to_its_names(self, backend, tmp_path, pave_calls, monkeypatch):
+        # x and y are distributed differently; the renaming sends x -> b and
+        # y -> a, so the sorted variable order flips against the canonical one.
+        profile = UsageProfile.uniform({"x": (-1, 1), "y": (0, 1.5)})
+        renamed_profile = UsageProfile.uniform({"b": (-1, 1), "a": (0, 1.5)})
+        text, renamed = "x * x + y <= 1.2", "b * b + a <= 1.2"
+        config = QCoralConfig.strat_partcache(3000, seed=13)
+        topup = QCoralConfig.strat_partcache(6000, seed=13)
+        stores = []
+        for name in ("decoded", "forced"):
+            (tmp_path / name).mkdir()
+            stores.append(make_store(backend, tmp_path / name))
+        cold = _run(profile, text, config, stores[0])
+        _run(profile, text, config, stores[1])
+
+        pave_calls["calls"] = 0
+        reused = _run(renamed_profile, renamed, config, stores[0])
+        assert pave_calls["calls"] == 0
+        assert reused.total_samples == 0
+        assert (reused.mean, reused.variance) == (cold.mean, cold.variance)
+
+        decoded = _run(renamed_profile, renamed, topup, stores[0])
+        assert pave_calls["calls"] == 0
+        _force_icp(monkeypatch)
+        forced = _run(renamed_profile, renamed, topup, stores[1])
+        assert pave_calls["calls"] == 1
+        assert decoded.cache_statistics.warm_starts == forced.cache_statistics.warm_starts == 1
+        assert (decoded.mean.hex(), decoded.variance.hex()) == (forced.mean.hex(), forced.variance.hex())
+        assert decoded.total_samples == forced.total_samples == 3000
+        for store in stores:
+            store.close()
+
+    def test_factory_without_paving_keyword_re_paves(self, tmp_path, pave_calls):
+        from repro.api import register_method, unregister_method
+        from repro.core.stratified import StratifiedSampler
+
+        def make_sampler(factor, profile, rng, *, variables, solver, seed_stream, chunk_size, config):
+            return StratifiedSampler(
+                factor, profile, rng, variables=variables, solver=solver, seed_stream=seed_stream, chunk_size=chunk_size
+            )
+
+        register_method("strat-legacy", make_sampler)
+        try:
+            store = make_store("sqlite", tmp_path)
+            config = QCoralConfig(samples_per_query=3000, seed=2, method="strat-legacy")
+            cold = _run(PROFILE_2D, CIRCLE, config, store)
+            pave_calls["calls"] = 0
+            warm = _run(PROFILE_2D, CIRCLE, config, store)
+            assert pave_calls["calls"] == 1
+            assert warm.total_samples == 0
+            assert (warm.mean, warm.variance) == (cold.mean, cold.variance)
+            store.close()
+        finally:
+            unregister_method("strat-legacy")
+
+
+# --------------------------------------------------------------------------- #
+# Runs sharing one store handle sample each factor once
+# --------------------------------------------------------------------------- #
+def _hold(config, store):
+    """Start a run and stop after its first round: it holds its factors' claims."""
+    analyzer = QCoralAnalyzer(PROFILE_3D, config, store=store)
+    stream = analyzer.analyze_stream(parse_constraint_set(TWO_FACTORS))
+    next(stream)
+    return analyzer, stream
+
+
+def _finish(analyzer, stream):
+    try:
+        while True:
+            next(stream)
+    except StopIteration as done:
+        return done.value
+    finally:
+        analyzer.close()
+
+
+def _in_thread(config, store, hub):
+    results = {}
+    thread = threading.Thread(target=lambda: results.update(report=_run(PROFILE_3D, TWO_FACTORS, config, store, hub)))
+    thread.start()
+    return thread, results
+
+
+class TestClaimedFactors:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_second_run_waits_for_the_first_and_reuses_it(self, backend, tmp_path):
+        store = make_store(backend, tmp_path)
+        config = QCoralConfig.strat_partcache(4000, seed=5)
+        analyzer, stream = _hold(config, store)
+        hub = Observability()
+        thread, results = _in_thread(dataclasses.replace(config, seed=6), store, hub)
+        thread.join(0.3)
+        assert thread.is_alive()  # waiting for the first run to publish
+        first = _finish(analyzer, stream)
+        thread.join(10)
+        assert not thread.is_alive()
+        assert first.total_samples == 8000
+        assert results["report"].total_samples == 0
+        assert (results["report"].mean, results["report"].variance) == (first.mean, first.variance)
+        assert hub.snapshot().counter("store_claim_waits_total") == 1
+        assert sorted(entry["samples"] for entry in _entries(store).values()) == [4000, 4000]
+        store.close()
+
+    def test_a_thread_never_waits_for_its_own_run(self, tmp_path):
+        store = make_store("sqlite", tmp_path)
+        config = QCoralConfig.strat_partcache(4000, seed=5)
+        analyzer, stream = _hold(config, store)
+        # Same thread, same factors: waiting would deadlock, so it samples.
+        second = _run(PROFILE_3D, TWO_FACTORS, dataclasses.replace(config, seed=6), store)
+        assert second.total_samples == 8000
+        _finish(analyzer, stream)
+        assert sorted(entry["samples"] for entry in _entries(store).values()) == [8000, 8000]
+        store.close()
+
+    def test_a_stalled_run_blocks_others_only_until_the_wait_limit(self, tmp_path, monkeypatch):
+        import repro.core.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "CLAIM_WAIT_S", 0.2)
+        store = make_store("sqlite", tmp_path)
+        config = QCoralConfig.strat_partcache(4000, seed=5)
+        analyzer, stream = _hold(config, store)
+        thread, results = _in_thread(dataclasses.replace(config, seed=6), store, Observability())
+        thread.join(10)
+        assert not thread.is_alive()
+        assert results["report"].total_samples == 8000
+        stream.close()
+        analyzer.close()
+        store.close()
+
+    def test_a_failed_run_releases_its_claims(self, tmp_path, monkeypatch):
+        store = make_store("sqlite", tmp_path)
+        config = QCoralConfig.strat_partcache(4000, seed=5)
+
+        def fail(self, plan, states):
+            raise RuntimeError("sampling failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(QCoralAnalyzer, "_round_loop", fail)
+            with pytest.raises(RuntimeError):
+                _run(PROFILE_3D, TWO_FACTORS, config, store)
+        hub = Observability()
+        thread, results = _in_thread(config, store, hub)
+        thread.join(10)
+        assert not thread.is_alive()
+        assert results["report"].total_samples == 8000
+        assert hub.snapshot().counter("store_claim_waits_total") == 0
+        store.close()
