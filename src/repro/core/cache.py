@@ -202,9 +202,13 @@ class EstimateCache:
     # ------------------------------------------------------------------ #
     # L1: the in-run tier
     # ------------------------------------------------------------------ #
-    def get(self, factor: ast.PathCondition) -> Optional[Estimate]:
-        """Cached estimate for ``factor`` or None, updating the counters."""
-        key = self.key_for(factor)
+    def get(self, factor: ast.PathCondition, key: Optional[str] = None) -> Optional[Estimate]:
+        """Cached estimate for ``factor`` or None, updating the counters.
+
+        ``key`` is ``key_for(factor)``, when the caller already holds it.
+        """
+        if key is None:
+            key = self.key_for(factor)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -213,9 +217,10 @@ class EstimateCache:
                 self._statistics.hits += 1
             return entry
 
-    def put(self, factor: ast.PathCondition, estimate: Estimate) -> None:
-        """Store the estimate for ``factor``."""
-        key = self.key_for(factor)
+    def put(self, factor: ast.PathCondition, estimate: Estimate, key: Optional[str] = None) -> None:
+        """Store the estimate for ``factor`` (``key`` as in :meth:`get`)."""
+        if key is None:
+            key = self.key_for(factor)
         with self._lock:
             self._entries[key] = estimate
 

@@ -107,8 +107,15 @@ def compute_dependency_partition(
     union_find = UnionFind()
     for variable in extra_variables:
         union_find.add(variable)
+    # Path conditions from symbolic execution share conjunct objects; merging
+    # one object's variables a second time changes nothing.  Each object is
+    # held here, so its id cannot pass to a new one mid-loop.
+    merged: Dict[int, ast.Constraint] = {}
     for pc in path_conditions:
         for constraint in pc.constraints:
+            if id(constraint) in merged:
+                continue
+            merged[id(constraint)] = constraint
             names = sorted(constraint.free_variables())
             for name in names:
                 union_find.add(name)

@@ -712,8 +712,11 @@ class QCoralAnalyzer:
             )
         self._profile.check_covers(constraint_set.free_variables())
 
+        # Symbolic execution shares conjunct objects between paths; the memo
+        # simplifies each shared object once.
+        simplified: Dict[int, Tuple[ast.Constraint, ast.Constraint, str]] = {}
         path_conditions = [
-            simplify_path_condition(pc) if self._config.simplify else pc
+            simplify_path_condition(pc, simplified) if self._config.simplify else pc
             for pc in constraint_set.path_conditions
         ]
 
@@ -766,23 +769,24 @@ class QCoralAnalyzer:
         kernel_before: Optional[KernelCacheStats] = None,
     ) -> QCoralResult:
         """Assemble the result and flush caches/stores after the round loop."""
+        estimates = _estimates_of(states)
         reports = []
         total_samples = 0
         for pc, occurrences in plan:
-            report = self._report_for(pc, occurrences)
+            report = self._report_for(pc, occurrences, estimates)
             reports.append(report)
             total_samples += sum(factor.samples for factor in report.factors)
 
         if self._config.partition_and_cache:
             for state in states:
                 if not state.cached:
-                    self._cache.put(state.factor, state.estimate())
+                    self._cache.put(state.factor, estimates[state], key=state.key)
             self._publish_states(states)
 
         estimate = compose_disjoint_path_conditions(report.estimate for report in reports)
         elapsed = time.perf_counter() - started
         self._record_kernel_delta(kernel_before)
-        diagnostics = self._diagnose(states, round_reports)
+        diagnostics = self._diagnose(states, round_reports, estimates)
         return QCoralResult(
             estimate=estimate,
             path_reports=tuple(reports),
@@ -802,6 +806,7 @@ class QCoralAnalyzer:
         self,
         states: Sequence["_FactorState"],
         round_reports: Tuple[RoundReport, ...],
+        estimates: Dict["_FactorState", Estimate],
     ) -> Tuple[Diagnostic, ...]:
         """The run-health diagnostics pass over the finished run.
 
@@ -820,7 +825,7 @@ class QCoralAnalyzer:
             if not state.sampleable:
                 continue
             sampler = state.sampler
-            estimate = state.estimate()
+            estimate = estimates[state]
             strata: Tuple[StratumHealth, ...] = ()
             ess: Optional[float] = None
             method = "montecarlo"
@@ -866,12 +871,13 @@ class QCoralAnalyzer:
         plan, states, claimed = self._build_plan([simplified], partition)
         try:
             self._run_rounds(plan, states)
+            estimates = _estimates_of(states)
             (entry,) = plan
-            report = self._report_for(*entry)
+            report = self._report_for(*entry, estimates)
             if self._config.partition_and_cache:
                 for state in states:
                     if not state.cached:
-                        self._cache.put(state.factor, state.estimate())
+                        self._cache.put(state.factor, estimates[state], key=state.key)
                 self._publish_states(states)
         finally:
             self._cache.release(claimed)
@@ -889,10 +895,13 @@ class QCoralAnalyzer:
         return DependencyPartition(())
 
     def _split_factors(
-        self, pc: ast.PathCondition, partition: DependencyPartition
+        self,
+        pc: ast.PathCondition,
+        partition: DependencyPartition,
+        memo: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]],
     ) -> Sequence[Tuple[FrozenSet[str], ast.PathCondition]]:
         if self._config.partition_and_cache and len(partition) > 0:
-            return group_constraints_by_block(pc, tuple(partition))
+            return group_constraints_by_block(pc, partition.blocks, memo)
         return [(frozenset(pc.free_variables()), pc)]
 
     def _build_plan(
@@ -913,17 +922,34 @@ class QCoralAnalyzer:
         sharing = self._config.partition_and_cache
         factors: Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]] = {}
         layout: List[Tuple[ast.PathCondition, List[str]]] = []
+        # Each distinct factor is keyed once: by the identities of its
+        # conjuncts (shared between path conditions by symbolic execution),
+        # failing that by its canonical text.  Both are exact, unlike
+        # dataclass equality (0.0 == -0.0).  The path conditions hold the
+        # conjuncts for the whole plan, so their ids stay theirs.
+        keys_by_identity: Dict[Tuple[int, ...], str] = {}
+        keys_by_text: Dict[str, str] = {}
+        conjunct_variables: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]] = {}
         for index, pc in enumerate(path_conditions):
             keys: List[str] = []
             if pc.constraints:
-                for variables, factor in self._split_factors(pc, partition):
-                    ordered = tuple(sorted(variables & factor.free_variables())) or tuple(
-                        sorted(factor.free_variables())
-                    )
-                    # Without caching, factors are never shared between PCs:
-                    # a per-PC key keeps every occurrence independent.
-                    key = EstimateCache.key_for(factor) if sharing else f"pc{index}:{factor.canonical()}"
-                    factors.setdefault(key, (factor, ordered))
+                for variables, factor in self._split_factors(pc, partition, conjunct_variables):
+                    if sharing:
+                        identity = tuple(map(id, factor.constraints))
+                        key = keys_by_identity.get(identity)
+                        if key is None:
+                            text = factor.canonical()
+                            key = keys_by_text.get(text)
+                            if key is None:
+                                key = keys_by_text[text] = EstimateCache.key_for(factor)
+                            keys_by_identity[identity] = key
+                    else:
+                        # Without caching, factors are never shared between
+                        # PCs: a per-PC key keeps every occurrence independent.
+                        key = f"pc{index}:{factor.canonical()}"
+                    if key not in factors:
+                        names = factor.free_variables()
+                        factors[key] = (factor, tuple(sorted(variables & names)) or tuple(sorted(names)))
                     keys.append(key)
             layout.append((pc, keys))
 
@@ -960,7 +986,7 @@ class QCoralAnalyzer:
         state = _FactorState(key, factor, variables)
         entry: Optional[StoreEntry] = None
         if self._config.partition_and_cache:
-            cached = self._cache.get(factor)
+            cached = self._cache.get(factor, key=key)
             if cached is not None:
                 state.exact = cached
                 state.cached = True
@@ -973,7 +999,7 @@ class QCoralAnalyzer:
                     # (ICP-exact); reuse skips even the paving work.
                     state.exact = Estimate.exact(entry.exact_mean)
                     state.cached = True
-                    self._cache.put(factor, state.exact)
+                    self._cache.put(factor, state.exact, key=key)
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
         parallel = self._executor is not None
@@ -1033,7 +1059,7 @@ class QCoralAnalyzer:
             # is a finished cross-run reuse, frozen before any sampling.
             state.exact = state.estimate()
             state.cached = True
-            self._cache.put(factor, state.exact)
+            self._cache.put(factor, state.exact, key=key)
             self._obs.count("qcoral_store_warm_freeze_total")
         return state
 
@@ -1214,6 +1240,9 @@ class QCoralAnalyzer:
         spent = 0
 
         obs = self._obs
+        # One estimate per factor state, taken after each round's sampling;
+        # the next round's priorities read the same snapshot.
+        estimates: Dict[_FactorState, Estimate] = {}
         for round_index in range(1, max_rounds + 1):
             remaining = total_budget - spent
             if remaining <= 0:
@@ -1242,7 +1271,7 @@ class QCoralAnalyzer:
                     else:
                         priorities = [1.0] * len(active)
                 else:
-                    priorities = self._factor_priorities(plan, active)
+                    priorities = self._factor_priorities(plan, active, estimates)
                 shares = allocate_budget(priorities, chunk)
                 for state, share in zip(active, shares):
                     if share > 0:
@@ -1260,7 +1289,8 @@ class QCoralAnalyzer:
                         used += self._extend_factor(state, share)
                 spent += used
 
-            combined = self._combined_estimate(plan)
+            estimates = _estimates_of(states)
+            combined = self._combined_estimate(plan, estimates)
             if obs.enabled:
                 obs.count("qcoral_rounds_total")
                 obs.count("qcoral_samples_total", used)
@@ -1269,7 +1299,7 @@ class QCoralAnalyzer:
                 for factor_index, (state, share) in enumerate(zip(active, shares)):
                     if share:
                         obs.count("qcoral_factor_allocated_total", share, factor=factor_index)
-                    obs.gauge("qcoral_factor_sigma", state.estimate().std, factor=factor_index)
+                    obs.gauge("qcoral_factor_sigma", estimates[state].std, factor=factor_index)
             report = RoundReport(round_index, used, spent, combined)
             rounds.append(report)
             stop = yield report
@@ -1364,6 +1394,7 @@ class QCoralAnalyzer:
         self,
         plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]],
         active: Sequence[_FactorState],
+        estimates: Dict[_FactorState, Estimate],
     ) -> List[float]:
         """Generalised Neyman priorities for the active factors.
 
@@ -1382,7 +1413,7 @@ class QCoralAnalyzer:
                 if id(state) not in seen:
                     seen.add(id(state))
                     unique.append(state)
-            means = [state.estimate().mean for state in unique]
+            means = [estimates[state].mean for state in unique]
             for position, state in enumerate(unique):
                 if id(state) not in coefficients:
                     continue
@@ -1395,7 +1426,7 @@ class QCoralAnalyzer:
         priorities = []
         for state in active:
             samples = state.samples
-            estimate = state.estimate()
+            estimate = estimates[state]
             if samples == 0:
                 per_sample_std = 0.5
             else:
@@ -1411,20 +1442,27 @@ class QCoralAnalyzer:
             priorities.append(math.sqrt(coefficients[id(state)]) * per_sample_std)
         return priorities
 
-    def _combined_estimate(self, plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]]) -> Estimate:
+    def _combined_estimate(
+        self,
+        plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]],
+        estimates: Dict[_FactorState, Estimate],
+    ) -> Estimate:
         pc_estimates = []
         for pc, occurrences in plan:
             if not pc.constraints:
                 pc_estimates.append(Estimate.one())
             else:
-                pc_estimates.append(compose_independent_factors(state.estimate() for state, _ in occurrences))
+                pc_estimates.append(compose_independent_factors(estimates[state] for state, _ in occurrences))
         return compose_disjoint_path_conditions(pc_estimates)
 
     # ------------------------------------------------------------------ #
     # Report assembly
     # ------------------------------------------------------------------ #
     def _report_for(
-        self, pc: ast.PathCondition, occurrences: Sequence[Tuple[_FactorState, bool]]
+        self,
+        pc: ast.PathCondition,
+        occurrences: Sequence[Tuple[_FactorState, bool]],
+        estimates: Dict[_FactorState, Estimate],
     ) -> PathConditionReport:
         if not pc.constraints:
             # A trivially true path condition covers the whole domain.
@@ -1436,7 +1474,7 @@ class QCoralAnalyzer:
                 FactorReport(
                     variables=frozenset(state.variables),
                     factor=state.factor,
-                    estimate=state.estimate(),
+                    estimate=estimates[state],
                     from_cache=state.cached or not first,
                     samples=state.fresh_samples if owns_samples else 0,
                     warm=state.warm,
@@ -1444,6 +1482,11 @@ class QCoralAnalyzer:
             )
         estimate = compose_independent_factors(report.estimate for report in factor_reports)
         return PathConditionReport(pc, estimate, tuple(factor_reports))
+
+
+def _estimates_of(states: Sequence[_FactorState]) -> Dict[_FactorState, Estimate]:
+    """One :meth:`_FactorState.estimate` per state (a full stratum sum each)."""
+    return {state: state.estimate() for state in states}
 
 
 def _drain(stream):

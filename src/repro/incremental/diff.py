@@ -25,7 +25,7 @@ because it reuses the very digests the store indexes by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.dependency import compute_dependency_partition
 from repro.core.methods import store_method_tag
@@ -169,16 +169,25 @@ def factor_versions(
     engine's in-run sharing.
     """
     profile.check_covers(constraint_set.free_variables())
+    simplified: Dict[int, Tuple[ast.Constraint, ast.Constraint, str]] = {}
     path_conditions = [
-        simplify_path_condition(pc) if simplify else pc for pc in constraint_set.path_conditions
+        simplify_path_condition(pc, simplified) if simplify else pc for pc in constraint_set.path_conditions
     ]
     partition = compute_dependency_partition(path_conditions)
     context = StoreContext(profile, method)
     versions: Dict[str, FactorVersion] = {}
+    # Each distinct factor is keyed once, by its canonical text (exact where
+    # dataclass equality is not: 0.0 == -0.0).
+    keyed: Set[str] = set()
+    conjunct_variables: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]] = {}
     for pc in path_conditions:
         if not pc.constraints:
             continue
-        for _, factor in group_constraints_by_block(pc, tuple(partition)):
+        for _, factor in group_constraints_by_block(pc, partition.blocks, conjunct_variables):
+            text = factor.canonical()
+            if text in keyed:
+                continue
+            keyed.add(text)
             key = context.key_for(factor)
             if key.digest not in versions:
                 versions[key.digest] = FactorVersion(

@@ -11,7 +11,7 @@ These helpers back two parts of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lang import ast
 
@@ -77,18 +77,34 @@ def extract_related_constraints(pc: ast.PathCondition, variable_block: Iterable[
 
 
 def group_constraints_by_block(
-    pc: ast.PathCondition, blocks: Sequence[FrozenSet[str]]
+    pc: ast.PathCondition,
+    blocks: Sequence[FrozenSet[str]],
+    memo: Optional[Dict[int, Tuple[ast.Constraint, FrozenSet[str]]]] = None,
 ) -> List[Tuple[FrozenSet[str], ast.PathCondition]]:
     """Split ``pc`` into per-block factors, in the order of ``blocks``.
 
+    Each block's factor is :func:`extract_related_constraints` of ``pc``.
     Blocks whose factor is empty (no conjunct of ``pc`` mentions them) are
     skipped: they contribute a factor with probability one and can be ignored.
+
+    ``memo`` lets a caller splitting many path conditions that share conjunct
+    objects walk each object's variables once: it maps ``id(constraint)`` to
+    the constraint (kept alive, so the id stays its own) and its free
+    variables.
     """
+    if memo is None:
+        memo = {}
+    conjuncts: List[Tuple[ast.Constraint, FrozenSet[str]]] = []
+    for constraint in pc.constraints:
+        entry = memo.get(id(constraint))
+        if entry is None:
+            entry = memo[id(constraint)] = (constraint, constraint.free_variables())
+        conjuncts.append(entry)
     factors: List[Tuple[FrozenSet[str], ast.PathCondition]] = []
     for block in blocks:
-        factor = extract_related_constraints(pc, block)
-        if factor.constraints:
-            factors.append((block, factor))
+        selected = [constraint for constraint, names in conjuncts if names & block]
+        if selected:
+            factors.append((block, ast.PathCondition.of(selected, pc.label)))
     return factors
 
 

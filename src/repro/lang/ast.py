@@ -17,7 +17,7 @@ node knows its free variables and a canonical textual form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple, Union
 
 Number = Union[int, float]
 
@@ -280,10 +280,17 @@ class ConstraintSet:
 
     def free_variables(self) -> FrozenSet[str]:
         """Union of the free variables of all member path conditions."""
-        names: FrozenSet[str] = frozenset()
+        names: Set[str] = set()
+        # Path conditions from symbolic execution share conjunct objects;
+        # each object is walked once (this set holds every conjunct, so the
+        # ids stay theirs).
+        walked: Set[int] = set()
         for pc in self.path_conditions:
-            names |= pc.free_variables()
-        return names
+            for constraint in pc.constraints:
+                if id(constraint) not in walked:
+                    walked.add(id(constraint))
+                    names |= constraint.free_variables()
+        return frozenset(names)
 
     def __len__(self) -> int:
         return len(self.path_conditions)

@@ -17,7 +17,7 @@ are applied (constant folding uses the same float semantics as the evaluator).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.lang import ast
 from repro.lang.evaluator import evaluate
@@ -98,19 +98,33 @@ def simplify_constraint(constraint: ast.Constraint) -> ast.Constraint:
     )
 
 
-def simplify_path_condition(pc: ast.PathCondition) -> ast.PathCondition:
+def simplify_path_condition(
+    pc: ast.PathCondition,
+    memo: Optional[Dict[int, Tuple[ast.Constraint, ast.Constraint, str]]] = None,
+) -> ast.PathCondition:
     """Simplify every conjunct, dropping exact duplicates.
 
     Duplicate conjuncts are common in symbolic-execution output (the same
     branch condition re-checked inside a loop body); removing them shrinks the
     work done by both the ICP solver and the samplers without changing the
     solution set.
+
+    ``memo`` lets a caller simplifying many path conditions that share
+    conjunct *objects* (symbolic execution shares them between paths)
+    simplify each object once: it maps ``id(constraint)`` to the constraint
+    (kept alive, so the id stays its own), its simplified form and that
+    form's canonical text.
     """
+    if memo is None:
+        memo = {}
     seen = set()
     simplified = []
     for constraint in pc.constraints:
-        reduced = simplify_constraint(constraint)
-        key = reduced.canonical()
+        entry = memo.get(id(constraint))
+        if entry is None:
+            reduced = simplify_constraint(constraint)
+            entry = memo[id(constraint)] = (constraint, reduced, reduced.canonical())
+        _, reduced, key = entry
         if key not in seen:
             seen.add(key)
             simplified.append(reduced)

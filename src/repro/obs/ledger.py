@@ -343,10 +343,12 @@ def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, .
     """The (method tag, sorted factor digests) identifying a run's family.
 
     Reuses the estimate store's canonical keys when a usage profile is
-    available (so ledger families line up with store sharing); otherwise
-    hashes the factors' canonical text.  Core/store imports live inside the
-    function — ``repro.core.stratified`` imports ``repro.obs``, so importing
-    the other direction at module level would cycle.
+    available (so ledger families line up with store sharing); a factor the
+    profile cannot key (it misses one of the factor's variables) hashes its
+    canonical text instead.  Each distinct factor is keyed once: the reports
+    of all its occurrences share one factor object.  Core/store imports live
+    inside the function — ``repro.core.stratified`` imports ``repro.obs``,
+    so importing the other direction at module level would cycle.
     """
     from repro.core.methods import store_method_tag
     from repro.store.keys import StoreContext
@@ -358,18 +360,24 @@ def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, .
         method_tag = store_method_tag(config)
         if profile is not None:
             context = StoreContext(profile, method_tag)
-    digests: List[str] = []
+    # Keyed by object identity; the report holds every factor, so no id is
+    # reused while this runs.
+    digests: Dict[int, str] = {}
     for path_report in report.path_reports:
         for factor_report in path_report.factors:
+            factor = factor_report.factor
+            if id(factor) in digests:
+                continue
+            digest = None
             if context is not None:
                 try:
-                    digests.append(context.key_for(factor_report.factor).digest)
-                    continue
+                    digest = context.key_for(factor).digest
                 except Exception:  # profile missing a variable: fall back to text
-                    context = None
-            canonical = factor_report.factor.canonical()
-            digests.append(hashlib.sha256(canonical.encode("utf-8")).hexdigest())
-    return method_tag, tuple(sorted(set(digests)))
+                    pass
+            if digest is None:
+                digest = hashlib.sha256(factor.canonical().encode("utf-8")).hexdigest()
+            digests[id(factor)] = digest
+    return method_tag, tuple(sorted(set(digests.values())))
 
 
 def family_digest(method_tag: str, factor_keys: Tuple[str, ...]) -> str:

@@ -117,6 +117,12 @@ class SymbolicExecutor:
         self._prune_infeasible = prune_infeasible
         self._domain = Box.from_bounds(program.input_bounds())
         self._truncated = False
+        # Branch memos of one execute() call, keyed by canonical text (exact
+        # where dataclass equality is not: 0.0 == -0.0).  Many paths reach
+        # the same branch with the same substituted constraint; each distinct
+        # one is simplified, decided and feasibility-checked once.
+        self._outcomes: Dict[str, Tuple[Tuple[bool, Optional[expr_ast.Constraint]], ...]] = {}
+        self._verdicts: Dict[str, Tuple[bool, Optional[expr_ast.Constraint]]] = {}
 
     def execute(self) -> SymbolicExecutionResult:
         """Run bounded symbolic execution and return every explored path."""
@@ -132,7 +138,11 @@ class SymbolicExecutor:
             events=[],
         )
         finished: List[SymbolicPath] = []
-        self._execute_block(self._program.body, 0, initial, finished)
+        try:
+            self._execute_block(self._program.body, 0, initial, finished)
+        finally:
+            self._outcomes.clear()
+            self._verdicts.clear()
         return SymbolicExecutionResult(self._program, tuple(finished), truncated=self._truncated)
 
     # ------------------------------------------------------------------ #
@@ -252,30 +262,57 @@ class SymbolicExecutor:
         raise SymbolicExecutionError(f"unknown condition type {type(condition).__name__}")
 
     def _branch_comparison(self, constraint: expr_ast.Constraint, state: _State) -> List[Tuple[_State, bool]]:
-        concrete = simplify_constraint(substitute_constraint(constraint, state.environment))
         outcomes: List[Tuple[_State, bool]] = []
-        for truth, branch_constraint in ((True, concrete), (False, concrete.negate())):
-            if self._is_trivially_decided(branch_constraint) is False:
-                continue
-            if self._prune_infeasible and branch_constraint.free_variables() and constraint_certainly_fails(
-                branch_constraint, self._domain
-            ):
-                continue
+        for truth, conjunct in self._feasible_outcomes(substitute_constraint(constraint, state.environment)):
             branch_state = state.clone()
             branch_state.decisions += 1
-            if branch_constraint.free_variables():
-                branch_state.condition.append(branch_constraint)
+            if conjunct is not None:
+                branch_state.condition.append(conjunct)
             outcomes.append((branch_state, truth))
         return outcomes
 
-    @staticmethod
-    def _is_trivially_decided(constraint: expr_ast.Constraint) -> Optional[bool]:
-        """True/False for variable-free constraints, True (keep) otherwise."""
-        if constraint.free_variables():
-            return True
-        from repro.lang.evaluator import holds
+    def _feasible_outcomes(
+        self, substituted: expr_ast.Constraint
+    ) -> Tuple[Tuple[bool, Optional[expr_ast.Constraint]], ...]:
+        """The feasible ``(truth, conjunct)`` outcomes of one substituted branch.
 
-        return True if holds(constraint, {}) else False
+        ``conjunct`` is the simplified constraint the branch adds to the path
+        condition, None when it has no free variables.  Memoised per
+        :meth:`execute` by the substituted constraint's canonical text.
+        """
+        key = substituted.canonical()
+        outcomes = self._outcomes.get(key)
+        if outcomes is None:
+            concrete = simplify_constraint(substituted)
+            outcomes = tuple(
+                (truth, conjunct)
+                for truth, branch_constraint in ((True, concrete), (False, concrete.negate()))
+                for feasible, conjunct in (self._verdict(branch_constraint),)
+                if feasible
+            )
+            self._outcomes[key] = outcomes
+        return outcomes
+
+    def _verdict(self, constraint: expr_ast.Constraint) -> Tuple[bool, Optional[expr_ast.Constraint]]:
+        """Whether a simplified branch constraint can hold, and the conjunct it adds.
+
+        Variable-free constraints are decided by evaluation and add nothing;
+        the others are pruned when ICP proves them infeasible on the input
+        domain.  Memoised per :meth:`execute` by canonical text, so every
+        path taking this branch shares one conjunct object.
+        """
+        key = constraint.canonical()
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            if not constraint.free_variables():
+                from repro.lang.evaluator import holds
+
+                verdict = (holds(constraint, {}), None)
+            else:
+                infeasible = self._prune_infeasible and constraint_certainly_fails(constraint, self._domain)
+                verdict = (not infeasible, constraint)
+            self._verdicts[key] = verdict
+        return verdict
 
 
 def execute_program(
