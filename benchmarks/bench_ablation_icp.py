@@ -51,7 +51,7 @@ def run_box_budget(max_boxes: int, samples: int = 5_000, seed: int = 0):
         _CIRCLE,
         _PROFILE,
         samples,
-        np.random.default_rng(seed),
+        seed,
         icp_config=ICPConfig(max_boxes=max_boxes),
     )
 

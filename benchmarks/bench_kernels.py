@@ -39,9 +39,8 @@ try:
 except ImportError:  # executed directly: benchmarks/ is sys.path[0]
     from conftest import FULL_SCALE, record_bench, write_bench_summary
 from repro.analysis.results import Table
-from repro.core.montecarlo import hit_or_miss, hit_or_miss_sharded
-from repro.exec import SeedStream, make_executor
-from repro.exec.scheduler import shard_budget
+from repro.core.montecarlo import hit_or_miss
+from repro.exec import make_executor, plan_chunks, run_sampling_tasks
 from repro.lang.compiler import compile_path_condition
 from repro.lang.kernel import clear_kernel_cache, get_kernel
 from repro.subjects.volcomp_suite import subject_by_name
@@ -67,7 +66,7 @@ BACKENDS: Tuple[Tuple[str, Optional[str], Optional[int]], ...] = (
 #: Evaluators swept: the closure-tree oracle and the fused kernels.
 EVALUATORS = ("closure", "fused")
 
-#: Chunk size feeding the sharded sampler (2 chunks per PC at reduced scale).
+#: Samples per sampling task (2 chunks per PC at reduced scale).
 CHUNK = 50_000
 
 #: Base seed; path condition ``i`` always samples from ``SEED + i``.
@@ -78,18 +77,24 @@ def _noop(value):
     return value
 
 
-def _closure_hits(pc, profile, budget: int, seeds: SeedStream, predicate) -> int:
-    """The serial sharded sampler's chunk loop, evaluated by the closure oracle.
-
-    Same chunks, same spawned seeds, same draw order as
-    :func:`hit_or_miss_sharded` on the serial backend — only the predicate
-    differs, so the hit total must match the fused run exactly.
-    """
+def _tasks(pc, profile, budget: int, index: int):
+    """Path condition ``index``'s keyed chunk plan (one stratum, offset 0)."""
     names = tuple(sorted(pc.free_variables()))
+    return plan_chunks(pc, profile, names, budget, np.random.SeedSequence(SEED + index), 0, 0, CHUNK)
+
+
+def _closure_hits(tasks, predicate) -> int:
+    """The plan's chunks run in-thread, evaluated by the closure oracle.
+
+    Same chunks, same keyed seeds, same draw order as
+    :func:`repro.exec.run_sampling_tasks` — only the predicate differs, so
+    the hit total must match the fused run exactly.
+    """
     hits = 0
-    for chunk in shard_budget(budget, CHUNK):
-        rng = np.random.default_rng(seeds.spawn_sequence())
-        hits += hit_or_miss(pc, profile, chunk, rng, variables=names, predicate=predicate).hits
+    for task in tasks:
+        rng = np.random.default_rng(task.seed)
+        result = hit_or_miss(task.pc, task.profile, task.samples, rng, variables=task.variables, predicate=predicate)
+        hits += result.hits
     return hits
 
 
@@ -112,7 +117,7 @@ def run_subject_once(
         predicates = [compile_path_condition(pc) for pc in constraint_set.path_conditions]
         started = time.perf_counter()
         hits = sum(
-            _closure_hits(pc, profile, budget, SeedStream(SEED + index), predicate)
+            _closure_hits(_tasks(pc, profile, budget, index), predicate)
             for index, (pc, predicate) in enumerate(zip(constraint_set.path_conditions, predicates))
         )
         return hits, time.perf_counter() - started
@@ -126,10 +131,8 @@ def run_subject_once(
         hits = 0
         started = time.perf_counter()
         for index, pc in enumerate(constraint_set.path_conditions):
-            result = hit_or_miss_sharded(
-                pc, profile, budget, SeedStream(SEED + index), executor=backend, chunk_size=CHUNK
-            )
-            hits += result.hits
+            counts = run_sampling_tasks(backend, _tasks(pc, profile, budget, index))
+            hits += sum(chunk_hits for chunk_hits, _ in counts)
         elapsed = time.perf_counter() - started
     finally:
         if backend is not None:

@@ -38,7 +38,7 @@ def run_stratified(samples: int = SAMPLES, seed: int = 0, max_boxes: int = 4):
         _PC,
         _PROFILE,
         samples,
-        np.random.default_rng(seed),
+        seed,
         icp_config=ICPConfig(max_boxes=max_boxes),
     )
 

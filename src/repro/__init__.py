@@ -68,7 +68,6 @@ from repro.exec import (
     EXECUTOR_KINDS,
     Executor,
     ProcessPoolExecutor,
-    SeedStream,
     SerialExecutor,
     ThreadPoolExecutor,
     make_executor,
@@ -160,7 +159,6 @@ __all__ = [
     "ProcessPoolExecutor",
     "EXECUTOR_KINDS",
     "make_executor",
-    "SeedStream",
     # Store backends
     "EstimateStore",
     "MemoryStore",

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.exec.seeds import SeedStream
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.api.query import Query
@@ -34,13 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 def trial_seeds(runs: int, base_seed: int = 0) -> List[int]:
     """Independent integer seeds for ``runs`` trials, spawned from ``base_seed``.
 
-    Each seed is derived from one child of ``SeedSequence(base_seed)``; the
-    list is a pure function of ``(runs, base_seed)`` and a prefix-stable one:
-    the first ``k`` seeds are the same for any ``runs >= k``.
+    Seed ``i`` is the first 32-bit state word of child ``i`` of
+    ``SeedSequence(base_seed)``; the list is a pure function of
+    ``(runs, base_seed)`` and a prefix-stable one: the first ``k`` seeds are
+    the same for any ``runs >= k``.
     """
     if runs < 0:
         raise ValueError("trial count may not be negative")
-    return SeedStream(base_seed).spawn_seeds(runs)
+    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(base_seed).spawn(runs)]
 
 
 @dataclass(frozen=True)

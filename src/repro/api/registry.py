@@ -41,9 +41,12 @@ def register_method(
 ) -> EstimationMethod:
     """Register an estimation method under ``name``.
 
-    ``make_sampler(factor, profile, rng, *, variables, solver, seed_stream,
-    chunk_size, config)`` must build a resumable
+    ``make_sampler(factor, profile, *, variables, solver, seed, chunk_size,
+    config)`` must build a resumable
     :class:`~repro.core.stratified.StratifiedSampler` (subclasses welcome).
+    ``seed`` is the factor's keyed ``numpy.random.SeedSequence``; pass it on
+    as the sampler's seed, so every chunk is keyed by (master seed, factor,
+    stratum, sample offset) and results stay the same on every executor.
     A factory that also takes a ``paving`` keyword receives a warm factor's
     stored paving (its strata, ready-made) and may skip ICP; factories
     without it re-pave on warm runs.

@@ -92,8 +92,8 @@ class Session:
             a kind name from the executor registry (``"serial"``/``"thread"``/
             ``"process"``/anything registered) built lazily on first use and
             owned by the session, or an :class:`Executor` instance, which is
-            *borrowed* and never closed here.  None keeps the in-thread
-            single-stream sampling path.
+            *borrowed* and never closed here.  None samples in the calling
+            thread, with the same numbers as the serial backend.
         workers: Worker count for a kind-name ``executor`` (None = CPU count).
         store: Persistent estimate store shared by every query — a path
             (backend inferred, or named by ``store_backend``) opened lazily

@@ -255,9 +255,9 @@ def _common_parser() -> argparse.ArgumentParser:
         choices=list(EXECUTOR_KINDS),
         default=None,
         help=(
-            "execution backend for sampling work; any choice switches to the "
-            "sharded deterministic path (same seed => identical results on "
-            "every backend and worker count)"
+            "execution backend for sampling work (default: the calling thread); "
+            "the same seed gives identical results with or without one, on "
+            "every backend and worker count"
         ),
     )
     common.add_argument(

@@ -23,7 +23,6 @@ from repro.core.montecarlo import (
     SamplingResult,
     hit_or_miss,
     hit_or_miss_constraint_set,
-    hit_or_miss_sharded,
 )
 from repro.core.profiles import (
     BinomialDistribution,
@@ -81,7 +80,6 @@ __all__ = [
     "SamplingResult",
     "hit_or_miss",
     "hit_or_miss_constraint_set",
-    "hit_or_miss_sharded",
     "StratifiedResult",
     "StratifiedSampler",
     "Stratum",

@@ -55,19 +55,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exec depends on core)
-    from repro.exec.executor import Executor
-    from repro.exec.scheduler import SamplingTask
-    from repro.exec.seeds import SeedStream
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.estimate import Estimate
 from repro.core.profiles import UsageProfile
-from repro.core.stratified import StratifiedResult, StratifiedSampler, Stratum
+from repro.core.stratified import SeedLike, StratifiedResult, StratifiedSampler, Stratum
 from repro.errors import AnalysisError, ConfigurationError
+from repro.exec.executor import Executor
+from repro.exec.scheduler import SamplingTask
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import contract
 from repro.icp.hc4 import constraint_trees
@@ -92,7 +87,7 @@ class ImportanceSampler(StratifiedSampler):
     """Mass-refined, self-normalised stratified estimator of one path condition.
 
     Drop-in replacement for :class:`~repro.core.stratified.StratifiedSampler`:
-    the persistent-strata machinery, the sharded deterministic execution path,
+    the persistent-strata machinery, the keyed chunk plan and its execution,
     and the store integration are all inherited.  What changes is *where the
     strata are* (mass-driven refinement on top of the ICP paving), *where the
     budget goes* (callers should extend with the ``"neyman"`` or ``"mass"``
@@ -116,12 +111,11 @@ class ImportanceSampler(StratifiedSampler):
         self,
         pc: ast.PathCondition,
         profile: UsageProfile,
-        rng: Optional[np.random.Generator],
+        seed: SeedLike,
         variables: Optional[Sequence[str]] = None,
         icp_config: ICPConfig = PAPER_CONFIG,
         solver: Optional[ICPSolver] = None,
-        executor: Optional["Executor"] = None,
-        seed_stream: Optional["SeedStream"] = None,
+        executor: Optional[Executor] = None,
         chunk_size: Optional[int] = None,
         max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
         adaptive_splits: int = 0,
@@ -137,12 +131,11 @@ class ImportanceSampler(StratifiedSampler):
         super().__init__(
             pc,
             profile,
-            rng,
+            seed,
             variables=variables,
             icp_config=icp_config,
             solver=solver,
             executor=executor,
-            seed_stream=seed_stream,
             chunk_size=chunk_size,
             observability=observability,
         )
@@ -159,8 +152,8 @@ class ImportanceSampler(StratifiedSampler):
         mass median, and the (re-contracted, re-classified) children re-enter
         the heap.  Inner, mass-free, and unsplittable boxes retire to the
         ``finished`` list.  The returned order — retirees first, then the heap
-        drained in mass order — is deterministic, which keeps seed spawning
-        and store fingerprints reproducible.
+        drained in mass order — is deterministic, which keeps store
+        fingerprints reproducible.
         """
         finished: List[PavedBox] = []
         counter = itertools.count()
@@ -286,10 +279,11 @@ class ImportanceSampler(StratifiedSampler):
     def _maybe_adaptive_refine(self) -> None:
         """Spend one adaptive split on the largest variance contributor, if any.
 
-        Runs at the head of every extension round (both execution paths), so
-        the decision depends only on the merged per-stratum counts — which are
-        backend-independent — and the refined paving stays bit-identical
-        across serial/thread/process executors.
+        Runs at the head of every extension round, so the decision depends
+        only on the merged per-stratum counts — which are backend-independent
+        — and the refined paving stays bit-identical across executors.  The
+        children's boxes differ from every live stratum's, so their chunk
+        seeds never share a key with another stratum's.
         """
         if self._adaptive_remaining <= 0:
             return
@@ -326,16 +320,9 @@ class ImportanceSampler(StratifiedSampler):
         sigma = stratum.sigma()
         return stratum.weight * stratum.weight * sigma * sigma / max(1, stratum.samples)
 
-    def _extend_serial(self, budget: int, allocation: str) -> int:
-        self._maybe_adaptive_refine()
-        if self._exact is not None:
-            # The refine step can prove the estimate exact mid-run; without
-            # this guard the base extension would fall back to an even split
-            # over the (all-zero-priority) inner strata and waste the budget.
-            return 0
-        return super()._extend_serial(budget, allocation)
-
-    def plan_extension(self, budget: int, allocation: str = "even") -> List[Tuple[int, "SamplingTask"]]:
+    def plan_extension(self, budget: int, allocation: str = "even") -> List[Tuple[int, SamplingTask]]:
+        # The refine step can prove the estimate exact mid-run, in which case
+        # the base plan is empty rather than an even split over inner strata.
         self._maybe_adaptive_refine()
         return super().plan_extension(budget, allocation)
 
@@ -410,15 +397,14 @@ def importance_sampling(
     pc: ast.PathCondition,
     profile: UsageProfile,
     samples: int,
-    rng: Optional[np.random.Generator],
+    seed: SeedLike,
     variables: Optional[Sequence[str]] = None,
     icp_config: ICPConfig = PAPER_CONFIG,
     solver: Optional[ICPSolver] = None,
     allocation: str = "neyman",
     max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
     adaptive_splits: int = 0,
-    executor: Optional["Executor"] = None,
-    seed_stream: Optional["SeedStream"] = None,
+    executor: Optional[Executor] = None,
     chunk_size: Optional[int] = None,
 ) -> StratifiedResult:
     """One-shot convenience wrapper around :class:`ImportanceSampler`.
@@ -433,12 +419,11 @@ def importance_sampling(
     sampler = ImportanceSampler(
         pc,
         profile,
-        rng,
+        seed,
         variables=variables,
         icp_config=icp_config,
         solver=solver,
         executor=executor,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
         max_boxes=max_boxes,
         adaptive_splits=adaptive_splits,

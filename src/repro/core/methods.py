@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.importance import ImportanceSampler, _StoredImportanceSampler
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedSampler
-from repro.exec.seeds import SeedStream
 from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
 from repro.registry import Registry
@@ -42,9 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.core.qcoral import QCoralConfig
     from repro.obs import Observability
 
-#: Signature every registered sampler factory must satisfy; ``config`` is the
-#: run's :class:`~repro.core.qcoral.QCoralConfig`, from which method-specific
-#: knobs (e.g. ``mass_split_boxes``) are read.
+#: Signature every registered sampler factory must satisfy:
+#: ``make_sampler(factor, profile, *, variables, solver, seed, chunk_size,
+#: config)``.  ``seed`` is the factor's keyed ``SeedSequence`` (pass it on to
+#: the sampler); ``config`` is the run's
+#: :class:`~repro.core.qcoral.QCoralConfig`, from which method-specific knobs
+#: (e.g. ``mass_split_boxes``) are read.
 SamplerFactory = Callable[..., StratifiedSampler]
 
 
@@ -71,11 +73,10 @@ ESTIMATION_METHODS = METHOD_REGISTRY.view()
 def _make_hit_or_miss(
     factor: ast.PathCondition,
     profile: UsageProfile,
-    rng: Optional[np.random.Generator],
     *,
     variables: Sequence[str],
     solver: ICPSolver,
-    seed_stream: Optional[SeedStream],
+    seed: np.random.SeedSequence,
     chunk_size: Optional[int],
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
@@ -84,10 +85,9 @@ def _make_hit_or_miss(
     return StratifiedSampler(
         factor,
         profile,
-        rng,
+        seed,
         variables=variables,
         solver=solver,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
         observability=observability,
         paving=paving,
@@ -97,11 +97,10 @@ def _make_hit_or_miss(
 def _make_importance(
     factor: ast.PathCondition,
     profile: UsageProfile,
-    rng: Optional[np.random.Generator],
     *,
     variables: Sequence[str],
     solver: ICPSolver,
-    seed_stream: Optional[SeedStream],
+    seed: np.random.SeedSequence,
     chunk_size: Optional[int],
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
@@ -110,7 +109,6 @@ def _make_importance(
     kwargs = dict(
         variables=variables,
         solver=solver,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
         max_boxes=config.mass_split_boxes,
         adaptive_splits=config.mass_split_adaptive,
@@ -119,8 +117,8 @@ def _make_importance(
     # Adaptive splits make the stored paving depend on the sample history,
     # so such runs re-pave and re-refine rather than adopt it.
     if paving is not None and config.mass_split_adaptive == 0:
-        return _StoredImportanceSampler(factor, profile, rng, paving=paving, **kwargs)
-    return ImportanceSampler(factor, profile, rng, **kwargs)
+        return _StoredImportanceSampler(factor, profile, seed, paving=paving, **kwargs)
+    return ImportanceSampler(factor, profile, seed, **kwargs)
 
 
 METHOD_REGISTRY.register(

@@ -14,13 +14,9 @@ budget round after round instead of restarting from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exec depends on us)
-    from repro.exec.executor import Executor
-    from repro.exec.seeds import SeedStream
 
 from repro.core.estimate import Estimate, RunningEstimate
 from repro.core.profiles import UsageProfile
@@ -117,77 +113,6 @@ def hit_or_miss(
         hits += int(np.count_nonzero(compiled(batch)))
         drawn += batch_count
 
-    return _extend_prior(hits, samples, prior)
-
-
-def hit_or_miss_sharded(
-    pc: ast.PathCondition,
-    profile: UsageProfile,
-    samples: int,
-    seeds: "SeedStream",
-    executor: Optional["Executor"] = None,
-    box: Optional[Box] = None,
-    variables: Optional[Sequence[str]] = None,
-    chunk_size: Optional[int] = None,
-    batch_size: int = 100_000,
-    prior: Optional[SamplingResult] = None,
-) -> SamplingResult:
-    """Hit-or-miss estimation sharded into seeded chunks run on an executor.
-
-    The budget is cut into worker-count-independent chunks
-    (:func:`repro.exec.scheduler.shard_budget`), each chunk spawns its own
-    child seed from ``seeds``, and the raw counts are merged in chunk order —
-    so for a fixed master seed the result is bit-identical on the serial,
-    thread, and process backends at any worker count.
-
-    Args:
-        pc: The conjunction of constraints to estimate.
-        profile: Usage profile covering the free variables of ``pc``.
-        samples: Number of additional samples to draw (must be positive).
-        seeds: Seed stream the per-chunk seeds are spawned from.
-        executor: Backend to run the chunks on (None = in-thread serial).
-        box: Optional sub-box of the domain to sample inside.
-        variables: Variables to sample; defaults to the free variables of ``pc``.
-        chunk_size: Samples per task (default
-            :data:`repro.exec.scheduler.DEFAULT_CHUNK_SIZE`).
-        batch_size: Per-task evaluation batch size (bounds peak memory).
-        prior: Previous result over the same estimator to extend.
-
-    Returns:
-        The merged :class:`SamplingResult` (cumulative when ``prior`` is given).
-    """
-    from repro.exec.scheduler import (
-        DEFAULT_CHUNK_SIZE,
-        SamplingTask,
-        run_sampling_tasks,
-        shard_budget,
-    )
-
-    if samples <= 0:
-        raise AnalysisError("hit-or-miss sampling needs a positive sample count")
-
-    names: Sequence[str] = tuple(variables) if variables is not None else tuple(sorted(pc.free_variables()))
-    profile.check_covers(names)
-    if not names:
-        # Constant path condition: delegate to the serial estimator, which
-        # resolves it exactly without consuming random numbers.
-        return hit_or_miss(pc, profile, samples, seeds.generator(), box=box, variables=names, prior=prior)
-
-    tasks = [
-        SamplingTask(
-            pc=pc,
-            profile=profile,
-            samples=chunk,
-            seed=seeds.spawn_sequence(),
-            box=box,
-            variables=tuple(names),
-            batch_size=batch_size,
-        )
-        for chunk in shard_budget(samples, chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE)
-    ]
-    hits = 0
-    for chunk_hits, _ in run_sampling_tasks(executor, tasks):
-        hits += chunk_hits
     return _extend_prior(hits, samples, prior)
 
 

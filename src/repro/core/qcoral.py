@@ -50,7 +50,7 @@ from repro.core.dependency import DependencyPartition, compute_dependency_partit
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
 from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY, accepts_paving
-from repro.core.montecarlo import SamplingResult, hit_or_miss
+from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
     ALLOCATION_POLICIES,
@@ -61,8 +61,7 @@ from repro.core.stratified import (
 )
 from repro.errors import ConfigurationError
 from repro.exec.executor import EXECUTOR_KINDS, Executor, resolve_executor
-from repro.exec.scheduler import SamplingTask, run_sampling_tasks, shard_budget
-from repro.exec.seeds import SeedStream
+from repro.exec.scheduler import SamplingTask, factor_seed, plan_chunks, run_sampling_tasks
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
@@ -130,16 +129,15 @@ class QCoralConfig:
         allocation: Budget split across strata and factors: ``"even"`` (the
             paper's equal split) or ``"neyman"`` (proportional to the weighted
             standard deviation ``w_i σ_i``).
-        executor: Execution backend for sampling work: None (the in-thread
-            single-stream path, left untouched by the executor subsystem) or
-            one of ``"serial"``, ``"thread"``, ``"process"``.  Any non-None
-            value switches to the sharded deterministic path: for a fixed
-            ``seed`` all three backends produce bit-identical results at any
-            worker count (the two paths consume different random streams, so
-            their results differ from each other for the same seed).
+        executor: Execution backend for sampling work: None (the calling
+            thread, as the serial backend) or one of ``"serial"``,
+            ``"thread"``, ``"process"``.  Every round is planned as keyed
+            chunks (:func:`repro.exec.scheduler.chunk_seed`), so for a fixed
+            ``seed`` every choice — None included — produces bit-identical
+            results at any worker count.
         workers: Worker count for the thread/process backends (None = the
             machine's CPU count).
-        chunk_size: Samples per sharded task on the executor path (None =
+        chunk_size: Samples per sampling task (None =
             :data:`repro.exec.scheduler.DEFAULT_CHUNK_SIZE`).
         store_path: Path of a persistent estimate store; stored per-factor
             counts are reused across runs (outright when they cover the
@@ -378,7 +376,8 @@ class QCoralResult:
     round_reports: Tuple[RoundReport, ...] = ()
     #: Resolved backend label (``process×4``) the sampling actually ran on —
     #: taken from the analyzer's executor instance, so a borrowed pool is
-    #: reported too; None on the in-thread single-stream path.
+    #: reported too; None when no executor was configured (the calling
+    #: thread sampled, with the same numbers as the serial backend).
     executor: Optional[str] = None
     #: Label of the persistent estimate store consulted (``sqlite:est.db``),
     #: None when the run had no store.  Cross-run reuse shows up in
@@ -472,20 +471,20 @@ class _FactorState:
         "sampler",
         "mc_result",
         "predicate",
-        "stream",
+        "seed",
         "store_key",
         "prior_hits",
         "prior_samples",
-        "prior_spawned",
         "prior_strata",
         "prior_fingerprint",
         "warm",
-        "rng",
         "zero_share_streak",
         "max_zero_share_streak",
     )
 
-    def __init__(self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...]) -> None:
+    def __init__(
+        self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], seed: np.random.SeedSequence
+    ) -> None:
         self.key = key
         self.factor = factor
         self.variables = variables
@@ -494,7 +493,9 @@ class _FactorState:
         self.sampler: Optional[StratifiedSampler] = None
         self.mc_result: Optional[SamplingResult] = None
         self.predicate = None
-        self.stream: Optional[SeedStream] = None
+        # The master seed keyed by ``key``: every chunk this factor draws is
+        # seeded from it (see repro.exec.scheduler.chunk_seed).
+        self.seed = seed
         # Persistent-store bookkeeping: the resolved key, how much of the
         # current accumulator state was *loaded* rather than drawn (so the
         # write-back publishes only this run's delta), and whether the factor
@@ -502,13 +503,9 @@ class _FactorState:
         self.store_key: Optional[FactorKey] = None
         self.prior_hits = 0
         self.prior_samples = 0
-        self.prior_spawned = 0
         self.prior_strata: Optional[Tuple[Tuple[int, int], ...]] = None
         self.prior_fingerprint: Optional[str] = None
         self.warm = False
-        # Serial-path override generator for warm-started factors (None on
-        # the sharded path and for cold factors, which use the shared rng).
-        self.rng: Optional[np.random.Generator] = None
         # Starvation counters for the run-health diagnostics: consecutive
         # rounds the cross-factor allocator granted this factor zero samples,
         # and the worst such streak over the run.
@@ -549,12 +546,13 @@ class _FactorState:
 class QCoralAnalyzer:
     """Compositional statistical quantification of constraint solution spaces.
 
-    When the configuration names an executor backend (or one is passed in),
-    every sampling round is planned as seeded, worker-count-independent task
-    chunks and dispatched through :mod:`repro.exec`; for a fixed seed the
-    analysis is then bit-identical across the serial, thread, and process
-    backends.  Without an executor the analyzer keeps the in-thread
-    single-stream sampling path, untouched by the executor subsystem.
+    Every sampling round is planned across all factors as task chunks that
+    do not depend on the worker count, run through :mod:`repro.exec` on the
+    configured executor (or one passed in; without one, in the calling
+    thread), and absorbed in plan order.  Chunk seeds are keyed by the master seed, the
+    factor's key, the stratum's box and the samples already held, so for a
+    fixed seed the analysis is bit-identical on every backend and worker
+    count, and independent of the order the factors were created in.
     """
 
     def __init__(
@@ -568,8 +566,7 @@ class QCoralAnalyzer:
         self._profile = profile
         self._config = config
         self._solver = ICPSolver(config.icp)
-        self._rng = np.random.default_rng(config.seed)
-        self._seed_stream = SeedStream(config.seed)
+        self._entropy = np.random.SeedSequence(config.seed).entropy
         # Borrowed, like executors/stores: the hub outlives the analyzer and
         # accumulates across analyses.  ``None`` resolves to the disabled
         # singleton, whose operations are no-ops (the zero-overhead path).
@@ -623,7 +620,7 @@ class QCoralAnalyzer:
 
     @property
     def executor(self) -> Optional[Executor]:
-        """The execution backend (None on the legacy in-thread path)."""
+        """The execution backend (None: sampling runs in the calling thread)."""
         return self._executor
 
     @property
@@ -642,11 +639,9 @@ class QCoralAnalyzer:
         return self._obs
 
     def reset(self, seed: Optional[int] = None) -> None:
-        """Clear the factor cache and re-seed the random streams."""
+        """Clear the factor cache and re-seed the sampling chunks."""
         self._cache.clear()
-        effective = self._config.seed if seed is None else seed
-        self._rng = np.random.default_rng(effective)
-        self._seed_stream = SeedStream(effective)
+        self._entropy = np.random.SeedSequence(self._config.seed if seed is None else seed).entropy
 
     @property
     def closed(self) -> bool:
@@ -929,8 +924,9 @@ class QCoralAnalyzer:
         # conjuncts for the whole plan, so their ids stay theirs.
         keys_by_identity: Dict[Tuple[int, ...], str] = {}
         keys_by_text: Dict[str, str] = {}
+        repeats: Dict[str, int] = {}
         conjunct_variables: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]] = {}
-        for index, pc in enumerate(path_conditions):
+        for pc in path_conditions:
             keys: List[str] = []
             if pc.constraints:
                 for variables, factor in self._split_factors(pc, partition, conjunct_variables):
@@ -945,8 +941,11 @@ class QCoralAnalyzer:
                             keys_by_identity[identity] = key
                     else:
                         # Without caching, factors are never shared between
-                        # PCs: a per-PC key keeps every occurrence independent.
-                        key = f"pc{index}:{factor.canonical()}"
+                        # PCs: numbering the repeats of one text keeps every
+                        # occurrence independent, whatever the PC order.
+                        text = factor.canonical()
+                        repeats[text] = repeats.get(text, 0) + 1
+                        key = f"{repeats[text]}:{text}"
                     if key not in factors:
                         names = factor.free_variables()
                         factors[key] = (factor, tuple(sorted(variables & names)) or tuple(sorted(names)))
@@ -978,12 +977,14 @@ class QCoralAnalyzer:
         except BaseException:
             self._cache.release(claimed)
             raise
-        return plan, list(states.values()), claimed
+        # Rounds allocate over the states in key order, so ties in a budget
+        # split fall the same way whatever order the factors were created in.
+        return plan, sorted(states.values(), key=lambda state: state.key), claimed
 
     def _new_state(
         self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], store_key: Optional[FactorKey]
     ) -> _FactorState:
-        state = _FactorState(key, factor, variables)
+        state = _FactorState(key, factor, variables, factor_seed(self._entropy, key))
         entry: Optional[StoreEntry] = None
         if self._config.partition_and_cache:
             cached = self._cache.get(factor, key=key)
@@ -1002,12 +1003,6 @@ class QCoralAnalyzer:
                     self._cache.put(factor, state.exact, key=key)
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
-        parallel = self._executor is not None
-        if parallel:
-            # Each factor owns one child stream, spawned in factor-creation
-            # order, so its chunk seeds are independent of every other
-            # factor's — and of the backend executing them.
-            state.stream = self._seed_stream.spawn(1)[0]
         if self._config.stratified:
             # The registered method spec owns sampler construction, so new
             # estimation methods plug in without edits here.  The hub is only
@@ -1017,7 +1012,7 @@ class QCoralAnalyzer:
             factory_kwargs = dict(
                 variables=variables,
                 solver=self._solver,
-                seed_stream=state.stream,
+                seed=state.seed,
                 chunk_size=self._config.chunk_size,
                 config=self._config,
             )
@@ -1030,12 +1025,7 @@ class QCoralAnalyzer:
                 # instead of re-paving with ICP.
                 factory_kwargs["paving"] = paving
                 self._obs.count("qcoral_store_paving_reuse_total")
-            sampler: StratifiedSampler = method.make_sampler(
-                factor,
-                self._profile,
-                None if parallel else self._rng,
-                **factory_kwargs,
-            )
+            sampler: StratifiedSampler = method.make_sampler(factor, self._profile, **factory_kwargs)
             if sampler.is_exact:
                 state.exact = sampler.estimate()
             else:
@@ -1048,10 +1038,7 @@ class QCoralAnalyzer:
 
                 state.exact = Estimate.exact(1.0 if holds_path_condition(factor, {}) else 0.0)
             else:
-                if not parallel:
-                    # On the executor path workers compile (and cache) their
-                    # own predicate; compiling here would be wasted work.
-                    state.predicate = get_kernel(factor)
+                state.predicate = get_kernel(factor)
                 if entry is not None:
                     self._warm_start_mc(state, entry)
         if state.warm and self._need(state) == 0:
@@ -1069,35 +1056,6 @@ class QCoralAnalyzer:
     def _need(self, state: _FactorState) -> int:
         """Samples still owed to this factor's nominal per-factor budget."""
         return max(0, self._config.samples_per_query - state.samples)
-
-    def _fast_forward(self, state: _FactorState, spawned: int) -> None:
-        """Skip the seed-stream children a stored prior already consumed.
-
-        With the same master seed, a warm-started factor then draws exactly
-        the chunks a single long run would have drawn after the prior's —
-        which makes resumed sampling bit-identical to one long run whenever
-        the prior budget ended on a chunk boundary.  Serial-path priors
-        (``spawned == 0``) and foreign-seed priors fast-forward harmlessly.
-
-        On the serial path (no per-factor stream) the danger runs the other
-        way: re-using the master seed that produced the prior would *replay*
-        the exact sample stream already pooled in the store, and pooling
-        duplicates is not pooling.  Warm-started factors there switch to a
-        continuation-indexed generator — seeded by the master seed, the
-        factor's store key, and the prior's sample count — which is fresh
-        for every continuation depth yet fully deterministic.
-        """
-        if state.stream is not None:
-            if spawned > 0:
-                state.stream.spawn(spawned)
-            state.prior_spawned = state.stream.children_spawned
-            return
-        digest32 = int(state.store_key.digest[:8], 16)
-        prior_low, prior_high = state.prior_samples % 2**32, state.prior_samples // 2**32
-        sequence = np.random.SeedSequence(self._config.seed, spawn_key=(digest32, prior_low, prior_high))
-        state.rng = np.random.default_rng(sequence)
-        if state.sampler is not None:
-            state.sampler.reseed(state.rng)
 
     def _stored_paving(
         self, entry: Optional[StoreEntry], key: Optional[FactorKey], variables: Tuple[str, ...]
@@ -1125,7 +1083,6 @@ class QCoralAnalyzer:
         state.prior_hits = entry.hits
         state.prior_samples = entry.samples
         state.warm = True
-        self._fast_forward(state, entry.spawned)
         self._cache.record_warm_start()
 
     def _warm_start_stratified(self, state: _FactorState, entry: StoreEntry) -> None:
@@ -1144,7 +1101,6 @@ class QCoralAnalyzer:
         state.prior_strata = entry.strata
         state.prior_fingerprint = fingerprint
         state.warm = True
-        self._fast_forward(state, entry.spawned)
         self._cache.record_warm_start()
 
     def _publish_states(self, states: Sequence[_FactorState]) -> None:
@@ -1152,7 +1108,8 @@ class QCoralAnalyzer:
 
         Only deltas are published — the samples this run drew itself, never
         counts it loaded — so sequential continuations and concurrent runs
-        pool without double counting.
+        pool without double counting.  A same-seed continuation draws fresh
+        samples too: its chunk seeds are keyed past the loaded counts.
         """
         if not self._cache.has_store:
             return
@@ -1165,9 +1122,6 @@ class QCoralAnalyzer:
                 self._cache.publish(key, delta, merged_into_prior=state.warm)
 
     def _delta_entry(self, state: _FactorState) -> Optional[StoreEntry]:
-        spawned = 0
-        if state.stream is not None:
-            spawned = state.stream.children_spawned - state.prior_spawned
         if state.sampler is not None:
             if state.fresh_samples <= 0:
                 return None
@@ -1190,12 +1144,12 @@ class QCoralAnalyzer:
                 # Belt to the fingerprint guard above: a delta that is not a
                 # valid Bernoulli count pool must never reach the store.
                 return None
-            return StoreEntry.from_strata(delta, paving=fingerprint, spawned=spawned)
+            return StoreEntry.from_strata(delta, paving=fingerprint)
         if state.mc_result is not None:
             fresh = state.mc_result.samples - state.prior_samples
             if fresh <= 0:
                 return None
-            return StoreEntry.from_mc(state.mc_result.hits - state.prior_hits, fresh, spawned=spawned)
+            return StoreEntry.from_mc(state.mc_result.hits - state.prior_hits, fresh)
         if state.exact is not None and state.variables and not state.warm:
             # ICP resolved the factor without sampling this run; store the
             # exact probability so re-runs skip the paving too.
@@ -1281,12 +1235,7 @@ class QCoralAnalyzer:
                         if state.zero_share_streak > state.max_zero_share_streak:
                             state.max_zero_share_streak = state.zero_share_streak
 
-                if self._executor is not None:
-                    used = self._run_parallel_round(active, shares)
-                else:
-                    used = 0
-                    for state, share in zip(active, shares):
-                        used += self._extend_factor(state, share)
+                used = self._run_round(active, shares)
                 spent += used
 
             estimates = _estimates_of(states)
@@ -1312,15 +1261,15 @@ class QCoralAnalyzer:
 
         return tuple(rounds)
 
-    def _run_parallel_round(self, active: Sequence[_FactorState], shares: Sequence[int]) -> int:
+    def _run_round(self, active: Sequence[_FactorState], shares: Sequence[int]) -> int:
         """Plan one round across *all* factors and run it as one task batch.
 
         Batching the whole round keeps every worker busy even when a single
         factor's share is small: the executor sees the union of all factors'
-        chunks, not one factor at a time.  Plans (and their spawned seeds)
-        depend only on allocation decisions, which are themselves functions
-        of previously merged counts — so the round is deterministic for a
-        fixed master seed on every backend and worker count.
+        chunks, not one factor at a time.  Plans (and their keyed seeds)
+        depend only on allocation decisions and counts already merged, so the
+        round is deterministic for a fixed master seed on every backend and
+        worker count, and in the calling thread when there is no executor.
         """
         planned: List[Tuple[_FactorState, Optional[int], SamplingTask]] = []
         for state, share in zip(active, shares):
@@ -1349,46 +1298,19 @@ class QCoralAnalyzer:
     def _plan_mc_factor(
         self, state: _FactorState, share: int
     ) -> List[Tuple[_FactorState, Optional[int], SamplingTask]]:
-        """Shard one plain hit-or-miss factor's share into seeded chunks."""
-        from repro.exec.scheduler import DEFAULT_CHUNK_SIZE
-
-        chunk_size = self._config.chunk_size if self._config.chunk_size is not None else DEFAULT_CHUNK_SIZE
-        return [
-            (
-                state,
-                None,
-                SamplingTask(
-                    pc=state.factor,
-                    profile=self._profile,
-                    samples=chunk,
-                    seed=state.stream.spawn_sequence(),
-                    variables=state.variables,
-                ),
-            )
-            for chunk in shard_budget(share, chunk_size)
-        ]
-
-    def _extend_factor(self, state: _FactorState, budget: int) -> int:
-        if budget <= 0 or not state.sampleable:
-            return 0
-        if state.sampler is not None:
-            return state.sampler.extend(budget, allocation=self._config.allocation)
-        prior_hits = state.mc_result.hits if state.mc_result is not None else 0
-        result = hit_or_miss(
+        """Shard a plain hit-or-miss factor's share into keyed chunks (stratum word 0)."""
+        tasks = plan_chunks(
             state.factor,
             self._profile,
-            budget,
-            state.rng if state.rng is not None else self._rng,
-            variables=state.variables,
+            state.variables,
+            share,
+            state.seed,
+            0,
+            state.samples,
+            self._config.chunk_size,
             predicate=state.predicate,
-            prior=state.mc_result,
         )
-        drawn = result.samples - (state.mc_result.samples if state.mc_result is not None else 0)
-        state.mc_result = result
-        if drawn and self._obs.enabled:
-            self._obs.count("sampler_draws_total", drawn, method="montecarlo")
-            self._obs.count("sampler_hits_total", result.hits - prior_hits, method="montecarlo")
-        return drawn
+        return [(state, None, task) for task in tasks]
 
     def _factor_priorities(
         self,

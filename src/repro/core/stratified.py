@@ -33,19 +33,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exec depends on us)
-    from repro.exec.executor import Executor
-    from repro.exec.scheduler import SamplingTask
-    from repro.exec.seeds import SeedStream
-
 from repro.core.estimate import Estimate, RunningEstimate
-from repro.core.montecarlo import hit_or_miss
 from repro.core.profiles import UsageProfile
 from repro.errors import AnalysisError, ConfigurationError
+from repro.exec.executor import Executor
+from repro.exec.scheduler import SamplingTask, digest_word, plan_chunks, run_sampling_tasks
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver, PavedBox, Paving
 from repro.intervals.box import Box
@@ -53,6 +49,10 @@ from repro.intervals.interval import Interval
 from repro.lang import ast
 from repro.lang.kernel import get_kernel
 from repro.obs import Observability, ensure_observability
+
+#: What a sampler accepts as its seed: an int, a ``SeedSequence`` (the
+#: analyzer passes each factor's keyed one), or None for fresh entropy.
+SeedLike = Union[None, int, np.random.SeedSequence]
 
 #: Allocation policy names accepted throughout the stack.  ``"even"`` is the
 #: paper's equal split, ``"neyman"`` the variance-minimising ``w·σ`` split,
@@ -110,7 +110,8 @@ class Stratum:
 
     Alongside the moment accumulator the stratum keeps exact integer hit and
     draw counts; the persistent store serialises those (integers merge across
-    runs without floating-point drift).
+    runs without floating-point drift).  ``word`` is the 64-bit digest of the
+    box that keys the stratum's chunk seeds (set when first sampled).
     """
 
     __slots__ = (
@@ -120,6 +121,7 @@ class Stratum:
         "accumulator",
         "hit_count",
         "draw_count",
+        "word",
         "zero_allocation_streak",
         "max_zero_allocation_streak",
     )
@@ -131,6 +133,7 @@ class Stratum:
         self.accumulator = RunningEstimate()
         self.hit_count = 0
         self.draw_count = 0
+        self.word: Optional[int] = None
         # Starvation counters for the run-health diagnostics: consecutive
         # allocation rounds in which this sampleable stratum received zero
         # samples, and the worst such streak over the stratum's lifetime.
@@ -334,10 +337,11 @@ class StratifiedSampler:
     any time through :meth:`estimate` / :meth:`result`, so callers can
     interleave sampling with convergence checks.
 
-    When built with a :class:`~repro.exec.seeds.SeedStream` (and optionally
-    an :class:`~repro.exec.executor.Executor`), each round is planned as
-    seeded per-stratum chunks (:meth:`plan_extension`) that can run on any
-    backend and merge back deterministically (:meth:`absorb_chunk`).
+    Each round is planned as per-stratum chunks (:meth:`plan_extension`)
+    whose seeds are keyed by ``seed``, the stratum's box and the samples the
+    stratum already holds (:func:`~repro.exec.scheduler.chunk_seed`); the
+    chunks run on ``executor`` (None: in the calling thread) and merge back
+    through :meth:`absorb_chunk`, so the result is the same on every backend.
     """
 
     #: Label the sampler reports its draws/hits under (importance overrides).
@@ -347,25 +351,19 @@ class StratifiedSampler:
         self,
         pc: ast.PathCondition,
         profile: UsageProfile,
-        rng: Optional[np.random.Generator],
+        seed: SeedLike,
         variables: Optional[Sequence[str]] = None,
         icp_config: ICPConfig = PAPER_CONFIG,
         solver: Optional[ICPSolver] = None,
-        executor: Optional["Executor"] = None,
-        seed_stream: Optional["SeedStream"] = None,
+        executor: Optional[Executor] = None,
         chunk_size: Optional[int] = None,
         observability: Optional[Observability] = None,
         paving: Optional[Paving] = None,
     ) -> None:
-        if rng is None and seed_stream is None:
-            raise ConfigurationError(
-                "a stratified sampler needs either an rng (serial path) or a seed_stream (sharded path)"
-            )
         self._pc = pc
         self._profile = profile
-        self._rng = rng
+        self._seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._executor = executor
-        self._seed_stream = seed_stream
         self._chunk_size = chunk_size
         self._obs = ensure_observability(observability)
         self._names: Tuple[str, ...] = (
@@ -410,9 +408,9 @@ class StratifiedSampler:
             self._exact = Estimate.exact(sum(stratum.weight for stratum in self._strata if stratum.inner))
             return
 
-        # On the sharded path (seed_stream set) workers compile and cache
-        # their own predicate; compiling here would be wasted work.
-        self._predicate = get_kernel(pc) if self._seed_stream is None else None
+        # Compiled here, outside the sampling rounds, and handed to every
+        # planned chunk (process workers compile their own).
+        self._predicate = get_kernel(pc)
 
     def _pave(self, solver: ICPSolver, domain: Box) -> Paving:
         """Pave the constraint over ``domain``, recording solver effort on the hub."""
@@ -479,9 +477,9 @@ class StratifiedSampler:
     def _record_allocation(self, shares: Sequence[int]) -> None:
         """Update per-stratum zero-allocation streaks after one budget split.
 
-        Called exactly once per allocation round on both the serial and the
-        sharded paths, so the streak counters — inputs to the deterministic
-        run-health diagnostics — are identical across executors.
+        Called exactly once per allocation round, so the streak counters —
+        inputs to the deterministic run-health diagnostics — are identical
+        across executors.
         """
         for stratum, share in zip(self._strata, shares):
             if not stratum.sampleable:
@@ -501,48 +499,10 @@ class StratifiedSampler:
 
         The whole budget is divided across the *sampleable* strata only —
         inner and mass-free boxes consume nothing — so the returned count
-        equals ``budget`` whenever at least one stratum is sampleable.
-
-        With an executor and seed stream configured, the round is sharded
-        into per-stratum seeded tasks and run on the backend; otherwise the
-        strata are sampled in-thread from the sampler's generator.
+        equals ``budget`` whenever at least one stratum is sampleable.  The
+        round is planned (:meth:`plan_extension`), run on the sampler's
+        executor, and absorbed (:meth:`absorb_chunk`).
         """
-        if budget < 0:
-            raise AnalysisError("stratified budget may not be negative")
-        if self._exact is not None or budget == 0:
-            return 0
-        if self._seed_stream is not None:
-            return self._extend_sharded(budget, allocation)
-        return self._extend_serial(budget, allocation)
-
-    def _extend_serial(self, budget: int, allocation: str) -> int:
-        shares = allocate_budget(allocation_priorities(self._strata, allocation), budget)
-        self._record_allocation(shares)
-        used = 0
-        hits = 0
-        for stratum, share in zip(self._strata, shares):
-            if share == 0:
-                continue
-            result = hit_or_miss(
-                self._pc,
-                self._profile,
-                share,
-                self._rng,
-                box=stratum.box,
-                variables=self._names,
-                predicate=self._predicate,
-            )
-            stratum.absorb(result.hits, result.samples)
-            used += result.samples
-            hits += result.hits
-        if used and self._obs.enabled:
-            self._obs.count("sampler_draws_total", used, method=self.method_label)
-            self._obs.count("sampler_hits_total", hits, method=self.method_label)
-        return used
-
-    def _extend_sharded(self, budget: int, allocation: str) -> int:
-        from repro.exec.scheduler import run_sampling_tasks
-
         planned = self.plan_extension(budget, allocation)
         outcomes = run_sampling_tasks(self._executor, [task for _, task in planned], observability=self._obs)
         used = 0
@@ -551,46 +511,42 @@ class StratifiedSampler:
             used += samples
         return used
 
-    # ------------------------------------------------------------------ #
-    # Sharded planning (used directly by the analyzer's cross-factor rounds)
-    # ------------------------------------------------------------------ #
-    def plan_extension(self, budget: int, allocation: str = "even") -> List[Tuple[int, "SamplingTask"]]:
-        """Plan ``budget`` samples as seeded ``(stratum_index, task)`` chunks.
+    def plan_extension(self, budget: int, allocation: str = "even") -> List[Tuple[int, SamplingTask]]:
+        """Plan ``budget`` samples as keyed ``(stratum_index, task)`` chunks.
 
-        The plan is a pure function of the sampler's state and the spawn
-        order of its seed stream: shares follow the allocation policy, each
-        share is cut into worker-count-independent chunks, and seeds are
-        spawned in (stratum, chunk) order.  Running the tasks anywhere and
-        feeding the counts back through :meth:`absorb_chunk` therefore gives
-        the same accumulator state on any backend.
+        Shares follow the allocation policy and each share is cut into
+        worker-count-independent chunks, keyed by the sampler's seed, the
+        stratum's box and the samples it already holds
+        (:func:`~repro.exec.scheduler.plan_chunks`).  The plan is a pure
+        function of the sampler's state, so running the tasks anywhere and
+        feeding the counts back through :meth:`absorb_chunk` gives the same
+        accumulator state on any backend.
         """
-        from repro.exec.scheduler import DEFAULT_CHUNK_SIZE, SamplingTask, shard_budget
-
-        if self._seed_stream is None:
-            raise ConfigurationError("plan_extension needs a sampler built with a seed_stream")
         if budget < 0:
             raise AnalysisError("stratified budget may not be negative")
         if self._exact is not None or budget == 0:
             return []
-        chunk_size = self._chunk_size if self._chunk_size is not None else DEFAULT_CHUNK_SIZE
         shares = allocate_budget(allocation_priorities(self._strata, allocation), budget)
         self._record_allocation(shares)
         planned: List[Tuple[int, SamplingTask]] = []
         for index, (stratum, share) in enumerate(zip(self._strata, shares)):
-            for chunk in shard_budget(share, chunk_size):
-                planned.append(
-                    (
-                        index,
-                        SamplingTask(
-                            pc=self._pc,
-                            profile=self._profile,
-                            samples=chunk,
-                            seed=self._seed_stream.spawn_sequence(),
-                            box=stratum.box,
-                            variables=self._names,
-                        ),
-                    )
-                )
+            if share == 0:
+                continue
+            if stratum.word is None:
+                stratum.word = digest_word(render_paving((stratum,), self._names))
+            for task in plan_chunks(
+                self._pc,
+                self._profile,
+                self._names,
+                share,
+                self._seed,
+                stratum.word,
+                stratum.draw_count,
+                self._chunk_size,
+                box=stratum.box,
+                predicate=self._predicate,
+            ):
+                planned.append((index, task))
         return planned
 
     def absorb_chunk(self, stratum_index: int, hits: int, samples: int) -> None:
@@ -599,18 +555,6 @@ class StratifiedSampler:
         if self._obs.enabled:
             self._obs.count("sampler_draws_total", samples, method=self.method_label)
             self._obs.count("sampler_hits_total", hits, method=self.method_label)
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Replace the serial-path generator.
-
-        Used when warm-starting from stored counts: a run re-using the master
-        seed that produced the prior would otherwise replay the exact sample
-        stream already pooled in the store, and pooling duplicates is not
-        pooling.  The caller hands a continuation-indexed generator instead.
-        """
-        if self._seed_stream is not None:
-            raise ConfigurationError("reseed applies to the serial path only")
-        self._rng = rng
 
     # ------------------------------------------------------------------ #
     # Persistent-store integration (raw counts in paving order)
@@ -673,13 +617,12 @@ def stratified_sampling(
     pc: ast.PathCondition,
     profile: UsageProfile,
     samples: int,
-    rng: Optional[np.random.Generator],
+    seed: SeedLike,
     variables: Optional[Sequence[str]] = None,
     icp_config: ICPConfig = PAPER_CONFIG,
     solver: Optional[ICPSolver] = None,
     allocation: str = "even",
-    executor: Optional["Executor"] = None,
-    seed_stream: Optional["SeedStream"] = None,
+    executor: Optional[Executor] = None,
     chunk_size: Optional[int] = None,
 ) -> StratifiedResult:
     """Estimate the probability of ``pc`` with ICP-stratified sampling.
@@ -693,17 +636,15 @@ def stratified_sampling(
         samples: Total sampling budget, split across the sampleable strata
             according to ``allocation`` (inner and mass-free boxes consume no
             budget, so the full budget lands on boxes that need it).
-        rng: NumPy random generator.
+        seed: Master seed of the sampling chunks (None: fresh entropy).
         variables: Variables to quantify over; defaults to the free variables
             of ``pc``.
         icp_config: Configuration for a solver created on the fly.
         solver: Optional pre-built ICP solver (overrides ``icp_config``).
         allocation: ``"even"`` (the paper's equal split) or ``"neyman"``.
-        executor: Optional backend to run seeded sampling chunks on
-            (requires ``seed_stream``).
-        seed_stream: Seed stream for the sharded deterministic path; when
-            given, ``rng`` may be None.
-        chunk_size: Samples per sharded task.
+        executor: Optional backend to run the sampling chunks on (None: the
+            calling thread; the result is the same either way).
+        chunk_size: Samples per sampling task.
 
     Returns:
         A :class:`StratifiedResult` with the combined estimate.
@@ -713,12 +654,11 @@ def stratified_sampling(
     sampler = StratifiedSampler(
         pc,
         profile,
-        rng,
+        seed,
         variables=variables,
         icp_config=icp_config,
         solver=solver,
         executor=executor,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
     )
     sampler.extend(samples, allocation=allocation)

@@ -1,4 +1,4 @@
-"""Parallel execution subsystem: executors, sampling tasks, seed streams.
+"""Execution subsystem: executors, sampling tasks, keyed chunk seeds.
 
 The estimation stack is embarrassingly parallel — hit-or-miss chunks over
 disjoint boxes are independent and their counts merge exactly — so this
@@ -6,11 +6,11 @@ package supplies the three pieces needed to exploit that:
 
 * :class:`~repro.exec.executor.Executor` backends (serial, thread, process)
   with an ordered ``map`` contract;
-* :class:`~repro.exec.scheduler.SamplingTask` + :func:`~repro.exec.scheduler.shard_budget`,
-  which cut sampling budgets into worker-count-independent task plans;
-* :class:`~repro.exec.seeds.SeedStream`, deterministic spawned RNG streams so
-  the same master seed reproduces bit-identical estimates on every backend
-  and worker count.
+* :class:`~repro.exec.scheduler.SamplingTask` + :func:`~repro.exec.scheduler.plan_chunks`,
+  which cut sampling budgets into worker-count-independent task plans whose
+  seeds are keyed by (master seed, factor, stratum, sample offset)
+  (:func:`~repro.exec.scheduler.chunk_seed`), so the same master seed
+  reproduces bit-identical estimates on every backend and worker count.
 """
 
 from repro.exec.executor import (
@@ -27,11 +27,12 @@ from repro.exec.executor import (
 from repro.exec.scheduler import (
     DEFAULT_CHUNK_SIZE,
     SamplingTask,
+    chunk_seed,
     execute_sampling_task,
+    plan_chunks,
     run_sampling_tasks,
     shard_budget,
 )
-from repro.exec.seeds import SeedStream
 
 __all__ = [
     "Executor",
@@ -44,9 +45,10 @@ __all__ = [
     "make_executor",
     "resolve_executor",
     "SamplingTask",
-    "SeedStream",
     "DEFAULT_CHUNK_SIZE",
+    "chunk_seed",
     "execute_sampling_task",
+    "plan_chunks",
     "run_sampling_tasks",
     "shard_budget",
 ]

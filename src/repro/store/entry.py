@@ -19,11 +19,11 @@ one of three kinds:
 
 Counts make entries **mergeable**: two runs that sampled the same factor
 independently add their counts (:meth:`StoreEntry.merge`), pooling their
-budgets, which is statistically exact for independent Bernoulli pools.  The
-``spawned`` field counts the seed-stream children the recorded samples
-consumed on the sharded execution path; a warm-starting run fast-forwards its
-factor stream by that amount, which makes a resumed run bit-identical to one
-long run for the same master seed (chunk-aligned budgets, MC kind).
+budgets, which is statistically exact for independent Bernoulli pools.  A
+warm-starting run needs nothing else to continue a same-seed stream: its
+chunk seeds are keyed by the samples each stratum already holds, so it starts
+past the pooled counts instead of replaying them.  Payloads written by older
+versions may carry a ``spawned`` count; it is ignored on load.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ class StoreEntry:
             rebuilds its strata from it; counts only pool into an entry with
             the same paving text, because a re-paved factor (the solver has
             a wall-clock budget) can come out different.
-        spawned: Seed-stream children consumed drawing these samples (the
-            warm-start fast-forward distance on the sharded path).
         runs: How many run deltas have been merged into this entry.
         pc_text: Alpha-renamed canonical constraint text (debugging aid; the
             key already commits to it).
@@ -72,7 +70,6 @@ class StoreEntry:
     strata: Tuple[Tuple[int, int], ...] = ()
     exact_mean: float = 0.0
     paving: str = ""
-    spawned: int = 0
     runs: int = 1
     pc_text: str = ""
     fingerprint: str = ""
@@ -94,19 +91,18 @@ class StoreEntry:
     # Constructors
     # ------------------------------------------------------------------ #
     @staticmethod
-    def from_mc(hits: int, samples: int, spawned: int = 0) -> "StoreEntry":
+    def from_mc(hits: int, samples: int) -> "StoreEntry":
         """Entry for a plain hit-or-miss factor."""
-        return StoreEntry(kind="mc", hits=hits, samples=samples, spawned=spawned)
+        return StoreEntry(kind="mc", hits=hits, samples=samples)
 
     @staticmethod
-    def from_strata(strata: Tuple[Tuple[int, int], ...], paving: str, spawned: int = 0) -> "StoreEntry":
+    def from_strata(strata: Tuple[Tuple[int, int], ...], paving: str) -> "StoreEntry":
         """Entry for an ICP-stratified factor (counts in paving order)."""
         return StoreEntry(
             kind="stratified",
             strata=tuple((int(h), int(n)) for h, n in strata),
             samples=sum(int(n) for _, n in strata),
             paving=paving,
-            spawned=spawned,
         )
 
     @staticmethod
@@ -154,9 +150,8 @@ class StoreEntry:
     def merge(self, other: "StoreEntry") -> "StoreEntry":
         """Pool this entry with an independently sampled ``other``.
 
-        Counts add (elementwise for stratified entries), ``spawned`` adds so
-        a same-seed continuation keeps its fast-forward distance, and ``runs``
-        adds so reuse statistics stay meaningful.  Exact entries are
+        Counts add (elementwise for stratified entries), and ``runs`` adds so
+        reuse statistics stay meaningful.  Exact entries are
         idempotent and win any merge: ICP proved the value, so pooling
         sampled counts into it adds nothing.
 
@@ -182,7 +177,6 @@ class StoreEntry:
                 self,
                 hits=self.hits + other.hits,
                 samples=self.samples + other.samples,
-                spawned=self.spawned + other.spawned,
                 runs=self.runs + other.runs,
             )
         if len(self.strata) != len(other.strata) or self.paving != other.paving:
@@ -192,7 +186,6 @@ class StoreEntry:
             self,
             strata=merged,
             samples=self.samples + other.samples,
-            spawned=self.spawned + other.spawned,
             runs=self.runs + other.runs,
         )
 
@@ -209,8 +202,6 @@ class StoreEntry:
             payload["paving"] = self.paving
         else:
             payload["exact_mean"] = self.exact_mean
-        if self.spawned:
-            payload["spawned"] = self.spawned
         if self.pc_text:
             payload["pc"] = self.pc_text
         if self.fingerprint:
@@ -229,7 +220,6 @@ class StoreEntry:
                 strata=tuple((int(h), int(n)) for h, n in payload.get("strata", ())),
                 exact_mean=float(payload.get("exact_mean", 0.0)),
                 paving=str(payload.get("paving", "")),
-                spawned=int(payload.get("spawned", 0)),
                 runs=int(payload.get("runs", 1)),
                 pc_text=str(payload.get("pc", "")),
                 fingerprint=str(payload.get("fingerprint", "")),

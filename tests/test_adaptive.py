@@ -129,7 +129,7 @@ class TestResumableSampling:
 
     def test_sampler_extension_accumulates(self, square_profile):
         pc = parse_path_condition("x * x + y * y <= 1")
-        sampler = StratifiedSampler(pc, square_profile, np.random.default_rng(4))
+        sampler = StratifiedSampler(pc, square_profile, 4)
         assert sampler.extend(1000) == 1000
         first = sampler.estimate()
         assert sampler.extend(4000) == 4000
@@ -178,7 +178,7 @@ class TestBudgetAllocation:
         profile = UsageProfile.uniform({"x": (-2, 2)})
         pc = parse_path_condition("x * x <= 1")
         for budget in (100, 999, 5000):
-            result = stratified_sampling(pc, profile, budget, np.random.default_rng(9))
+            result = stratified_sampling(pc, profile, budget, 9)
             sampleable = [r for r in result.strata if not r.inner and r.weight > 0]
             if sampleable:
                 assert result.total_samples == budget
@@ -188,14 +188,14 @@ class TestBudgetAllocation:
     def test_circle_budget_conserved_with_inner_boxes(self, square_profile):
         pc = parse_path_condition("x * x + y * y <= 1")
         result = stratified_sampling(
-            pc, square_profile, 7531, np.random.default_rng(11), icp_config=ICPConfig(max_boxes=16)
+            pc, square_profile, 7531, 11, icp_config=ICPConfig(max_boxes=16)
         )
         assert any(r.inner for r in result.strata)
         assert result.total_samples == 7531
 
     def test_neyman_priorities_weighted_by_sigma(self, square_profile):
         pc = parse_path_condition("x * x + y * y <= 1")
-        sampler = StratifiedSampler(pc, square_profile, np.random.default_rng(12))
+        sampler = StratifiedSampler(pc, square_profile, 12)
         sampler.extend(2000, allocation="even")
         priorities = allocation_priorities(sampler.strata, "neyman")
         for stratum, priority in zip(sampler.strata, priorities):

@@ -395,14 +395,13 @@ class TestLifecycles:
 
 class TestRegistries:
     def test_register_method_end_to_end(self):
-        def make_sampler(factor, profile, rng, *, variables, solver, seed_stream, chunk_size, config):
+        def make_sampler(factor, profile, *, variables, solver, seed, chunk_size, config):
             return StratifiedSampler(
                 factor,
                 profile,
-                rng,
+                seed,
                 variables=variables,
                 solver=solver,
-                seed_stream=seed_stream,
                 chunk_size=chunk_size,
             )
 

@@ -196,7 +196,7 @@ class TestDiscretePaving:
             }
         )
         pc = parse_path_condition("x + y <= 20")
-        sampler = StratifiedSampler(pc, profile, np.random.default_rng(0))
+        sampler = StratifiedSampler(pc, profile, 0)
         covered = sum(stratum.weight for stratum in sampler.strata)
         exact = exact_probability(pc, profile)
         # The union of strata must cover all solutions at least once and, with

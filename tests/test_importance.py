@@ -37,19 +37,19 @@ class TestImportanceSampler:
     def test_refinement_respects_box_cap(self):
         pc = parse_path_condition(PEAKED_PC)
         for cap in (10, 32, 64):
-            sampler = ImportanceSampler(pc, peaked_profile(), np.random.default_rng(0), max_boxes=cap)
+            sampler = ImportanceSampler(pc, peaked_profile(), 0, max_boxes=cap)
             assert len(sampler.strata) <= cap
 
     def test_refined_strata_masses_stay_a_partition(self):
         pc = parse_path_condition(PEAKED_PC)
-        sampler = ImportanceSampler(pc, peaked_profile(), np.random.default_rng(0))
+        sampler = ImportanceSampler(pc, peaked_profile(), 0)
         covered = sum(stratum.weight for stratum in sampler.strata)
         assert 0.0 < covered <= 1.0 + 1e-9
 
     def test_self_normalised_estimate_matches_stratified_combination(self):
         """With exact masses the SN estimator equals Σ w_i p̂_i (module doc)."""
         pc = parse_path_condition(PEAKED_PC)
-        sampler = ImportanceSampler(pc, peaked_profile(), np.random.default_rng(1))
+        sampler = ImportanceSampler(pc, peaked_profile(), 1)
         sampler.extend(5_000, allocation="neyman")
         expected = super(ImportanceSampler, sampler).estimate()
         actual = sampler.estimate()
@@ -58,15 +58,15 @@ class TestImportanceSampler:
 
     def test_lower_sigma_than_hit_or_miss_at_equal_budget(self):
         pc = parse_path_condition(PEAKED_PC)
-        base = stratified_sampling(pc, peaked_profile(), 20_000, np.random.default_rng(7))
-        imp = importance_sampling(pc, peaked_profile(), 20_000, np.random.default_rng(7))
+        base = stratified_sampling(pc, peaked_profile(), 20_000, 7)
+        imp = importance_sampling(pc, peaked_profile(), 20_000, 7)
         assert imp.total_samples == base.total_samples == 20_000
         assert imp.estimate.std < base.estimate.std
         assert imp.estimate.mean == pytest.approx(base.estimate.mean, abs=0.02)
 
     def test_mass_allocation_policy_follows_masses(self):
         pc = parse_path_condition(PEAKED_PC)
-        sampler = ImportanceSampler(pc, peaked_profile(), np.random.default_rng(2))
+        sampler = ImportanceSampler(pc, peaked_profile(), 2)
         sampler.extend(10_000, allocation="mass")
         sampled = [s for s in sampler.strata if s.sampleable and s.samples > 0]
         heavy = max(sampled, key=lambda s: s.weight)
@@ -77,13 +77,13 @@ class TestImportanceSampler:
     def test_invalid_knobs_rejected(self):
         pc = parse_path_condition(PEAKED_PC)
         with pytest.raises(ConfigurationError):
-            ImportanceSampler(pc, peaked_profile(), np.random.default_rng(0), max_boxes=0)
+            ImportanceSampler(pc, peaked_profile(), 0, max_boxes=0)
         with pytest.raises(ConfigurationError):
-            ImportanceSampler(pc, peaked_profile(), np.random.default_rng(0), adaptive_splits=-1)
+            ImportanceSampler(pc, peaked_profile(), 0, adaptive_splits=-1)
 
     def test_adaptive_splits_account_for_discarded_budget(self):
         pc = parse_path_condition(PEAKED_PC)
-        sampler = ImportanceSampler(pc, peaked_profile(), np.random.default_rng(3), max_boxes=16, adaptive_splits=3)
+        sampler = ImportanceSampler(pc, peaked_profile(), 3, max_boxes=16, adaptive_splits=3)
         used = 0
         for _ in range(4):
             used += sampler.extend(2_000, allocation="neyman")
@@ -109,7 +109,7 @@ class TestImportanceSampler:
         sampler = ImportanceSampler(
             pc,
             profile,
-            np.random.default_rng(1),
+            1,
             # A one-box ICP paving and no upfront refinement leave a single
             # uncertifiable stratum, so only adaptive splits can resolve it.
             icp_config=ICPConfig(max_boxes=1),
@@ -130,7 +130,7 @@ class TestImportanceSampler:
 
     def test_fingerprint_carries_refinement_prefix(self):
         pc = parse_path_condition(PEAKED_PC)
-        sampler = ImportanceSampler(pc, peaked_profile(), np.random.default_rng(0))
+        sampler = ImportanceSampler(pc, peaked_profile(), 0)
         fingerprint = sampler.paving_fingerprint(("x", "y"))
         assert fingerprint.startswith("imp64|")
 

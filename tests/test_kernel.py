@@ -404,15 +404,15 @@ def _engine_run():
 
 
 def _sharded_run():
-    from repro.core.montecarlo import hit_or_miss_sharded
     from repro.core.profiles import UsageProfile
-    from repro.exec import SeedStream, ThreadPoolExecutor
+    from repro.exec import ThreadPoolExecutor, plan_chunks, run_sampling_tasks
 
     pc = parse_path_condition("x * y >= 18 && x + y <= 30")
     profile = UsageProfile.uniform({"x": (0.0, 30.0), "y": (0.0, 40.0)})
+    tasks = plan_chunks(pc, profile, ("x", "y"), 60_000, np.random.SeedSequence(123), 0, 0, 10_000)
     with ThreadPoolExecutor(2) as pool:
-        result = hit_or_miss_sharded(pc, profile, 60_000, SeedStream(123), executor=pool, chunk_size=10_000)
-    return result.hits, result.samples
+        counts = run_sampling_tasks(pool, tasks)
+    return sum(hits for hits, _ in counts), sum(samples for _, samples in counts)
 
 
 def test_engine_estimates_bit_identical_across_tiers(request):

@@ -1,5 +1,5 @@
 """Tests for the parallel execution subsystem (repro.exec) and its threading
-through the sampling stack: executor backends, deterministic sharded seeding,
+through the sampling stack: executor backends, counter-keyed chunk seeds,
 merge algebra, the analyzer's cross-backend reproducibility, thread-safe
 caching, and the executor-aware experiment runner."""
 
@@ -14,22 +14,23 @@ from repro.api import Session
 from repro.cli import main
 from repro.core.cache import EstimateCache
 from repro.core.estimate import Estimate
-from repro.core.montecarlo import hit_or_miss_sharded
+from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import StratifiedSampler
 from repro.errors import ConfigurationError
 from repro.exec import (
     EXECUTOR_KINDS,
-    SamplingTask,
-    SeedStream,
     SerialExecutor,
     ThreadPoolExecutor,
+    chunk_seed,
     execute_sampling_task,
     make_executor,
+    plan_chunks,
     run_sampling_tasks,
     shard_budget,
 )
+from repro.exec.scheduler import factor_seed
 from repro.lang.parser import parse_constraint_set, parse_path_condition
 
 
@@ -53,35 +54,52 @@ def _double(value):
     return value * 2  # module-level so the process backend can pickle it
 
 
+def _draw(seed):
+    return np.random.default_rng(seed).integers(0, 10**9)
+
+
+def _circle_tasks(samples, seed, chunk_size=CHUNK):
+    """A keyed plan of ``samples`` circle draws (one stratum, offset 0)."""
+    pc = parse_path_condition("x * x + y * y <= 1")
+    profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
+    return plan_chunks(pc, profile, ("x", "y"), samples, np.random.SeedSequence(seed), 0, 0, chunk_size)
+
+
 class TestSeedStream:
+    """Counter-keyed chunk seeds: (master seed, factor, stratum, offset) → stream."""
+
     def test_same_seed_reproduces_children(self):
-        first = SeedStream(123).spawn(3)
-        second = SeedStream(123).spawn(3)
-        for a, b in zip(first, second):
-            assert a.generator().integers(0, 10**9) == b.generator().integers(0, 10**9)
+        for stratum, offset in ((0, 0), (7, 500), (2**63, 2**40)):
+            first = chunk_seed(factor_seed(123, "x <= 0.5"), stratum, offset)
+            second = chunk_seed(factor_seed(123, "x <= 0.5"), stratum, offset)
+            assert _draw(first) == _draw(second)
 
     def test_children_are_independent(self):
-        left, right = SeedStream(5).spawn(2)
-        assert left.generator().integers(0, 10**9) != right.generator().integers(0, 10**9)
+        base = factor_seed(5, "x <= 0.5")
+        draws = {
+            _draw(chunk_seed(base, 0, 0)),
+            _draw(chunk_seed(base, 1, 0)),
+            _draw(chunk_seed(base, 0, 1)),
+            _draw(chunk_seed(factor_seed(5, "x <= 0.25"), 0, 0)),
+            _draw(chunk_seed(factor_seed(6, "x <= 0.5"), 0, 0)),
+        }
+        assert len(draws) == 5
 
-    def test_spawn_order_is_the_identity(self):
-        stream = SeedStream(9)
-        first = stream.spawn_sequence()
-        again = SeedStream(9)
-        assert np.random.default_rng(first).integers(0, 10**9) == np.random.default_rng(
-            again.spawn_sequence()
-        ).integers(0, 10**9)
-        assert stream.children_spawned == again.children_spawned == 1
+    def test_wide_words_never_alias(self):
+        # SeedSequence flattens its key into 32-bit words; fixed-width halves
+        # keep (2**32, 0) and (0, 1) apart.
+        base = np.random.SeedSequence(9)
+        assert _draw(chunk_seed(base, 2**32, 0)) != _draw(chunk_seed(base, 0, 1))
 
     def test_spawn_seeds_are_ints_and_reproducible(self):
-        seeds = SeedStream(42).spawn_seeds(4)
+        seeds = trial_seeds(4, base_seed=42)
         assert all(isinstance(seed, int) for seed in seeds)
-        assert seeds == SeedStream(42).spawn_seeds(4)
+        assert seeds == trial_seeds(4, base_seed=42)
         assert len(set(seeds)) == 4
 
     def test_negative_spawn_rejected(self):
         with pytest.raises(ValueError):
-            SeedStream(1).spawn(-1)
+            trial_seeds(-1)
 
 
 class TestShardBudget:
@@ -134,23 +152,16 @@ class TestExecutors:
 
 class TestShardedSampling:
     def test_chunked_merge_equals_one_shot(self):
-        """Chunked SamplingResult merging reproduces the one-shot counts."""
-        pc = parse_path_condition("x * x + y * y <= 1")
-        profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
-        one_shot = hit_or_miss_sharded(pc, profile, 4_000, SeedStream(11), chunk_size=1_000)
+        """Running a plan in one call equals executing and merging its chunks by hand."""
+        tasks = _circle_tasks(4_000, 11, chunk_size=1_000)
+        assert [task.samples for task in tasks] == [1_000] * 4
+        hits = sum(chunk_hits for chunk_hits, _ in run_sampling_tasks(None, tasks))
+        one_shot = SamplingResult(Estimate.from_hits(hits, 4_000), hits, 4_000)
 
-        # Re-run the identical plan by hand and merge the partial results.
-        stream = SeedStream(11)
-        tasks = [
-            SamplingTask(pc=pc, profile=profile, samples=1_000, seed=stream.spawn_sequence(), variables=("x", "y"))
-            for _ in range(4)
-        ]
         merged = None
         for task in tasks:
-            hits, samples = execute_sampling_task(task)
-            from repro.core.montecarlo import SamplingResult
-
-            part = SamplingResult(Estimate.from_hits(hits, samples), hits, samples)
+            chunk_hits, samples = execute_sampling_task(task)
+            part = SamplingResult(Estimate.from_hits(chunk_hits, samples), chunk_hits, samples)
             merged = part if merged is None else merged.merge(part)
         assert merged.hits == one_shot.hits
         assert merged.samples == one_shot.samples
@@ -158,22 +169,29 @@ class TestShardedSampling:
 
     @pytest.mark.parametrize("kind,workers", [("serial", 1), ("thread", 2), ("thread", 4), ("process", 2)])
     def test_backends_bit_identical(self, kind, workers):
-        pc = parse_path_condition("x * x + y * y <= 1")
-        profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
-        reference = hit_or_miss_sharded(pc, profile, 3_000, SeedStream(3), chunk_size=CHUNK)
+        tasks = _circle_tasks(3_000, 3)
+        reference = run_sampling_tasks(None, tasks)
         with make_executor(kind, workers=workers) as backend:
-            result = hit_or_miss_sharded(pc, profile, 3_000, SeedStream(3), executor=backend, chunk_size=CHUNK)
-        assert result.hits == reference.hits
-        assert result.estimate == reference.estimate
+            assert run_sampling_tasks(backend, tasks) == reference
 
     def test_chunk_size_changes_plan_but_not_validity(self):
         pc = parse_path_condition("x >= 0")
         profile = UsageProfile.uniform({"x": (-1, 1)})
-        coarse = hit_or_miss_sharded(pc, profile, 2_000, SeedStream(1), chunk_size=2_000)
-        fine = hit_or_miss_sharded(pc, profile, 2_000, SeedStream(1), chunk_size=250)
-        for result in (coarse, fine):
-            assert result.samples == 2_000
-            assert result.estimate.mean == pytest.approx(0.5, abs=0.05)
+        for chunk_size in (2_000, 250):
+            tasks = plan_chunks(pc, profile, ("x",), 2_000, np.random.SeedSequence(1), 0, 0, chunk_size)
+            counts = run_sampling_tasks(None, tasks)
+            hits = sum(chunk_hits for chunk_hits, _ in counts)
+            assert sum(samples for _, samples in counts) == 2_000
+            assert hits / 2_000 == pytest.approx(0.5, abs=0.05)
+
+    def test_chunks_are_keyed_by_offset(self):
+        """A plan continued from an offset reproduces the tail of a longer plan."""
+        pc = parse_path_condition("x >= 0")
+        profile = UsageProfile.uniform({"x": (-1, 1)})
+        seed = np.random.SeedSequence(4)
+        whole = plan_chunks(pc, profile, ("x",), 3 * CHUNK, seed, 0, 0, CHUNK)
+        tail = plan_chunks(pc, profile, ("x",), 2 * CHUNK, seed, 0, CHUNK, CHUNK)
+        assert run_sampling_tasks(None, whole)[1:] == run_sampling_tasks(None, tail)
 
 
 class TestStratifiedParallel:
@@ -181,10 +199,10 @@ class TestStratifiedParallel:
         """Running a plan elsewhere and absorbing equals in-place extension."""
         pc = parse_path_condition("x * x + y * y <= 1")
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
-        direct = StratifiedSampler(pc, profile, None, seed_stream=SeedStream(21), chunk_size=CHUNK)
+        direct = StratifiedSampler(pc, profile, 21, chunk_size=CHUNK)
         direct.extend(2_000)
 
-        planned_sampler = StratifiedSampler(pc, profile, None, seed_stream=SeedStream(21), chunk_size=CHUNK)
+        planned_sampler = StratifiedSampler(pc, profile, 21, chunk_size=CHUNK)
         planned = planned_sampler.plan_extension(2_000)
         assert planned, "expected at least one sampleable stratum"
         for (stratum_index, task), (hits, samples) in zip(
@@ -192,24 +210,19 @@ class TestStratifiedParallel:
         ):
             planned_sampler.absorb_chunk(stratum_index, hits, samples)
         assert planned_sampler.estimate() == direct.estimate()
+        assert planned_sampler.counts() == direct.counts()
         assert planned_sampler.total_samples == direct.total_samples == 2_000
-
-    def test_sampler_requires_rng_or_stream(self):
-        pc = parse_path_condition("x >= 0")
-        with pytest.raises(ConfigurationError):
-            StratifiedSampler(pc, UsageProfile.uniform({"x": (-1, 1)}), None)
 
     def test_executor_backed_extend_matches_serial(self):
         pc = parse_path_condition("x * x + y * y <= 1")
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
-        serial = StratifiedSampler(pc, profile, None, seed_stream=SeedStream(8), chunk_size=CHUNK)
+        serial = StratifiedSampler(pc, profile, 8, chunk_size=CHUNK)
         serial.extend(1_500)
         with make_executor("thread", workers=3) as backend:
-            threaded = StratifiedSampler(
-                pc, profile, None, seed_stream=SeedStream(8), executor=backend, chunk_size=CHUNK
-            )
+            threaded = StratifiedSampler(pc, profile, 8, executor=backend, chunk_size=CHUNK)
             threaded.extend(1_500)
         assert threaded.estimate() == serial.estimate()
+        assert threaded.counts() == serial.counts()
 
 
 class TestAnalyzerDeterminism:
@@ -259,12 +272,14 @@ class TestAnalyzerDeterminism:
 
         assert run("serial", None).estimate == run("thread", 2).estimate
 
-    def test_legacy_path_unchanged_by_default(self):
-        """executor=None keeps the pre-subsystem single-stream behaviour."""
+    def test_default_path_matches_serial_executor(self):
+        """executor=None samples in the calling thread, exactly as the serial backend."""
         config = QCoralConfig(samples_per_query=2_000, seed=13)
         first = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
         second = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
-        assert first.estimate == second.estimate
+        serial = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config.with_executor("serial"))
+        assert first.estimate == second.estimate == serial.estimate
+        assert first.total_samples == serial.total_samples
         assert first.executor is None
 
     def test_executor_recorded_in_repr(self):
@@ -335,6 +350,12 @@ class TestThreadSafeCache:
 class TestRunnerExecutor:
     def test_trial_seeds_prefix_stable(self):
         assert trial_seeds(3, base_seed=4) == trial_seeds(5, base_seed=4)[:3]
+
+    def test_trial_seeds_pinned(self):
+        # Recorded before the trial seeds moved onto SeedSequence.spawn
+        # directly: Query.repeat answers must not move.
+        assert trial_seeds(5, base_seed=0) == [3757552657, 673228719, 3241444873, 3685993406, 1216546553]
+        assert trial_seeds(5, base_seed=2014) == [3795767458, 3578693689, 1477077092, 3692059209, 3706863618]
 
     def test_thread_executor_matches_serial(self):
         def run(seed):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import sqlite3
 import threading
 
 import pytest
@@ -41,6 +42,42 @@ def make_store(backend: str, tmp_path):
 
 
 BACKENDS = ("memory", "jsonl", "sqlite")
+
+#: Entry payloads exactly as stores wrote them before entries dropped their
+#: ``spawned`` seed-stream count.
+LEGACY_PAYLOADS = {
+    "legacy-mc": '{"hits": 7, "kind": "mc", "runs": 1, "samples": 100, "spawned": 2}',
+    "legacy-s": (
+        '{"kind": "stratified", "paving": "B[0.0,1.0]|B[1.0,2.0]", "runs": 2, '
+        '"samples": 15, "spawned": 4, "strata": [[3, 10], [0, 5]]}'
+    ),
+}
+
+
+def make_legacy_store(backend: str, tmp_path):
+    """A store of ``backend`` holding :data:`LEGACY_PAYLOADS` as written."""
+    if backend == "memory":
+        store = MemoryStore()
+        for key, text in LEGACY_PAYLOADS.items():
+            store.merge(key, StoreEntry.from_dict(json.loads(text)))
+        return store
+    if backend == "jsonl":
+        path = tmp_path / "store.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for key, text in LEGACY_PAYLOADS.items():
+                handle.write(json.dumps({"key": key, **json.loads(text)}, sort_keys=True) + "\n")
+        return JsonlStore(str(path))
+    path = str(tmp_path / "store.db")
+    SqliteStore(path).close()
+    with sqlite3.connect(path) as connection:
+        for key, text in LEGACY_PAYLOADS.items():
+            payload = json.loads(text)
+            connection.execute(
+                "INSERT INTO estimates (key, kind, samples, runs, payload) VALUES (?, ?, ?, ?, ?)",
+                (key, payload["kind"], payload["samples"], payload["runs"], text),
+            )
+    connection.close()
+    return SqliteStore(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -135,10 +172,11 @@ class TestBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_round_trip(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        entry = StoreEntry.from_mc(7, 100, spawned=2)
+        entry = StoreEntry.from_mc(7, 100)
         store.merge("key-1", entry)
         loaded = store.get("key-1")
-        assert (loaded.hits, loaded.samples, loaded.spawned) == (7, 100, 2)
+        assert (loaded.hits, loaded.samples) == (7, 100)
+        assert loaded == store.get("key-1")
         assert store.get("missing") is None
         assert len(store) == 1
         store.close()
@@ -146,12 +184,29 @@ class TestBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stratified_round_trip(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        entry = StoreEntry.from_strata(((3, 10), (0, 5)), paving="B[0,1]|B[1,2]", spawned=4)
+        entry = StoreEntry.from_strata(((3, 10), (0, 5)), paving="B[0,1]|B[1,2]")
         store.merge("key-s", entry)
         loaded = store.get("key-s")
         assert loaded.strata == ((3, 10), (0, 5))
         assert loaded.samples == 15
         assert loaded.paving == "B[0,1]|B[1,2]"
+        store.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pre_change_payload_loads_and_merges(self, backend, tmp_path):
+        store = make_legacy_store(backend, tmp_path)
+        loaded = store.get("legacy-mc")
+        assert (loaded.kind, loaded.hits, loaded.samples, loaded.runs) == ("mc", 7, 100, 1)
+        assert "spawned" not in loaded.to_dict()
+        merged = store.merge("legacy-mc", StoreEntry.from_mc(3, 50))
+        assert (merged.hits, merged.samples, merged.runs) == (10, 150, 2)
+        assert store.get("legacy-mc") == merged
+
+        stratified = store.get("legacy-s")
+        assert (stratified.strata, stratified.samples, stratified.runs) == (((3, 10), (0, 5)), 15, 2)
+        merged = store.merge("legacy-s", StoreEntry.from_strata(((1, 5), (2, 5)), paving="B[0.0,1.0]|B[1.0,2.0]"))
+        assert (merged.strata, merged.samples, merged.runs) == (((4, 15), (2, 10)), 25, 3)
+        assert store.get("legacy-s") == merged
         store.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -397,25 +452,26 @@ class TestAnalyzerReuse:
         assert results[0].variance == results[1].variance
 
     def test_warm_start_bit_identical_to_one_long_run(self, tmp_path):
-        """Sharded path, chunk-aligned budgets: resume == one long run."""
-        store = open_store(str(tmp_path / "store.db"))
+        """Chunk-aligned budgets: resume == one long run, with or without an executor."""
         constraint_set = parse_constraint_set(CIRCLE)
-        base = dict(stratified=False, seed=42, executor="serial", chunk_size=10_000)
-        short = QCoralConfig(samples_per_query=20_000, **base)
-        full = QCoralConfig(samples_per_query=50_000, **base)
-        with QCoralAnalyzer(PROFILE_2D, short, store=store) as cold:
-            cold.analyze(constraint_set)
-        with QCoralAnalyzer(PROFILE_2D, full, store=store) as warm:
-            resumed = warm.analyze(constraint_set)
-        with QCoralAnalyzer(PROFILE_2D, full) as reference:
-            long_run = reference.analyze(constraint_set)
-        assert resumed.mean == long_run.mean
-        assert resumed.variance == long_run.variance
-        assert resumed.total_samples == 30_000  # only the continuation was drawn
-        store.close()
+        for executor in ("serial", None):
+            store = open_store(str(tmp_path / f"store-{executor}.db"))
+            base = dict(stratified=False, seed=42, executor=executor, chunk_size=10_000)
+            short = QCoralConfig(samples_per_query=20_000, **base)
+            full = QCoralConfig(samples_per_query=50_000, **base)
+            with QCoralAnalyzer(PROFILE_2D, short, store=store) as cold:
+                cold.analyze(constraint_set)
+            with QCoralAnalyzer(PROFILE_2D, full, store=store) as warm:
+                resumed = warm.analyze(constraint_set)
+            with QCoralAnalyzer(PROFILE_2D, full) as reference:
+                long_run = reference.analyze(constraint_set)
+            assert resumed.mean == long_run.mean
+            assert resumed.variance == long_run.variance
+            assert resumed.total_samples == 30_000  # only the continuation was drawn
+            store.close()
 
     def test_same_seed_topup_draws_fresh_samples(self, tmp_path):
-        """A serial-path continuation must not replay the prior's stream."""
+        """A same-seed continuation must not replay the prior's stream."""
         store = open_store(str(tmp_path / "store.db"))
         constraint_set = parse_constraint_set(CIRCLE)
         with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(4000, seed=9), store=store) as cold:
@@ -713,10 +769,8 @@ class TestStoredPavingReuse:
         from repro.api import register_method, unregister_method
         from repro.core.stratified import StratifiedSampler
 
-        def make_sampler(factor, profile, rng, *, variables, solver, seed_stream, chunk_size, config):
-            return StratifiedSampler(
-                factor, profile, rng, variables=variables, solver=solver, seed_stream=seed_stream, chunk_size=chunk_size
-            )
+        def make_sampler(factor, profile, *, variables, solver, seed, chunk_size, config):
+            return StratifiedSampler(factor, profile, seed, variables=variables, solver=solver, chunk_size=chunk_size)
 
         register_method("strat-legacy", make_sampler)
         try:
