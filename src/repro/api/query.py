@@ -349,13 +349,7 @@ class Query:
             )
         from repro.incremental.diff import diff_constraint_sets
 
-        return diff_constraint_sets(
-            self._baseline,
-            self._target.constraint_set,
-            self._profile,
-            config=config,
-            simplify=config.simplify,
-        )
+        return diff_constraint_sets(self._baseline, self._target.constraint_set, self._profile, config=config)
 
     # ------------------------------------------------------------------ #
     # Compilation and execution

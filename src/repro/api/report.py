@@ -33,6 +33,7 @@ from repro.core.qcoral import QCoralConfig, QCoralResult, RoundReport
 from repro.obs.diagnostics import Diagnostic
 from repro.obs.metrics import MetricsSnapshot
 from repro.store.backends import StoreStatistics
+from repro.store.keys import StoreContext
 
 #: Version stamp of the ``to_dict()``/``to_json()`` schema (bump rule above).
 #: Version 2 added the observability surface: a ``metrics`` block (the
@@ -61,8 +62,9 @@ class Report:
     analysis_time: float
     paths: int = 0
     round_reports: Tuple[RoundReport, ...] = ()
-    #: Per-path-condition detail (factor estimates, cache provenance).  An
-    #: in-memory drill-down only — deliberately not part of the JSON schema.
+    #: Per-path-condition detail (factor estimates, cache provenance, store
+    #: keys).  An in-memory drill-down only — deliberately not part of the
+    #: JSON schema.
     path_reports: Tuple[Any, ...] = ()
     feature_label: str = ""
     method: str = "hit-or-miss"
@@ -83,6 +85,9 @@ class Report:
     #: emitted at finalize; ``timing=False`` records are deterministic for a
     #: fixed seed, ``timing=True`` records exist only with observability on.
     diagnostics: Tuple[Diagnostic, ...] = ()
+    #: The store context the factor keys in :attr:`path_reports` were made
+    #: under (None when the run keyed no factor for a store); in memory only.
+    store_context: Optional[StoreContext] = None
 
     # ------------------------------------------------------------------ #
     # Derived accessors (one vocabulary across all run kinds)
@@ -160,6 +165,7 @@ class Report:
             metrics=result.metrics,
             store_statistics=result.store_statistics,
             diagnostics=result.diagnostics,
+            store_context=result.store_context,
         )
 
     @classmethod

@@ -740,9 +740,7 @@ def _command_ci(args: argparse.Namespace) -> int:
         if not config.partition_and_cache:
             raise UsageError("incremental quantification needs the PARTCACHE feature; drop --no-partcache")
         try:
-            diff = diff_constraint_sets(
-                baseline_set, candidate_set, profile, config=config, simplify=config.simplify
-            )
+            diff = diff_constraint_sets(baseline_set, candidate_set, profile, config=config)
         except (ConfigurationError, DomainError) as error:
             raise UsageError(str(error)) from error
 

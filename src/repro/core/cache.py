@@ -44,7 +44,7 @@ from repro.lang.simplify import simplify_path_condition
 from repro.obs import Observability, ensure_observability
 from repro.store.backends import EstimateStore
 from repro.store.entry import StoreEntry
-from repro.store.keys import FactorKey, StoreContext
+from repro.store.keys import FactorKey
 
 
 @dataclass
@@ -148,24 +148,18 @@ class EstimateCache:
     """Maps canonical factor text to a previously computed :class:`Estimate`.
 
     Built without a store, this is exactly the paper's in-run cache.  With a
-    store and a :class:`~repro.store.keys.StoreContext` it becomes the L1 of
-    a two-tier hierarchy: :meth:`fetch_entry` consults the persistent tier on
-    an L1 miss, and :meth:`publish` folds a run's freshly drawn counts back
-    with merge-on-write semantics.
+    store it becomes the L1 of a two-tier hierarchy: :meth:`fetch_entry`
+    consults the persistent tier on an L1 miss, and :meth:`publish` folds a
+    run's freshly drawn counts back with merge-on-write semantics.  The
+    persistent tier is addressed by the caller's
+    :class:`~repro.store.keys.FactorKey` (the analyzer keys each distinct
+    factor once per run).
     """
 
-    def __init__(
-        self,
-        store: Optional[EstimateStore] = None,
-        context: Optional[StoreContext] = None,
-        observability: Optional[Observability] = None,
-    ) -> None:
-        if (store is None) != (context is None):
-            raise ValueError("a store and its key context must be provided together")
+    def __init__(self, store: Optional[EstimateStore] = None, observability: Optional[Observability] = None) -> None:
         self._entries: Dict[str, Estimate] = {}
         self._statistics = CacheStatistics()
         self._store = store
-        self._context = context
         self._obs = ensure_observability(observability)
         # Reentrant so get_or_compute may call get/put while holding it.
         self._lock = threading.RLock()
@@ -196,7 +190,11 @@ class EstimateCache:
 
     @staticmethod
     def key_for(factor: ast.PathCondition) -> str:
-        """Canonical L1 cache key of a factor (order-insensitive, simplified)."""
+        """Canonical L1 cache key of a factor (order-insensitive, simplified).
+
+        The analyzer's factors are simplified when planned, so it passes
+        their canonical text as ``key`` instead of simplifying again.
+        """
         return simplify_path_condition(factor).canonical()
 
     # ------------------------------------------------------------------ #
@@ -259,12 +257,6 @@ class EstimateCache:
     # ------------------------------------------------------------------ #
     # L2: the persistent tier
     # ------------------------------------------------------------------ #
-    def store_key(self, factor: ast.PathCondition) -> Optional[FactorKey]:
-        """Canonical persistent-store key of ``factor`` (None without a store)."""
-        if self._context is None:
-            return None
-        return self._context.key_for(factor)
-
     def fetch_entry(self, key: FactorKey) -> Optional[StoreEntry]:
         """Stored raw counts for ``key``, updating the store counters."""
         if self._store is None:

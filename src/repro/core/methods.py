@@ -18,13 +18,15 @@ about one method:
   method imposes (importance sampling refines ICP pavings, so it needs the
   STRAT feature, and mass-aware allocation needs the adaptive round loop);
 * ``feature`` — the optional tag the method contributes to
-  :meth:`QCoralConfig.feature_label` (``IMP`` for importance sampling).
+  :meth:`QCoralConfig.feature_label` (``IMP`` for importance sampling);
+* ``accepts_paving`` — whether ``make_sampler`` takes a ready-made ``paving``
+  keyword, read off its signature once when the method is built.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +62,18 @@ class EstimationMethod:
     requires_stratified: bool = False
     adaptive: bool = False
     feature: Optional[str] = None
+    #: True when ``make_sampler`` takes a ready-made ``paving`` keyword.  The
+    #: analyzer hands a warm factor's stored paving only to such factories;
+    #: factories registered without the keyword keep re-paving.
+    accepts_paving: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        try:
+            parameters = tuple(inspect.signature(self.make_sampler).parameters.values())
+        except (TypeError, ValueError):
+            parameters = ()
+        takes = any(p.name == "paving" or p.kind == p.VAR_KEYWORD for p in parameters)
+        object.__setattr__(self, "accepts_paving", takes)
 
 
 #: Registry of estimation methods: name → :class:`EstimationMethod`.
@@ -140,19 +154,6 @@ METHOD_REGISTRY.register(
         feature="IMP",
     ),
 )
-
-
-def accepts_paving(method: EstimationMethod) -> bool:
-    """True when ``method``'s factory takes a ready-made ``paving`` keyword.
-
-    The analyzer hands a warm factor's stored paving only to factories that
-    accept it; factories registered without the keyword keep re-paving.
-    """
-    try:
-        parameters = inspect.signature(method.make_sampler).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    return any(p.name == "paving" or p.kind == p.VAR_KEYWORD for p in parameters)
 
 
 def store_method_tag(config: "QCoralConfig") -> str:

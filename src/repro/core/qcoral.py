@@ -46,10 +46,10 @@ from repro.core.composition import (
     compose_disjoint_path_conditions,
     compose_independent_factors,
 )
-from repro.core.dependency import DependencyPartition, compute_dependency_partition
+from repro.core.dependency import compute_dependency_partition
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
-from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY, accepts_paving
+from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY, store_method_tag
 from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
@@ -74,7 +74,7 @@ from repro.obs.ledger import config_fingerprint
 from repro.obs.metrics import MetricsSnapshot
 from repro.store.backends import STORE_BACKENDS, EstimateStore, StoreStatistics, open_store
 from repro.store.entry import StoreEntry
-from repro.store.keys import FactorKey, StoreContext, mc_method
+from repro.store.keys import FactorKey, StoreContext
 
 #: Rounds used when an adaptive feature is requested without an explicit
 #: ``max_rounds`` (pilot + re-allocation rounds).
@@ -113,8 +113,6 @@ class QCoralConfig:
             decomposition with caching).
         seed: Seed for the NumPy random generator; None draws fresh entropy.
         icp: Configuration of the ICP paving solver.
-        simplify: Simplify path conditions (constant folding, duplicate
-            conjunct removal) before analysis.
         target_std: Convergence target — stop sampling once the combined
             standard deviation of the whole constraint set falls to or below
             this value.  None disables the criterion (the budget is then the
@@ -159,7 +157,6 @@ class QCoralConfig:
     partition_and_cache: bool = True
     seed: Optional[int] = None
     icp: ICPConfig = PAPER_CONFIG
-    simplify: bool = True
     target_std: Optional[float] = None
     max_rounds: int = 1
     initial_fraction: float = 0.25
@@ -327,6 +324,10 @@ class FactorReport:
     samples: int
     #: True when the factor resumed sampling from persistent-store counts.
     warm: bool = False
+    #: The persistent-store key the run gave the factor, under the result's
+    #: ``store_context``; None when the run had no store or the factor has no
+    #: variables.
+    key: Optional[FactorKey] = None
 
 
 @dataclass(frozen=True)
@@ -396,6 +397,9 @@ class QCoralResult:
     #: and with observability on or off; wall-clock attribution records
     #: (``timing=True``) appear only when an enabled hub was attached.
     diagnostics: Tuple[Diagnostic, ...] = ()
+    #: The store context the factors' :attr:`FactorReport.key` were made
+    #: under, None when the run keyed no factor for a store.
+    store_context: Optional[StoreContext] = None
 
     @property
     def mean(self) -> float:
@@ -483,7 +487,12 @@ class _FactorState:
     )
 
     def __init__(
-        self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], seed: np.random.SeedSequence
+        self,
+        key: str,
+        factor: ast.PathCondition,
+        variables: Tuple[str, ...],
+        seed: np.random.SeedSequence,
+        store_key: Optional[FactorKey],
     ) -> None:
         self.key = key
         self.factor = factor
@@ -500,7 +509,7 @@ class _FactorState:
         # current accumulator state was *loaded* rather than drawn (so the
         # write-back publishes only this run's delta), and whether the factor
         # resumed from stored counts.
-        self.store_key: Optional[FactorKey] = None
+        self.store_key = store_key
         self.prior_hits = 0
         self.prior_samples = 0
         self.prior_strata: Optional[Tuple[Tuple[int, int], ...]] = None
@@ -590,17 +599,12 @@ class QCoralAnalyzer:
         else:
             self._store = None
             self._owns_store = False
+        self._store_context: Optional[StoreContext] = None
         if self._store is not None and config.partition_and_cache:
-            if not config.stratified:
-                method = mc_method()
-            else:
-                # Each registered estimation method supplies its own store
-                # tag, keying its counts apart from every other method's (an
-                # importance-sampled count over a mass-refined paving must
-                # never pool with a hit-or-miss count, by construction).
-                method = METHOD_REGISTRY.get(config.method).store_method(config)
-            context = StoreContext(profile, method)
-            self._cache = EstimateCache(self._store, context, observability=self._obs)
+            # The same tag the run ledger and the incremental differ key
+            # under, so their contexts equal this one by construction.
+            self._store_context = StoreContext(profile, store_method_tag(config))
+            self._cache = EstimateCache(self._store, observability=self._obs)
         else:
             # The store persists exactly what PARTCACHE caches; without the
             # feature there is no canonical factor to key, so the store — if
@@ -706,17 +710,9 @@ class QCoralAnalyzer:
                 config_fingerprint=config_fingerprint(self._config),
             )
         self._profile.check_covers(constraint_set.free_variables())
-
-        # Symbolic execution shares conjunct objects between paths; the memo
-        # simplifies each shared object once.
-        simplified: Dict[int, Tuple[ast.Constraint, ast.Constraint, str]] = {}
-        path_conditions = [
-            simplify_path_condition(pc, simplified) if self._config.simplify else pc
-            for pc in constraint_set.path_conditions
-        ]
-
-        partition = self._partition_for(path_conditions)
-        plan, states, claimed = self._build_plan(path_conditions, partition)
+        plan, states, claimed = self._build_plan(
+            *plan_factors(constraint_set.path_conditions, self._config.partition_and_cache)
+        )
 
         try:
             try:
@@ -795,6 +791,7 @@ class QCoralAnalyzer:
             metrics=self._obs.snapshot() if self._obs.enabled else None,
             store_statistics=self._store.statistics if self._store is not None else None,
             diagnostics=diagnostics,
+            store_context=self._store_context,
         )
 
     def _diagnose(
@@ -861,9 +858,7 @@ class QCoralAnalyzer:
 
     def analyze_path_condition(self, pc: ast.PathCondition) -> PathConditionReport:
         """Quantify a single path condition in isolation."""
-        simplified = simplify_path_condition(pc) if self._config.simplify else pc
-        partition = self._partition_for([simplified])
-        plan, states, claimed = self._build_plan([simplified], partition)
+        plan, states, claimed = self._build_plan(*plan_factors([pc], self._config.partition_and_cache))
         try:
             self._run_rounds(plan, states)
             estimates = _estimates_of(states)
@@ -881,28 +876,12 @@ class QCoralAnalyzer:
     # ------------------------------------------------------------------ #
     # Algorithm 2: planning — split PCs into unique resumable factors
     # ------------------------------------------------------------------ #
-    def _partition_for(self, path_conditions: Sequence[ast.PathCondition]) -> DependencyPartition:
-        if self._config.partition_and_cache:
-            return compute_dependency_partition(path_conditions)
-        # Without PARTCACHE every path condition is analysed as one factor over
-        # all of its variables, so the partition is the trivial one-block
-        # partition of each PC (built lazily in _split_factors).
-        return DependencyPartition(())
-
-    def _split_factors(
-        self,
-        pc: ast.PathCondition,
-        partition: DependencyPartition,
-        memo: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]],
-    ) -> Sequence[Tuple[FrozenSet[str], ast.PathCondition]]:
-        if self._config.partition_and_cache and len(partition) > 0:
-            return group_constraints_by_block(pc, partition.blocks, memo)
-        return [(frozenset(pc.free_variables()), pc)]
-
     def _build_plan(
-        self, path_conditions: Sequence[ast.PathCondition], partition: DependencyPartition
+        self,
+        layout: Sequence[Tuple[ast.PathCondition, List[str]]],
+        factors: Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]],
     ) -> Tuple[List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]], List[_FactorState], FrozenSet[str]]:
-        """Deduplicate factors into resumable states; keep per-PC occurrence lists.
+        """Turn :func:`plan_factors` output into resumable factor states.
 
         Each plan entry pairs a path condition with its factors; an occurrence
         is ``(state, first)`` where ``first`` marks the occurrence that owns
@@ -914,48 +893,12 @@ class QCoralAnalyzer:
         claimed keys are returned last; release them once the run's deltas
         are published.
         """
-        sharing = self._config.partition_and_cache
-        factors: Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]] = {}
-        layout: List[Tuple[ast.PathCondition, List[str]]] = []
-        # Each distinct factor is keyed once: by the identities of its
-        # conjuncts (shared between path conditions by symbolic execution),
-        # failing that by its canonical text.  Both are exact, unlike
-        # dataclass equality (0.0 == -0.0).  The path conditions hold the
-        # conjuncts for the whole plan, so their ids stay theirs.
-        keys_by_identity: Dict[Tuple[int, ...], str] = {}
-        keys_by_text: Dict[str, str] = {}
-        repeats: Dict[str, int] = {}
-        conjunct_variables: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]] = {}
-        for pc in path_conditions:
-            keys: List[str] = []
-            if pc.constraints:
-                for variables, factor in self._split_factors(pc, partition, conjunct_variables):
-                    if sharing:
-                        identity = tuple(map(id, factor.constraints))
-                        key = keys_by_identity.get(identity)
-                        if key is None:
-                            text = factor.canonical()
-                            key = keys_by_text.get(text)
-                            if key is None:
-                                key = keys_by_text[text] = EstimateCache.key_for(factor)
-                            keys_by_identity[identity] = key
-                    else:
-                        # Without caching, factors are never shared between
-                        # PCs: numbering the repeats of one text keeps every
-                        # occurrence independent, whatever the PC order.
-                        text = factor.canonical()
-                        repeats[text] = repeats.get(text, 0) + 1
-                        key = f"{repeats[text]}:{text}"
-                    if key not in factors:
-                        names = factor.free_variables()
-                        factors[key] = (factor, tuple(sorted(variables & names)) or tuple(sorted(names)))
-                    keys.append(key)
-            layout.append((pc, keys))
-
         store_keys: Dict[str, FactorKey] = {}
-        if sharing and self._cache.has_store:
+        if self._store_context is not None:
+            # The one place a run computes store keys: they are carried on
+            # the run's factor reports for the ledger to read.
             store_keys = {
-                key: self._cache.store_key(factor) for key, (factor, ordered) in factors.items() if ordered
+                key: self._store_context.key_for(factor) for key, (factor, ordered) in factors.items() if ordered
             }
         claimed = self._cache.claim(store_keys.values())
         try:
@@ -984,7 +927,7 @@ class QCoralAnalyzer:
     def _new_state(
         self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], store_key: Optional[FactorKey]
     ) -> _FactorState:
-        state = _FactorState(key, factor, variables, factor_seed(self._entropy, key))
+        state = _FactorState(key, factor, variables, factor_seed(self._entropy, key), store_key)
         entry: Optional[StoreEntry] = None
         if self._config.partition_and_cache:
             cached = self._cache.get(factor, key=key)
@@ -993,7 +936,6 @@ class QCoralAnalyzer:
                 state.cached = True
                 return state
             if store_key is not None:
-                state.store_key = store_key
                 entry = self._cache.fetch_entry(store_key)
                 if entry is not None and entry.is_exact:
                     # A previous run resolved the factor without sampling
@@ -1020,7 +962,7 @@ class QCoralAnalyzer:
                 factory_kwargs["observability"] = self._obs
             method = METHOD_REGISTRY.get(self._config.method)
             paving = self._stored_paving(entry, state.store_key, variables)
-            if paving is not None and accepts_paving(method):
+            if paving is not None and method.accepts_paving:
                 # A warm factor rebuilds its strata from the stored paving
                 # instead of re-paving with ICP.
                 factory_kwargs["paving"] = paving
@@ -1400,10 +1342,71 @@ class QCoralAnalyzer:
                     from_cache=state.cached or not first,
                     samples=state.fresh_samples if owns_samples else 0,
                     warm=state.warm,
+                    key=state.store_key,
                 )
             )
         estimate = compose_independent_factors(report.estimate for report in factor_reports)
         return PathConditionReport(pc, estimate, tuple(factor_reports))
+
+
+def plan_factors(
+    path_conditions: Sequence[ast.PathCondition], partition_and_cache: bool = True
+) -> Tuple[List[Tuple[ast.PathCondition, List[str]]], Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]]]:
+    """Simplify path conditions and split them into distinct, keyed factors.
+
+    This is where a factor gets its identity, for the analyzer and for the
+    incremental differ alike.  Returns ``(layout, factors)``: ``layout`` pairs
+    each simplified path condition with the keys of its factors, in order;
+    ``factors`` maps each key to the factor and its variables in sampling
+    order.  With PARTCACHE the path conditions are split along the dependency
+    partition of the whole set and a factor's key is its canonical text (the
+    in-run cache key), so a factor shared by several path conditions appears
+    once.  Without it each path condition is one factor and every occurrence
+    keys apart.
+    """
+    # Symbolic execution shares conjunct objects between paths; the memos
+    # simplify, and walk the variables of, each shared object once.
+    simplified: Dict[int, Tuple[ast.Constraint, ast.Constraint, str]] = {}
+    path_conditions = [simplify_path_condition(pc, simplified) for pc in path_conditions]
+    blocks = compute_dependency_partition(path_conditions).blocks if partition_and_cache else ()
+    conjunct_variables: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]] = {}
+    factors: Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]] = {}
+    layout: List[Tuple[ast.PathCondition, List[str]]] = []
+    # With PARTCACHE each distinct factor is keyed once: by the identities of
+    # its conjuncts (shared between path conditions by symbolic execution),
+    # failing that by its canonical text.  Both are exact, unlike dataclass
+    # equality (0.0 == -0.0).  The path conditions hold the conjuncts for the
+    # whole plan, so their ids stay theirs.
+    keys_by_identity: Dict[Tuple[int, ...], str] = {}
+    repeats: Dict[str, int] = {}
+    for pc in path_conditions:
+        keys: List[str] = []
+        if pc.constraints:
+            if blocks:
+                split = group_constraints_by_block(pc, blocks, conjunct_variables)
+            else:
+                # No partition (PARTCACHE off, or no variables at all): the
+                # path condition is one factor over all of its variables.
+                split = [(pc.free_variables(), pc)]
+            for variables, factor in split:
+                if partition_and_cache:
+                    identity = tuple(map(id, factor.constraints))
+                    key = keys_by_identity.get(identity)
+                    if key is None:
+                        key = keys_by_identity[identity] = factor.canonical()
+                else:
+                    # Without caching, factors are never shared between PCs:
+                    # numbering the repeats of one text keeps every occurrence
+                    # independent, whatever the PC order.
+                    text = factor.canonical()
+                    repeats[text] = repeats.get(text, 0) + 1
+                    key = f"{repeats[text]}:{text}"
+                if key not in factors:
+                    names = factor.free_variables()
+                    factors[key] = (factor, tuple(sorted(variables & names)) or tuple(sorted(names)))
+                keys.append(key)
+        layout.append((pc, keys))
+    return layout, factors
 
 
 def _estimates_of(states: Sequence[_FactorState]) -> Dict[_FactorState, Estimate]:

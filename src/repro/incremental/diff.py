@@ -1,9 +1,9 @@
 """The constraint-set differ: factor two program versions through canonical keys.
 
-Both versions are factored exactly the way the engine factors a run —
-per-PC simplification, dependency partition over the whole constraint set,
-per-block conjunct grouping — and every factor is keyed with the persistent
-store's canonical digest (:class:`repro.store.keys.StoreContext`).  That
+Both versions are factored by the engine's own planner
+(:func:`repro.core.qcoral.plan_factors`: per-PC simplification, dependency
+partition over the whole constraint set, per-block conjunct grouping) and
+every factor is keyed with the persistent store's canonical digest (:class:`repro.store.keys.StoreContext`).  That
 digest commits to the alpha-renamed constraint text, the profile
 fingerprint, the method tag, and the estimator version, so:
 
@@ -25,16 +25,14 @@ because it reuses the very digests the store indexes by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.dependency import compute_dependency_partition
 from repro.core.methods import store_method_tag
 from repro.core.profiles import UsageProfile
+from repro.core.qcoral import plan_factors
 from repro.errors import ConfigurationError
 from repro.lang import ast
-from repro.lang.analysis import group_constraints_by_block
 from repro.lang.canonical import skeleton
-from repro.lang.simplify import simplify_path_condition
 from repro.store.keys import StoreContext
 
 #: Classification statuses of a :class:`FactorDelta`.
@@ -153,51 +151,29 @@ class ConstraintDiff:
         )
 
 
-def factor_versions(
-    constraint_set: ast.ConstraintSet,
-    profile: UsageProfile,
-    method: str,
-    *,
-    simplify: bool = True,
-) -> Dict[str, FactorVersion]:
+def factor_versions(constraint_set: ast.ConstraintSet, profile: UsageProfile, method: str) -> Dict[str, FactorVersion]:
     """Factor one version and key every distinct factor canonically.
 
-    Mirrors the engine's planning pass (simplify → dependency partition →
-    per-block grouping) so the digests here are exactly the keys the
-    analyzer will look up in the store.  Returns digest → version; a factor
-    appearing in several path conditions resolves to one entry, like the
-    engine's in-run sharing.
+    The factors are the engine's own (:func:`repro.core.qcoral.plan_factors`),
+    so the digests here are exactly the keys the analyzer looks up in the
+    store.  Returns digest → version; a factor appearing in several path
+    conditions resolves to one entry, like the engine's in-run sharing.
     """
     profile.check_covers(constraint_set.free_variables())
-    simplified: Dict[int, Tuple[ast.Constraint, ast.Constraint, str]] = {}
-    path_conditions = [
-        simplify_path_condition(pc, simplified) if simplify else pc for pc in constraint_set.path_conditions
-    ]
-    partition = compute_dependency_partition(path_conditions)
+    _, factors = plan_factors(constraint_set.path_conditions)
     context = StoreContext(profile, method)
     versions: Dict[str, FactorVersion] = {}
-    # Each distinct factor is keyed once, by its canonical text (exact where
-    # dataclass equality is not: 0.0 == -0.0).
-    keyed: Set[str] = set()
-    conjunct_variables: Dict[int, Tuple[ast.Constraint, FrozenSet[str]]] = {}
-    for pc in path_conditions:
-        if not pc.constraints:
-            continue
-        for _, factor in group_constraints_by_block(pc, partition.blocks, conjunct_variables):
-            text = factor.canonical()
-            if text in keyed:
-                continue
-            keyed.add(text)
-            key = context.key_for(factor)
-            if key.digest not in versions:
-                versions[key.digest] = FactorVersion(
-                    digest=key.digest,
-                    text=key.pc_text,
-                    fingerprint=key.fingerprint,
-                    variables=key.variables,
-                    skeleton=skeleton(factor),
-                    factor=factor,
-                )
+    for factor, _ in factors.values():
+        key = context.key_for(factor)
+        if key.digest not in versions:
+            versions[key.digest] = FactorVersion(
+                digest=key.digest,
+                text=key.pc_text,
+                fingerprint=key.fingerprint,
+                variables=key.variables,
+                skeleton=skeleton(factor),
+                factor=factor,
+            )
     return versions
 
 
@@ -242,7 +218,6 @@ def diff_constraint_sets(
     config=None,
     method: Optional[str] = None,
     baseline_profile: Optional[UsageProfile] = None,
-    simplify: bool = True,
 ) -> ConstraintDiff:
     """Diff two versions of a constraint set through canonical factor keys.
 
@@ -256,10 +231,8 @@ def diff_constraint_sets(
     if (config is None) == (method is None):
         raise ConfigurationError("diff_constraint_sets needs a config= or a method= tag (not both)")
     tag = method if method is not None else store_method_tag(config)
-    old_versions = factor_versions(
-        baseline, baseline_profile if baseline_profile is not None else profile, tag, simplify=simplify
-    )
-    new_versions = factor_versions(candidate, profile, tag, simplify=simplify)
+    old_versions = factor_versions(baseline, baseline_profile if baseline_profile is not None else profile, tag)
+    new_versions = factor_versions(candidate, profile, tag)
 
     unchanged = [
         FactorDelta(UNCHANGED, old=old_versions[digest], new=new_versions[digest])

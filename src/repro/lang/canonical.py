@@ -146,23 +146,6 @@ def alpha_canonical(pc: ast.PathCondition) -> AlphaCanonical:
     return AlphaCanonical(text, order)
 
 
-def alpha_canonical_greedy(pc: ast.PathCondition) -> AlphaCanonical:
-    """Canonicalise ``pc`` with the greedy order regardless of variable count.
-
-    Exact canonicalisation enumerates up to ``MAX_EXACT_VARIABLES!`` renamings
-    — tens of milliseconds for a 6–7-variable factor, which a cache *key*
-    computed once per distinct factor per process cannot afford on hot paths.
-    This variant always uses the linear-time greedy order: still a pure
-    function of the path condition, still alpha-invariant whenever conjunct
-    shapes are distinct, but two alpha-equivalent factors whose conjuncts
-    share a shape may key differently.  Use it where a missed match merely
-    duplicates work (the kernel cache); the persistent estimate store keeps
-    the exact form.
-    """
-    order = _greedy_order(pc)
-    return AlphaCanonical(_renamed_text(pc, order), order)
-
-
 def alpha_equivalent(first: ast.PathCondition, second: ast.PathCondition) -> bool:
     """True when the two path conditions are equal up to variable renaming."""
     return alpha_canonical(first).text == alpha_canonical(second).text

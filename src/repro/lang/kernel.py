@@ -4,9 +4,9 @@
 closures: every AST node is one Python call plus one intermediate ndarray per
 batch, and every constant is materialised with ``np.full``.  The estimator
 spends essentially all of its wall-clock in that tree, so this module lowers a
-whole canonical path condition (or constraint set) into **one** generated
-Python function — a fused kernel — that computes the conjunction in a single
-pass with explicit temporaries:
+whole path condition (or constraint set) into **one** generated Python
+function — a fused kernel — that computes the conjunction in a single pass
+with explicit temporaries:
 
 * constants stay scalar literals (NumPy broadcasting replaces ``np.full``);
 * each variable is converted to a float array once, not once per occurrence;
@@ -24,11 +24,13 @@ compiler stays as the reference oracle the kernel tests hold this one to.
 
 Caching
 -------
-Kernels are keyed by the **alpha-renamed canonical text** of the constraint
-(:mod:`repro.lang.canonical`), so alpha-equivalent factors — ``x <= 0.5`` and
-``y <= 0.5`` — share one compiled kernel.  The cache is an in-process,
-thread-safe LRU (``QCORAL_KERNEL_CACHE_SIZE``, default 4096 entries); process
-workers compile their own kernels on first use.
+Kernels are keyed by the **canonical text** of the constraint over its own
+variable names (conjuncts, and the disjuncts of a constraint set, sorted), so
+factors with the same text share one compiled kernel whatever order their
+conjuncts came in.  A kernel takes its variables by position, in sorted-name
+order.  The cache is an in-process, thread-safe LRU
+(``QCORAL_KERNEL_CACHE_SIZE``, default 4096 entries); process workers compile
+their own kernels on first use.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ import numpy as np
 
 from repro.errors import EvaluationError, UnknownFunctionError, UnknownVariableError
 from repro.lang import ast
-from repro.lang.canonical import alpha_canonical_greedy, canonical_name
 from repro.lang.compiler import CompiledPredicate, SampleBatch, _batch_length
-from repro.lang.substitution import substitute_constraint
 
 #: Environment variable bounding the in-process LRU (entries, default 4096).
 CACHE_SIZE_ENV = "QCORAL_KERNEL_CACHE_SIZE"
@@ -89,75 +89,8 @@ _BINARY_NUMPY: Dict[str, str] = {
 
 
 # --------------------------------------------------------------------------- #
-# Canonicalisation: cache keys and renamed ASTs
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _Lowered:
-    """One constraint lowered to its canonical kernel identity.
-
-    Attributes:
-        kind: ``"pc"`` (conjunction) or ``"cs"`` (disjunction of conjunctions).
-        text: Alpha-renamed canonical text — the cache key.
-        variables: Original variable names in canonical order; position ``i``
-            is the variable kernel argument ``v{i}`` binds to.
-    """
-
-    kind: str
-    text: str
-    variables: Tuple[str, ...]
-
-
-def _renamed_sorted_constraints(
-    constraints: Sequence[ast.Constraint], order: Sequence[str]
-) -> List[ast.Constraint]:
-    """``constraints`` with ``order[i]`` renamed to ``$v{i}``, conjuncts sorted.
-
-    The sorted order matches the canonical text's conjunct order, so the
-    emitted source is a pure function of the canonical text.
-    """
-    bindings: Dict[str, ast.Expression] = {
-        name: ast.Variable(canonical_name(index)) for index, name in enumerate(order)
-    }
-    renamed = [substitute_constraint(constraint, bindings) for constraint in constraints]
-    return sorted(renamed, key=lambda constraint: constraint.canonical())
-
-
-def _lower_path_condition(pc: ast.PathCondition) -> Tuple[_Lowered, List[ast.Constraint]]:
-    # Greedy (linear-time) canonicalisation: the exact variant enumerates up
-    # to 7! renamings, which costs tens of milliseconds per factor — far more
-    # than sampling the factor.  Greedy may miss a share between equivalent
-    # factors with shape-tied conjuncts; that duplicates a kernel, nothing else.
-    alpha = alpha_canonical_greedy(pc)
-    renamed = _renamed_sorted_constraints(pc.constraints, alpha.variables)
-    lowered = _Lowered("pc", alpha.text, alpha.variables)
-    return lowered, renamed
-
-
-def _lower_constraint_set(cs: ast.ConstraintSet) -> Tuple[_Lowered, List[List[ast.Constraint]]]:
-    """Lower a disjunction with one *shared* renaming across all disjuncts.
-
-    Per-disjunct alpha renaming would break cross-disjunct variable identity,
-    so the whole set is renamed by one deterministic order (sorted original
-    names).  Renamed sets therefore may miss reuse a per-conjunction alpha
-    key would find — a cache miss, never a wrong kernel.
-    """
-    names = tuple(sorted(cs.free_variables()))
-    renamed_pcs = [_renamed_sorted_constraints(pc.constraints, names) for pc in cs.path_conditions]
-    texts = [" && ".join(c.canonical() for c in constraints) or "true" for constraints in renamed_pcs]
-    ordered = sorted(range(len(texts)), key=lambda index: texts[index])
-    text = " || ".join(texts[index] for index in ordered) or "false"
-    lowered = _Lowered("cs", text, names)
-    return lowered, [renamed_pcs[index] for index in ordered]
-
-
-# --------------------------------------------------------------------------- #
 # Code generation
 # --------------------------------------------------------------------------- #
-def _arg_name(canonical: str) -> str:
-    """Kernel argument name of a canonical variable (``$v3`` -> ``v3``)."""
-    return canonical.lstrip("$")
-
-
 class _Emitter:
     """Emits statements for expression trees with common-subexpression reuse.
 
@@ -165,10 +98,13 @@ class _Emitter:
     constants and variables are referenced inline.  Temporaries are shared by
     canonical text, so a subexpression appearing in several conjuncts — or in
     several path conditions of one constraint set — is computed once.
+    Variable ``variables[i]`` is referenced as the kernel argument ``v{i}``,
+    so no input name can collide with a name the kernel itself uses.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, variables: Sequence[str]) -> None:
         self.lines: List[str] = []
+        self._arguments = {name: f"v{index}" for index, name in enumerate(variables)}
         self._cse: Dict[str, str] = {}
         self._count = 0
 
@@ -194,7 +130,7 @@ class _Emitter:
                 return "np.float64(np.inf)" if value > 0 else "np.float64(-np.inf)"
             return f"np.float64({value!r})"
         if isinstance(expr, ast.Variable):
-            return _arg_name(expr.name)
+            return self._arguments[expr.name]
         key = expr.canonical()
         cached = self._cse.get(key)
         if cached is not None:
@@ -249,21 +185,30 @@ class _Emitter:
         return name
 
 
-def _render(lowered: _Lowered, body: Sequence[str]) -> str:
-    """Assemble the final kernel source under a short provenance header."""
-    args = ", ".join(["n"] + [f"v{index}" for index in range(len(lowered.variables))])
-    code_lines = [f"def {_KERNEL_FUNC}({args}):"] + [f"    {line}" for line in body]
-    header = ["# qcoral fused kernel (generated; do not edit)", f"# kind: {lowered.kind}"]
-    return "\n".join(header + code_lines) + "\n"
-
-
-def _generate_source(node: Compilable) -> Tuple[_Lowered, str]:
-    """Lower ``node`` and emit its fused kernel source."""
+def _cache_key(node: Union[ast.PathCondition, ast.ConstraintSet]) -> Tuple[str, str]:
+    """``(kind, canonical text)``: the text sorts conjuncts (and disjuncts)."""
     if isinstance(node, ast.PathCondition):
-        lowered, constraints = _lower_path_condition(node)
-        emitter = _Emitter()
-        body: List[str] = []
-        emitter.lines = body
+        return "pc", node.canonical()
+    return "cs", " || ".join(sorted(pc.canonical() for pc in node.path_conditions)) or "false"
+
+
+def _sorted_conjuncts(pc: ast.PathCondition) -> List[ast.Constraint]:
+    return sorted(pc.constraints, key=lambda constraint: constraint.canonical())
+
+
+def _generate_source(node: Union[ast.PathCondition, ast.ConstraintSet]) -> str:
+    """Emit the fused kernel source of ``node``.
+
+    Conjuncts and disjuncts are emitted in canonical-text order and the
+    arguments bind the variables in sorted-name order, so the source is a
+    pure function of the cache key.
+    """
+    variables = sorted(node.free_variables())
+    emitter = _Emitter(variables)
+    body = emitter.lines
+    if isinstance(node, ast.PathCondition):
+        kind = "pc"
+        constraints = _sorted_conjuncts(node)
         body.append("out = np.ones(n, dtype=np.bool_)")
         for index, constraint in enumerate(constraints):
             reference = emitter.constraint(constraint)
@@ -273,29 +218,25 @@ def _generate_source(node: Compilable) -> Tuple[_Lowered, str]:
                 # conjuncts: once nothing survives, skip the rest.
                 body.append("if not out.any():")
                 body.append("    return out")
-        body.append("return out")
-        return lowered, _render(lowered, body)
-
-    if isinstance(node, ast.ConstraintSet):
-        lowered, renamed_pcs = _lower_constraint_set(node)
-        emitter = _Emitter()
-        body = emitter.lines
+    elif isinstance(node, ast.ConstraintSet):
+        kind = "cs"
         body.append("out = np.zeros(n, dtype=np.bool_)")
-        for constraints in renamed_pcs:
-            if not constraints:
+        for pc in sorted(node.path_conditions, key=lambda pc: pc.canonical()):
+            if not pc.constraints:
                 body.append("out |= np.ones(n, dtype=np.bool_)")
                 continue
-            references = [emitter.constraint(constraint) for constraint in constraints]
+            references = [emitter.constraint(constraint) for constraint in _sorted_conjuncts(pc)]
             # No per-disjunct short-circuit here: temporaries are shared
             # across disjuncts (the CSE win on shared path prefixes), so a
             # skipped conjunct could starve a later disjunct of its input.
             body.append(f"out |= {' & '.join(references)}")
-        body.append("return out")
-        return lowered, _render(lowered, body)
-
-    raise EvaluationError(f"cannot build a kernel for node of type {type(node).__name__}")
-
-
+    else:
+        raise EvaluationError(f"cannot build a kernel for node of type {type(node).__name__}")
+    body.append("return out")
+    args = ", ".join(["n"] + [f"v{index}" for index in range(len(variables))])
+    code_lines = [f"def {_KERNEL_FUNC}({args}):"] + [f"    {line}" for line in body]
+    header = ["# qcoral fused kernel (generated; do not edit)", f"# kind: {kind}"]
+    return "\n".join(header + code_lines) + "\n"
 
 
 # --------------------------------------------------------------------------- #
@@ -320,9 +261,6 @@ class KernelCacheStats:
 _CACHE_LOCK = threading.Lock()
 #: Compiled kernels: (kind, canonical text) -> positional kernel function.
 _KERNEL_CACHE: "OrderedDict[Tuple[str, str], Callable]" = OrderedDict()
-#: Lowering results: (kind, node) -> _Lowered (alpha-canonicalisation is the
-#: expensive part of the key, so it is memoised on the hashable AST itself).
-_LOWERED_CACHE: "OrderedDict[Tuple[str, Compilable], _Lowered]" = OrderedDict()
 _STATS: Dict[str, float] = {
     "lookups": 0,
     "memory_hits": 0,
@@ -350,7 +288,7 @@ def _lru_get(cache: OrderedDict, key):
     return value
 
 
-def _lru_put(cache: OrderedDict, key, value, count_evictions: bool = False) -> None:
+def _lru_put(cache: OrderedDict, key, value) -> None:
     # Callers hold _CACHE_LOCK, so the eviction counter is updated in place
     # rather than via _bump (which would deadlock on the non-reentrant lock).
     cache[key] = value
@@ -358,8 +296,7 @@ def _lru_put(cache: OrderedDict, key, value, count_evictions: bool = False) -> N
     capacity = _cache_capacity()
     while len(cache) > capacity:
         cache.popitem(last=False)
-        if count_evictions:
-            _STATS["evictions"] += 1
+        _STATS["evictions"] += 1
 
 
 def kernel_cache_stats() -> KernelCacheStats:
@@ -379,14 +316,12 @@ def kernel_cache_info() -> Dict[str, object]:
     with _CACHE_LOCK:
         stats = dict(_STATS)
         kernel_size = len(_KERNEL_CACHE)
-        lowered_size = len(_LOWERED_CACHE)
     return {
         "memory": {
             "hits": int(stats["memory_hits"]),
             "misses": int(stats["lookups"] - stats["memory_hits"]),
             "evictions": int(stats["evictions"]),
             "size": kernel_size,
-            "lowered_size": lowered_size,
             "capacity": capacity,
         },
         "codegens": int(stats["codegens"]),
@@ -403,7 +338,6 @@ def clear_kernel_cache(disk: bool = False) -> None:
     """
     with _CACHE_LOCK:
         _KERNEL_CACHE.clear()
-        _LOWERED_CACHE.clear()
         for counter in _STATS:
             _STATS[counter] = 0
 
@@ -423,25 +357,9 @@ def _compile_source(source: str, kind: str) -> Callable:
     return namespace[_KERNEL_FUNC]  # type: ignore[return-value]
 
 
-def _lowered_for(node: Compilable) -> _Lowered:
-    kind = "pc" if isinstance(node, ast.PathCondition) else "cs"
-    key = (kind, node)
-    with _CACHE_LOCK:
-        cached = _lru_get(_LOWERED_CACHE, key)
-    if cached is not None:
-        return cached
-    if isinstance(node, ast.PathCondition):
-        lowered, _ = _lower_path_condition(node)
-    else:
-        lowered, _ = _lower_constraint_set(node)
-    with _CACHE_LOCK:
-        _lru_put(_LOWERED_CACHE, key, lowered)
-    return lowered
-
-
-def _raw_kernel(node: Compilable, lowered: _Lowered) -> Callable:
-    """The positional kernel function for ``lowered`` (cached)."""
-    key = (lowered.kind, lowered.text)
+def _raw_kernel(node: Union[ast.PathCondition, ast.ConstraintSet]) -> Callable:
+    """The positional kernel function of ``node`` (cached by its key)."""
+    key = _cache_key(node)
     _bump("lookups")
     with _CACHE_LOCK:
         cached = _lru_get(_KERNEL_CACHE, key)
@@ -450,11 +368,10 @@ def _raw_kernel(node: Compilable, lowered: _Lowered) -> Callable:
         return cached
     started = time.perf_counter()
     _bump("codegens")
-    _, source = _generate_source(node)
-    kernel = _compile_source(source, lowered.kind)
+    kernel = _compile_source(_generate_source(node), key[0])
     _bump("compile_seconds", time.perf_counter() - started)
     with _CACHE_LOCK:
-        _lru_put(_KERNEL_CACHE, key, kernel, count_evictions=True)
+        _lru_put(_KERNEL_CACHE, key, kernel)
     return kernel
 
 
@@ -512,16 +429,14 @@ def get_kernel(constraint: Compilable) -> CompiledPredicate:
         constraint: An atomic constraint, path condition, or constraint set.
     """
     node = _normalise(constraint)
-    lowered = _lowered_for(node)
-    return _make_predicate(_raw_kernel(node, lowered), lowered.variables)
+    return _make_predicate(_raw_kernel(node), tuple(sorted(node.free_variables())))
 
 
 def kernel_source(constraint: Compilable) -> str:
     """The generated fused-kernel source of ``constraint`` (for inspection)."""
-    _, source = _generate_source(_normalise(constraint))
-    return source
+    return _generate_source(_normalise(constraint))
 
 
 def kernel_key(constraint: Compilable) -> str:
-    """The alpha-renamed canonical cache key of ``constraint``."""
-    return _lowered_for(_normalise(constraint)).text
+    """The canonical text ``constraint``'s kernel is cached under."""
+    return _cache_key(_normalise(constraint))[1]

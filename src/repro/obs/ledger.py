@@ -343,12 +343,15 @@ def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, .
     """The (method tag, sorted factor digests) identifying a run's family.
 
     Reuses the estimate store's canonical keys when a usage profile is
-    available (so ledger families line up with store sharing); a factor the
-    profile cannot key (it misses one of the factor's variables) hashes its
-    canonical text instead.  Each distinct factor is keyed once: the reports
-    of all its occurrences share one factor object.  Core/store imports live
-    inside the function — ``repro.core.stratified`` imports ``repro.obs``,
-    so importing the other direction at module level would cycle.
+    available (so ledger families line up with store sharing).  A run with a
+    store carries each factor's key on its report; those are read as they
+    are when this ledger keys under the run's own context, and any other
+    factor is keyed here.  A factor the profile cannot key (it misses one of
+    the factor's variables) hashes its canonical text instead.  Each distinct
+    factor is keyed once: the reports of all its occurrences share one factor
+    object.  Core/store imports live inside the function —
+    ``repro.core.stratified`` imports ``repro.obs``, so importing the other
+    direction at module level would cycle.
     """
     from repro.core.methods import store_method_tag
     from repro.store.keys import StoreContext
@@ -360,6 +363,7 @@ def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, .
         method_tag = store_method_tag(config)
         if profile is not None:
             context = StoreContext(profile, method_tag)
+    carried = context is not None and report.store_context == context
     # Keyed by object identity; the report holds every factor, so no id is
     # reused while this runs.
     digests: Dict[int, str] = {}
@@ -369,7 +373,9 @@ def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, .
             if id(factor) in digests:
                 continue
             digest = None
-            if context is not None:
+            if carried and factor_report.key is not None:
+                digest = factor_report.key.digest
+            elif context is not None:
                 try:
                     digest = context.key_for(factor).digest
                 except Exception:  # profile missing a variable: fall back to text

@@ -25,7 +25,7 @@ from repro.core.cache import EstimateCache
 from repro.core.dependency import compute_dependency_partition
 from repro.core.methods import store_method_tag
 from repro.core.profiles import UsageProfile
-from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
+from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, plan_factors
 from repro.incremental.diff import factor_versions
 from repro.lang import ast
 from repro.lang.analysis import group_constraints_by_block
@@ -177,11 +177,10 @@ def test_plan_keys_states_and_path_conditions_equal_the_unmemoised_functions(sou
         [EstimateCache.key_for(factor) for _, factor in group_constraints_by_block(pc, blocks)] for pc in reference_pcs
     ]
 
-    memo = {}
-    simplified = [simplify_path_condition(pc, memo) for pc in constraint_set.path_conditions]
-    assert [pc.canonical() for pc in simplified] == [pc.canonical() for pc in reference_pcs]
+    layout, factors = plan_factors(constraint_set.path_conditions)
+    assert [pc.canonical() for pc, _ in layout] == [pc.canonical() for pc in reference_pcs]
     analyzer = QCoralAnalyzer(profile, SET_CONFIG)
-    plan, states, _ = analyzer._build_plan(simplified, analyzer._partition_for(simplified))
+    plan, states, _ = analyzer._build_plan(layout, factors)
     assert [[state.key for state, _ in occurrences] for _, occurrences in plan] == reference_keys
     assert len(states) == len({key for keys in reference_keys for key in keys})
 
@@ -189,8 +188,7 @@ def test_plan_keys_states_and_path_conditions_equal_the_unmemoised_functions(sou
 def test_signed_zero_factors_stay_apart():
     constraint_set = signed_set()
     analyzer = QCoralAnalyzer(SET_PROFILE, SET_CONFIG)
-    simplified = [simplify_path_condition(pc) for pc in constraint_set.path_conditions]
-    _, states, _ = analyzer._build_plan(simplified, analyzer._partition_for(simplified))
+    _, states, _ = analyzer._build_plan(*plan_factors(constraint_set.path_conditions))
     keys = {state.key for state in states}
     assert {"x <= 0.0", "x <= -0.0", "x > 0.0", "x > -0.0"} <= keys
     # The integer-constant path condition shares its text, so its states.
@@ -221,19 +219,50 @@ def test_alpha_orders_run_once_per_distinct_factor(monkeypatch):
     calls = counting(monkeypatch, store_keys, "alpha_orders", lambda pc: pc.canonical())
     config = QCoralConfig(samples_per_query=2000, seed=3)
 
-    result = QCoralAnalyzer(profile, config, store=open_store(None, "memory")).analyze(constraint_set)
-    occurrences = sum(len(report.factors) for report in result.path_reports)
-    distinct = len(result._distinct_factors())
-    assert occurrences > 5 * distinct
-    assert len(calls) == distinct and max(calls.values()) == 1
+    # A stored and ledgered run keys each distinct factor once in total: the
+    # ledger reads the keys the planner carried on the factor reports.
+    with Session(store=open_store(None, "memory"), ledger_backend="memory") as session:
+        report = session.quantify(constraint_set, profile).with_budget(2000).seed(3).run()
+        (entry,) = session.ledger.entries()
+    reports = [factor for path_report in report.path_reports for factor in path_report.factors]
+    distinct = {factor.factor.canonical() for factor in reports}
+    assert len(reports) > 5 * len(distinct)
+    assert set(calls) == distinct and max(calls.values()) == 1
+    assert len(entry.factor_keys) == len(distinct)
 
+    # Without a store the ledger keys each distinct factor itself, once.
     calls.clear()
+    result = QCoralAnalyzer(profile, config).analyze(constraint_set)
+    assert result.store_context is None
     ledger_entry_for(Report.from_qcoral(result), profile)
-    assert len(calls) == distinct and max(calls.values()) == 1
+    assert set(calls) == distinct and max(calls.values()) == 1
 
     calls.clear()
     versions = factor_versions(constraint_set, profile, store_method_tag(config))
-    assert len(versions) == distinct and max(calls.values()) == 1
+    assert len(versions) == len(distinct) and set(calls) == distinct and max(calls.values()) == 1
+
+
+def test_factor_versions_digests_are_the_keys_the_run_carries(monkeypatch):
+    constraint_set, profile = program_target(MANY_PATHS)
+    config = QCoralConfig(samples_per_query=2000, seed=3)
+    result = QCoralAnalyzer(profile, config, store=open_store(None, "memory")).analyze(constraint_set)
+    keys = [factor_report.key for path_report in result.path_reports for factor_report in path_report.factors]
+    assert None not in keys
+    carried = {key.digest for key in keys}
+    assert result.store_context == store_keys.StoreContext(profile, store_method_tag(config))
+    assert set(factor_versions(constraint_set, profile, store_method_tag(config))) == carried
+    # The ledger family of the run is the family of those digests.
+    report = Report.from_qcoral(result)
+    assert set(ledger_entry_for(report, profile).factor_keys) == carried
+
+    # Under another profile object the ledger keys the factors itself: an
+    # equal profile gives the same digests, a different one other digests.
+    calls = counting(monkeypatch, store_keys, "alpha_orders", lambda pc: pc.canonical())
+    _, equal = program_target(MANY_PATHS)
+    assert set(ledger_entry_for(report, equal).factor_keys) == carried
+    assert sum(calls.values()) == len(carried)
+    shifted = UsageProfile.uniform({"x": (0.0, 11.0), "y": (0.0, 11.0), "z": (-1.0, 2.0)})
+    assert not carried & set(ledger_entry_for(report, shifted).factor_keys)
 
 
 def test_feasibility_checked_once_per_distinct_branch_constraint(monkeypatch):

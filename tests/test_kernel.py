@@ -4,7 +4,8 @@ The closure-tree compiler (:mod:`repro.lang.compiler`) is the reference
 oracle; every test here holds the fused codegen to *bit-identical* outputs —
 including the domain-error semantics (division by zero, roots/logs of
 negatives) that feed hit counts — and pins the cache-key contract:
-alpha-equivalent constraints share one kernel, distinct ones never do.
+constraints with the same canonical text share one kernel, distinct ones
+never do.
 """
 
 from __future__ import annotations
@@ -313,23 +314,41 @@ def test_random_ast_constraint_set_fused_equals_closure(path_conditions, seed):
 
 
 # --------------------------------------------------------------------------- #
-# Cache keys: alpha equivalence and the in-process LRU
+# Cache keys: canonical text and the in-process LRU
 # --------------------------------------------------------------------------- #
-def test_alpha_equivalent_constraints_share_a_kernel():
+def test_same_text_constraints_share_a_kernel():
     first = parse_path_condition("x * x + y <= 1 && y > 0")
-    second = parse_path_condition("u * u + v <= 1 && v > 0")
-    assert kernel_key(first) == kernel_key(second)
+    reordered = parse_path_condition("y > 0 && x * x + y <= 1")
+    renamed = parse_path_condition("u * u + v <= 1 && v > 0")
+    assert kernel_key(first) == kernel_key(reordered) != kernel_key(renamed)
 
     get_kernel(first)
     before = kernel_cache_stats()
-    get_kernel(second)  # same kernel, different wrapper binding u/v
-    after = kernel_cache_stats()
-    assert after.memory_hits == before.memory_hits + 1
-    assert after.codegens == before.codegens
+    get_kernel(reordered)  # same text: the cached kernel
+    middle = kernel_cache_stats()
+    assert middle.memory_hits == before.memory_hits + 1
+    assert middle.codegens == before.codegens
+    get_kernel(renamed)  # other names, other text: a kernel of its own
+    assert kernel_cache_stats().codegens == middle.codegens + 1
 
-    batch = random_batch(["u", "v"], seed=2)
-    expected = compile_path_condition(second)(batch)
-    assert np.array_equal(get_kernel(second)(batch), expected)
+    batch = random_batch(["u", "v", "x", "y"], seed=2)
+    for pc in (first, reordered, renamed):
+        assert np.array_equal(get_kernel(pc)(batch), compile_path_condition(pc)(batch))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n * np <= out + t0 && v1 > v0",
+        "v1 - v0 <= 0.5 && sin(np) > 0 - n",
+        "out * out + t0 <= 4 || v0 > v1 && np <= 1",
+    ],
+)
+def test_variable_names_used_inside_kernels_compile_and_match_closure(text):
+    node = parse_constraint_set(text)
+    node = node.path_conditions[0] if len(node.path_conditions) == 1 else node
+    batch = random_batch(sorted(node.free_variables()), seed=4)
+    assert np.array_equal(get_kernel(node)(batch), closure_kernel(node)(batch))
 
 
 def test_different_constraints_do_not_share_keys():

@@ -315,7 +315,7 @@ def test_store_statistics_and_metrics_in_report():
 def test_kernel_cache_info_shape():
     info = kernel_cache_info()
     assert set(info) == {"memory", "codegens", "compile_seconds"}
-    assert {"hits", "misses", "evictions", "size", "lowered_size", "capacity"} <= set(info["memory"])
+    assert {"hits", "misses", "evictions", "size", "capacity"} <= set(info["memory"])
     assert info["memory"]["size"] <= info["memory"]["capacity"]
     assert info["compile_seconds"] >= 0.0
 

@@ -18,6 +18,7 @@ import pytest
 from repro import Session
 from repro.errors import ConfigurationError, ParseError, UsageError
 from repro.obs import Observability
+from repro.obs.diagnostics import deterministic_diagnostics, diagnostics_from_payload
 from repro.obs.ledger import open_ledger
 from repro.serve import (
     AdmissionController,
@@ -236,14 +237,17 @@ class TestServedEndpoints:
                 .to_dict()
             )
         # Timing, the shared hub's metrics, and wall-clock-derived
-        # diagnostic wording are the only run-dependent fields; every
+        # diagnostics are the only run-dependent fields; every
         # estimate-bearing field must match bit for bit.
         for volatile in ("time", "metrics"):
             served.pop(volatile, None)
             local.pop(volatile, None)
-        served_codes = [diagnostic["code"] for diagnostic in served.pop("diagnostics", [])]
-        local_codes = [diagnostic["code"] for diagnostic in local.pop("diagnostics", [])]
-        assert served_codes == local_codes
+
+        def deterministic_codes(report):
+            diagnostics = diagnostics_from_payload(report.pop("diagnostics", []))
+            return [diagnostic.code for diagnostic in deterministic_diagnostics(diagnostics)]
+
+        assert deterministic_codes(served) == deterministic_codes(local)
         assert served == local
 
     def test_repeated_request_draws_zero_samples(self):
