@@ -10,8 +10,7 @@ discrete, the true error against the enumerated ground-truth probability.
 
 Expected outcome: σ ratio strictly below 1 on every subject (the all-discrete
 subjects are resolved to per-atom strata, so their ratio collapses to ~0), and
-bit-identical same-seed results across the serial, thread, and process
-executors at any worker count.
+bit-identical same-seed results at 1, 2 and 3 sampling workers.
 
 The machine-readable summary lands in ``benchmarks/BENCH_importance.json``;
 ``benchmarks/check_regression.py`` gates CI on it.
@@ -28,6 +27,7 @@ try:
 except ImportError:  # executed directly: benchmarks/ is sys.path[0]
     from conftest import FULL_SCALE, record_bench, repetitions, write_bench_summary
 from repro.analysis.results import Table
+from repro.api import Session
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.subjects.discrete import all_discrete_subjects, discrete_subject_by_name
 
@@ -68,14 +68,14 @@ def run_pair(name: str, samples: int, seed: int) -> dict:
 
 
 def determinism_check(samples: int = 8_000, seed: int = 5) -> dict:
-    """Same-seed importance runs across all executor backends must be bit-identical."""
+    """Same-seed importance runs at 1, 2 and 3 workers must be bit-identical."""
     subject = discrete_subject_by_name("BurstySensor")
+    config = QCoralConfig.importance(samples, seed=seed)
     outcomes = {}
-    for executor, workers in (("serial", None), ("thread", 3), ("process", 2)):
-        config = QCoralConfig.importance(samples, seed=seed).with_executor(executor, workers)
-        with QCoralAnalyzer(subject.profile, config) as analyzer:
-            result = analyzer.analyze(subject.constraint_set())
-        outcomes[f"{executor}" + (f"x{workers}" if workers else "")] = {
+    for workers in (1, 2, 3):
+        with Session(workers=workers) as session:
+            result = session.quantify(subject.constraint_set(), subject.profile, config=config).run()
+        outcomes[f"workers={workers}"] = {
             "mean": result.mean,
             "variance": result.variance,
             "samples": result.total_samples,

@@ -3,13 +3,13 @@
 The fused-kernel compiler (:mod:`repro.lang.kernel`) lowers each path
 condition into one generated NumPy function; the claim is (a) it is never
 *semantically* different from the closure-tree oracle — fixed-seed hit counts
-must be bit-identical on every subject, evaluator, and executor backend — and
+must be bit-identical on every subject, evaluator, and worker count — and
 (b) it is faster wherever predicate evaluation, not RNG sampling, dominates.
 This benchmark measures both on real volcomp workloads:
 
-* **throughput** — samples/sec per subject for the fused kernels on the
-  serial, thread and process backends, and for the closure oracle on the
-  serial backend, at an identical seeded budget;
+* **throughput** — samples/sec per subject for the fused kernels in the
+  calling thread and on a pool of two threads, and for the closure oracle in
+  the calling thread, at an identical seeded budget;
 * **bit-identity** — the per-subject hit total must be one number across
   every (evaluator, backend) cell of the sweep.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ except ImportError:  # executed directly: benchmarks/ is sys.path[0]
     from conftest import FULL_SCALE, record_bench, write_bench_summary
 from repro.analysis.results import Table
 from repro.core.montecarlo import hit_or_miss
-from repro.exec import make_executor, plan_chunks, run_sampling_tasks
+from repro.exec import plan_chunks, run_sampling_tasks
 from repro.lang.compiler import compile_path_condition
 from repro.lang.kernel import clear_kernel_cache, get_kernel
 from repro.subjects.volcomp_suite import subject_by_name
@@ -56,11 +57,10 @@ SUBJECTS = ("ATRIAL", "CORONARY", "EGFR EPI", "VOL")
 #: Per-path-condition sampling budget.
 BUDGET = 1_000_000 if FULL_SCALE else 100_000
 
-#: Executor backends swept: (label, executor kind, workers).
-BACKENDS: Tuple[Tuple[str, Optional[str], Optional[int]], ...] = (
-    ("serial", None, None),
-    ("thread", "thread", 2),
-    ("process", "process", 2),
+#: Backends swept: (label, pool workers); None runs in the calling thread.
+BACKENDS: Tuple[Tuple[str, Optional[int]], ...] = (
+    ("serial", None),
+    ("thread", 2),
 )
 
 #: Evaluators swept: the closure-tree oracle and the fused kernels.
@@ -98,15 +98,12 @@ def _closure_hits(tasks, predicate) -> int:
     return hits
 
 
-def run_subject_once(
-    name: str, evaluator: str, executor: Optional[str], workers: Optional[int], budget: int
-) -> Tuple[int, float]:
+def run_subject_once(name: str, evaluator: str, workers: Optional[int], budget: int) -> Tuple[int, float]:
     """One timed sweep over every path condition of a subject's first assertion.
 
     Returns ``(total_hits, seconds)``.  Predicate compilation is warmed
     outside the timed region (compilation is once-per-deployment, throughput
-    is what recurs).  The closure oracle runs on the serial backend only: its
-    compiled closures do not pickle.
+    is what recurs).  The closure oracle runs in the calling thread only.
     """
     subject = subject_by_name(name)
     constraint_set = subject.constraint_set(subject.assertions[0])
@@ -124,26 +121,26 @@ def run_subject_once(
 
     for pc in constraint_set.path_conditions:
         get_kernel(pc)
-    backend = make_executor(executor, workers) if executor is not None else None
+    pool = ThreadPoolExecutor(workers) if workers is not None else None
     try:
-        if backend is not None:
-            backend.map(_noop, list(range(backend.workers)))
+        if pool is not None:
+            list(pool.map(_noop, range(workers)))
         hits = 0
         started = time.perf_counter()
         for index, pc in enumerate(constraint_set.path_conditions):
-            counts = run_sampling_tasks(backend, _tasks(pc, profile, budget, index))
+            counts = run_sampling_tasks(pool, _tasks(pc, profile, budget, index))
             hits += sum(chunk_hits for chunk_hits, _ in counts)
         elapsed = time.perf_counter() - started
     finally:
-        if backend is not None:
-            backend.close()
+        if pool is not None:
+            pool.shutdown()
     return hits, elapsed
 
 
 def _cells(backends):
     """The (evaluator, backend) cells swept: closure serially, fused everywhere."""
-    cells = [("closure", "serial", None, None)] if any(label == "serial" for label, _, _ in backends) else []
-    return cells + [("fused", label, executor, workers) for label, executor, workers in backends]
+    cells = [("closure", "serial", None)] if any(label == "serial" for label, _ in backends) else []
+    return cells + [("fused", label, workers) for label, workers in backends]
 
 
 def bench_subject(name: str, budget: int, repeats: int, backends=BACKENDS) -> Dict:
@@ -153,11 +150,11 @@ def bench_subject(name: str, budget: int, repeats: int, backends=BACKENDS) -> Di
     total_samples = budget * path_conditions
 
     runs: List[Dict] = []
-    for evaluator, label, executor, workers in _cells(backends):
+    for evaluator, label, workers in _cells(backends):
         times: List[float] = []
         hits = None
         for _ in range(repeats):
-            hits, elapsed = run_subject_once(name, evaluator, executor, workers, budget)
+            hits, elapsed = run_subject_once(name, evaluator, workers, budget)
             times.append(elapsed)
         seconds = min(times)
         runs.append(
@@ -200,7 +197,7 @@ def collect_results(budget: int = BUDGET, repeats: int = 2, subjects=SUBJECTS, b
         "seed": SEED,
         "cpu_count": os.cpu_count(),
         "evaluators": list(EVALUATORS),
-        "backends": [label for label, _, _ in backends],
+        "backends": [label for label, _ in backends],
         "subjects": rows,
         "all_hits_match": all(row["hits_match"] for row in rows),
         "max_speedup_fused": max(
@@ -215,7 +212,7 @@ def generate_table(payload: Dict) -> Table:
     table = Table(
         f"Fused-kernel throughput at {payload['budget_per_pc']} samples/PC "
         f"({payload['cpu_count']} CPUs; Msamples/s)",
-        ("closure serial", "fused serial", "fused thread", "fused process", "speedup serial", "hits match"),
+        ("closure serial", "fused serial", "fused thread×2", "speedup serial", "hits match"),
     )
     for row in payload["subjects"]:
         by_cell = {(run["evaluator"], run["backend"]): run for run in row["runs"]}
@@ -224,7 +221,6 @@ def generate_table(payload: Dict) -> Table:
             by_cell[("closure", "serial")]["samples_per_second"] / 1e6,
             by_cell[("fused", "serial")]["samples_per_second"] / 1e6,
             by_cell[("fused", "thread")]["samples_per_second"] / 1e6,
-            by_cell[("fused", "process")]["samples_per_second"] / 1e6,
             row["speedups"]["fused_vs_closure_serial"],
             float(row["hits_match"]),
         )

@@ -16,8 +16,8 @@ a tracked quality metric regressed by more than the tolerance:
   along — the all-changed run must stay bit-identical to its cold twin, and
   the one-factor edit must draw at most 25% of the cold run's samples.
 * **fused-kernel summaries** (``BENCH_kernels.json``) — per-subject hit counts
-  must be bit-identical across the closure oracle and every executor backend
-  (unconditional, no tolerance); fused-vs-closure speedups gate against the
+  must be bit-identical across the closure oracle, in-thread and thread×2
+  sampling (unconditional, no tolerance); fused-vs-closure speedups gate against the
   baseline with a loose floor since CI timing is noisy.
 * **serving** (``BENCH_serve.json``) — served results must stay bit-identical
   to in-process runs and repeated requests must draw zero samples (both

@@ -9,8 +9,8 @@ This walks through the public Session API, from lowest to highest level:
    followed by probabilistic analysis of a target event;
 4. stream an adaptive run round by round (with early stop in reach), with
    live engine metrics from a zero-perturbation Observability hub;
-5. fan the sampling out over the parallel executor backends and check that
-   the estimate is bit-identical on every backend for one master seed;
+5. fan the sampling out over a pool of worker threads and check that the
+   estimate is bit-identical at every worker count for one master seed;
 6. persist per-factor estimates in a store and re-run warm: the second run
    reuses every stored factor and draws zero samples;
 7. record runs in a ledger, read back the health diagnostics every run
@@ -125,21 +125,21 @@ def stream_an_adaptive_run() -> None:
 
 
 def run_in_parallel() -> None:
-    """The executor backends: same seed, same estimate, any worker count."""
+    """The workers knob: same seed, same estimate, any worker count."""
     print("=" * 72)
-    print("5. Parallel execution (serial vs thread vs process backends)")
+    print("5. Parallel execution (1, 2 and 4 sampling workers)")
     print("=" * 72)
 
     results = {}
-    for executor, workers in (("serial", None), ("thread", 2), ("process", 2)):
-        with Session(executor=executor, workers=workers) as session:
+    for workers in (1, 2, 4):
+        with Session(workers=workers) as session:
             query = session.quantify("x * x + y * y <= 1", BOUNDS)
             report = query.with_budget(200_000).seed(11).run()
-        label = executor if workers is None else f"{executor}×{workers}"
+        label = f"workers={workers}"
         results[label] = report
         print(f"{label:12s} estimate={report.mean:.6f} std={report.std:.3e} " f"time={report.analysis_time:.2f}s")
     estimates = {(r.mean, r.variance) for r in results.values()}
-    print(f"bit-identical across backends: {len(estimates) == 1}")
+    print(f"bit-identical across worker counts: {len(estimates) == 1}")
     print()
 
 

@@ -17,12 +17,12 @@ The public way in is the **Session facade** (:mod:`repro.api`)::
         )
         print(report.mean, report.std)
 
-* :class:`Session` — owns executor + store lifecycles, builds queries.
+* :class:`Session` — owns the sampling pool + store lifecycles, builds queries.
 * :class:`Query` — fluent, immutable builder; ``run()`` blocks,
   ``stream()`` yields per-round results, ``repeat()`` aggregates trials.
 * :class:`Report` — the unified result type with a versioned JSON schema.
-* ``register_method`` / ``register_executor`` / ``register_store_backend`` —
-  pluggable backend registries behind method/executor/store resolution.
+* ``register_method`` / ``register_store_backend`` — pluggable registries
+  behind method and store resolution.
 
 The lower layers (:mod:`repro.core`, :mod:`repro.exec`, :mod:`repro.store`,
 :mod:`repro.symexec`, :mod:`repro.baselines`) stay importable directly.
@@ -38,7 +38,6 @@ from repro.api import (
     Report,
     RoundStream,
     Session,
-    register_executor,
     register_method,
     register_store_backend,
 )
@@ -63,14 +62,6 @@ from repro.incremental import (
     ReusePlan,
     diff_constraint_sets,
     plan_reuse,
-)
-from repro.exec import (
-    EXECUTOR_KINDS,
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    make_executor,
 )
 from repro.lang.ast import Constraint, ConstraintSet, PathCondition
 from repro.lang.kernel import (
@@ -110,7 +101,6 @@ __all__ = [
     "Report",
     "SCHEMA_VERSION",
     "register_method",
-    "register_executor",
     "register_store_backend",
     # Observability (zero-perturbation spans + metrics)
     "Observability",
@@ -152,13 +142,6 @@ __all__ = [
     "diff_constraint_sets",
     "ReusePlan",
     "plan_reuse",
-    # Executor backends
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "EXECUTOR_KINDS",
-    "make_executor",
     # Store backends
     "EstimateStore",
     "MemoryStore",

@@ -9,26 +9,23 @@ of the per-run reported standard deviations, and the mean wall-clock time.
 Per-trial seeds are spawned from one :class:`numpy.random.SeedSequence`
 rooted at ``base_seed`` (see :func:`trial_seeds`), so trials are statistically
 independent yet fully reproducible, and the seed of trial *i* never depends
-on how many trials run or where they run.  Because trials are independent,
-they can be dispatched on any :class:`~repro.exec.executor.Executor` backend;
-the process backend additionally requires the ``run`` callable to be
-picklable (a module-level function, not a lambda).
+on how many trials run.  Trials run one after another in the calling thread;
+parallelism lives inside a trial, where a session's pool samples each
+round's chunks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import statistics
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.api.query import Query
-    from repro.exec.executor import Executor
 
 
 def trial_seeds(runs: int, base_seed: int = 0) -> List[int]:
@@ -139,17 +136,6 @@ class RepeatedResult:
         return text
 
 
-def _run_trials(
-    trial: Callable[[int], TrialOutcome],
-    seeds: Sequence[int],
-    executor: Optional["Executor"],
-) -> Tuple[TrialOutcome, ...]:
-    """Dispatch seeded trials on the executor (in-thread when None), in order."""
-    if executor is None:
-        return tuple(trial(seed) for seed in seeds)
-    return tuple(executor.map(trial, list(seeds)))
-
-
 def _timed_plain_trial(run: Callable[[int], Tuple[float, float]], seed: int) -> TrialOutcome:
     started = time.perf_counter()
     estimate, reported_std = run(seed)
@@ -163,19 +149,16 @@ def repeat_analysis(
     run: Callable[[int], Tuple[float, float]],
     runs: int = 30,
     base_seed: int = 0,
-    executor: Optional["Executor"] = None,
 ) -> RepeatedResult:
     """Run ``run(seed)`` for ``runs`` independent seeds and aggregate the outcomes.
 
     ``run`` must return a ``(estimate, reported_std)`` pair; wall-clock time is
     measured here so every analysis is timed consistently.  Seeds come from
-    :func:`trial_seeds`, and independent trials are dispatched through
-    ``executor`` when one is given (trial order is preserved either way).
+    :func:`trial_seeds`.
     """
     if runs < 1:
         raise ValueError("at least one run is required")
-    outcomes = _run_trials(functools.partial(_timed_plain_trial, run), trial_seeds(runs, base_seed), executor)
-    return RepeatedResult(outcomes)
+    return RepeatedResult(tuple(_timed_plain_trial(run, seed) for seed in trial_seeds(runs, base_seed)))
 
 
 def _timed_query_trial(query: "Query", seed: int) -> TrialOutcome:
@@ -201,18 +184,14 @@ def repeat_query(
     query: "Query",
     runs: int = 30,
     base_seed: int = 0,
-    executor: Optional["Executor"] = None,
 ) -> RepeatedResult:
     """Run a facade :class:`~repro.api.query.Query` at ``runs`` spawned seeds.
 
     Each trial is ``query.seed(s).run()`` for the seeds of
     :func:`trial_seeds`, so a query and a hand-rolled run-per-seed loop
-    aggregate identically.
-    Dispatching trials on a process executor requires the query to pickle;
-    session-bound queries generally do not, so use the serial/thread backends
-    (or None) there.
+    aggregate identically.  Trials run in order; each one samples its
+    rounds' chunks on the query's session pool.
     """
     if runs < 1:
         raise ValueError("at least one run is required")
-    outcomes = _run_trials(functools.partial(_timed_query_trial, query), trial_seeds(runs, base_seed), executor)
-    return RepeatedResult(outcomes)
+    return RepeatedResult(tuple(_timed_query_trial(query, seed) for seed in trial_seeds(runs, base_seed)))

@@ -2,23 +2,21 @@
 
 The one documented way in:
 
-* :class:`Session` — owns executor + store lifecycles once, shared by every
+* :class:`Session` — owns the sampling pool + store lifecycles once, shared by every
   analysis; context-managed, close-idempotent.
 * :class:`Query` — fluent, immutable builder over both direct constraint-set
   quantification and end-to-end program analysis; compiles to the engine's
   :class:`~repro.core.qcoral.QCoralConfig`.
 * :class:`RoundStream` — incremental per-round results with early stop.
 * :class:`Report` — the unified result type with a versioned JSON schema.
-* ``register_method`` / ``register_executor`` / ``register_store_backend`` —
-  the pluggable backend registries.
+* ``register_method`` / ``register_store_backend`` — the pluggable
+  registries.
 """
 
 from repro.api.query import Query, RoundStream
 from repro.api.registry import (
-    register_executor,
     register_method,
     register_store_backend,
-    unregister_executor,
     unregister_method,
     unregister_store_backend,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "Report",
     "SCHEMA_VERSION",
     "register_method",
-    "register_executor",
     "register_store_backend",
     "unregister_method",
-    "unregister_executor",
     "unregister_store_backend",
 ]

@@ -225,14 +225,6 @@ class Query:
             raise ConfigurationError("features() needs stratified= and/or partition_and_cache=")
         return self._with(**updates)
 
-    def on(self, executor: Optional[str], workers: Optional[int] = None) -> "Query":
-        """Execution backend override for this query (registry-resolved).
-
-        Overrides the session's executor; the backend this names is created
-        for the run and shut down afterwards.
-        """
-        return self._with(executor=executor, workers=workers)
-
     def with_store(self, path: Optional[str], backend: Optional[str] = None, readonly: bool = False) -> "Query":
         """Persistent estimate store override for this query (registry-resolved)."""
         return self._with(store_path=path, store_backend=backend, store_readonly=readonly)
@@ -377,18 +369,18 @@ class Query:
         """
         return RoundStream(self._execute())
 
-    def repeat(self, runs: int = 30, base_seed: int = 0, executor: Optional[object] = None) -> Report:
+    def repeat(self, runs: int = 30, base_seed: int = 0) -> Report:
         """Run the query at ``runs`` independent spawned seeds and aggregate.
 
         Seeds come from :func:`repro.analysis.runner.trial_seeds`, so the
         trial estimates match the paper's repeated-execution protocol; the
         returned report has ``kind="repeated"`` with per-trial records in
-        ``trials``.  ``executor`` optionally dispatches whole trials on an
-        :class:`~repro.exec.executor.Executor` (trial order is preserved).
+        ``trials``.  Trials run one after another; each samples on the
+        session's pool.
         """
         from repro.analysis.runner import repeat_query
 
-        repeated = repeat_query(self, runs=runs, base_seed=base_seed, executor=executor)
+        repeated = repeat_query(self, runs=runs, base_seed=base_seed)
         return Report.from_repeated(repeated, config=self.compile())
 
     # ------------------------------------------------------------------ #
@@ -398,14 +390,12 @@ class Query:
         config = self.compile()
         session = self._session
         session._check_open()
-        # Session-owned handles are borrowed only when neither the fluent
+        # The session's store is borrowed only when neither the fluent
         # settings nor the base config ask for a specific backend; an explicit
         # request always wins, and the analyzer then creates/owns/closes the
-        # requested backend itself.
+        # requested store itself.
         settings = dict(self._settings)
-        executor = None
-        if "executor" not in settings and "workers" not in settings and config.executor is None:
-            executor = session.executor
+        pool = session.pool
         store = None
         if "store_path" not in settings and "store_backend" not in settings and not config.wants_store:
             store = session.store
@@ -424,7 +414,7 @@ class Query:
                     "quantifying a constraint set needs a usage profile "
                     "(pass one to Session.quantify, e.g. {'x': (-1, 1)})"
                 )
-            analyzer = QCoralAnalyzer(self._profile, config, executor=executor, store=store, observability=observability)
+            analyzer = QCoralAnalyzer(self._profile, config, pool=pool, store=store, observability=observability)
             try:
                 # An incremental run plans its reuse before sampling: the
                 # diff and the store-coverage projection are RNG-free, so
@@ -465,7 +455,7 @@ class Query:
                     f"event {target.event!r} never occurs on any explored path; "
                     f"known events: {list(symbolic.events())}"
                 )
-            analyzer = QCoralAnalyzer(profile, config, executor=executor, store=store, observability=observability)
+            analyzer = QCoralAnalyzer(profile, config, pool=pool, store=store, observability=observability)
             # Pump the event stream by hand (rather than `yield from`) so the
             # consumer's stop signal is visible here: a cancelled stream must
             # not fall through into a full-budget bounded-paths analysis.

@@ -1,22 +1,18 @@
 """Public registration surface for the pluggable backend registries.
 
-Three registries drive resolution end to end — estimation methods
-(:data:`repro.core.methods.METHOD_REGISTRY`), executor backends
-(:data:`repro.exec.executor.EXECUTOR_REGISTRY`), and estimate-store backends
+Two registries drive resolution end to end — estimation methods
+(:data:`repro.core.methods.METHOD_REGISTRY`) and estimate-store backends
 (:data:`repro.store.backends.STORE_REGISTRY`).  Anything registered here is
 immediately usable everywhere a name is accepted: ``QCoralConfig`` validation,
-``Query.method()`` / ``Query.on()`` / ``Session(store_backend=...)``, and the
-``qcoral`` CLI ``choices`` lists (register before ``build_parser()``).
+``Query.method()`` / ``Session(store_backend=...)``, and the ``qcoral`` CLI
+``choices`` lists (register before ``build_parser()``).
 
-Example — an executor backend lands without touching core code::
+Example — a store backend lands without touching core code::
 
-    from repro import register_executor
+    from repro import MemoryStore, register_store_backend
 
-    class NoisySerial(SerialExecutor):
-        kind = "noisy-serial"
-
-    register_executor("noisy-serial", lambda workers=None: NoisySerial())
-    Session(executor="noisy-serial")
+    register_store_backend("scratch", lambda path=None, readonly=False: MemoryStore())
+    Session(store_backend="scratch")
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.methods import METHOD_REGISTRY, EstimationMethod, SamplerFactory
-from repro.exec.executor import EXECUTOR_REGISTRY, Executor
 from repro.store.backends import STORE_REGISTRY, EstimateStore
 from repro.store.keys import stratified_method
 
@@ -46,7 +41,7 @@ def register_method(
     :class:`~repro.core.stratified.StratifiedSampler` (subclasses welcome).
     ``seed`` is the factor's keyed ``numpy.random.SeedSequence``; pass it on
     as the sampler's seed, so every chunk is keyed by (master seed, factor,
-    stratum, sample offset) and results stay the same on every executor.
+    stratum, sample offset) and results stay the same at every worker count.
     A factory that also takes a ``paving`` keyword receives a warm factor's
     stored paving (its strata, ready-made) and may skip ICP; factories
     without it re-pave on warm runs.
@@ -69,16 +64,6 @@ def register_method(
     return METHOD_REGISTRY.register(name, spec, replace=replace)
 
 
-def register_executor(
-    name: str,
-    factory: Callable[[Optional[int]], Executor],
-    *,
-    replace: bool = False,
-) -> Callable[[Optional[int]], Executor]:
-    """Register an executor backend: ``factory(workers) -> Executor``."""
-    return EXECUTOR_REGISTRY.register(name, factory, replace=replace)
-
-
 def register_store_backend(
     name: str,
     factory: Callable[..., EstimateStore],
@@ -97,11 +82,6 @@ def register_store_backend(
 def unregister_method(name: str) -> EstimationMethod:
     """Remove a registered estimation method (plugin/test cleanup)."""
     return METHOD_REGISTRY.unregister(name)
-
-
-def unregister_executor(name: str):
-    """Remove a registered executor backend (plugin/test cleanup)."""
-    return EXECUTOR_REGISTRY.unregister(name)
 
 
 def unregister_store_backend(name: str):

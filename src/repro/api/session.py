@@ -1,9 +1,9 @@
 """The :class:`Session`: single entry point of the public quantification API.
 
-A session owns the expensive, shareable resources — an executor pool and a
-persistent estimate store — exactly once.  Every query built from the session
-borrows them, so ten analyses share one warm worker pool and one store handle
-instead of paying ten start-up costs; closing the session (it is a context
+A session owns the expensive, shareable resources — a sampling thread pool
+and a persistent estimate store — exactly once.  Every query built from the
+session borrows them, so ten analyses share one worker pool and one store
+handle instead of paying ten start-up costs; closing the session (it is a context
 manager, and ``close`` is idempotent) releases owned resources exactly once
 and never touches instances the caller passed in.
 
@@ -11,7 +11,7 @@ Typical use::
 
     from repro import Session
 
-    with Session(executor="process", workers=4, store="estimates.db") as session:
+    with Session(workers=4, store="estimates.db") as session:
         report = (
             session.quantify("x*x + y*y <= 1", {"x": (-1, 1), "y": (-1, 1)})
             .with_budget(100_000)
@@ -29,13 +29,13 @@ the same per-round results, and return the same unified
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Optional, Union
 
 from repro.api.query import Query, _ConstraintTarget, _ProgramTarget
 from repro.core.profiles import Distribution, UniformDistribution, UsageProfile, parse_distribution_spec
 from repro.core.qcoral import QCoralConfig
 from repro.errors import ConfigurationError, ReproError
-from repro.exec.executor import EXECUTOR_KINDS, Executor, make_executor
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
 from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, open_ledger
@@ -85,16 +85,15 @@ def _coerce_profile(profile: Optional[ProfileLike]) -> Optional[UsageProfile]:
 
 
 class Session:
-    """Owns executor + store lifecycles and builds :class:`Query` objects.
+    """Owns the sampling pool + store lifecycles and builds :class:`Query` objects.
 
     Args:
-        executor: Execution backend shared by every query of this session —
-            a kind name from the executor registry (``"serial"``/``"thread"``/
-            ``"process"``/anything registered) built lazily on first use and
-            owned by the session, or an :class:`Executor` instance, which is
-            *borrowed* and never closed here.  None samples in the calling
-            thread, with the same numbers as the serial backend.
-        workers: Worker count for a kind-name ``executor`` (None = CPU count).
+        workers: Threads sampling each round's chunks, shared by every query
+            of this session.  1 (the default) samples in the calling thread;
+            above 1 the session lazily creates one
+            :class:`concurrent.futures.ThreadPoolExecutor` of that size on
+            first use and shuts it down on :meth:`close`.  For a fixed seed
+            the answers are bit-identical at every worker count.
         store: Persistent estimate store shared by every query — a path
             (backend inferred, or named by ``store_backend``) opened lazily
             and owned by the session, or an :class:`EstimateStore` instance,
@@ -125,8 +124,7 @@ class Session:
     def __init__(
         self,
         *,
-        executor: Union[None, str, Executor] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
         store: Union[None, str, EstimateStore] = None,
         store_backend: Optional[str] = None,
         store_readonly: bool = False,
@@ -139,11 +137,8 @@ class Session:
             raise ConfigurationError(
                 f"observability must be an Observability instance or None, not {type(observability).__name__}"
             )
-        if workers is not None and not isinstance(executor, str):
-            raise ConfigurationError("workers requires an executor kind name to apply to")
-        if isinstance(executor, str) and executor not in EXECUTOR_KINDS:
-            # Typos surface here, at the construction site, not at first use.
-            raise ConfigurationError(f"unknown executor kind {executor!r}; expected one of {EXECUTOR_KINDS}")
+        if not isinstance(workers, int) or workers < 1:
+            raise ConfigurationError(f"workers must be a positive integer, not {workers!r}")
         if isinstance(store, EstimateStore) and store_backend is not None:
             raise ConfigurationError("store_backend only applies when the store is given as a path")
         if store_backend is not None and store_backend not in STORE_BACKENDS:
@@ -155,13 +150,11 @@ class Session:
         if ledger_backend is not None and ledger_backend not in LEDGER_BACKENDS:
             raise ConfigurationError(f"unknown ledger backend {ledger_backend!r}; expected one of {LEDGER_BACKENDS}")
         self._defaults = defaults if defaults is not None else QCoralConfig()
-        self._executor_spec = executor
         self._workers = workers
         self._store_spec = store
         self._store_backend = store_backend
         self._store_readonly = store_readonly
-        self._executor: Optional[Executor] = executor if isinstance(executor, Executor) else None
-        self._owns_executor = False
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._store: Optional[EstimateStore] = store if isinstance(store, EstimateStore) else None
         self._owns_store = False
         self._observability = observability
@@ -170,26 +163,25 @@ class Session:
         self._ledger: Optional[RunLedger] = ledger if isinstance(ledger, RunLedger) else None
         self._owns_ledger = False
         self._closed = False
-        # Guards the lazy executor/store creation: concurrent queries (e.g.
-        # trials dispatched on a thread executor) must share one instance,
-        # never race two into existence and leak the loser.
+        # Guards the lazy pool/store creation: concurrent queries (e.g. a
+        # server's requests) must share one instance, never race two into
+        # existence and leak the loser.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Owned resources (lazy, borrowed by every query)
     # ------------------------------------------------------------------ #
     @property
-    def executor(self) -> Optional[Executor]:
-        """The session's executor backend (built lazily from a kind name)."""
+    def pool(self) -> Optional[ThreadPoolExecutor]:
+        """The session's sampling pool (created lazily; None at one worker)."""
         with self._lock:
             # _closed is checked under the same lock that guards creation and
             # close(), so a concurrent close() can never interleave with a
             # lazy creation and strand a live pool on a closed session.
             self._check_open()
-            if self._executor is None and isinstance(self._executor_spec, str):
-                self._executor = make_executor(self._executor_spec, self._workers)
-                self._owns_executor = True
-            return self._executor
+            if self._pool is None and self._workers > 1:
+                self._pool = ThreadPoolExecutor(max_workers=self._workers, thread_name_prefix="qcoral-sample")
+            return self._pool
 
     @property
     def store(self) -> Optional[EstimateStore]:
@@ -236,7 +228,7 @@ class Session:
     def close(self) -> None:
         """Release owned resources exactly once (idempotent, thread-safe).
 
-        Executor/store instances passed to the constructor are borrowed and
+        Store and ledger instances passed to the constructor are borrowed and
         stay open for their owner, no matter how often this runs.  Taking the
         creation lock first means a lazy creation racing this close either
         completes (and its resource is closed here) or starts after the
@@ -246,11 +238,11 @@ class Session:
             if self._closed:
                 return
             self._closed = True
-            executor = self._executor if self._owns_executor else None
+            pool = self._pool
             store = self._store if self._owns_store else None
             ledger = self._ledger if self._owns_ledger else None
-        if executor is not None:
-            executor.close()
+        if pool is not None:
+            pool.shutdown(wait=True)
         if store is not None:
             store.close()
         if ledger is not None:
@@ -264,9 +256,8 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:
-        executor = self._executor.describe() if self._executor is not None else self._executor_spec
         store = self._store.describe() if self._store is not None else self._store_spec
-        return f"Session(executor={executor!r}, store={store!r}, closed={self._closed})"
+        return f"Session(workers={self._workers}, store={store!r}, closed={self._closed})"
 
     def _check_open(self) -> None:
         if self._closed:

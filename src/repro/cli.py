@@ -34,11 +34,11 @@ violation); **2** — usage error (missing files, malformed flags, a ledger
 too empty to compare) — the gate never ran, so CI must not read 2 as a
 verdict.
 
-The estimation/executor/store options shared by both commands live in one
+The estimation/worker/store options shared by both commands live in one
 parent parser, so the two flag sets can never drift apart, and every
-``choices`` list is read live from the backend registries — methods,
-executors, and store backends registered through :mod:`repro.api` appear here
-without CLI edits.  ``--json`` on either command emits the versioned
+``choices`` list is read live from the registries — methods and store
+backends registered through :mod:`repro.api` appear here without CLI edits.
+``--json`` on either command emits the versioned
 :class:`~repro.api.report.Report` schema instead of the text summary.
 """
 
@@ -64,7 +64,6 @@ from repro.core.profiles import (
 from repro.core.qcoral import QCoralConfig
 from repro.core.stratified import ALLOCATION_POLICIES
 from repro.errors import ConfigurationError, DomainError, ReproError, UsageError
-from repro.exec.executor import EXECUTOR_KINDS
 from repro.incremental import diff_constraint_sets
 from repro.lang.parser import parse_constraint_set
 from repro.obs import Observability
@@ -106,7 +105,7 @@ def _parse_domain(specs: Sequence[str]) -> Dict[str, Distribution]:
 def _config_from_args(args: argparse.Namespace) -> QCoralConfig:
     """Compile the command-line flags down to the engine configuration.
 
-    Executor and store flags are *not* part of the config here: the session
+    Worker and store flags are *not* part of the config here: the session
     owns those lifecycles (see :func:`_session_from_args`).
     """
     return QCoralConfig(
@@ -136,9 +135,8 @@ def _observability_from_args(args: argparse.Namespace) -> Optional[Observability
 
 
 def _session_from_args(args: argparse.Namespace, observability: Optional[Observability] = None) -> Session:
-    """A session owning the executor/store/ledger the command line names."""
+    """A session owning the sampling pool/store/ledger the command line names."""
     return Session(
-        executor=args.executor,
         workers=args.workers,
         store=args.store,
         store_backend=args.store_backend,
@@ -185,7 +183,7 @@ def _configure_logging(verbosity: int) -> None:
 
 
 def _common_parser() -> argparse.ArgumentParser:
-    """The estimation/executor/store options shared by both sub-commands."""
+    """The estimation/worker/store options shared by both sub-commands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=int, default=30_000, help="sampling budget per query")
     common.add_argument("--seed", type=int, default=None, help="random seed")
@@ -251,20 +249,13 @@ def _common_parser() -> argparse.ArgumentParser:
         help="emit the versioned Report JSON schema instead of the text summary",
     )
     common.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS),
-        default=None,
-        help=(
-            "execution backend for sampling work (default: the calling thread); "
-            "the same seed gives identical results with or without one, on "
-            "every backend and worker count"
-        ),
-    )
-    common.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker count for --executor thread/process (default: CPU count)",
+        default=1,
+        help=(
+            "threads sampling each round's chunks (default: 1, the calling "
+            "thread); the same seed gives identical results at every worker count"
+        ),
     )
     common.add_argument(
         "--store",
@@ -825,15 +816,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
     except ConfigurationError as error:
         raise UsageError(str(error)) from error
-    executor = args.executor
-    if args.workers is not None and executor is None:
-        # `--workers N` alone means "a pool of N"; pick the thread backend.
-        executor = "thread"
     try:
         server = QuantifyServer(
             host=args.host,
             port=args.port,
-            executor=executor,
             workers=args.workers,
             store=args.store,
             store_backend=args.store_backend,
@@ -948,16 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral; default 8080)")
     serve.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS),
-        default=None,
-        help="execution backend shared by every served run (default: in-thread sampling)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker count of the shared executor pool (implies --executor thread when none is named)",
+        default=1,
+        help="threads of the sampling pool shared by every served run (default: 1, in-thread sampling)",
     )
     serve.add_argument(
         "--store",

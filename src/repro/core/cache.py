@@ -18,7 +18,7 @@ The cache has two tiers:
 
 The cache is thread-safe: lookups, inserts, and the counters are guarded by
 one reentrant lock, so a :class:`~repro.core.qcoral.QCoralAnalyzer` (or
-several) may share an instance under the thread executor backend without
+several) may share an instance across threads without
 corrupting entries or statistics.  L2 handles carry their own lock.
 
 Runs that share one writable L2 handle (a session's runs, a server's

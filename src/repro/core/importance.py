@@ -55,13 +55,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.estimate import Estimate
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import SeedLike, StratifiedResult, StratifiedSampler, Stratum
 from repro.errors import AnalysisError, ConfigurationError
-from repro.exec.executor import Executor
 from repro.exec.scheduler import SamplingTask
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import contract
@@ -115,7 +115,7 @@ class ImportanceSampler(StratifiedSampler):
         variables: Optional[Sequence[str]] = None,
         icp_config: ICPConfig = PAPER_CONFIG,
         solver: Optional[ICPSolver] = None,
-        executor: Optional[Executor] = None,
+        pool: Optional[ThreadPoolExecutor] = None,
         chunk_size: Optional[int] = None,
         max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
         adaptive_splits: int = 0,
@@ -135,7 +135,7 @@ class ImportanceSampler(StratifiedSampler):
             variables=variables,
             icp_config=icp_config,
             solver=solver,
-            executor=executor,
+            pool=pool,
             chunk_size=chunk_size,
             observability=observability,
         )
@@ -280,8 +280,9 @@ class ImportanceSampler(StratifiedSampler):
         """Spend one adaptive split on the largest variance contributor, if any.
 
         Runs at the head of every extension round, so the decision depends
-        only on the merged per-stratum counts — which are backend-independent
-        — and the refined paving stays bit-identical across executors.  The
+        only on the merged per-stratum counts — which do not depend on the
+        worker count — and the refined paving stays bit-identical at every
+        worker count.  The
         children's boxes differ from every live stratum's, so their chunk
         seeds never share a key with another stratum's.
         """
@@ -404,7 +405,7 @@ def importance_sampling(
     allocation: str = "neyman",
     max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
     adaptive_splits: int = 0,
-    executor: Optional[Executor] = None,
+    pool: Optional[ThreadPoolExecutor] = None,
     chunk_size: Optional[int] = None,
 ) -> StratifiedResult:
     """One-shot convenience wrapper around :class:`ImportanceSampler`.
@@ -423,7 +424,7 @@ def importance_sampling(
         variables=variables,
         icp_config=icp_config,
         solver=solver,
-        executor=executor,
+        pool=pool,
         chunk_size=chunk_size,
         max_boxes=max_boxes,
         adaptive_splits=adaptive_splits,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -60,8 +61,7 @@ from repro.core.stratified import (
     laplace_sigma_floor,
 )
 from repro.errors import ConfigurationError
-from repro.exec.executor import EXECUTOR_KINDS, Executor, resolve_executor
-from repro.exec.scheduler import SamplingTask, factor_seed, plan_chunks, run_sampling_tasks
+from repro.exec.scheduler import SamplingTask, factor_seed, plan_chunks, pool_label, run_sampling_tasks
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
@@ -127,16 +127,11 @@ class QCoralConfig:
         allocation: Budget split across strata and factors: ``"even"`` (the
             paper's equal split) or ``"neyman"`` (proportional to the weighted
             standard deviation ``w_i σ_i``).
-        executor: Execution backend for sampling work: None (the calling
-            thread, as the serial backend) or one of ``"serial"``,
-            ``"thread"``, ``"process"``.  Every round is planned as keyed
-            chunks (:func:`repro.exec.scheduler.chunk_seed`), so for a fixed
-            ``seed`` every choice — None included — produces bit-identical
-            results at any worker count.
-        workers: Worker count for the thread/process backends (None = the
-            machine's CPU count).
         chunk_size: Samples per sampling task (None =
-            :data:`repro.exec.scheduler.DEFAULT_CHUNK_SIZE`).
+            :data:`repro.exec.scheduler.DEFAULT_CHUNK_SIZE`).  Every round is
+            planned as keyed chunks (:func:`repro.exec.scheduler.chunk_seed`),
+            so for a fixed ``seed`` results are bit-identical at any worker
+            count; the chunk size itself does change the answer.
         store_path: Path of a persistent estimate store; stored per-factor
             counts are reused across runs (outright when they cover the
             budget, as warm-start priors otherwise) and this run's counts are
@@ -161,8 +156,6 @@ class QCoralConfig:
     max_rounds: int = 1
     initial_fraction: float = 0.25
     allocation: str = "even"
-    executor: Optional[str] = None
-    workers: Optional[int] = None
     chunk_size: Optional[int] = None
     store_path: Optional[str] = None
     store_backend: Optional[str] = None
@@ -194,12 +187,6 @@ class QCoralConfig:
             # Variance/mass-aware budget allocation is the point of adaptive
             # methods; the paper's equal split would waste the refined paving.
             object.__setattr__(self, "allocation", "neyman")
-        if self.executor is not None and self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(f"unknown executor kind {self.executor!r}; expected one of {EXECUTOR_KINDS}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError("workers must be positive when set")
-        if self.workers is not None and self.executor is None:
-            raise ConfigurationError("workers requires an executor backend to apply to")
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive when set")
         if self.store_backend is not None and self.store_backend not in STORE_BACKENDS:
@@ -308,10 +295,6 @@ class QCoralConfig:
         """Copy of this configuration with a different random seed."""
         return replace(self, seed=seed)
 
-    def with_executor(self, executor: Optional[str], workers: Optional[int] = None) -> "QCoralConfig":
-        """Copy of this configuration running on the given executor backend."""
-        return replace(self, executor=executor, workers=workers)
-
 
 @dataclass(frozen=True)
 class FactorReport:
@@ -375,10 +358,8 @@ class QCoralResult:
     analysis_time: float
     config: QCoralConfig
     round_reports: Tuple[RoundReport, ...] = ()
-    #: Resolved backend label (``process×4``) the sampling actually ran on —
-    #: taken from the analyzer's executor instance, so a borrowed pool is
-    #: reported too; None when no executor was configured (the calling
-    #: thread sampled, with the same numbers as the serial backend).
+    #: Label of the sampling pool the chunks ran on (``thread×4``); None when
+    #: they ran in the calling thread (one worker), with the same numbers.
     executor: Optional[str] = None
     #: Label of the persistent estimate store consulted (``sqlite:est.db``),
     #: None when the run had no store.  Cross-run reuse shows up in
@@ -386,14 +367,14 @@ class QCoralResult:
     store: Optional[str] = None
     #: Metrics snapshot of the run, None when the analyzer had no enabled
     #: observability hub.  Deterministic counters (rounds, draws, hits) are
-    #: bit-identical across backends and worker counts; timing histograms and
+    #: bit-identical across worker counts; timing histograms and
     #: per-worker-labelled series naturally vary.
     metrics: Optional[MetricsSnapshot] = None
     #: Activity counters of the persistent store *handle* (shared across every
     #: run using that handle), None when the run had no store.
     store_statistics: Optional[StoreStatistics] = None
     #: Run-health diagnostics emitted at finalize.  Records with
-    #: ``timing=False`` are bit-identical for a fixed seed across executors
+    #: ``timing=False`` are bit-identical for a fixed seed across worker counts
     #: and with observability on or off; wall-clock attribution records
     #: (``timing=True``) appear only when an enabled hub was attached.
     diagnostics: Tuple[Diagnostic, ...] = ()
@@ -556,19 +537,19 @@ class QCoralAnalyzer:
     """Compositional statistical quantification of constraint solution spaces.
 
     Every sampling round is planned across all factors as task chunks that
-    do not depend on the worker count, run through :mod:`repro.exec` on the
-    configured executor (or one passed in; without one, in the calling
-    thread), and absorbed in plan order.  Chunk seeds are keyed by the master seed, the
-    factor's key, the stratum's box and the samples already held, so for a
-    fixed seed the analysis is bit-identical on every backend and worker
-    count, and independent of the order the factors were created in.
+    do not depend on the worker count, run through :mod:`repro.exec` on
+    ``pool`` (None: in the calling thread), and absorbed in plan order.
+    Chunk seeds are keyed by the master seed, the factor's key, the stratum's
+    box and the samples already held, so for a fixed seed the analysis is
+    bit-identical at every worker count, and independent of the order the
+    factors were created in.
     """
 
     def __init__(
         self,
         profile: UsageProfile,
         config: QCoralConfig = QCoralConfig(),
-        executor: Optional[Executor] = None,
+        pool: Optional[ThreadPoolExecutor] = None,
         store: Optional[EstimateStore] = None,
         observability: Optional[Observability] = None,
     ) -> None:
@@ -576,21 +557,15 @@ class QCoralAnalyzer:
         self._config = config
         self._solver = ICPSolver(config.icp)
         self._entropy = np.random.SeedSequence(config.seed).entropy
-        # Borrowed, like executors/stores: the hub outlives the analyzer and
-        # accumulates across analyses.  ``None`` resolves to the disabled
+        # Borrowed, like the pool and stores: the hub outlives the analyzer
+        # and accumulates across analyses.  ``None`` resolves to the disabled
         # singleton, whose operations are no-ops (the zero-overhead path).
         self._obs = ensure_observability(observability)
-        if executor is not None:
-            # A caller-supplied executor (e.g. a pool shared across
-            # analyzers) is borrowed, never shut down here.
-            self._executor: Optional[Executor] = executor
-            self._owns_executor = False
-        else:
-            self._executor = resolve_executor(config.executor, config.workers)
-            self._owns_executor = self._executor is not None
+        # Borrowed too: the pool's owner (a Session) shuts it down.
+        self._pool = pool
         if store is not None:
-            # Same borrowing rule as executors: shared store handles (e.g.
-            # one store across a session's analyzers) are never closed here.
+            # Shared store handles (e.g. one store across a session's
+            # analyzers) are never closed here.
             self._store: Optional[EstimateStore] = store
             self._owns_store = False
         elif config.wants_store:
@@ -623,9 +598,9 @@ class QCoralAnalyzer:
         return self._config
 
     @property
-    def executor(self) -> Optional[Executor]:
-        """The execution backend (None: sampling runs in the calling thread)."""
-        return self._executor
+    def pool(self) -> Optional[ThreadPoolExecutor]:
+        """The sampling pool (None: sampling runs in the calling thread)."""
+        return self._pool
 
     @property
     def store(self) -> Optional[EstimateStore]:
@@ -653,18 +628,16 @@ class QCoralAnalyzer:
         return self._closed
 
     def close(self) -> None:
-        """Release executor/store resources this analyzer created.
+        """Release the store this analyzer opened.
 
         Idempotent: the second and later calls are no-ops, so nested
         context-manager entry (or an explicit ``close`` followed by ``with``)
-        never double-closes a resource.  Borrowed executors and store handles
+        never double-closes a resource.  The borrowed pool and store handles
         stay open for their owner in every case.
         """
         if self._closed:
             return
         self._closed = True
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
         if self._owns_store and self._store is not None:
             self._store.close()
 
@@ -732,8 +705,7 @@ class QCoralAnalyzer:
 
     #: Kernel-cache counter fields mapped to the metric names they feed; the
     #: delta between the snapshots taken at analysis start and end lands in
-    #: the run's metrics.  The counters are process-global, so on a process
-    #: executor they cover the driver only (workers compile independently).
+    #: the run's metrics.
     _KERNEL_METRICS = (
         ("lookups", "kernel_lookups_total"),
         ("memory_hits", "kernel_memory_hits_total"),
@@ -786,7 +758,7 @@ class QCoralAnalyzer:
             analysis_time=elapsed,
             config=self._config,
             round_reports=round_reports,
-            executor=self._executor.describe() if self._executor is not None else None,
+            executor=pool_label(self._pool),
             store=self._store.describe() if self._store is not None else None,
             metrics=self._obs.snapshot() if self._obs.enabled else None,
             store_statistics=self._store.statistics if self._store is not None else None,
@@ -1207,11 +1179,10 @@ class QCoralAnalyzer:
         """Plan one round across *all* factors and run it as one task batch.
 
         Batching the whole round keeps every worker busy even when a single
-        factor's share is small: the executor sees the union of all factors'
+        factor's share is small: the pool sees the union of all factors'
         chunks, not one factor at a time.  Plans (and their keyed seeds)
         depend only on allocation decisions and counts already merged, so the
-        round is deterministic for a fixed master seed on every backend and
-        worker count, and in the calling thread when there is no executor.
+        round is deterministic for a fixed master seed at every worker count.
         """
         planned: List[Tuple[_FactorState, Optional[int], SamplingTask]] = []
         for state, share in zip(active, shares):
@@ -1223,7 +1194,7 @@ class QCoralAnalyzer:
             else:
                 planned.extend(self._plan_mc_factor(state, share))
 
-        outcomes = run_sampling_tasks(self._executor, [task for _, _, task in planned], observability=self._obs)
+        outcomes = run_sampling_tasks(self._pool, [task for _, _, task in planned], observability=self._obs)
         used = 0
         for (state, stratum_index, task), (hits, samples) in zip(planned, outcomes):
             if state.sampler is not None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +41,6 @@ import numpy as np
 from repro.core.estimate import Estimate, RunningEstimate
 from repro.core.profiles import UsageProfile
 from repro.errors import AnalysisError, ConfigurationError
-from repro.exec.executor import Executor
 from repro.exec.scheduler import SamplingTask, digest_word, plan_chunks, run_sampling_tasks
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver, PavedBox, Paving
@@ -340,8 +340,9 @@ class StratifiedSampler:
     Each round is planned as per-stratum chunks (:meth:`plan_extension`)
     whose seeds are keyed by ``seed``, the stratum's box and the samples the
     stratum already holds (:func:`~repro.exec.scheduler.chunk_seed`); the
-    chunks run on ``executor`` (None: in the calling thread) and merge back
-    through :meth:`absorb_chunk`, so the result is the same on every backend.
+    chunks run on ``pool`` (None: in the calling thread) and merge back
+    through :meth:`absorb_chunk`, so the result is the same at every worker
+    count.
     """
 
     #: Label the sampler reports its draws/hits under (importance overrides).
@@ -355,7 +356,7 @@ class StratifiedSampler:
         variables: Optional[Sequence[str]] = None,
         icp_config: ICPConfig = PAPER_CONFIG,
         solver: Optional[ICPSolver] = None,
-        executor: Optional[Executor] = None,
+        pool: Optional[ThreadPoolExecutor] = None,
         chunk_size: Optional[int] = None,
         observability: Optional[Observability] = None,
         paving: Optional[Paving] = None,
@@ -363,7 +364,7 @@ class StratifiedSampler:
         self._pc = pc
         self._profile = profile
         self._seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._executor = executor
+        self._pool = pool
         self._chunk_size = chunk_size
         self._obs = ensure_observability(observability)
         self._names: Tuple[str, ...] = (
@@ -409,7 +410,7 @@ class StratifiedSampler:
             return
 
         # Compiled here, outside the sampling rounds, and handed to every
-        # planned chunk (process workers compile their own).
+        # planned chunk.
         self._predicate = get_kernel(pc)
 
     def _pave(self, solver: ICPSolver, domain: Box) -> Paving:
@@ -479,7 +480,7 @@ class StratifiedSampler:
 
         Called exactly once per allocation round, so the streak counters —
         inputs to the deterministic run-health diagnostics — are identical
-        across executors.
+        at every worker count.
         """
         for stratum, share in zip(self._strata, shares):
             if not stratum.sampleable:
@@ -501,10 +502,10 @@ class StratifiedSampler:
         inner and mass-free boxes consume nothing — so the returned count
         equals ``budget`` whenever at least one stratum is sampleable.  The
         round is planned (:meth:`plan_extension`), run on the sampler's
-        executor, and absorbed (:meth:`absorb_chunk`).
+        pool, and absorbed (:meth:`absorb_chunk`).
         """
         planned = self.plan_extension(budget, allocation)
-        outcomes = run_sampling_tasks(self._executor, [task for _, task in planned], observability=self._obs)
+        outcomes = run_sampling_tasks(self._pool, [task for _, task in planned], observability=self._obs)
         used = 0
         for (stratum_index, _), (hits, samples) in zip(planned, outcomes):
             self.absorb_chunk(stratum_index, hits, samples)
@@ -520,7 +521,7 @@ class StratifiedSampler:
         (:func:`~repro.exec.scheduler.plan_chunks`).  The plan is a pure
         function of the sampler's state, so running the tasks anywhere and
         feeding the counts back through :meth:`absorb_chunk` gives the same
-        accumulator state on any backend.
+        accumulator state at any worker count.
         """
         if budget < 0:
             raise AnalysisError("stratified budget may not be negative")
@@ -622,7 +623,7 @@ def stratified_sampling(
     icp_config: ICPConfig = PAPER_CONFIG,
     solver: Optional[ICPSolver] = None,
     allocation: str = "even",
-    executor: Optional[Executor] = None,
+    pool: Optional[ThreadPoolExecutor] = None,
     chunk_size: Optional[int] = None,
 ) -> StratifiedResult:
     """Estimate the probability of ``pc`` with ICP-stratified sampling.
@@ -642,7 +643,7 @@ def stratified_sampling(
         icp_config: Configuration for a solver created on the fly.
         solver: Optional pre-built ICP solver (overrides ``icp_config``).
         allocation: ``"even"`` (the paper's equal split) or ``"neyman"``.
-        executor: Optional backend to run the sampling chunks on (None: the
+        pool: Optional thread pool to run the sampling chunks on (None: the
             calling thread; the result is the same either way).
         chunk_size: Samples per sampling task.
 
@@ -658,7 +659,7 @@ def stratified_sampling(
         variables=variables,
         icp_config=icp_config,
         solver=solver,
-        executor=executor,
+        pool=pool,
         chunk_size=chunk_size,
     )
     sampler.extend(samples, allocation=allocation)

@@ -1,18 +1,18 @@
 """Sampling tasks, counter-keyed chunk seeds, and the budget-sharding scheduler.
 
-A :class:`SamplingTask` is the self-contained unit of work the executors ship
-around: one hit-or-miss run of a path condition over a (sub-box of a) usage
-profile with its own seed.  Tasks carry everything a worker needs — including
-the seed — so they can execute in the calling thread, another thread or
-another process and return nothing but raw counts, which the caller merges
-positionally.  Every sampling round of the stack goes through
-:func:`plan_chunks` and :func:`run_sampling_tasks`.
+A :class:`SamplingTask` is the self-contained unit of work of a sampling
+round: one hit-or-miss run of a path condition over a (sub-box of a) usage
+profile with its own seed and compiled predicate.  Tasks carry everything a
+worker needs, so they can execute in the calling thread or on a pool thread
+and return nothing but raw counts, which the caller merges positionally.
+Every sampling round of the stack goes through :func:`plan_chunks` and
+:func:`run_sampling_tasks`.
 
 Two properties make the scheme deterministic:
 
 * :func:`shard_budget` cuts a budget into chunks as a pure function of the
   budget and the chunk size — never of the worker count — so the task list of
-  a plan is identical on every backend;
+  a plan is identical at every worker count;
 * each chunk's seed is *keyed*, not spawned (:func:`chunk_seed`): it is a
   function of the master seed, the factor, the stratum's box, and how many
   samples that stratum already holds.  Any chunk is addressable in O(1), the
@@ -20,40 +20,35 @@ Two properties make the scheme deterministic:
   where the chunk runs, and a continuation from stored counts starts past
   them instead of replaying them.
 
-A task carries the planner's compiled predicate, which the calling thread
-and thread workers use as is.  Compiled kernels do not pickle, so the
-predicate is dropped when a task crosses to a worker process, which compiles
-its own once through the fused-kernel cache
-(:func:`repro.lang.kernel.get_kernel`).
+Parallelism is one knob, a worker count: at 1 the chunks run in the calling
+thread; above 1 a :class:`concurrent.futures.ThreadPoolExecutor` (owned by
+the :class:`~repro.api.session.Session`) maps each round's chunks, and the
+calling thread records the ``exec_*`` metrics in task order.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.exec.executor import Executor
 from repro.intervals.box import Box
 from repro.lang import ast
 from repro.lang.compiler import CompiledPredicate
-from repro.lang.kernel import get_kernel
-from repro.obs.metrics import DeltaBuilder, MetricsDelta
 
 if TYPE_CHECKING:  # pragma: no cover - deferred to avoid a core<->exec cycle
     from repro.core.profiles import UsageProfile
     from repro.obs import Observability
 
-#: Default samples per task: large enough that NumPy batch evaluation (and,
-#: for the process backend, pickling) is amortised, small enough that a
-#: typical per-round budget still splits across several workers.
+#: Default samples per task: large enough that NumPy batch evaluation is
+#: amortised, small enough that a typical per-round budget still splits
+#: across several workers.
 DEFAULT_CHUNK_SIZE = 25_000
 
 
@@ -100,20 +95,14 @@ class SamplingTask:
         if self.samples <= 0:
             raise ConfigurationError("a sampling task needs a positive sample count")
 
-    def __getstate__(self) -> dict:
-        # Compiled kernels do not pickle; a process worker compiles its own.
-        state = dict(self.__dict__)
-        state.pop("predicate", None)
-        return state
-
 
 def shard_budget(budget: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> List[int]:
     """Split ``budget`` samples into chunks of at most ``chunk_size``.
 
     The split depends only on the two arguments (all chunks full-sized except
     a smaller trailing remainder), so the same plan is produced regardless of
-    the backend or worker count executing it — the cornerstone of
-    reproducibility across executors.
+    the worker count executing it — the cornerstone of reproducibility
+    across worker counts.
     """
     if budget < 0:
         raise ConfigurationError("budget may not be negative")
@@ -166,8 +155,7 @@ def plan_chunks(
 def execute_sampling_task(task: SamplingTask) -> Tuple[int, int]:
     """Run one task and return its raw ``(hits, samples)`` counts.
 
-    Module-level (hence picklable by reference) so the process backend can
-    dispatch it.  The generator is instantiated here, worker-side, from the
+    The generator is instantiated here, on the executing thread, from the
     task's keyed seed.
     """
     from repro.core.montecarlo import hit_or_miss
@@ -179,68 +167,50 @@ def execute_sampling_task(task: SamplingTask) -> Tuple[int, int]:
         np.random.default_rng(task.seed),
         box=task.box,
         variables=task.variables,
-        predicate=task.predicate if task.predicate is not None else get_kernel(task.pc),
+        predicate=task.predicate,
         batch_size=task.batch_size,
     )
     return result.hits, result.samples
 
 
-def _worker_label() -> str:
-    """Stable-ish identity of the executing worker: ``pid:threadname``."""
-    return f"{os.getpid()}:{threading.current_thread().name}"
-
-
-def execute_sampling_task_observed(task: SamplingTask, dispatched: float) -> Tuple[int, int, MetricsDelta]:
-    """Observed variant of :func:`execute_sampling_task`.
-
-    Returns the same raw counts plus a :class:`MetricsDelta` of worker-side
-    counters and latencies — the delta rides back on the result exactly like
-    the sample counts, so the process backend needs no side channel and the
-    scheduler can merge deltas in deterministic task order.  ``dispatched`` is
-    the driver's ``time.monotonic()`` at submission; queue wait is clamped at
-    zero because process workers may have a different monotonic epoch.
-    """
+def _timed_chunk(task: SamplingTask) -> Tuple[int, int, float, float, str]:
+    """Run one task on a pool thread: counts, start time, duration, thread name."""
     started = time.monotonic()
     hits, samples = execute_sampling_task(task)
-    elapsed = time.monotonic() - started
-    worker = _worker_label()
-    delta = DeltaBuilder()
-    delta.count("exec_chunks_total")
-    delta.count("exec_samples_total", samples)
-    delta.count("exec_hits_total", hits)
-    delta.count("exec_worker_chunks_total", worker=worker)
-    delta.count("exec_worker_busy_seconds_total", elapsed, worker=worker)
-    delta.observe("exec_chunk_seconds", elapsed)
-    delta.observe("exec_queue_wait_seconds", max(0.0, started - dispatched))
-    return hits, samples, delta.build()
+    return hits, samples, started, time.monotonic() - started, threading.current_thread().name
+
+
+def pool_label(pool: Optional[ThreadPoolExecutor]) -> Optional[str]:
+    """The report label of a sampling pool (``thread×4``); None without one."""
+    return None if pool is None else f"thread×{pool._max_workers}"
 
 
 def run_sampling_tasks(
-    executor: Optional[Executor],
+    pool: Optional[ThreadPoolExecutor],
     tasks: Sequence[SamplingTask],
     observability: Optional["Observability"] = None,
 ) -> List[Tuple[int, int]]:
-    """Execute ``tasks`` on ``executor``, in task order.
+    """Execute ``tasks`` and return their ``(hits, samples)`` counts in task order.
 
-    ``None`` runs the tasks in the calling thread, exactly as the
-    :class:`~repro.exec.executor.SerialExecutor` does.  When an executor and
-    an enabled ``observability`` hub are given, tasks run through the
-    observed wrapper; the worker-side ``exec_*`` metric deltas it returns are
-    merged into the hub here, in task order, and the plain
-    ``(hits, samples)`` list is returned either way — callers never see the
-    deltas.  Without an executor there is no dispatch to describe, so no
+    ``None`` runs the tasks in the calling thread.  A pool maps them over
+    its threads; the calling thread then records the ``exec_*`` metrics on
+    an enabled ``observability`` hub from the per-chunk timings, in task
+    order.  Without a pool there is no dispatch to describe, so no
     ``exec_*`` metrics are recorded.
     """
     if not tasks:
         return []
-    if executor is None:
+    if pool is None:
         return [execute_sampling_task(task) for task in tasks]
-    if observability is None or not observability.enabled:
-        return executor.map(execute_sampling_task, tasks)
-    observed = functools.partial(execute_sampling_task_observed, dispatched=time.monotonic())
-    results = executor.map(observed, tasks)
-    counts: List[Tuple[int, int]] = []
-    for hits, samples, delta in results:
-        observability.merge_delta(delta)
-        counts.append((hits, samples))
-    return counts
+    dispatched = time.monotonic()
+    results = list(pool.map(_timed_chunk, tasks))
+    if observability is not None and observability.enabled:
+        for hits, samples, started, elapsed, worker in results:
+            observability.count("exec_chunks_total")
+            observability.count("exec_samples_total", samples)
+            observability.count("exec_hits_total", hits)
+            observability.count("exec_worker_chunks_total", worker=worker)
+            observability.count("exec_worker_busy_seconds_total", elapsed, worker=worker)
+            observability.observe("exec_chunk_seconds", elapsed)
+            observability.observe("exec_queue_wait_seconds", started - dispatched)
+    return [(hits, samples) for hits, samples, _, _, _ in results]

@@ -29,8 +29,7 @@ variable names (conjuncts, and the disjuncts of a constraint set, sorted), so
 factors with the same text share one compiled kernel whatever order their
 conjuncts came in.  A kernel takes its variables by position, in sorted-name
 order.  The cache is an in-process, thread-safe LRU
-(``QCORAL_KERNEL_CACHE_SIZE``, default 4096 entries); process workers compile
-their own kernels on first use.
+(``QCORAL_KERNEL_CACHE_SIZE``, default 4096 entries).
 """
 
 from __future__ import annotations

@@ -46,9 +46,7 @@ from repro.obs.ledger import (
     open_ledger,
 )
 from repro.obs.metrics import (
-    DeltaBuilder,
     HistogramSnapshot,
-    MetricsDelta,
     MetricsRegistry,
     MetricsSnapshot,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "DISABLED",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "MetricsDelta",
-    "DeltaBuilder",
     "HistogramSnapshot",
     "Tracer",
     "prometheus_text",
@@ -119,11 +115,6 @@ class Observability:
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record one histogram observation (typically a latency in seconds)."""
         self.metrics.observe(name, value, **labels)
-
-    def merge_delta(self, delta: Optional[MetricsDelta]) -> None:
-        """Fold one worker-produced metrics delta into the registry."""
-        if delta is not None:
-            self.metrics.merge_delta(delta)
 
     def set_run_context(self, **context: Any) -> None:
         """Record run identity fields (seed, method, config fingerprint).
@@ -199,9 +190,6 @@ class _DisabledObservability(Observability):
         pass
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        pass
-
-    def merge_delta(self, delta: Optional[MetricsDelta]) -> None:
         pass
 
     def set_run_context(self, **context: Any) -> None:

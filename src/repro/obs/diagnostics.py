@@ -34,7 +34,7 @@ assumptions the qCORAL estimator relies on:
   ``OVERHEAD_DOMINANT`` when non-sampling overhead exceeds sampling time.
 
 Determinism contract: every check except the wall-clock ones is a pure
-function of values that are themselves bit-identical across executors and
+function of values that are themselves bit-identical across worker counts and
 with observability on or off (round reports, sample counts, streak counters).
 Those records carry ``timing=False`` and are byte-identical for a fixed seed.
 Wall-clock records (``timing=True``) depend on a :class:`MetricsSnapshot`

@@ -46,8 +46,8 @@ METRIC_HELP: Mapping[str, str] = {
     "icp_time_capped_total": "ICP pavings cut short by the wall-clock budget",
     "icp_pave_seconds": "Wall-clock duration of one ICP paving",
     "exec_chunks_total": "Sampling chunks executed",
-    "exec_samples_total": "Samples drawn inside executor chunks",
-    "exec_hits_total": "Satisfying samples inside executor chunks",
+    "exec_samples_total": "Samples drawn inside pooled sampling chunks",
+    "exec_hits_total": "Satisfying samples inside pooled sampling chunks",
     "exec_chunk_seconds": "Wall-clock duration of one sampling chunk",
     "exec_queue_wait_seconds": "Delay between chunk dispatch and execution start",
     "exec_worker_busy_seconds_total": "Busy time accumulated per worker",

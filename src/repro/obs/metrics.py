@@ -6,11 +6,10 @@ Design constraints, in order of importance:
    wall-clock time on its own; the registry only stores what callers hand it.
    With a fixed master seed, results are bit-identical whether a registry is
    attached or not.
-2. **Mergeable.**  Worker processes cannot mutate the driver's registry, so
-   instrumented tasks accumulate a picklable :class:`MetricsDelta` and ship it
-   back on the task result — the scheduler folds deltas in deterministic task
-   order, exactly like sample counts.  :class:`MetricsSnapshot` values merge
-   the same way, so per-run snapshots can be aggregated across runs.
+2. **Mergeable.**  :class:`MetricsSnapshot` values merge, so per-run
+   snapshots can be aggregated across runs.  Sampling-pool threads never
+   touch the registry: the scheduler records their chunk timings from the
+   calling thread, in task order.
 3. **Cheap.**  One lock, dict updates, no string formatting on the hot path.
    Label sets are normalised to sorted tuples once per call.
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 #: Histogram bucket upper bounds (seconds); ``+Inf`` is implicit.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -141,47 +140,6 @@ class _Histogram:
             minimum=self.minimum if self.count else 0.0,
             maximum=self.maximum if self.count else 0.0,
         )
-
-
-@dataclass(frozen=True)
-class MetricsDelta:
-    """A picklable batch of metric updates produced off the driver thread.
-
-    Worker-side instrumentation cannot touch the driver's registry (it may
-    live in another process), so it accumulates ``(name, labels, amount)``
-    counter increments and ``(name, labels, value)`` histogram observations
-    here and ships the delta back on the task result.  The scheduler merges
-    deltas in deterministic task order via :meth:`MetricsRegistry.merge_delta`.
-    """
-
-    counters: Tuple[Tuple[str, LabelItems, float], ...] = ()
-    observations: Tuple[Tuple[str, LabelItems, float], ...] = ()
-
-    def merged(self, other: "MetricsDelta") -> "MetricsDelta":
-        """Concatenate two deltas (order-preserving)."""
-        return MetricsDelta(
-            counters=self.counters + other.counters,
-            observations=self.observations + other.observations,
-        )
-
-
-class DeltaBuilder:
-    """Mutable accumulator for building a :class:`MetricsDelta` in a worker."""
-
-    __slots__ = ("_counters", "_observations")
-
-    def __init__(self) -> None:
-        self._counters: List[Tuple[str, LabelItems, float]] = []
-        self._observations: List[Tuple[str, LabelItems, float]] = []
-
-    def count(self, name: str, amount: float = 1, **labels: Any) -> None:
-        self._counters.append((name, label_items(labels), float(amount)))
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        self._observations.append((name, label_items(labels), float(value)))
-
-    def build(self) -> MetricsDelta:
-        return MetricsDelta(counters=tuple(self._counters), observations=tuple(self._observations))
 
 
 @dataclass(frozen=True)
@@ -338,21 +296,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[key] = _Histogram()
             histogram.observe(float(value))
-
-    def merge_delta(self, delta: MetricsDelta) -> None:
-        """Fold a worker-produced delta into this registry."""
-        with self._lock:
-            for name, labels, amount in delta.counters:
-                key = (name, labels)
-                self._counters[key] = self._counters.get(key, 0.0) + amount
-        for name, labels, value in delta.observations:
-            self.observe(name, value, **dict(labels))
-
-    def merge_deltas(self, deltas: Iterable[Optional[MetricsDelta]]) -> None:
-        """Fold several deltas, skipping ``None`` placeholders, in order."""
-        for delta in deltas:
-            if delta is not None:
-                self.merge_delta(delta)
 
     def snapshot(self) -> MetricsSnapshot:
         """An immutable copy of the current state."""

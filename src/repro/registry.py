@@ -1,8 +1,8 @@
 """Name → value registries behind the pluggable backend surfaces.
 
-Estimation methods, executor backends, and store backends used to be
-hardcoded tuples (``ESTIMATION_METHODS`` / ``EXECUTOR_KINDS`` /
-``STORE_BACKENDS``) with if/elif dispatch next to each.  A :class:`Registry`
+Estimation methods and store backends used to be hardcoded tuples
+(``ESTIMATION_METHODS`` / ``STORE_BACKENDS``) with if/elif dispatch next to
+each.  A :class:`Registry`
 replaces both halves: the registry *is* the dispatch table, and a
 :class:`RegistryView` is a live, tuple-like window onto the registered names
 that keeps every historical use of the old tuples working (``in`` checks,
@@ -13,8 +13,7 @@ Registration is additive and explicit: :meth:`Registry.register` refuses to
 overwrite silently (pass ``replace=True`` to shadow a builtin), and
 :meth:`Registry.unregister` exists so plugins and tests can clean up after
 themselves.  The public registration helpers live in
-:mod:`repro.api.registry` (``register_method`` / ``register_executor`` /
-``register_store_backend``).
+:mod:`repro.api.registry` (``register_method`` / ``register_store_backend``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class Registry(Generic[_ValueT]):
     """A locked, ordered name → value map with tuple-compatible name views.
 
     ``kind`` is the human-readable noun used in error messages (for example
-    ``"executor kind"``), chosen so registry errors render exactly like the
+    ``"store backend"``), chosen so registry errors render exactly like the
     messages the hardcoded tuples used to produce.
     """
 

@@ -1,6 +1,6 @@
 """Quantification-as-a-service: the qCORAL engine behind an HTTP/SSE server.
 
-One shared :class:`~repro.api.session.Session` — one executor pool, one
+One shared :class:`~repro.api.session.Session` — one sampling pool, one
 persistent estimate store, one run ledger, one metrics hub — answers every
 client.  The contract: a served query is bit-identical to the in-process
 :class:`~repro.api.query.Query` at the same seed, and a repeated identical

@@ -1,7 +1,7 @@
 """Admission control of the quantification service.
 
 A long-lived shared engine dies by a thousand oversized requests, so the
-server gates every run *before* it reaches the executor pool:
+server gates every run *before* it reaches the engine:
 
 * **concurrency** — at most ``max_concurrent`` engine runs in flight; the
   controller rejects the excess immediately with 429 (no hidden queue: a

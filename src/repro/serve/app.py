@@ -1,6 +1,6 @@
 """Quantification-as-a-service: the asyncio server on the Session facade.
 
-One long-lived :class:`~repro.api.session.Session` — one executor pool, one
+One long-lived :class:`~repro.api.session.Session` — one sampling pool, one
 persistent estimate store, one run ledger, one metrics hub — answers every
 client, which is the paper's economics made infrastructure: repeated traffic
 on popular constraint families becomes store hits that draw **zero** samples,
@@ -44,7 +44,6 @@ from repro.api.report import Report
 from repro.api.session import Session
 from repro.core.qcoral import QCoralConfig
 from repro.errors import AnalysisError, ReproError
-from repro.exec.executor import Executor
 from repro.obs import Observability
 from repro.obs.ledger import RunLedger
 from repro.serve.admission import AdmissionController, AdmissionLimits
@@ -76,7 +75,7 @@ REQUEST_READ_TIMEOUT = 30.0
 class QuantifyServer:
     """The HTTP/SSE quantification service around one shared session.
 
-    Construction mirrors :class:`~repro.api.session.Session` (executor /
+    Construction mirrors :class:`~repro.api.session.Session` (worker count /
     store / ledger specs are passed through); ``limits`` configures
     admission control and ``observability`` the shared metrics hub (one is
     created when not given, so ``/metrics`` always works).  Without a store
@@ -90,8 +89,7 @@ class QuantifyServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8080,
-        executor: Union[None, str, Executor] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
         store: Union[None, str, EstimateStore] = None,
         store_backend: Optional[str] = None,
         store_readonly: bool = False,
@@ -108,7 +106,6 @@ class QuantifyServer:
         if store is None and store_backend is None:
             store_backend = "memory"
         self.session = Session(
-            executor=executor,
             workers=workers,
             store=store,
             store_backend=store_backend,

@@ -1,5 +1,7 @@
 """Tests of the Session/Query/Report facade and the backend registries."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.analysis.runner import repeat_analysis
@@ -7,10 +9,8 @@ from repro.api import (
     Query,
     Report,
     Session,
-    register_executor,
     register_method,
     register_store_backend,
-    unregister_executor,
     unregister_method,
     unregister_store_backend,
 )
@@ -20,7 +20,6 @@ from repro.core.profiles import UniformDistribution, UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import StratifiedSampler
 from repro.errors import AnalysisError, ConfigurationError
-from repro.exec.executor import EXECUTOR_KINDS, SerialExecutor, make_executor
 from repro.lang.parser import parse_constraint_set
 from repro.store.backends import STORE_BACKENDS, MemoryStore, open_store
 from repro.subjects import programs
@@ -220,16 +219,6 @@ class TestRunAndStream:
         assert report.cache_statistics is not None
 
 
-class CountingExecutor(SerialExecutor):
-    """Serial backend that counts close() calls (lifecycle assertions)."""
-
-    def __init__(self):
-        self.closes = 0
-
-    def close(self):
-        self.closes += 1
-
-
 class CountingStore(MemoryStore):
     def __init__(self):
         super().__init__()
@@ -242,22 +231,16 @@ class CountingStore(MemoryStore):
 
 class TestLifecycles:
     def test_session_owns_named_executor(self):
-        session = Session(executor="serial")
-        first = session.executor
-        assert first is session.executor  # lazily built once
+        session = Session(workers=2)
+        first = session.pool
+        assert first is session.pool  # lazily built once
         session.close()
         session.close()  # idempotent
         assert session.closed
+        with pytest.raises(RuntimeError):
+            first.submit(int)  # shut down with the session
         with pytest.raises(ConfigurationError):
             session.quantify(TRIANGLE, BOUNDS)
-
-    def test_explicit_config_executor_beats_the_session_executor(self):
-        # A backend named in the base config is an explicit request: it must
-        # run there (analyzer-owned), not silently on the session's backend.
-        config = QCoralConfig(samples_per_query=1000, seed=1, executor="thread", workers=2)
-        with Session(executor="serial") as session:
-            report = session.quantify(TRIANGLE, BOUNDS, config=config).run()
-        assert report.executor == "thread×2"
 
     def test_explicit_config_store_beats_the_session_store(self, tmp_path):
         session_store = MemoryStore()
@@ -275,14 +258,6 @@ class TestLifecycles:
                 next(stream)
             with pytest.raises(AnalysisError, match="already failed"):
                 stream.report
-
-    def test_session_borrows_executor_instances(self):
-        pool = CountingExecutor()
-        with Session(executor=pool) as session:
-            report = session.quantify(TRIANGLE, BOUNDS).with_budget(1000).seed(1).run()
-            assert report.executor == "serial"
-        session.close()
-        assert pool.closes == 0  # borrowed, never closed by the session
 
     def test_session_borrows_store_instances(self):
         store = CountingStore()
@@ -303,31 +278,31 @@ class TestLifecycles:
         assert warm.cache_statistics.store_hits > 0
 
     def test_lazy_resources_are_created_once_under_concurrency(self):
-        # Regression: two threads racing session.executor/.store must share
+        # Regression: two threads racing session.pool/.store must share
         # one instance (the loser of an unsynchronized race leaked a pool).
         import threading
 
-        session = Session(executor="serial", store_backend="memory")
+        session = Session(workers=2, store_backend="memory")
         seen = []
         barrier = threading.Barrier(8)
 
         def grab():
             barrier.wait()
-            seen.append((session.executor, session.store))
+            seen.append((session.pool, session.store))
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len({id(executor) for executor, _ in seen}) == 1
+        assert len({id(pool) for pool, _ in seen}) == 1
         assert len({id(store) for _, store in seen}) == 1
         session.close()
 
     def test_lazy_ledger_is_created_once_under_concurrency(self):
         # Regression: concurrent first-touch of session.ledger (e.g. two
         # server requests finishing at once) must share one ledger instance,
-        # exactly like the executor/store lazy creation above.
+        # exactly like the pool/store lazy creation above.
         import threading
 
         session = Session(ledger_backend="memory")
@@ -358,14 +333,12 @@ class TestLifecycles:
 
     def test_session_validation(self):
         with pytest.raises(ConfigurationError):
-            Session(workers=2)  # workers without a kind name
+            Session(workers=0)
         with pytest.raises(ConfigurationError):
             Session(store_readonly=True)  # readonly without a store
         with pytest.raises(ConfigurationError):
             Session(store=MemoryStore(), store_backend="sqlite")
         # Typo'd backend names fail at the construction site, not first use.
-        with pytest.raises(ConfigurationError):
-            Session(executor="proces")
         with pytest.raises(ConfigurationError):
             Session(store="x.db", store_backend="sqllite")
 
@@ -375,22 +348,23 @@ class TestLifecycles:
                 session.quantify(TRIANGLE, {"x": (0, "wide")})
 
     def test_analyzer_close_is_idempotent(self):
-        analyzer = QCoralAnalyzer(triangle_profile(), QCoralConfig(executor="serial"))
+        analyzer = QCoralAnalyzer(triangle_profile(), QCoralConfig())
         assert not analyzer.closed
         analyzer.close()
         analyzer.close()
         assert analyzer.closed
 
     def test_analyzer_nested_context_entry_never_double_closes(self):
-        pool = CountingExecutor()
         store = CountingStore()
-        analyzer = QCoralAnalyzer(triangle_profile(), QCoralConfig(), executor=pool, store=store)
-        with analyzer:
+        with ThreadPoolExecutor(2) as pool:
+            analyzer = QCoralAnalyzer(triangle_profile(), QCoralConfig(), pool=pool, store=store)
             with analyzer:
-                pass
-            # Inner exit already closed; outer exit must be a no-op.
-            assert analyzer.closed
-        assert pool.closes == 0 and store.closes == 0  # borrowed
+                with analyzer:
+                    pass
+                # Inner exit already closed; outer exit must be a no-op.
+                assert analyzer.closed
+            assert pool.submit(int, "7").result() == 7  # borrowed, still open
+        assert store.closes == 0  # borrowed
 
 
 class TestRegistries:
@@ -434,28 +408,6 @@ class TestRegistries:
         finally:
             unregister_method("needs-strat")
 
-    def test_register_executor_end_to_end(self):
-        created = []
-
-        def factory(workers=None):
-            executor = SerialExecutor()
-            created.append(executor)
-            return executor
-
-        register_executor("recording-serial", factory)
-        try:
-            assert "recording-serial" in EXECUTOR_KINDS
-            assert isinstance(make_executor("recording-serial"), SerialExecutor)
-            config = QCoralConfig(samples_per_query=1000, seed=1, executor="recording-serial")
-            with Session(executor="recording-serial") as session:
-                report = session.quantify(TRIANGLE, BOUNDS, config=config.with_executor(None)).run()
-            assert report.executor == "serial"
-            assert len(created) == 2  # make_executor above + the session's
-        finally:
-            unregister_executor("recording-serial")
-        with pytest.raises(ConfigurationError):
-            QCoralConfig(executor="recording-serial")
-
     def test_register_store_backend_end_to_end(self):
         register_store_backend("scratch", lambda path, readonly=False: MemoryStore(readonly=readonly))
         try:
@@ -474,13 +426,11 @@ class TestRegistries:
         with pytest.raises(ConfigurationError):
             unregister_method("never-registered")
         with pytest.raises(ConfigurationError):
-            unregister_executor("never-registered")
-        with pytest.raises(ConfigurationError):
             unregister_store_backend("never-registered")
 
     def test_duplicate_registration_refused(self):
         with pytest.raises(ConfigurationError):
-            register_executor("serial", lambda workers=None: SerialExecutor())
+            register_store_backend("memory", lambda path=None, readonly=False: MemoryStore())
         # replace=True is the explicit override path.
         original = METHOD_REGISTRY.get("hit-or-miss")
         register_method(
@@ -493,10 +443,9 @@ class TestRegistries:
         METHOD_REGISTRY.register("hit-or-miss", original, replace=True)
 
     def test_builtin_registries_contents(self):
-        assert tuple(EXECUTOR_KINDS) == ("serial", "thread", "process")
         assert tuple(STORE_BACKENDS) == ("memory", "jsonl", "sqlite")
         assert tuple(ESTIMATION_METHODS) == ("hit-or-miss", "importance")
-        assert EXECUTOR_KINDS == ("serial", "thread", "process")
+        assert STORE_BACKENDS == ("memory", "jsonl", "sqlite")
 
 
 class TestCliFacade:

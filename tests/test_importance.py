@@ -6,6 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.cli import main
 from repro.core.importance import (
     ESTIMATION_METHODS,
@@ -192,10 +193,10 @@ class TestImportanceAnalyzer:
     def test_bit_identical_across_executors(self):
         subject = discrete_subject_by_name("BurstySensor")
         outcomes = set()
-        for executor, workers in (("serial", None), ("thread", 3), ("process", 2)):
-            config = QCoralConfig.importance(8_000, seed=5, mass_split_adaptive=2).with_executor(executor, workers)
-            with QCoralAnalyzer(subject.profile, config) as analyzer:
-                result = analyzer.analyze(subject.constraint_set())
+        config = QCoralConfig.importance(8_000, seed=5, mass_split_adaptive=2)
+        for workers in (1, 2, 3):
+            with Session(workers=workers) as session:
+                result = session.quantify(subject.constraint_set(), subject.profile, config=config).run()
             outcomes.add((result.mean, result.variance, result.total_samples))
         assert len(outcomes) == 1
 

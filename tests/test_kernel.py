@@ -46,9 +46,8 @@ def closure_kernel(constraint):
 def closure_oracle(monkeypatch):
     """Route every evaluator through the closure compiler instead of fused kernels."""
     from repro.core import montecarlo, qcoral, stratified
-    from repro.exec import scheduler
 
-    for module in (montecarlo, qcoral, stratified, scheduler):
+    for module in (montecarlo, qcoral, stratified):
         monkeypatch.setattr(module, "get_kernel", closure_kernel)
     clear_kernel_cache()
 
@@ -424,7 +423,9 @@ def _engine_run():
 
 def _sharded_run():
     from repro.core.profiles import UsageProfile
-    from repro.exec import ThreadPoolExecutor, plan_chunks, run_sampling_tasks
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.exec import plan_chunks, run_sampling_tasks
 
     pc = parse_path_condition("x * y >= 18 && x + y <= 30")
     profile = UsageProfile.uniform({"x": (0.0, 30.0), "y": (0.0, 40.0)})

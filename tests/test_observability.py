@@ -4,7 +4,7 @@ The contract under test, in order of importance:
 
 1. **Bit-identity.**  With a fixed master seed, estimates and per-factor hit
    counts are identical with observability disabled, enabled, or tracing at
-   any sampling rate — on the serial, thread, and process executors.
+   any sampling rate — in the calling thread and on sampling pools.
 2. **Merge determinism.**  The deterministic counters (rounds, draws, hits,
    allocations, chunk totals) are identical across worker counts; only
    timing histograms and per-worker labels may differ.
@@ -44,16 +44,15 @@ SEED = 1
 #: Counters that must be identical across observability modes and worker
 #: counts.  Excluded: ``kernel_*`` (process-global deltas depend on what
 #: earlier tests left in the in-process LRU) and ``exec_worker_*`` (labelled
-#: by pid/thread name).
+#: by thread name).
 _DETERMINISTIC_RE = re.compile(
     r"^(qcoral_|sampler_|icp_|store_|importance_|exec_chunks_|exec_samples_|exec_hits_)"
 )
 
 
-def _run(executor=None, workers=None, observability=None, trace_path=None, sample_every=1, store_backend=None):
+def _run(workers=1, observability=None, trace_path=None, sample_every=1, store_backend=None):
     config = QCoralConfig.strat_partcache(SAMPLES, seed=SEED)
     with Session(
-        executor=executor,
         workers=workers,
         observability=observability,
         store_backend=store_backend,
@@ -75,12 +74,12 @@ def _deterministic_counters(snapshot: MetricsSnapshot):
 # --------------------------------------------------------------------------- #
 # 1. Bit-identity: observability must never perturb an RNG stream
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("executor,workers", [(None, None), ("thread", 2), ("process", 2)])
+@pytest.mark.parametrize("executor,workers", [(None, None), ("thread", 2), ("thread", 4)])
 def test_bit_identity_across_observability_modes(executor, workers, tmp_path):
-    baseline = _run(executor=executor, workers=workers)
-    observed = _run(executor=executor, workers=workers, observability=Observability())
+    workers = workers or 1
+    baseline = _run(workers=workers)
+    observed = _run(workers=workers, observability=Observability())
     traced = _run(
-        executor=executor,
         workers=workers,
         trace_path=tmp_path / "trace.jsonl",
         sample_every=3,
@@ -101,23 +100,23 @@ def test_bit_identity_across_observability_modes(executor, workers, tmp_path):
 
 def test_metrics_merge_deterministic_across_worker_counts():
     counters = []
-    for workers in (1, 2, 4):
-        report = _run(executor="thread", workers=workers, observability=Observability())
+    for workers in (2, 3, 4):
+        report = _run(workers=workers, observability=Observability())
         counters.append(_deterministic_counters(report.metrics))
     assert counters[0] == counters[1] == counters[2]
-    # The worker-side deltas really flowed back through the scheduler.
+    # The pool's chunk timings really reached the hub through the scheduler.
     assert counters[0]["exec_samples_total"] == SAMPLES
     assert counters[0]["exec_chunks_total"] > 0
 
 
 def test_backends_agree_on_engine_counters():
-    # Every backend, and the executor-less default that samples in the
-    # calling thread, runs the same keyed chunks, so every engine counter —
-    # including raw hit counts — must match.  ``exec_*`` counters describe an
-    # executor's dispatch and are recorded only when one is configured.
-    threaded = _run(executor="thread", workers=2, observability=Observability())
-    process = _run(executor="process", workers=2, observability=Observability())
-    assert _deterministic_counters(threaded.metrics) == _deterministic_counters(process.metrics)
+    # Every pool size, and the default that samples in the calling thread,
+    # runs the same keyed chunks, so every engine counter — including raw hit
+    # counts — must match.  ``exec_*`` counters describe a pool's dispatch
+    # and are recorded only when the chunks run on one.
+    threaded = _run(workers=2, observability=Observability())
+    wider = _run(workers=4, observability=Observability())
+    assert _deterministic_counters(threaded.metrics) == _deterministic_counters(wider.metrics)
     default = _run(observability=Observability())
     engine = {
         key: value for key, value in _deterministic_counters(threaded.metrics).items() if not key.startswith("exec_")
@@ -347,11 +346,12 @@ def _diagnostics_bytes(report):
     return json.dumps([record.to_dict() for record in records], sort_keys=True).encode("utf-8")
 
 
-@pytest.mark.parametrize("executor,workers", [(None, None), ("thread", 2), ("process", 2)])
+@pytest.mark.parametrize("executor,workers", [(None, None), ("thread", 2), ("thread", 4)])
 def test_diagnostics_bit_identical_across_observability_modes(executor, workers, tmp_path):
-    baseline = _run(executor=executor, workers=workers)
-    observed = _run(executor=executor, workers=workers, observability=Observability())
-    traced = _run(executor=executor, workers=workers, trace_path=tmp_path / "trace.jsonl", sample_every=2)
+    workers = workers or 1
+    baseline = _run(workers=workers)
+    observed = _run(workers=workers, observability=Observability())
+    traced = _run(workers=workers, trace_path=tmp_path / "trace.jsonl", sample_every=2)
     expected = _diagnostics_bytes(baseline)
     assert expected != b"[]"
     assert _diagnostics_bytes(observed) == expected
@@ -361,10 +361,9 @@ def test_diagnostics_bit_identical_across_observability_modes(executor, workers,
     assert not any(record.timing for record in baseline.diagnostics)
 
 
-def test_diagnostics_bit_identical_between_thread_and_process():
-    threaded = _run(executor="thread", workers=2)
-    process = _run(executor="process", workers=2)
-    assert _diagnostics_bytes(threaded) == _diagnostics_bytes(process)
+def test_diagnostics_bit_identical_across_worker_counts():
+    expected = _diagnostics_bytes(_run())
+    assert _diagnostics_bytes(_run(workers=2)) == _diagnostics_bytes(_run(workers=4)) == expected
 
 
 def test_diagnostics_shape_and_round_trip():

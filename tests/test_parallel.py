@@ -1,9 +1,11 @@
 """Tests for the parallel execution subsystem (repro.exec) and its threading
-through the sampling stack: executor backends, counter-keyed chunk seeds,
-merge algebra, the analyzer's cross-backend reproducibility, thread-safe
-caching, and the executor-aware experiment runner."""
+through the sampling stack: the ``workers`` knob and its thread pool,
+counter-keyed chunk seeds, merge algebra, the analyzer's reproducibility at
+every worker count, thread-safe caching, and repeated trials on a pooled
+session."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,25 +21,20 @@ from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import StratifiedSampler
 from repro.errors import ConfigurationError
-from repro.exec import (
-    EXECUTOR_KINDS,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    chunk_seed,
-    execute_sampling_task,
-    make_executor,
-    plan_chunks,
-    run_sampling_tasks,
-    shard_budget,
-)
+from repro.exec import chunk_seed, execute_sampling_task, plan_chunks, run_sampling_tasks, shard_budget
 from repro.exec.scheduler import factor_seed
 from repro.lang.parser import parse_constraint_set, parse_path_condition
 
 
-def run_engine(constraint_set, profile, config):
-    """One engine run of ``constraint_set``; closes any pool the config opened."""
-    with QCoralAnalyzer(profile, config) as analyzer:
-        return analyzer.analyze(constraint_set)
+def run_engine(constraint_set, profile, config, workers=1):
+    """One engine run of ``constraint_set``, on a pool of ``workers`` threads above 1."""
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        with QCoralAnalyzer(profile, config, pool=pool) as analyzer:
+            return analyzer.analyze(constraint_set)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 #: A non-trivial workload: two disjoint paths, a shared non-linear factor.
 CONSTRAINTS = "x * x + y * y <= 1 && z <= 0.5 || x * x + y * y <= 1 && z > 0.5 && z <= 0.75"
@@ -48,10 +45,6 @@ CHUNK = 500
 
 def _profile():
     return UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1), "z": (0, 1)})
-
-
-def _double(value):
-    return value * 2  # module-level so the process backend can pickle it
 
 
 def _draw(seed):
@@ -119,35 +112,48 @@ class TestShardBudget:
 
 
 class TestExecutors:
-    def test_make_executor_kinds(self):
-        for kind in EXECUTOR_KINDS:
-            backend = make_executor(kind, workers=2)
-            assert backend.kind == kind
-            backend.close()
+    """The one parallelism knob: ``Session(workers=N)`` and its lazy thread pool."""
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_executor("gpu")
+    def test_one_worker_samples_in_the_calling_thread(self):
+        with Session() as session:
+            assert session.pool is None
+            report = session.quantify("x >= 0", {"x": (-1, 1)}).with_budget(1_000).run()
+        assert report.executor is None
 
     def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThreadPoolExecutor(0)
+        for workers in (0, -2, 1.5, None):
+            with pytest.raises(ConfigurationError):
+                Session(workers=workers)
 
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_map_preserves_order(self, kind):
-        with make_executor(kind, workers=2) as backend:
-            assert backend.map(_double, list(range(20))) == [2 * i for i in range(20)]
+        # Chunks of different sizes finish in any order on a pool; their
+        # counts must still come back in task order.
+        tasks = _circle_tasks(2_000, 5, chunk_size=300)
+        expected = [task.samples for task in tasks]
+        assert len(set(expected)) > 1
+        if kind == "serial":
+            counts = run_sampling_tasks(None, tasks)
+        else:
+            with ThreadPoolExecutor(4) as pool:
+                counts = run_sampling_tasks(pool, tasks)
+        assert [samples for _, samples in counts] == expected
 
     def test_describe(self):
-        assert SerialExecutor().describe() == "serial"
-        with ThreadPoolExecutor(4) as backend:
-            assert backend.describe() == "thread×4"
+        with Session(workers=4) as session:
+            report = session.quantify("x >= 0", {"x": (-1, 1)}).with_budget(1_000).seed(1).run()
+        assert report.executor == "thread×4"
+        assert report.to_dict()["executor"] == "thread×4"
 
     def test_close_is_idempotent(self):
-        backend = ThreadPoolExecutor(2)
-        backend.map(_double, [1, 2])
-        backend.close()
-        backend.close()
+        session = Session(workers=3)
+        pool = session.pool
+        assert isinstance(pool, ThreadPoolExecutor)
+        assert session.pool is pool  # created once
+        session.close()
+        session.close()
+        with pytest.raises(RuntimeError):
+            pool.submit(int)  # shut down with the session
 
 
 class TestShardedSampling:
@@ -167,12 +173,16 @@ class TestShardedSampling:
         assert merged.samples == one_shot.samples
         assert merged.estimate == one_shot.estimate
 
-    @pytest.mark.parametrize("kind,workers", [("serial", 1), ("thread", 2), ("thread", 4), ("process", 2)])
+    @pytest.mark.parametrize("kind,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
     def test_backends_bit_identical(self, kind, workers):
         tasks = _circle_tasks(3_000, 3)
         reference = run_sampling_tasks(None, tasks)
-        with make_executor(kind, workers=workers) as backend:
-            assert run_sampling_tasks(backend, tasks) == reference
+        pool = ThreadPoolExecutor(workers) if kind == "thread" else None
+        try:
+            assert run_sampling_tasks(pool, tasks) == reference
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
     def test_chunk_size_changes_plan_but_not_validity(self):
         pc = parse_path_condition("x >= 0")
@@ -218,96 +228,92 @@ class TestStratifiedParallel:
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         serial = StratifiedSampler(pc, profile, 8, chunk_size=CHUNK)
         serial.extend(1_500)
-        with make_executor("thread", workers=3) as backend:
-            threaded = StratifiedSampler(pc, profile, 8, executor=backend, chunk_size=CHUNK)
+        with ThreadPoolExecutor(3) as pool:
+            threaded = StratifiedSampler(pc, profile, 8, pool=pool, chunk_size=CHUNK)
             threaded.extend(1_500)
         assert threaded.estimate() == serial.estimate()
         assert threaded.counts() == serial.counts()
 
 
 class TestAnalyzerDeterminism:
-    """Same master seed => identical QCoralResult on every backend/worker count."""
+    """Same master seed => identical QCoralResult at every worker count."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        config = QCoralConfig(samples_per_query=3_000, seed=17, executor="serial", chunk_size=CHUNK)
+        config = QCoralConfig(samples_per_query=3_000, seed=17, chunk_size=CHUNK)
         return run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
 
-    @pytest.mark.parametrize(
-        "kind,workers",
-        [("serial", 1), ("thread", 1), ("thread", 2), ("thread", 4), ("process", 1), ("process", 2), ("process", 4)],
-    )
+    @pytest.mark.parametrize("kind,workers", [("serial", 1), ("thread", 1), ("thread", 2), ("thread", 4)])
     def test_backend_and_worker_count_invariance(self, reference, kind, workers):
-        config = QCoralConfig(samples_per_query=3_000, seed=17, executor=kind, workers=workers, chunk_size=CHUNK)
-        result = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        # "thread", 1 hands the analyzer a pool of one thread; "serial" none.
+        config = QCoralConfig(samples_per_query=3_000, seed=17, chunk_size=CHUNK)
+        if kind == "serial":
+            result = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        else:
+            with ThreadPoolExecutor(workers) as pool, QCoralAnalyzer(_profile(), config, pool=pool) as analyzer:
+                result = analyzer.analyze(parse_constraint_set(CONSTRAINTS))
+            assert result.executor == f"thread×{workers}"
         assert result.mean == reference.mean
         assert result.variance == reference.variance
         assert result.total_samples == reference.total_samples
 
     def test_adaptive_neyman_invariance(self):
-        """The variance-driven loop re-allocates identically on all backends."""
-        def run(kind, workers):
-            config = replace(QCoralConfig.adaptive(4_000, seed=5).with_executor(kind, workers), chunk_size=CHUNK)
-            return run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
-
-        serial = run("serial", None)
-        threaded = run("thread", 3)
+        """The variance-driven loop re-allocates identically at every worker count."""
+        config = replace(QCoralConfig.adaptive(4_000, seed=5), chunk_size=CHUNK)
+        serial = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
+        threaded = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config, workers=3)
         assert serial.rounds == threaded.rounds
         assert serial.mean == threaded.mean
         assert serial.variance == threaded.variance
 
     def test_plain_mc_configuration_invariance(self):
         """The no-STRAT path (whole-domain hit-or-miss) shards identically."""
-        def run(kind, workers):
-            config = QCoralConfig(
-                samples_per_query=2_000,
-                stratified=False,
-                partition_and_cache=False,
-                seed=29,
-                executor=kind,
-                workers=workers,
-                chunk_size=CHUNK,
-            )
-            return run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
-
-        assert run("serial", None).estimate == run("thread", 2).estimate
+        config = QCoralConfig(
+            samples_per_query=2_000,
+            stratified=False,
+            partition_and_cache=False,
+            seed=29,
+            chunk_size=CHUNK,
+        )
+        constraint_set = parse_constraint_set(CONSTRAINTS)
+        assert run_engine(constraint_set, _profile(), config).estimate == run_engine(
+            constraint_set, _profile(), config, workers=2
+        ).estimate
 
     def test_default_path_matches_serial_executor(self):
-        """executor=None samples in the calling thread, exactly as the serial backend."""
+        """A bare analyzer samples in the calling thread, exactly as ``Session(workers=1)``."""
         config = QCoralConfig(samples_per_query=2_000, seed=13)
         first = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
         second = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
-        serial = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config.with_executor("serial"))
+        with Session(workers=1) as session:
+            serial = session.quantify(CONSTRAINTS, _profile(), config=config).run()
         assert first.estimate == second.estimate == serial.estimate
         assert first.total_samples == serial.total_samples
-        assert first.executor is None
+        assert first.executor is None and serial.executor is None
 
     def test_executor_recorded_in_repr(self):
-        config = QCoralConfig(samples_per_query=1_000, seed=1, executor="thread", workers=2, chunk_size=CHUNK)
-        result = run_engine(parse_constraint_set("x >= 0"), UsageProfile.uniform({"x": (-1, 1)}), config)
+        config = QCoralConfig(samples_per_query=1_000, seed=1, chunk_size=CHUNK)
+        result = run_engine(parse_constraint_set("x >= 0"), UsageProfile.uniform({"x": (-1, 1)}), config, workers=2)
         assert "exec=thread×2" in repr(result)
 
     def test_invalid_executor_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QCoralConfig(executor="gpu")
-        with pytest.raises(ConfigurationError):
-            QCoralConfig(executor="thread", workers=0)
+        # Parallelism is a Session knob, not a config field.
+        with pytest.raises(TypeError):
+            QCoralConfig(executor="thread")
+        with pytest.raises(TypeError):
+            QCoralConfig(workers=2)
         with pytest.raises(ConfigurationError):
             QCoralConfig(chunk_size=0)
         with pytest.raises(ConfigurationError):
-            # workers without a backend would be silently ignored otherwise.
-            QCoralConfig(workers=2)
+            Session(workers=0)
 
     def test_borrowed_executor_not_closed(self):
-        backend = ThreadPoolExecutor(2)
-        try:
-            config = QCoralConfig(samples_per_query=1_000, seed=3, executor="thread", chunk_size=CHUNK)
-            with QCoralAnalyzer(_profile(), config, executor=backend) as analyzer:
+        with ThreadPoolExecutor(2) as pool:
+            config = QCoralConfig(samples_per_query=1_000, seed=3, chunk_size=CHUNK)
+            with QCoralAnalyzer(_profile(), config, pool=pool) as analyzer:
                 analyzer.analyze(parse_constraint_set(CONSTRAINTS))
             # The borrowed pool must still be usable after analyzer close.
-            assert backend.map(_double, [21]) == [42]
-        finally:
-            backend.close()
+            assert pool.submit(int, "42").result() == 42
 
 
 class TestThreadSafeCache:
@@ -341,10 +347,23 @@ class TestThreadSafeCache:
 
     def test_shared_analyzer_under_thread_backend(self):
         """One analyzer with PARTCACHE analysed concurrently stays consistent."""
-        config = QCoralConfig(samples_per_query=1_000, seed=2, executor="thread", workers=2, chunk_size=CHUNK)
-        with QCoralAnalyzer(_profile(), config) as analyzer:
-            result = analyzer.analyze(parse_constraint_set(CONSTRAINTS))
+        config = QCoralConfig(samples_per_query=1_000, seed=2, chunk_size=CHUNK)
+        result = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config, workers=2)
         assert 0.0 <= result.mean <= 1.0
+
+
+def _repeat_in_thread(repeat, timeout=120.0):
+    """Run ``repeat()`` on a daemon thread; fail instead of hanging past ``timeout``."""
+    outcome = {}
+
+    def target():
+        outcome["value"] = repeat()
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"repeated trials did not finish within {timeout:.0f} s"
+    return outcome["value"]
 
 
 class TestRunnerExecutor:
@@ -357,26 +376,47 @@ class TestRunnerExecutor:
         assert trial_seeds(5, base_seed=0) == [3757552657, 673228719, 3241444873, 3685993406, 1216546553]
         assert trial_seeds(5, base_seed=2014) == [3795767458, 3578693689, 1477077092, 3692059209, 3706863618]
 
-    def test_thread_executor_matches_serial(self):
-        def run(seed):
-            rng = np.random.default_rng(seed)
-            return float(rng.random()), 0.0
+    def test_repeat_analysis_runs_every_seed_in_order(self):
+        seen = []
 
-        serial = repeat_analysis(run, runs=6, base_seed=3)
-        with ThreadPoolExecutor(3) as backend:
-            threaded = repeat_analysis(run, runs=6, base_seed=3, executor=backend)
-        assert [o.estimate for o in threaded.outcomes] == [o.estimate for o in serial.outcomes]
+        def run(seed):
+            seen.append(seed)
+            return float(np.random.default_rng(seed).random()), 0.0
+
+        repeated = repeat_analysis(run, runs=6, base_seed=3)
+        assert seen == trial_seeds(6, base_seed=3)
+        assert [o.estimate for o in repeated.outcomes] == [
+            float(np.random.default_rng(seed).random()) for seed in seen
+        ]
 
     def test_repeat_query_with_executor(self):
-        with Session() as session:
-            query = session.quantify("x * x + y * y <= 1", {"x": (-1, 1), "y": (-1, 1)}).with_budget(500)
-            serial = repeat_query(query, runs=4, base_seed=1)
-            with ThreadPoolExecutor(2) as backend:
-                aggregated = repeat_query(query, runs=4, base_seed=1, executor=backend)
-        assert aggregated.runs == 4
-        assert [o.estimate for o in aggregated.outcomes] == [o.estimate for o in serial.outcomes]
-        assert aggregated.mean_estimate == pytest.approx(np.pi / 4, abs=0.1)
-        assert aggregated.mean_samples == 500
+        """Trials on a pooled session match the calling thread's, trial for trial."""
+        bounds = {"x": (-1, 1), "y": (-1, 1)}
+        results = []
+        for workers in (1, 2):
+            with Session(workers=workers) as session:
+                query = session.quantify("x * x + y * y <= 1", bounds).with_budget(500).configure(chunk_size=100)
+                results.append(_repeat_in_thread(lambda: repeat_query(query, runs=4, base_seed=1)))
+        serial, pooled = results
+        assert pooled.runs == 4
+        assert [o.estimate for o in pooled.outcomes] == [o.estimate for o in serial.outcomes]
+        assert pooled.mean_estimate == pytest.approx(np.pi / 4, abs=0.1)
+        assert pooled.mean_samples == 500
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_repeat_on_a_pooled_session_finishes(self, workers):
+        """``Query.repeat`` on ``Session(workers=N)`` completes and matches one worker."""
+        bounds = {"x": (-1, 1), "y": (-1, 1)}
+        reports = []
+        for count in (1, workers):
+            with Session(workers=count) as session:
+                query = session.quantify("x * x + y * y <= 1", bounds).with_budget(2_000).configure(chunk_size=250)
+                reports.append(_repeat_in_thread(lambda: query.repeat(runs=4, base_seed=7)))
+        serial, pooled = reports
+        assert [(t.estimate, t.reported_std) for t in pooled.trials] == [
+            (t.estimate, t.reported_std) for t in serial.trials
+        ]
+        assert (pooled.mean, pooled.std) == (serial.mean, serial.std)
 
 
 class TestCliExecutor:
@@ -391,8 +431,6 @@ class TestCliExecutor:
                 "1000",
                 "--seed",
                 "1",
-                "--executor",
-                "thread",
                 "--workers",
                 "2",
             ]
@@ -403,7 +441,7 @@ class TestCliExecutor:
 
     def test_executor_flag_determinism_across_backends(self, capsys):
         outputs = []
-        for kind in ("serial", "thread"):
+        for workers in ("1", "2", "3"):
             main(
                 [
                     "quantify",
@@ -416,10 +454,10 @@ class TestCliExecutor:
                     "2000",
                     "--seed",
                     "6",
-                    "--executor",
-                    kind,
+                    "--workers",
+                    workers,
                 ]
             )
             out = capsys.readouterr().out
             outputs.append([line for line in out.splitlines() if line.startswith("probability:")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]

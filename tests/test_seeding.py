@@ -1,19 +1,20 @@
 """One sampling path on counter-keyed seeds.
 
 Every sampling chunk is seeded by (master seed, factor key, stratum box,
-sample offset), so a fixed-seed answer is the same with no executor, on the
-serial, thread and process backends at any worker count, cold and warm, and
-whatever order the path conditions arrive in.
+sample offset), so a fixed-seed answer is the same in the calling thread and
+on a thread pool of any size, cold and warm, and whatever order the path
+conditions arrive in.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
+from repro.api import Session
 from repro.core.importance import ImportanceSampler
 from repro.core.profiles import BinomialDistribution, TruncatedNormalDistribution, UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
-from repro.exec import SerialExecutor, make_executor
 from repro.lang.parser import parse_constraint_set, parse_path_condition
 from repro.store import open_store
 
@@ -36,33 +37,13 @@ CONFIGS = {
     "plain-mc": QCoralConfig(samples_per_query=3_000, seed=17, stratified=False, max_rounds=2),
 }
 
-BACKENDS = [
-    (None, None),
-    ("serial", 1),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("process", 1),
-    ("process", 2),
-    ("process", 4),
-]
+#: How the chunks run: through a default Session (None) or a one-worker
+#: Session ("serial"), both in the calling thread, or on a pool of 1, 2 or 4
+#: threads handed to the analyzer ("thread").
+BACKENDS = [(None, None), ("serial", 1), ("thread", 1), ("thread", 2), ("thread", 4)]
 
-
-@pytest.fixture(scope="module")
-def pools():
-    """One pool per (kind, workers), shared by every config and pass."""
-    opened = {}
-    yield opened
-    for backend in opened.values():
-        backend.close()
-
-
-def _executor(pools, kind, workers):
-    if kind is None:
-        return None
-    if (kind, workers) not in pools:
-        pools[(kind, workers)] = make_executor(kind, workers)
-    return pools[(kind, workers)]
+#: Session arguments of each backend kind of the order test.
+SESSION_ARGS = {None: {}, "serial": {"workers": 1}, "thread": {"workers": 2}}
 
 
 def _answer(result):
@@ -74,15 +55,32 @@ def _stored(store):
     return {key: store.get(key).to_dict() for key in sorted(store.keys())}
 
 
-def _cold_and_warm(config, executor):
+def _analyze(constraint_set, config, store, kind, workers):
+    """One run on the backend ``kind`` names (see BACKENDS).
+
+    "bare" is an analyzer without a pool: the reference every backend matches.
+    """
+    if kind in (None, "serial"):
+        with Session(store=store, **({} if workers is None else {"workers": workers})) as session:
+            return session.quantify(constraint_set, PROFILE, config=config).run()
+    pool = ThreadPoolExecutor(workers) if kind == "thread" else None
+    try:
+        with QCoralAnalyzer(PROFILE, config, pool=pool, store=store) as analyzer:
+            return analyzer.analyze(constraint_set)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _cold_and_warm(config, kind="bare", workers=None):
     """Answers and store contents of a cold run and a larger warm run on one store."""
     store = open_store(None, "memory")
     constraint_set = parse_constraint_set(CONSTRAINTS)
     config = replace(config, chunk_size=CHUNK)
     outcomes = []
     for budget in (config.samples_per_query, 2 * config.samples_per_query):
-        with QCoralAnalyzer(PROFILE, config.with_samples(budget), executor=executor, store=store) as analyzer:
-            outcomes.append((_answer(analyzer.analyze(constraint_set)), _stored(store)))
+        result = _analyze(constraint_set, config.with_samples(budget), store, kind, workers)
+        outcomes.append((_answer(result), _stored(store)))
     store.close()
     return outcomes
 
@@ -90,12 +88,12 @@ def _cold_and_warm(config, executor):
 class TestBitIdentity:
     @pytest.fixture(scope="class")
     def references(self):
-        return {name: _cold_and_warm(config, None) for name, config in CONFIGS.items()}
+        return {name: _cold_and_warm(config) for name, config in CONFIGS.items()}
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("kind,workers", BACKENDS)
-    def test_cold_and_warm_identical_on_every_backend(self, references, pools, name, kind, workers):
-        outcomes = _cold_and_warm(CONFIGS[name], _executor(pools, kind, workers))
+    def test_cold_and_warm_identical_on_every_backend(self, references, name, kind, workers):
+        outcomes = _cold_and_warm(CONFIGS[name], kind, workers)
         assert outcomes == references[name]
 
     def test_reference_runs_sample(self, references):
@@ -104,39 +102,40 @@ class TestBitIdentity:
             assert cold_store and warm_store != cold_store
 
 
-class _RecordingExecutor(SerialExecutor):
-    """The serial backend, remembering the key of every chunk it runs."""
+class _RecordingPool(ThreadPoolExecutor):
+    """A one-thread pool remembering the key of every chunk it runs."""
 
     def __init__(self):
+        super().__init__(max_workers=1)
         self.keys = []
 
-    def map(self, fn, items):
-        self.keys.extend((task.seed.entropy, task.seed.spawn_key) for task in items)
-        return super().map(fn, items)
+    def map(self, fn, *iterables, **kwargs):
+        tasks = list(iterables[0])
+        self.keys.extend((task.seed.entropy, task.seed.spawn_key) for task in tasks)
+        return super().map(fn, tasks, **kwargs)
 
 
 class TestOrderAndKeys:
-    @pytest.mark.parametrize("kind", [None, "serial", "thread"])
+    @pytest.mark.parametrize("kind", list(SESSION_ARGS))
     def test_reversed_path_conditions_give_the_same_answer(self, kind):
         # Three factors are sampled; at 2002 samples each the pilot round's
         # 1501 samples split unevenly, so the spare sample must go to the
         # same factor whichever path condition comes first.
-        for samples in (2_000, 2_002):
-            config = QCoralConfig(samples_per_query=samples, seed=3, max_rounds=2, executor=kind)
-            answers = []
-            for text in (f"{FIRST} || {SECOND}", f"{SECOND} || {FIRST}"):
-                with QCoralAnalyzer(UNIT, config) as analyzer:
-                    answers.append(_answer(analyzer.analyze(parse_constraint_set(text))))
-            assert answers[0] == answers[1]
+        with Session(**SESSION_ARGS[kind]) as session:
+            for samples in (2_000, 2_002):
+                config = QCoralConfig(samples_per_query=samples, seed=3, max_rounds=2)
+                answers = []
+                for text in (f"{FIRST} || {SECOND}", f"{SECOND} || {FIRST}"):
+                    answers.append(_answer(session.quantify(text, UNIT, config=config).run()))
+                assert answers[0] == answers[1]
 
     def test_warm_continuation_keys_are_disjoint_from_the_cold_run(self):
         store = open_store(None, "memory")
         constraint_set = parse_constraint_set(CONSTRAINTS)
         keys = []
         for budget in (2_000, 5_000):
-            recorder = _RecordingExecutor()
             config = QCoralConfig(samples_per_query=budget, seed=9, chunk_size=CHUNK)
-            with QCoralAnalyzer(PROFILE, config, executor=recorder, store=store) as analyzer:
+            with _RecordingPool() as recorder, QCoralAnalyzer(PROFILE, config, pool=recorder, store=store) as analyzer:
                 result = analyzer.analyze(constraint_set)
             assert (result.cache_statistics.warm_starts > 0) == (budget == 5_000)
             keys.append(recorder.keys)
@@ -151,10 +150,10 @@ class TestOrderAndKeys:
             {"x": BinomialDistribution(20, 0.5), "y": TruncatedNormalDistribution(0.0, 0.4, -1.0, 1.0)}
         )
         pc = parse_path_condition("sin(x * 0.55) + y * y <= 0.3")
-        recorder = _RecordingExecutor()
-        sampler = ImportanceSampler(pc, profile, 3, executor=recorder, max_boxes=8, adaptive_splits=4, chunk_size=CHUNK)
-        for _ in range(6):
-            sampler.extend(2_000, allocation="neyman")
+        with _RecordingPool() as recorder:
+            sampler = ImportanceSampler(pc, profile, 3, pool=recorder, max_boxes=8, adaptive_splits=4, chunk_size=CHUNK)
+            for _ in range(6):
+                sampler.extend(2_000, allocation="neyman")
         assert sampler.discarded_samples > 0, "expected at least one adaptive split"
         live = [stratum.word for stratum in sampler.strata if stratum.word is not None]
         assert len(live) == len(set(live))

@@ -452,23 +452,25 @@ class TestAnalyzerReuse:
         assert results[0].variance == results[1].variance
 
     def test_warm_start_bit_identical_to_one_long_run(self, tmp_path):
-        """Chunk-aligned budgets: resume == one long run, with or without an executor."""
+        """Chunk-aligned budgets: resume == one long run, at 1, 2 and 4 workers."""
         constraint_set = parse_constraint_set(CIRCLE)
-        for executor in ("serial", None):
-            store = open_store(str(tmp_path / f"store-{executor}.db"))
-            base = dict(stratified=False, seed=42, executor=executor, chunk_size=10_000)
-            short = QCoralConfig(samples_per_query=20_000, **base)
-            full = QCoralConfig(samples_per_query=50_000, **base)
-            with QCoralAnalyzer(PROFILE_2D, short, store=store) as cold:
-                cold.analyze(constraint_set)
-            with QCoralAnalyzer(PROFILE_2D, full, store=store) as warm:
-                resumed = warm.analyze(constraint_set)
-            with QCoralAnalyzer(PROFILE_2D, full) as reference:
-                long_run = reference.analyze(constraint_set)
+        base = dict(stratified=False, seed=42, chunk_size=10_000)
+        short = QCoralConfig(samples_per_query=20_000, **base)
+        full = QCoralConfig(samples_per_query=50_000, **base)
+        with QCoralAnalyzer(PROFILE_2D, full) as reference:
+            long_run = reference.analyze(constraint_set)
+        entries = []
+        for workers in (1, 2, 4):
+            store = open_store(str(tmp_path / f"store-{workers}.db"))
+            with Session(workers=workers, store=store) as session:
+                session.quantify(constraint_set, PROFILE_2D, config=short).run()
+                resumed = session.quantify(constraint_set, PROFILE_2D, config=full).run()
             assert resumed.mean == long_run.mean
             assert resumed.variance == long_run.variance
             assert resumed.total_samples == 30_000  # only the continuation was drawn
+            entries.append({key: store.get(key).to_dict() for key in store.keys()})
             store.close()
+        assert entries[0] == entries[1] == entries[2]
 
     def test_same_seed_topup_draws_fresh_samples(self, tmp_path):
         """A same-seed continuation must not replay the prior's stream."""
@@ -521,16 +523,18 @@ class TestAnalyzerReuse:
 
 
 class TestConcurrentAnalyzers:
-    """Whole analyses racing on one store through the PR 2 executors."""
+    """Whole analyses racing on one store from threads and from processes."""
 
     @pytest.mark.parametrize("executor_kind", ("thread", "process"))
     def test_concurrent_trials_pool_into_one_store(self, executor_kind, tmp_path):
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         from repro.analysis.runner import trial_seeds
-        from repro.exec.executor import make_executor
 
         path = str(tmp_path / "store.db")
         SqliteStore(path).close()  # create the schema before workers race
-        with make_executor(executor_kind, 2) as pool:
+        pool_type = ThreadPoolExecutor if executor_kind == "thread" else ProcessPoolExecutor
+        with pool_type(2) as pool:
             store_hits = sum(pool.map(_StoreTrial(path), trial_seeds(4, base_seed=77)))
         store = SqliteStore(path)
         (key,) = store.keys()
@@ -547,7 +551,7 @@ class TestConcurrentAnalyzers:
 
 
 class _StoreTrial:
-    """Picklable trial callable (the process backend cannot ship lambdas)."""
+    """Picklable trial callable (a process pool cannot ship lambdas)."""
 
     def __init__(self, path: str) -> None:
         self.path = path
