@@ -23,6 +23,9 @@ a tracked quality metric regressed by more than the tolerance:
   to in-process runs and repeated requests must draw zero samples (both
   unconditional); the warm/cold latency ratio gates against a fixed 0.75
   ceiling.
+* **HC4 tape** (``BENCH_icp.json``) — pavings on the flat tape must be
+  identical to the recursive reference's (unconditional), and the tape must
+  pave at least 3× faster than the reference timed in the same process.
 
 Families whose fresh file was not produced this run, or whose baseline does
 not exist at ``HEAD`` yet (a newly introduced family), are skipped with a
@@ -77,6 +80,11 @@ OBSERVABILITY_OVERHEAD_CEILING = 1.05
 #: (``BENCH_serve.json``): a repeated request answered from the store must
 #: cost well under a cold sampling run, or the service's economics are gone.
 SERVE_WARM_RATIO_CEILING = 0.75
+
+#: Hard floor on the tape/reference HC4 paving speedup (``BENCH_icp.json``).
+#: Both trees are timed in one process, so the ratio survives the host drift
+#: that absolute times do not.
+ICP_SPEEDUP_FLOOR = 3.0
 
 #: Environment variable that downgrades failures to warnings.
 OVERRIDE_ENV = "QCORAL_BENCH_ALLOW_REGRESSION"
@@ -308,6 +316,23 @@ def compare_serve(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     return findings
 
 
+def compare_icp(family: str, baseline: dict, fresh: dict) -> List[Finding]:
+    """HC4 tape summary: identical pavings and the speedup floor, both hard.
+
+    Both are properties of the fresh run alone: the tape and the reference
+    pave the same factors in one process.
+    """
+    findings: List[Finding] = []
+    payload = fresh.get("icp", {})
+    if not payload:
+        return findings
+    identical = bool(payload.get("pavings_identical"))
+    findings.append(Finding(family, "pavings_identical", 1.0, float(identical), not identical))
+    speedup = float(payload.get("speedup", 0.0))
+    findings.append(Finding(family, "tape speedup", ICP_SPEEDUP_FLOOR, speedup, speedup < ICP_SPEEDUP_FLOOR))
+    return findings
+
+
 #: Benchmark families and the comparator handling each.
 FAMILIES = (
     ("BENCH_adaptive.json", lambda b, f: compare_sigma_ratios("adaptive", b, f, "adaptive_allocation")),
@@ -317,6 +342,7 @@ FAMILIES = (
     ("BENCH_kernels.json", lambda b, f: compare_kernels("kernels", b, f)),
     ("BENCH_observability.json", lambda b, f: compare_observability("observability", b, f)),
     ("BENCH_serve.json", lambda b, f: compare_serve("serve", b, f)),
+    ("BENCH_icp.json", lambda b, f: compare_icp("icp", b, f)),
 )
 
 

@@ -56,6 +56,7 @@ import heapq
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.estimate import Estimate
@@ -65,7 +66,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.exec.scheduler import SamplingTask
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import contract
-from repro.icp.hc4 import constraint_trees
+from repro.icp.hc4 import ConstraintTree, constraint_trees
 from repro.icp.solver import ICPSolver, PavedBox, Paving
 from repro.intervals.box import Box
 from repro.intervals.interval import Interval
@@ -186,6 +187,11 @@ class ImportanceSampler(StratifiedSampler):
             finished.append(heapq.heappop(heap)[2])
         return finished
 
+    @cached_property
+    def _trees(self) -> Tuple[ConstraintTree, ...]:
+        """The factor's constraint trees, built on the first split and swept by every split."""
+        return constraint_trees(self._pc)
+
     def _split_paved(self, paved: PavedBox) -> Optional[List[PavedBox]]:
         """Bisect one boundary box at the profile's mass median; None if unsplittable.
 
@@ -201,7 +207,7 @@ class ImportanceSampler(StratifiedSampler):
         # certification over discrete variables must clear the boundary with
         # no floating-point slack (same rule the paving solver applies).
         strict = bool(self._integer_names)
-        trees = constraint_trees(self._pc)
+        trees = self._trees
         children: List[PavedBox] = []
         for half in paved.box.split(name, at):
             contracted = contract(self._pc, half, self._icp_config, trees)

@@ -14,9 +14,14 @@ from repro.icp import (
     hc4_revise,
     pave,
 )
-from repro.icp.hc4 import constraint_trees
+from repro.api import Session
+from repro.core.profiles import UsageProfile
+from repro.core.qcoral import plan_factors
+from repro.icp import solver
+from repro.icp.hc4 import ConstraintTree, ReferenceTree, constraint_trees
 from repro.intervals import Box, Interval
 from repro.lang.parser import parse_constraint, parse_expression, parse_path_condition
+from repro.subjects import aerospace, discrete, solids, volcomp_suite
 
 
 def box(**bounds):
@@ -97,6 +102,30 @@ class TestHC4Revise:
         assert narrowed is not None
         # Conservative: the solution pi/6..5pi/6 must remain inside.
         assert narrowed.interval("x").contains(math.pi / 2)
+
+    def test_odd_power_projection_keeps_boundary_atoms(self):
+        # ``1000.0000000000001 ** (1/3)`` rounds to just below 10: without
+        # outward rounding the projection cut off the solution x = 10.
+        constraint = parse_constraint("pow(x, 3) >= 64")
+        narrowed = hc4_revise(constraint, box(x=(0, 10)))
+        assert repr(narrowed) == "Box({x: [3.9999999999959996, 10.0]})"
+        assert narrowed.interval("x").contains(4.0) and narrowed.interval("x").contains(10.0)
+        assert ConstraintTree(constraint).revise(box(x=(0, 10))) == narrowed
+
+    def test_odd_and_even_power_roots_round_outward(self):
+        for text, domain, solutions in (
+            ("pow(x, 3) <= -8", (-10, 10), (-10.0, -2.0)),
+            ("pow(x, 5) <= 32", (-3, 10), (-3.0, 2.0)),
+            ("pow(x, 4) <= 1e-40", (-1, 1), (-1e-10, 1e-10)),
+        ):
+            narrowed = hc4_revise(parse_constraint(text), box(x=domain))
+            assert all(narrowed.interval("x").contains(value) for value in solutions), text
+
+    def test_integer_power_query_counts_every_atom(self):
+        # x in {0..10} uniformly; x**3 >= 64 holds for x = 4..10: 7 of 11 atoms.
+        report = Session().quantify("pow(x, 3) >= 64", UsageProfile.from_specs({"x": "int:0:10"})).run()
+        assert report.mean == pytest.approx(7 / 11, abs=1e-12)
+        assert report.std == 0.0
 
     def test_soundness_never_removes_solutions(self):
         constraint = parse_constraint("x * y + sqrt(y) <= 3")
@@ -210,3 +239,52 @@ class TestPaving:
         pc = parse_path_condition("x * x + y * y <= 1")
         paving = pave(pc, box(x=(-2, 2), y=(-2, 2)), ICPConfig(max_boxes=40, time_budget=2.0))
         assert paving.inner_volume() <= math.pi + 1e-6
+
+
+def _subject_factors(group):
+    """Every distinct factor of one subject group, with the domain it is paved over."""
+    if group == "volcomp":
+        cases = [
+            (subject.constraint_set(assertion).path_conditions, subject.profile())
+            for subject, assertion in volcomp_suite.all_assertion_cases()
+        ]
+    elif group == "solids":
+        cases = [([solid.constraint], solid.profile()) for solid in solids.all_solids()]
+    elif group == "aerospace":
+        cases = [(subject.constraint_set.path_conditions, subject.profile()) for subject in aerospace.all_subjects()]
+    else:
+        cases = [([subject.constraint], subject.profile) for subject in discrete.all_discrete_subjects()]
+    for path_conditions, profile in cases:
+        _, factors = plan_factors(path_conditions)
+        for factor, variables in factors.values():
+            restricted = profile.restrict(variables)
+            yield factor, restricted.domain(), restricted.discrete_variables()
+
+
+def _exact_paving(paving):
+    """The boxes (by ``repr``, so signed zeros count), inner flags and effort counters."""
+    boxes = [(repr(paved.box), paved.inner) for paved in paving.boxes]
+    return boxes, paving.boxes_explored, paving.contraction_passes
+
+
+class TestTapePavings:
+    """``ICPSolver.pave`` on the flat tape against pavings on reference trees."""
+
+    @pytest.mark.parametrize("group", ["volcomp", "solids", "aerospace", "discrete"])
+    def test_pavings_identical_to_reference_trees(self, group, monkeypatch):
+        # Lift the wall-clock stop so only the box budget ends a search.
+        icp = solver.ICPSolver(ICPConfig(time_budget=1e9))
+        factors = list(_subject_factors(group))
+        assert factors
+        tape = [icp.pave(pc, domain, integer_variables=integers) for pc, domain, integers in factors]
+        references = []
+
+        def reference_trees(pc):
+            references.append(tuple(ReferenceTree(constraint) for constraint in pc.constraints))
+            return references[-1]
+
+        monkeypatch.setattr(solver, "constraint_trees", reference_trees)
+        for (pc, domain, integers), paving in zip(factors, tape):
+            reference = icp.pave(pc, domain, integer_variables=integers)
+            assert _exact_paving(paving) == _exact_paving(reference), pc.canonical()
+        assert len(references) == len(factors)
