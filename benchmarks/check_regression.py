@@ -26,6 +26,10 @@ a tracked quality metric regressed by more than the tolerance:
 * **HC4 tape** (``BENCH_icp.json``) — pavings on the flat tape must be
   identical to the recursive reference's (unconditional), and the tape must
   pave at least 3× faster than the reference timed in the same process.
+* **symbolic execution** (``BENCH_symexec.json``) — per VolComp assertion,
+  the explored path count must not grow beyond its baseline, and the pruned
+  path and target sets must be subsets of the domain-only reference's (both
+  hard).  Timings are recorded, not gated.
 
 Families whose fresh file was not produced this run, or whose baseline does
 not exist at ``HEAD`` yet (a newly introduced family), are skipped with a
@@ -333,6 +337,26 @@ def compare_icp(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     return findings
 
 
+def compare_symexec(family: str, baseline: dict, fresh: dict) -> List[Finding]:
+    """Symbolic-execution summary: two hard checks per assertion.
+
+    A path count above the committed one means pruning got weaker; a pruned
+    set that is not a subset of the reference's means the executor invented
+    a path.  Assertions missing from the baseline gate only the subset check.
+    """
+    findings: List[Finding] = []
+    cases = fresh.get("symexec", {}).get("cases", {})
+    baseline_cases = baseline.get("symexec", {}).get("cases", {})
+    for label, case in sorted(cases.items()):
+        subset = bool(case.get("subset"))
+        findings.append(Finding(family, f"{label} subset", 1.0, float(subset), not subset))
+        if label in baseline_cases:
+            paths = int(case["pruned"]["paths"])
+            allowed = int(baseline_cases[label]["pruned"]["paths"])
+            findings.append(Finding(family, f"{label} paths", allowed, paths, paths > allowed))
+    return findings
+
+
 #: Benchmark families and the comparator handling each.
 FAMILIES = (
     ("BENCH_adaptive.json", lambda b, f: compare_sigma_ratios("adaptive", b, f, "adaptive_allocation")),
@@ -343,6 +367,7 @@ FAMILIES = (
     ("BENCH_observability.json", lambda b, f: compare_observability("observability", b, f)),
     ("BENCH_serve.json", lambda b, f: compare_serve("serve", b, f)),
     ("BENCH_icp.json", lambda b, f: compare_icp("icp", b, f)),
+    ("BENCH_symexec.json", lambda b, f: compare_symexec("symexec", b, f)),
 )
 
 

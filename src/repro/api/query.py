@@ -449,12 +449,14 @@ class Query:
         profile = self._profile if self._profile is not None else UsageProfile.uniform(target.program.input_bounds())
         analyzer: Optional[QCoralAnalyzer] = None
         try:
-            symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
-            if target.event not in symbolic.events():
+            declared = target.program.declared_events()
+            if target.event not in declared:
                 raise AnalysisError(
-                    f"event {target.event!r} never occurs on any explored path; "
-                    f"known events: {list(symbolic.events())}"
+                    f"event {target.event!r} does not occur in the program; declared events: {list(declared)}"
                 )
+            # A declared event that no feasible path reaches has an empty
+            # constraint set, which quantifies to exactly 0 with σ 0.
+            symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
             analyzer = QCoralAnalyzer(profile, config, pool=pool, store=store, observability=observability)
             # Pump the event stream by hand (rather than `yield from`) so the
             # consumer's stop signal is visible here: a cancelled stream must

@@ -306,5 +306,5 @@ def _constraint_set_cached(subject_name: str, assertion_label: str) -> ast.Const
     subject = subject_by_name(subject_name)
     assertion = subject.assertion(assertion_label)
     program = subject.program(assertion)
-    result = execute_program(program, max_depth=subject.max_depth, prune_infeasible=True)
+    result = execute_program(program, max_depth=subject.max_depth)
     return result.constraint_set_for(TARGET_EVENT)

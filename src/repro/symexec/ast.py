@@ -145,3 +145,24 @@ class Program:
     def input_names(self) -> Tuple[str, ...]:
         """Input variable names, in declaration order."""
         return tuple(declaration.name for declaration in self.inputs)
+
+    def declared_events(self) -> Tuple[str, ...]:
+        """Every event the program text can raise, sorted.
+
+        These are the ``observe`` events anywhere in the body, plus
+        ``assert.violation`` when the body has an ``assert``.  Whether a
+        feasible path reaches one is for symbolic execution to say.
+        """
+        events = set()
+        pending = list(self.body)
+        while pending:
+            statement = pending.pop()
+            if isinstance(statement, ObserveStatement):
+                events.add(statement.event)
+            elif isinstance(statement, AssertStatement):
+                events.add(ASSERTION_VIOLATION_EVENT)
+            elif isinstance(statement, IfStatement):
+                pending.extend(statement.then_body + statement.else_body)
+            elif isinstance(statement, WhileStatement):
+                pending.extend(statement.body)
+        return tuple(sorted(events))

@@ -7,6 +7,18 @@ path conditions are pairwise disjoint by construction — every fork adds a
 constraint to one path and its negation to the other — which is the property
 qCORAL's disjunction rule (Equations 4–6) relies on.
 
+Feasibility is path-sensitive, as in SPF: each path carries a box, the input
+domain contracted by every conjunct added on the path so far, and each branch
+outcome revises that box with its new conjunct (one HC4-revise on the
+conjunct's :class:`~repro.icp.hc4.ConstraintTree`).  An outcome whose revise
+comes back empty is dropped.  This is sound: HC4-revise returns nothing only
+when no point of the box satisfies the conjunct, and the box encloses every
+input satisfying the path's earlier conjuncts, so a dropped path has
+probability zero under every usage profile, discrete ones included.  It is not
+complete: earlier conjuncts are not re-contracted, and closed-interval
+reasoning cannot refute boundary pairs such as ``x < 200 && x >= 200``, whose
+paths are kept.
+
 Loops are unrolled; a path that exceeds the bound is flagged ``hit_bound`` and
 reported separately, mirroring the paper's treatment of bounded symbolic
 execution (Section 3.1): bounded paths are excluded from ``PC^T`` but their
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SymbolicExecutionError
-from repro.icp.hc4 import constraint_certainly_fails
+from repro.icp.hc4 import ConstraintTree
 from repro.intervals.box import Box
 from repro.lang import ast as expr_ast
 from repro.lang.simplify import simplify_constraint
@@ -84,6 +96,8 @@ class _State:
     environment: Dict[str, expr_ast.Expression]
     condition: List[expr_ast.Constraint]
     events: List[str]
+    #: The input domain contracted by every conjunct in ``condition``.
+    box: Box
     decisions: int = 0
     hit_bound: bool = False
 
@@ -92,9 +106,19 @@ class _State:
             environment=dict(self.environment),
             condition=list(self.condition),
             events=list(self.events),
+            box=self.box,
             decisions=self.decisions,
             hit_bound=self.hit_bound,
         )
+
+
+#: One branch outcome: its truth value, the conjunct it adds to the path
+#: condition and that conjunct's tree (both None for a variable-free branch).
+_Outcome = Tuple[bool, Optional[expr_ast.Constraint], Optional[ConstraintTree]]
+
+#: One simplified branch constraint: whether it can hold (decided only when
+#: it is variable-free), its conjunct and its tree.
+_Verdict = Tuple[bool, Optional[expr_ast.Constraint], Optional[ConstraintTree]]
 
 
 class SymbolicExecutor:
@@ -105,7 +129,6 @@ class SymbolicExecutor:
         program: prog_ast.Program,
         max_depth: int = 50,
         max_paths: int = 100_000,
-        prune_infeasible: bool = True,
     ) -> None:
         if max_depth < 1:
             raise SymbolicExecutionError("max_depth must be at least 1")
@@ -114,15 +137,13 @@ class SymbolicExecutor:
         self._program = program
         self._max_depth = max_depth
         self._max_paths = max_paths
-        self._prune_infeasible = prune_infeasible
-        self._domain = Box.from_bounds(program.input_bounds())
         self._truncated = False
         # Branch memos of one execute() call, keyed by canonical text (exact
         # where dataclass equality is not: 0.0 == -0.0).  Many paths reach
         # the same branch with the same substituted constraint; each distinct
-        # one is simplified, decided and feasibility-checked once.
-        self._outcomes: Dict[str, Tuple[Tuple[bool, Optional[expr_ast.Constraint]], ...]] = {}
-        self._verdicts: Dict[str, Tuple[bool, Optional[expr_ast.Constraint]]] = {}
+        # one is simplified, decided and compiled to a tree once.
+        self._outcomes: Dict[str, Tuple[_Outcome, ...]] = {}
+        self._verdicts: Dict[str, _Verdict] = {}
 
     def execute(self) -> SymbolicExecutionResult:
         """Run bounded symbolic execution and return every explored path."""
@@ -136,6 +157,7 @@ class SymbolicExecutor:
             environment={name: expr_ast.Variable(name) for name in self._program.input_names()},
             condition=[],
             events=[],
+            box=Box.from_bounds(self._program.input_bounds()),
         )
         finished: List[SymbolicPath] = []
         try:
@@ -263,43 +285,51 @@ class SymbolicExecutor:
 
     def _branch_comparison(self, constraint: expr_ast.Constraint, state: _State) -> List[Tuple[_State, bool]]:
         outcomes: List[Tuple[_State, bool]] = []
-        for truth, conjunct in self._feasible_outcomes(substitute_constraint(constraint, state.environment)):
+        for truth, conjunct, tree in self._feasible_outcomes(substitute_constraint(constraint, state.environment)):
+            box = state.box
+            if tree is not None:
+                # The path's box, revised by the new conjunct: empty means no
+                # input satisfies the path condition extended by it.
+                box = tree.revise(box)
+                if box is None:
+                    continue
             branch_state = state.clone()
+            branch_state.box = box
             branch_state.decisions += 1
             if conjunct is not None:
                 branch_state.condition.append(conjunct)
             outcomes.append((branch_state, truth))
         return outcomes
 
-    def _feasible_outcomes(
-        self, substituted: expr_ast.Constraint
-    ) -> Tuple[Tuple[bool, Optional[expr_ast.Constraint]], ...]:
-        """The feasible ``(truth, conjunct)`` outcomes of one substituted branch.
+    def _feasible_outcomes(self, substituted: expr_ast.Constraint) -> Tuple[_Outcome, ...]:
+        """The ``(truth, conjunct, tree)`` outcomes of one substituted branch.
 
         ``conjunct`` is the simplified constraint the branch adds to the path
-        condition, None when it has no free variables.  Memoised per
-        :meth:`execute` by the substituted constraint's canonical text.
+        condition and ``tree`` its HC4 tree; both are None when it has no free
+        variables, and then only the outcome that evaluates true is kept.
+        Memoised per :meth:`execute` by the substituted constraint's
+        canonical text.
         """
         key = substituted.canonical()
         outcomes = self._outcomes.get(key)
         if outcomes is None:
             concrete = simplify_constraint(substituted)
             outcomes = tuple(
-                (truth, conjunct)
+                (truth, conjunct, tree)
                 for truth, branch_constraint in ((True, concrete), (False, concrete.negate()))
-                for feasible, conjunct in (self._verdict(branch_constraint),)
+                for feasible, conjunct, tree in (self._verdict(branch_constraint),)
                 if feasible
             )
             self._outcomes[key] = outcomes
         return outcomes
 
-    def _verdict(self, constraint: expr_ast.Constraint) -> Tuple[bool, Optional[expr_ast.Constraint]]:
-        """Whether a simplified branch constraint can hold, and the conjunct it adds.
+    def _verdict(self, constraint: expr_ast.Constraint) -> _Verdict:
+        """Whether a simplified branch constraint can hold, its conjunct and tree.
 
         Variable-free constraints are decided by evaluation and add nothing;
-        the others are pruned when ICP proves them infeasible on the input
-        domain.  Memoised per :meth:`execute` by canonical text, so every
-        path taking this branch shares one conjunct object.
+        the others stand here and are checked against each path's box by
+        their tree.  Memoised per :meth:`execute` by canonical text, so every
+        path taking this branch shares one conjunct object and one tree.
         """
         key = constraint.canonical()
         verdict = self._verdicts.get(key)
@@ -307,10 +337,9 @@ class SymbolicExecutor:
             if not constraint.free_variables():
                 from repro.lang.evaluator import holds
 
-                verdict = (holds(constraint, {}), None)
+                verdict = (holds(constraint, {}), None, None)
             else:
-                infeasible = self._prune_infeasible and constraint_certainly_fails(constraint, self._domain)
-                verdict = (not infeasible, constraint)
+                verdict = (True, constraint, ConstraintTree(constraint))
             self._verdicts[key] = verdict
         return verdict
 
@@ -319,8 +348,6 @@ def execute_program(
     program: prog_ast.Program,
     max_depth: int = 50,
     max_paths: int = 100_000,
-    prune_infeasible: bool = True,
 ) -> SymbolicExecutionResult:
     """Convenience wrapper: symbolically execute ``program``."""
-    executor = SymbolicExecutor(program, max_depth, max_paths, prune_infeasible)
-    return executor.execute()
+    return SymbolicExecutor(program, max_depth, max_paths).execute()

@@ -13,7 +13,9 @@ from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.lang.evaluator import holds_any
 from repro.lang.parser import parse_constraint_set
 from repro.subjects import programs
+from repro.subjects.volcomp_suite import TARGET_EVENT, all_assertion_cases
 from repro.symexec import execute_program, parse_program
+from symexec_reference import DomainOnlyExecutor
 
 
 def run_engine(constraint_set, profile, config):
@@ -81,6 +83,27 @@ class TestCrossValidationAgainstGroundTruth:
         result = run_engine(cs, profile, QCoralConfig.strat_partcache(20_000, seed=4))
         assert result.mean == pytest.approx(brute, abs=0.02)
         assert result.mean == pytest.approx(programs.SAFETY_MONITOR_EXACT, abs=0.02)
+
+
+class TestPrunedPathsCarryNoProbability:
+    """Paths dropped by path-sensitive pruning have probability exactly 0."""
+
+    @pytest.mark.parametrize(
+        "subject,assertion",
+        [
+            pytest.param(subject, assertion, id=f"{subject.name}:{assertion.label}")
+            for subject, assertion in all_assertion_cases()
+        ],
+    )
+    def test_fixed_seed_answers_equal_the_domain_only_reference(self, subject, assertion):
+        reference = DomainOnlyExecutor(subject.program(assertion), max_depth=subject.max_depth).execute()
+        config = QCoralConfig(samples_per_query=3000, seed=11, max_rounds=3, allocation="neyman")
+        answers = [
+            run_engine(constraint_set, subject.profile(), config)
+            for constraint_set in (subject.constraint_set(assertion), reference.constraint_set_for(TARGET_EVENT))
+        ]
+        pruned, unpruned = ((result.mean.hex(), result.std.hex(), result.total_samples) for result in answers)
+        assert pruned == unpruned
 
 
 class TestNonUniformProfiles:

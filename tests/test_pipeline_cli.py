@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.core.qcoral import QCoralConfig
 from repro.errors import AnalysisError
 from repro.subjects import programs
+from repro.subjects.volcomp_suite import TARGET_EVENT, subject_by_name
 
 
 def analyze(source, event, config, profile=None, max_depth=50):
@@ -31,6 +32,19 @@ class TestPipeline:
     def test_unknown_event_rejected(self):
         with pytest.raises(AnalysisError):
             analyze(programs.SAFETY_MONITOR, "noSuchEvent", QCoralConfig.plain(100))
+
+    def test_unknown_event_message_lists_the_declared_events(self):
+        with pytest.raises(AnalysisError, match="declared events: \\['callSupervisor'\\]"):
+            analyze(programs.SAFETY_MONITOR, "noSuchEvent", QCoralConfig.plain(100))
+
+    @pytest.mark.parametrize("name,label", [("ATRIAL", "points - pointsErr >= 5"), ("PACK", "count >= 10")])
+    def test_declared_event_on_no_feasible_path_answers_zero(self, name, label):
+        subject = subject_by_name(name)
+        source = subject.program_source(subject.assertion(label))
+        report = analyze(source, TARGET_EVENT, QCoralConfig.strat_partcache(1000, seed=2), max_depth=subject.max_depth)
+        assert report.mean == 0.0 and report.std == 0.0
+        assert report.paths == 0 and report.path_reports == ()
+        assert report.bounded.mean == 0.0
 
     def test_custom_profile_overrides_bounds(self):
         from repro.core.profiles import UsageProfile

@@ -1,11 +1,16 @@
 """Unit tests for the mini language: parser, interpreter, symbolic executor."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.errors import ParseError, SymbolicExecutionError
-from repro.lang.evaluator import holds_any
+from repro.icp.contractor import contract
+from repro.intervals.box import Box
+from repro.lang.evaluator import holds, holds_any
 from repro.subjects import programs
+from repro.subjects.volcomp_suite import TARGET_EVENT, all_assertion_cases, subject_by_name
 from repro.symexec import (
     ASSERTION_VIOLATION_EVENT,
     ConcreteInterpreter,
@@ -14,6 +19,8 @@ from repro.symexec import (
     parse_program,
     run_program,
 )
+from symexec_reference import DomainOnlyExecutor
+from test_distinct_work import PROGRAMS as DISTINCT_WORK_PROGRAMS
 
 
 class TestProgramParser:
@@ -205,3 +212,114 @@ class TestSymbolicExecutor:
             SymbolicExecutor(program, max_depth=0)
         with pytest.raises(SymbolicExecutionError):
             SymbolicExecutor(program, max_paths=0)
+
+
+def rendered(result):
+    """What must match between two executors: each path, in order."""
+    return [(path.condition.canonical(), path.events, path.hit_bound) for path in result.paths]
+
+
+#: Paths a full :func:`contract` of the path condition refutes but that the
+#: executor keeps, because it revises each path's box with the new conjunct
+#: only and never re-contracts the earlier ones.  On many-paths these are
+#: ``y + z`` thresholds that fail only after ``y + z >= 7`` pins ``y`` and
+#: ``z`` to the corner of the box ``y + z < 5`` left.
+KEPT_REFUTED = {"many-paths": 15}
+
+PRUNING_CASES = [
+    pytest.param(subject.program(assertion), subject.max_depth, 0, id=f"{subject.name}:{assertion.label}")
+    for subject, assertion in all_assertion_cases()
+] + [
+    pytest.param(parse_program(source), 50, KEPT_REFUTED.get(name, 0), id=name)
+    for name, source in sorted(DISTINCT_WORK_PROGRAMS.items())
+]
+
+
+class TestPathSensitivePruning:
+    @pytest.mark.parametrize("program,max_depth,kept_refuted", PRUNING_CASES)
+    def test_paths_are_the_reference_paths_that_contraction_does_not_refute(self, program, max_depth, kept_refuted):
+        pruned = rendered(execute_program(program, max_depth=max_depth))
+        reference = DomainOnlyExecutor(program, max_depth=max_depth).execute()
+        domain = Box.from_bounds(program.input_bounds())
+        refuted = [contract(path.condition, domain) is None for path in reference.paths]
+        # The pruned paths are the reference's, in order, with dropped ones
+        # skipped; every dropped path is one that contraction refutes.
+        remaining = iter(zip(rendered(reference), refuted))
+        kept = []
+        for path in pruned:
+            for candidate, refutes in remaining:
+                if candidate == path:
+                    kept.append(refutes)
+                    break
+                assert refutes, f"dropped a path contraction does not refute: {candidate}"
+            else:
+                pytest.fail(f"path not produced by the reference, or out of order: {path}")
+        assert all(refutes for _, refutes in remaining)
+        assert sum(kept) == kept_refuted
+
+    def test_atrial_drops_the_refuted_paths(self):
+        subject = subject_by_name("ATRIAL")
+        for assertion, targets in zip(subject.assertions, (510, 0, 2250)):
+            result = execute_program(subject.program(assertion), max_depth=subject.max_depth)
+            assert result.path_count == 2250
+            assert len(result.constraint_set_for(TARGET_EVENT)) == targets
+
+    def test_boundary_pairs_are_kept(self):
+        """Closed-interval HC4 cannot refute ``x < 2 && x >= 2``: the path stays."""
+        source = """
+        input x in [0, 4];
+        if (x < 2) { if (x >= 2) { observe(edge); } }
+        if (x >= 3) { if (x < 1) { observe(never); } }
+        """
+        result = execute_program(parse_program(source))
+        assert "edge" in result.events()
+        assert "never" not in result.events()
+
+
+#: Inputs on and around every branch threshold of ATRIAL and EGFR EPI; the
+#: error inputs put ``sbp + sbpErr`` and ``pr + prErr`` on their thresholds too.
+THRESHOLD_INPUTS = {
+    "ATRIAL": {
+        "age": (45, 54, 55, 65, 75, 85, 95),
+        "sbp": (90, 140, 150, 160, 170, 190),
+        "pr": (120, 180, 190, 200, 210, 260),
+        "bmi": (18, 30, 45),
+        "sbpErr": (-10, -5, 0, 10),
+        "prErr": (-15, -10, 0, 10, 15),
+    },
+    "EGFR EPI": {
+        "scr": (0.5, 0.9, 1.2, 1.5, 3.0),
+        "age": (18, 50, 90),
+        "scrF": (0.5, 0.7, 1.0, 1.3, 3.0),
+        "ageF": (18, 50, 90),
+    },
+}
+
+
+class TestConcreteAgreementOnThresholds:
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_INPUTS))
+    def test_every_run_satisfies_exactly_one_kept_path(self, name):
+        subject = subject_by_name(name)
+        values = THRESHOLD_INPUTS[name]
+        grid = [dict(zip(values, point)) for point in itertools.product(*values.values())]
+        rng = np.random.default_rng(3)
+        points = [grid[index] for index in rng.choice(len(grid), size=150, replace=False)]
+        if name == "ATRIAL":
+            points += [
+                {"age": 65, "sbp": 160, "pr": 200, "bmi": 30, "sbpErr": 0, "prErr": 0},
+                {"age": 75, "sbp": 150, "pr": 190, "bmi": 30, "sbpErr": -10, "prErr": 10},
+                {"age": 85, "sbp": 145, "pr": 185, "bmi": 29, "sbpErr": -5, "prErr": -5},
+            ]
+        for assertion in subject.assertions:
+            program = subject.program(assertion)
+            result = execute_program(program, max_depth=subject.max_depth)
+            # Paths share their conjuncts: evaluate each distinct one once.
+            conjuncts = {c.canonical(): c for path in result.paths for c in path.condition.constraints}
+            position = {text: index for index, text in enumerate(conjuncts)}
+            paths = [tuple(position[c.canonical()] for c in path.condition.constraints) for path in result.paths]
+            for point in points:
+                truth = [holds(constraint, point) for constraint in conjuncts.values()]
+                satisfied = [index for index, path in enumerate(paths) if all(truth[i] for i in path)]
+                assert len(satisfied) == 1, (assertion.label, point)
+                path = result.paths[satisfied[0]]
+                assert path.observed(TARGET_EVENT) == run_program(program, point).observed(TARGET_EVENT)
