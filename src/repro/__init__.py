@@ -21,8 +21,6 @@ The public way in is the **Session facade** (:mod:`repro.api`)::
 * :class:`Query` — fluent, immutable builder; ``run()`` blocks,
   ``stream()`` yields per-round results, ``repeat()`` aggregates trials.
 * :class:`Report` — the unified result type with a versioned JSON schema.
-* ``register_method`` / ``register_store_backend`` — pluggable registries
-  behind method and store resolution.
 
 The lower layers (:mod:`repro.core`, :mod:`repro.exec`, :mod:`repro.store`,
 :mod:`repro.symexec`, :mod:`repro.baselines`) stay importable directly.
@@ -32,17 +30,9 @@ from __future__ import annotations
 
 import logging
 
-from repro.api import (
-    SCHEMA_VERSION,
-    Query,
-    Report,
-    RoundStream,
-    Session,
-    register_method,
-    register_store_backend,
-)
+from repro.api import SCHEMA_VERSION, Query, Report, RoundStream, Session
 from repro.core.estimate import Estimate
-from repro.core.methods import ESTIMATION_METHODS, EstimationMethod
+from repro.core.methods import ESTIMATION_METHODS
 from repro.core.importance import ImportanceSampler, importance_sampling
 from repro.core.profiles import (
     BinomialDistribution,
@@ -100,8 +90,6 @@ __all__ = [
     "RoundStream",
     "Report",
     "SCHEMA_VERSION",
-    "register_method",
-    "register_store_backend",
     # Observability (zero-perturbation spans + metrics)
     "Observability",
     # Profiles and the constraint language
@@ -132,7 +120,6 @@ __all__ = [
     "QCoralConfig",
     "QCoralResult",
     "RoundReport",
-    "EstimationMethod",
     "ESTIMATION_METHODS",
     "ImportanceSampler",
     "importance_sampling",

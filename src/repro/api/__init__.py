@@ -9,17 +9,9 @@ The one documented way in:
   :class:`~repro.core.qcoral.QCoralConfig`.
 * :class:`RoundStream` — incremental per-round results with early stop.
 * :class:`Report` — the unified result type with a versioned JSON schema.
-* ``register_method`` / ``register_store_backend`` — the pluggable
-  registries.
 """
 
 from repro.api.query import Query, RoundStream
-from repro.api.registry import (
-    register_method,
-    register_store_backend,
-    unregister_method,
-    unregister_store_backend,
-)
 from repro.api.report import SCHEMA_VERSION, Report
 from repro.api.session import Session
 
@@ -29,8 +21,4 @@ __all__ = [
     "RoundStream",
     "Report",
     "SCHEMA_VERSION",
-    "register_method",
-    "register_store_backend",
-    "unregister_method",
-    "unregister_store_backend",
 ]

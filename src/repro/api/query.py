@@ -30,7 +30,7 @@ from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, RoundReport
 from repro.errors import AnalysisError, ConfigurationError
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
-from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, ledger_entry_for, open_ledger
+from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, ledger_backend_for, ledger_entry_for, open_ledger
 from repro.symexec.ast import Program
 from repro.symexec.symbolic import execute_program
 
@@ -180,7 +180,7 @@ class Query:
         return self._with(samples_per_query=samples)
 
     def method(self, name: str) -> "Query":
-        """Estimation method, resolved against the method registry at run time."""
+        """Estimation method (``hit-or-miss`` or ``importance``), checked at run time."""
         return self._with(method=name)
 
     def until(self, *, std: Optional[float] = None, rounds: Optional[int] = None) -> "Query":
@@ -226,7 +226,7 @@ class Query:
         return self._with(**updates)
 
     def with_store(self, path: Optional[str], backend: Optional[str] = None, readonly: bool = False) -> "Query":
-        """Persistent estimate store override for this query (registry-resolved)."""
+        """Persistent estimate store override for this query (backend inferred unless named)."""
         return self._with(store_path=path, store_backend=backend, store_readonly=readonly)
 
     def with_tracing(self, path: Optional[str] = None, *, sample_every: int = 1) -> "Query":
@@ -263,6 +263,7 @@ class Query:
             raise ConfigurationError("with_ledger() needs a path, a backend name, or both")
         if backend is not None and backend not in LEDGER_BACKENDS:
             raise ConfigurationError(f"unknown ledger backend {backend!r}; expected one of {LEDGER_BACKENDS}")
+        ledger_backend_for(path, backend)
         return replace(self, _ledger_path=path, _ledger_backend=backend)
 
     def against_baseline(self, baseline: Union[str, ConstraintSet]) -> "Query":

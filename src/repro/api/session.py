@@ -38,7 +38,7 @@ from repro.core.qcoral import QCoralConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
-from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, open_ledger
+from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, ledger_backend_for, open_ledger
 from repro.lang.parser import parse_constraint_set
 from repro.store.backends import STORE_BACKENDS, EstimateStore, open_store
 from repro.symexec.ast import Program
@@ -98,9 +98,9 @@ class Session:
             (backend inferred, or named by ``store_backend``) opened lazily
             and owned by the session, or an :class:`EstimateStore` instance,
             which is borrowed.  None runs without cross-run reuse.
-        store_backend: Store backend name from the store registry; with a
-            None ``store`` path this opens the backend without a path (only
-            meaningful for path-less backends such as ``memory``).
+        store_backend: Store backend name (``memory``/``jsonl``/``sqlite``);
+            with a None ``store`` path this opens the backend without a path
+            (only meaningful for ``memory``).
         store_readonly: Open the store read-only (reuse without write-back).
         defaults: Base :class:`QCoralConfig` every query starts from.
         observability: An :class:`~repro.obs.Observability` hub shared by
@@ -149,6 +149,10 @@ class Session:
             raise ConfigurationError("ledger_backend only applies when the ledger is given as a path")
         if ledger_backend is not None and ledger_backend not in LEDGER_BACKENDS:
             raise ConfigurationError(f"unknown ledger backend {ledger_backend!r}; expected one of {LEDGER_BACKENDS}")
+        if isinstance(ledger, str) or ledger_backend is not None:
+            # The ledger opens only when the first run finishes; check the
+            # path/backend pair now so a bad pair fails before any sampling.
+            ledger_backend_for(ledger if isinstance(ledger, str) else None, ledger_backend)
         self._defaults = defaults if defaults is not None else QCoralConfig()
         self._workers = workers
         self._store_spec = store

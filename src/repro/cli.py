@@ -36,8 +36,9 @@ verdict.
 
 The estimation/worker/store options shared by both commands live in one
 parent parser, so the two flag sets can never drift apart, and every
-``choices`` list is read live from the registries — methods and store
-backends registered through :mod:`repro.api` appear here without CLI edits.
+``choices`` list comes from the engine's own name tuples
+(:data:`~repro.core.methods.ESTIMATION_METHODS`,
+:data:`~repro.store.backends.STORE_BACKENDS`).
 ``--json`` on either command emits the versioned
 :class:`~repro.api.report.Report` schema instead of the text summary.
 """
@@ -850,7 +851,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level argument parser (registry choices read live)."""
+    """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
         prog="qcoral",
         description="Compositional solution space quantification (PLDI 2014 reproduction)",

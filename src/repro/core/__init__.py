@@ -14,11 +14,7 @@ from repro.core.dependency import (
 )
 from repro.core.estimate import Estimate, RunningEstimate, product_independent, sum_disjoint
 from repro.core.importance import ImportanceSampler, importance_sampling
-from repro.core.methods import (
-    ESTIMATION_METHODS,
-    METHOD_REGISTRY,
-    EstimationMethod,
-)
+from repro.core.methods import ESTIMATION_METHODS
 from repro.core.montecarlo import (
     SamplingResult,
     hit_or_miss,
@@ -73,8 +69,6 @@ __all__ = [
     "CategoricalDistribution",
     "parse_distribution_spec",
     "ESTIMATION_METHODS",
-    "METHOD_REGISTRY",
-    "EstimationMethod",
     "ImportanceSampler",
     "importance_sampling",
     "SamplingResult",

@@ -438,13 +438,3 @@ def importance_sampling(
     sampler.extend(samples, allocation=allocation)
     return sampler.result()
 
-
-def __getattr__(name: str):
-    # Historical import location: the method-name tuple lived here before the
-    # estimation-method registry (repro.core.methods) replaced it.  Resolved
-    # lazily to avoid an import cycle (methods.py imports this module).
-    if name == "ESTIMATION_METHODS":
-        from repro.core.methods import ESTIMATION_METHODS
-
-        return ESTIMATION_METHODS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

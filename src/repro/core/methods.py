@@ -1,33 +1,17 @@
-"""Estimation-method registry: pluggable sampler construction per method name.
+"""Estimation methods: the per-factor sampler and store tag of each method name.
 
-The analyzer used to hardcode its two estimation methods — the paper's
-hit-or-miss sampling and the distribution-aware importance-sampling layer —
-as an if/elif over :data:`ESTIMATION_METHODS`.  This module turns the method
-name into a registry lookup so new estimation methods can be registered
-(:func:`repro.api.register_method`) without touching
-:mod:`repro.core.qcoral`.
-
-An :class:`EstimationMethod` bundles everything the analyzer needs to know
-about one method:
-
-* ``make_sampler`` — how to build the resumable per-factor sampler;
-* ``store_method`` — the persistent-store method tag, which keys counts apart
-  so methods with different sampling semantics never pool their Bernoulli
-  counts (see :mod:`repro.store.keys`);
-* ``requires_stratified`` / ``adaptive`` — the configuration constraints the
-  method imposes (importance sampling refines ICP pavings, so it needs the
-  STRAT feature, and mass-aware allocation needs the adaptive round loop);
-* ``feature`` — the optional tag the method contributes to
-  :meth:`QCoralConfig.feature_label` (``IMP`` for importance sampling);
-* ``accepts_paving`` — whether ``make_sampler`` takes a ready-made ``paving``
-  keyword, read off its signature once when the method is built.
+The analyzer estimates every factor with one of two methods — the paper's
+hit-or-miss sampling inside ICP pavings, or the distribution-aware
+importance-sampling layer (:mod:`repro.core.importance`).  This module is the
+one place that maps a method name to its sampler (:func:`make_sampler`) and
+to its persistent-store method tag (:func:`store_method_tag`), which keys
+counts apart so methods with different sampling semantics never pool their
+Bernoulli counts (see :mod:`repro.store.keys`).
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -36,55 +20,17 @@ from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedSampler
 from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
-from repro.registry import Registry
-from repro.store.keys import importance_method, stratified_method
+from repro.store.keys import importance_method, mc_method, stratified_method
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.qcoral import QCoralConfig
     from repro.obs import Observability
 
-#: Signature every registered sampler factory must satisfy:
-#: ``make_sampler(factor, profile, *, variables, solver, seed, chunk_size,
-#: config)``.  ``seed`` is the factor's keyed ``SeedSequence`` (pass it on to
-#: the sampler); ``config`` is the run's
-#: :class:`~repro.core.qcoral.QCoralConfig`, from which method-specific knobs
-#: (e.g. ``mass_split_boxes``) are read.
-SamplerFactory = Callable[..., StratifiedSampler]
+#: Method names accepted throughout the stack (config, CLI).
+ESTIMATION_METHODS = ("hit-or-miss", "importance")
 
 
-@dataclass(frozen=True)
-class EstimationMethod:
-    """One pluggable estimation method of the stratified sampling layer."""
-
-    name: str
-    make_sampler: SamplerFactory
-    store_method: Callable[["QCoralConfig"], str]
-    requires_stratified: bool = False
-    adaptive: bool = False
-    feature: Optional[str] = None
-    #: True when ``make_sampler`` takes a ready-made ``paving`` keyword.  The
-    #: analyzer hands a warm factor's stored paving only to such factories;
-    #: factories registered without the keyword keep re-paving.
-    accepts_paving: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        try:
-            parameters = tuple(inspect.signature(self.make_sampler).parameters.values())
-        except (TypeError, ValueError):
-            parameters = ()
-        takes = any(p.name == "paving" or p.kind == p.VAR_KEYWORD for p in parameters)
-        object.__setattr__(self, "accepts_paving", takes)
-
-
-#: Registry of estimation methods: name → :class:`EstimationMethod`.
-METHOD_REGISTRY: "Registry[EstimationMethod]" = Registry("estimation method")
-
-#: Method names accepted throughout the stack (config, CLI).  A live view of
-#: :data:`METHOD_REGISTRY` — registered methods appear here too.
-ESTIMATION_METHODS = METHOD_REGISTRY.view()
-
-
-def _make_hit_or_miss(
+def make_sampler(
     factor: ast.PathCondition,
     profile: UsageProfile,
     *,
@@ -96,30 +42,24 @@ def _make_hit_or_miss(
     observability: Optional["Observability"] = None,
     paving: Optional[Paving] = None,
 ) -> StratifiedSampler:
-    return StratifiedSampler(
-        factor,
-        profile,
-        seed,
-        variables=variables,
-        solver=solver,
-        chunk_size=chunk_size,
-        observability=observability,
-        paving=paving,
-    )
+    """Build the resumable sampler ``config.method`` estimates ``factor`` with.
 
-
-def _make_importance(
-    factor: ast.PathCondition,
-    profile: UsageProfile,
-    *,
-    variables: Sequence[str],
-    solver: ICPSolver,
-    seed: np.random.SeedSequence,
-    chunk_size: Optional[int],
-    config: "QCoralConfig",
-    observability: Optional["Observability"] = None,
-    paving: Optional[Paving] = None,
-) -> StratifiedSampler:
+    ``seed`` is the factor's keyed ``SeedSequence``, so every chunk is keyed
+    by (master seed, factor, stratum, sample offset).  ``paving`` is a warm
+    factor's stored paving; the sampler builds its strata from it instead of
+    re-paving with ICP.
+    """
+    if config.method != "importance":
+        return StratifiedSampler(
+            factor,
+            profile,
+            seed,
+            variables=variables,
+            solver=solver,
+            chunk_size=chunk_size,
+            observability=observability,
+            paving=paving,
+        )
     kwargs = dict(
         variables=variables,
         solver=solver,
@@ -135,27 +75,6 @@ def _make_importance(
     return ImportanceSampler(factor, profile, seed, **kwargs)
 
 
-METHOD_REGISTRY.register(
-    "hit-or-miss",
-    EstimationMethod(
-        name="hit-or-miss",
-        make_sampler=_make_hit_or_miss,
-        store_method=lambda config: stratified_method(config.icp),
-    ),
-)
-METHOD_REGISTRY.register(
-    "importance",
-    EstimationMethod(
-        name="importance",
-        make_sampler=_make_importance,
-        store_method=lambda config: importance_method(config.icp, config.mass_split_boxes),
-        requires_stratified=True,
-        adaptive=True,
-        feature="IMP",
-    ),
-)
-
-
 def store_method_tag(config: "QCoralConfig") -> str:
     """The persistent-store method tag a configuration samples under.
 
@@ -166,10 +85,8 @@ def store_method_tag(config: "QCoralConfig") -> str:
     tag ``mc`` regardless of the configured method name (the STRAT feature
     off means whole-domain hit-or-miss counts).
     """
-    from repro.store.keys import mc_method
-
     if not config.stratified:
         return mc_method()
-    if config.method not in METHOD_REGISTRY:
-        return config.method
-    return METHOD_REGISTRY.get(config.method).store_method(config)
+    if config.method == "importance":
+        return importance_method(config.icp, config.mass_split_boxes)
+    return stratified_method(config.icp)

@@ -50,7 +50,7 @@ from repro.core.composition import (
 from repro.core.dependency import compute_dependency_partition
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
-from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY, store_method_tag
+from repro.core.methods import ESTIMATION_METHODS, make_sampler, store_method_tag
 from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
@@ -176,16 +176,16 @@ class QCoralConfig:
             )
         if self.method not in ESTIMATION_METHODS:
             raise ConfigurationError(f"unknown estimation method {self.method!r}; expected one of {ESTIMATION_METHODS}")
-        method_spec = METHOD_REGISTRY.get(self.method)
-        if method_spec.requires_stratified and not self.stratified:
+        importance = self.method == "importance"
+        if importance and not self.stratified:
             raise ConfigurationError(f"the {self.method} method refines ICP pavings and requires stratified=True")
         if self.mass_split_boxes < 1:
             raise ConfigurationError("mass_split_boxes must be at least 1")
         if self.mass_split_adaptive < 0:
             raise ConfigurationError("mass_split_adaptive may not be negative")
-        if method_spec.adaptive and self.allocation == "even":
-            # Variance/mass-aware budget allocation is the point of adaptive
-            # methods; the paper's equal split would waste the refined paving.
+        if importance and self.allocation == "even":
+            # Mass-aware budget allocation is the point of importance
+            # sampling; the paper's equal split would waste the refined paving.
             object.__setattr__(self, "allocation", "neyman")
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive when set")
@@ -194,7 +194,7 @@ class QCoralConfig:
         if self.store_readonly and not self.wants_store:
             raise ConfigurationError("store_readonly requires a store path or backend")
         if self.max_rounds == 1 and (
-            self.target_std is not None or self.allocation == "neyman" or method_spec.adaptive
+            self.target_std is not None or self.allocation == "neyman" or importance
         ):
             # An adaptive feature without rounds cannot act; give it rounds.
             object.__setattr__(self, "max_rounds", DEFAULT_ADAPTIVE_ROUNDS)
@@ -282,9 +282,8 @@ class QCoralConfig:
             features.append("PARTCACHE")
         if self.is_adaptive:
             features.append("ADAPT")
-        method_feature = METHOD_REGISTRY.get(self.method).feature
-        if method_feature:
-            features.append(method_feature)
+        if self.method == "importance":
+            features.append("IMP")
         return "qCORAL{" + ",".join(features) + "}"
 
     def with_samples(self, samples: int) -> "QCoralConfig":
@@ -918,28 +917,22 @@ class QCoralAnalyzer:
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
         if self._config.stratified:
-            # The registered method spec owns sampler construction, so new
-            # estimation methods plug in without edits here.  The hub is only
-            # forwarded when enabled, so factories registered before the
-            # observability layer (no ``observability`` kwarg) keep working
-            # as long as no hub is attached.
-            factory_kwargs = dict(
+            paving = self._stored_paving(entry, state.store_key, variables)
+            if paving is not None:
+                # A warm factor rebuilds its strata from the stored paving
+                # instead of re-paving with ICP.
+                self._obs.count("qcoral_store_paving_reuse_total")
+            sampler: StratifiedSampler = make_sampler(
+                factor,
+                self._profile,
                 variables=variables,
                 solver=self._solver,
                 seed=state.seed,
                 chunk_size=self._config.chunk_size,
                 config=self._config,
+                observability=self._obs,
+                paving=paving,
             )
-            if self._obs.enabled:
-                factory_kwargs["observability"] = self._obs
-            method = METHOD_REGISTRY.get(self._config.method)
-            paving = self._stored_paving(entry, state.store_key, variables)
-            if paving is not None and method.accepts_paving:
-                # A warm factor rebuilds its strata from the stored paving
-                # instead of re-paving with ICP.
-                factory_kwargs["paving"] = paving
-                self._obs.count("qcoral_store_paving_reuse_total")
-            sampler: StratifiedSampler = method.make_sampler(factor, self._profile, **factory_kwargs)
             if sampler.is_exact:
                 state.exact = sampler.estimate()
             else:

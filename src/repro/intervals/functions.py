@@ -295,7 +295,7 @@ def interval_abs(iv: Interval) -> Interval:
 
 
 # --------------------------------------------------------------------------- #
-# Registry used by the interval evaluator and the HC4 contractor
+# Function tables used by the interval evaluator and the HC4 contractor
 # --------------------------------------------------------------------------- #
 _UNARY: Dict[str, Callable[[Interval], Interval]] = {
     "sin": interval_sin,

@@ -31,12 +31,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.diagnostics import Diagnostic, diagnostics_from_payload
 
 #: Schema tag stamped on every ledger entry.
 LEDGER_SCHEMA = "qcoral-ledger-1"
 
-#: Registered ledger backends (mirrors ``STORE_BACKENDS`` naming).
+#: Ledger backend names (the same three as the estimate store's).
 LEDGER_BACKENDS = ("memory", "jsonl", "sqlite")
 
 
@@ -315,28 +316,42 @@ class SqliteLedger(RunLedger):
         return f"sqlite:{self._path}"
 
 
-def open_ledger(path: Optional[str] = None, backend: Optional[str] = None) -> RunLedger:
-    """Open a run ledger, inferring the backend from the path when omitted.
+def ledger_backend_for(path: Optional[str], backend: Optional[str] = None) -> str:
+    """The backend a ledger at ``path`` opens with, inferred when not named.
 
     Mirrors :func:`repro.store.backends.open_store`: ``None`` or
     ``":memory:"`` → memory, ``*.jsonl`` → JSONL, anything else → SQLite.
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown backend, a
+    file backend without a path, and the memory backend with a file path
+    (which would persist nothing).  Ledgers open lazily, after a run has
+    sampled, so the facade calls this up front to fail before any work.
     """
+    in_memory = path is None or path == ":memory:"
     if backend is None:
-        if path is None or path == ":memory:":
-            backend = "memory"
-        elif path.endswith(".jsonl"):
-            backend = "jsonl"
-        else:
-            backend = "sqlite"
+        if in_memory:
+            return "memory"
+        return "jsonl" if path.endswith(".jsonl") else "sqlite"
+    if backend not in LEDGER_BACKENDS:
+        raise ConfigurationError(f"unknown ledger backend {backend!r} (expected one of {', '.join(LEDGER_BACKENDS)})")
+    if backend == "memory" and not in_memory:
+        raise ConfigurationError(f"the memory ledger backend persists nothing; it takes no file path, got {path!r}")
+    if backend != "memory" and in_memory:
+        raise ConfigurationError(f"ledger backend {backend!r} requires a path")
+    return backend
+
+
+def open_ledger(path: Optional[str] = None, backend: Optional[str] = None) -> RunLedger:
+    """Open a run ledger, inferring the backend from the path when omitted.
+
+    The backend is resolved (and the combination checked) by
+    :func:`ledger_backend_for`.
+    """
+    backend = ledger_backend_for(path, backend)
     if backend == "memory":
         return MemoryLedger()
-    if path is None:
-        raise ValueError(f"ledger backend {backend!r} requires a path")
     if backend == "jsonl":
         return JsonlLedger(path)
-    if backend == "sqlite":
-        return SqliteLedger(path)
-    raise ValueError(f"unknown ledger backend {backend!r} (expected one of {', '.join(LEDGER_BACKENDS)})")
+    return SqliteLedger(path)
 
 
 def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, ...]]:

@@ -18,7 +18,6 @@ Entries hold raw Bernoulli counts rather than finished estimates, so
 
 from repro.store.backends import (
     STORE_BACKENDS,
-    STORE_REGISTRY,
     EstimateStore,
     JsonlStore,
     MemoryStore,
@@ -43,7 +42,6 @@ __all__ = [
     "SqliteStore",
     "StoreStatistics",
     "STORE_BACKENDS",
-    "STORE_REGISTRY",
     "open_store",
     "StoreEntry",
     "FactorKey",

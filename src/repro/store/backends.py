@@ -1,4 +1,4 @@
-"""Pluggable backends of the persistent estimate store.
+"""The three backends of the persistent estimate store.
 
 One :class:`EstimateStore` interface, three implementations spanning the
 deployment spectrum:
@@ -29,20 +29,12 @@ import os
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.registry import Registry
 from repro.store.entry import StoreEntry, StoreError
 
-#: Registry of store factories: backend name → ``factory(path, readonly=...)``.
-#: Extend through :func:`repro.api.register_store_backend` rather than core
-#: edits (custom backends are reachable by explicit name; path-suffix
-#: inference in :func:`open_store` stays limited to the builtins).
-STORE_REGISTRY: "Registry[Callable[..., EstimateStore]]" = Registry("store backend")
-
-#: Backend names accepted throughout the stack (config, CLI).  A live view of
-#: :data:`STORE_REGISTRY` — registered backends appear here too.
-STORE_BACKENDS = STORE_REGISTRY.view()
+#: Backend names accepted throughout the stack (config, CLI).
+STORE_BACKENDS = ("memory", "jsonl", "sqlite")
 
 
 @dataclass(frozen=True)
@@ -407,21 +399,6 @@ class SqliteStore(EstimateStore):
             super().close()
 
 
-def _require_path(path: Optional[str], backend: str) -> str:
-    if path is None or path == ":memory:":
-        raise StoreError(f"the {backend} backend needs a file path")
-    return path
-
-
-STORE_REGISTRY.register("memory", lambda path, readonly=False: MemoryStore(readonly=readonly))
-STORE_REGISTRY.register(
-    "jsonl", lambda path, readonly=False: JsonlStore(_require_path(path, "jsonl"), readonly=readonly)
-)
-STORE_REGISTRY.register(
-    "sqlite", lambda path, readonly=False: SqliteStore(_require_path(path, "sqlite"), readonly=readonly)
-)
-
-
 def open_store(
     path: Optional[str],
     backend: Optional[str] = None,
@@ -431,17 +408,26 @@ def open_store(
 
     ``None`` or ``":memory:"`` paths open a :class:`MemoryStore`; a ``.jsonl``
     extension selects the JSONL log; anything else defaults to SQLite (the
-    concurrency-safe choice).  An explicit ``backend`` overrides inference and
-    may name any backend registered in :data:`STORE_REGISTRY`.
+    concurrency-safe choice).  An explicit ``backend`` overrides inference;
+    the memory backend refuses a file path rather than silently persist
+    nothing, and the file backends refuse to run without one.
     """
     if backend is not None and backend not in STORE_BACKENDS:
         raise StoreError(f"unknown store backend {backend!r}; expected one of {STORE_BACKENDS}")
+    in_memory = path is None or path == ":memory:"
     if backend is None:
-        if path is None or path == ":memory:":
+        if in_memory:
             backend = "memory"
         elif path.endswith(".jsonl"):
             backend = "jsonl"
         else:
             backend = "sqlite"
-    factory = STORE_REGISTRY.get(backend)
-    return factory(path, readonly=readonly)
+    if backend == "memory":
+        if not in_memory:
+            raise StoreError(f"the memory backend persists nothing; it takes no file path, got {path!r}")
+        return MemoryStore(readonly=readonly)
+    if in_memory:
+        raise StoreError(f"the {backend} backend needs a file path")
+    if backend == "jsonl":
+        return JsonlStore(path, readonly=readonly)
+    return SqliteStore(path, readonly=readonly)

@@ -1,25 +1,16 @@
-"""Tests of the Session/Query/Report facade and the backend registries."""
+"""Tests of the Session/Query/Report facade and its method and backend names."""
 
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.analysis.runner import repeat_analysis
-from repro.api import (
-    Query,
-    Report,
-    Session,
-    register_method,
-    register_store_backend,
-    unregister_method,
-    unregister_store_backend,
-)
-from repro.cli import build_parser, main
-from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY
+from repro.api import Query, Report, Session
+from repro.cli import main
+from repro.core.methods import ESTIMATION_METHODS
 from repro.core.profiles import UniformDistribution, UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
-from repro.core.stratified import StratifiedSampler
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError, ReproError
 from repro.lang.parser import parse_constraint_set
 from repro.store.backends import STORE_BACKENDS, MemoryStore, open_store
 from repro.subjects import programs
@@ -368,87 +359,82 @@ class TestLifecycles:
 
 
 class TestRegistries:
-    def test_register_method_end_to_end(self):
-        def make_sampler(factor, profile, *, variables, solver, seed, chunk_size, config):
-            return StratifiedSampler(
-                factor,
-                profile,
-                seed,
-                variables=variables,
-                solver=solver,
-                chunk_size=chunk_size,
-            )
-
-        register_method("strat-twin", make_sampler, requires_stratified=True, feature="TWIN")
-        try:
-            assert "strat-twin" in ESTIMATION_METHODS
-            config = QCoralConfig(samples_per_query=2000, seed=6, method="strat-twin")
-            assert "TWIN" in config.feature_label()
-            baseline = QCoralConfig(samples_per_query=2000, seed=6)
-            with Session() as session:
-                twin = session.quantify(TRIANGLE, BOUNDS, config=config).run()
-                reference = session.quantify(TRIANGLE, BOUNDS, config=baseline).run()
-            # Same sampler factory + same seed => identical numbers: the
-            # registry drives method resolution end to end.
-            assert twin.mean == reference.mean and twin.std == reference.std
-            # The CLI picks registered methods up through the live choices.
-            args = build_parser().parse_args(["quantify", "x >= 0", "--domain", "x=0:1", "--method", "strat-twin"])
-            assert args.method == "strat-twin"
-        finally:
-            unregister_method("strat-twin")
-        assert "strat-twin" not in ESTIMATION_METHODS
-        with pytest.raises(ConfigurationError):
-            QCoralConfig(method="strat-twin")
-
-    def test_registered_method_requires_stratified(self):
-        register_method("needs-strat", lambda *a, **k: None, requires_stratified=True)
-        try:
-            with pytest.raises(ConfigurationError):
-                QCoralConfig(method="needs-strat", stratified=False)
-        finally:
-            unregister_method("needs-strat")
-
-    def test_register_store_backend_end_to_end(self):
-        register_store_backend("scratch", lambda path, readonly=False: MemoryStore(readonly=readonly))
-        try:
-            assert "scratch" in STORE_BACKENDS
-            store = open_store(None, "scratch")
-            assert isinstance(store, MemoryStore)
-            with Session(store_backend="scratch") as session:
-                report = session.quantify(TRIANGLE, BOUNDS).with_budget(1000).seed(1).run()
-                assert report.store == "memory"
-        finally:
-            unregister_store_backend("scratch")
-
-    def test_unregister_unknown_name_raises_promptly(self):
-        # Regression: this used to deadlock (error message built while the
-        # registry lock was still held).
-        with pytest.raises(ConfigurationError):
-            unregister_method("never-registered")
-        with pytest.raises(ConfigurationError):
-            unregister_store_backend("never-registered")
-
-    def test_duplicate_registration_refused(self):
-        with pytest.raises(ConfigurationError):
-            register_store_backend("memory", lambda path=None, readonly=False: MemoryStore())
-        # replace=True is the explicit override path.
-        original = METHOD_REGISTRY.get("hit-or-miss")
-        register_method(
-            "hit-or-miss",
-            original.make_sampler,
-            store_method=original.store_method,
-            requires_stratified=original.requires_stratified,
-            replace=True,
-        )
-        METHOD_REGISTRY.register("hit-or-miss", original, replace=True)
+    """The closed method and store-backend name sets."""
 
     def test_builtin_registries_contents(self):
-        assert tuple(STORE_BACKENDS) == ("memory", "jsonl", "sqlite")
-        assert tuple(ESTIMATION_METHODS) == ("hit-or-miss", "importance")
         assert STORE_BACKENDS == ("memory", "jsonl", "sqlite")
+        assert ESTIMATION_METHODS == ("hit-or-miss", "importance")
+
+
+METHOD_MESSAGE = "unknown estimation method 'nope'; expected one of ('hit-or-miss', 'importance')"
+BACKEND_MESSAGE = "unknown store backend 'nope'; expected one of ('memory', 'jsonl', 'sqlite')"
+
+
+def _served_method_error():
+    from repro.serve import ServeClient, ServeClientError, serve_in_thread
+
+    with serve_in_thread() as handle:
+        with pytest.raises(ServeClientError) as excinfo:
+            ServeClient(handle.url).quantify(TRIANGLE, {"x": "-1:1", "y": "-1:1"}, method="nope")
+    assert excinfo.value.status == 400
+    return excinfo.value.payload["error"]["message"]
+
+
+def _raised_message(make):
+    with pytest.raises(ReproError) as excinfo:
+        make()
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "surface,message",
+    [
+        ("config-method", METHOD_MESSAGE),
+        ("config-backend", BACKEND_MESSAGE),
+        ("session-method", METHOD_MESSAGE),
+        ("session-backend", BACKEND_MESSAGE),
+        ("open-store", BACKEND_MESSAGE),
+        ("served-method", METHOD_MESSAGE),
+    ],
+)
+def test_unknown_name_message_text(surface, message):
+    def session_method():
+        with Session() as session:
+            session.quantify(TRIANGLE, BOUNDS).method("nope").run()
+
+    raisers = {
+        "config-method": lambda: QCoralConfig(method="nope"),
+        "config-backend": lambda: QCoralConfig(store_backend="nope"),
+        "session-method": session_method,
+        "session-backend": lambda: Session(store_backend="nope"),
+        "open-store": lambda: open_store(None, "nope"),
+    }
+    if surface == "served-method":
+        assert _served_method_error() == message
+    else:
+        assert _raised_message(raisers[surface]) == message
 
 
 class TestCliFacade:
+    def test_ledger_backend_without_path_fails_before_sampling(self, capsys):
+        argv = ["quantify", TRIANGLE, "--domain", "x=-1:1", "--domain", "y=-1:1", "--ledger-backend", "sqlite"]
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.out == ""
+        assert captured.err == "error: ledger backend 'sqlite' requires a path\n"
+
+    def test_memory_store_backend_refuses_a_path(self, tmp_path, capsys):
+        path = tmp_path / "runs.db"
+        argv = ["quantify", TRIANGLE, "--domain", "x=-1:1", "--domain", "y=-1:1"]
+        exit_code = main(argv + ["--store", str(path), "--store-backend", "memory"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: the memory backend persists nothing")
+        assert captured.err.count("\n") == 1
+        assert not path.exists()
+
     def test_json_output_matches_report_schema(self, capsys):
         exit_code = main(
             [

@@ -8,11 +8,8 @@ import pytest
 
 from repro.api import Session
 from repro.cli import main
-from repro.core.importance import (
-    ESTIMATION_METHODS,
-    ImportanceSampler,
-    importance_sampling,
-)
+from repro.core.importance import ImportanceSampler, importance_sampling
+from repro.core.methods import ESTIMATION_METHODS
 from repro.core.profiles import (
     BinomialDistribution,
     CategoricalDistribution,

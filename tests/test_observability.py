@@ -26,6 +26,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.qcoral import QCoralConfig
+from repro.errors import ConfigurationError
 from repro.lang.kernel import kernel_cache_info
 from repro.obs import DISABLED, Observability, ensure_observability
 from repro.obs.diagnostics import Diagnostic, deterministic_diagnostics
@@ -470,6 +471,32 @@ def test_session_and_query_level_ledgers(tmp_path):
         session.quantify("x <= 0.5", {"x": (-1.0, 1.0)}, config=config).run()
     with open_ledger(path) as ledger:
         assert len(ledger.families()) == 2
+
+
+def test_ledger_backend_needs_a_path_before_any_run(tmp_path):
+    with pytest.raises(ConfigurationError, match="^ledger backend 'sqlite' requires a path$"):
+        open_ledger(None, "sqlite")
+    with pytest.raises(ConfigurationError, match="^unknown ledger backend 'nope'"):
+        open_ledger(str(tmp_path / "runs.db"), "nope")
+    # Session and Query reject the pair at construction, before any sampling.
+    with pytest.raises(ConfigurationError, match="^ledger backend 'sqlite' requires a path$"):
+        Session(ledger_backend="sqlite")
+    with Session() as session:
+        query = session.quantify(CONSTRAINTS, BOUNDS)
+        with pytest.raises(ConfigurationError, match="^ledger backend 'jsonl' requires a path$"):
+            query.with_ledger(backend="jsonl")
+
+
+def test_memory_ledger_refuses_a_file_path(tmp_path):
+    path = tmp_path / "runs.db"
+    with pytest.raises(ConfigurationError, match="takes no file path"):
+        open_ledger(str(path), "memory")
+    with pytest.raises(ConfigurationError, match="takes no file path"):
+        Session(ledger=str(path), ledger_backend="memory")
+    assert not path.exists()
+    for in_memory in (None, ":memory:"):
+        with open_ledger(in_memory, "memory") as ledger:
+            assert ledger.backend == "memory"
 
 
 def test_ledger_drift_in_sigma_units():

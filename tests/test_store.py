@@ -255,6 +255,20 @@ class TestBackends:
         with pytest.raises(StoreError):
             open_store(str(tmp_path / "x"), backend="nope")
 
+    def test_memory_backend_refuses_a_file_path(self, tmp_path):
+        path = tmp_path / "runs.db"
+        with pytest.raises(StoreError, match="takes no file path"):
+            open_store(str(path), backend="memory")
+        assert not path.exists()
+        for in_memory in (None, ":memory:"):
+            assert open_store(in_memory, backend="memory").backend == "memory"
+
+    def test_file_backends_need_a_path(self):
+        for backend in ("jsonl", "sqlite"):
+            for in_memory in (None, ":memory:"):
+                with pytest.raises(StoreError, match="needs a file path"):
+                    open_store(in_memory, backend=backend)
+
     def test_jsonl_ignores_corrupt_lines(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = JsonlStore(str(path))
@@ -768,27 +782,6 @@ class TestStoredPavingReuse:
         assert decoded.total_samples == forced.total_samples == 3000
         for store in stores:
             store.close()
-
-    def test_factory_without_paving_keyword_re_paves(self, tmp_path, pave_calls):
-        from repro.api import register_method, unregister_method
-        from repro.core.stratified import StratifiedSampler
-
-        def make_sampler(factor, profile, *, variables, solver, seed, chunk_size, config):
-            return StratifiedSampler(factor, profile, seed, variables=variables, solver=solver, chunk_size=chunk_size)
-
-        register_method("strat-legacy", make_sampler)
-        try:
-            store = make_store("sqlite", tmp_path)
-            config = QCoralConfig(samples_per_query=3000, seed=2, method="strat-legacy")
-            cold = _run(PROFILE_2D, CIRCLE, config, store)
-            pave_calls["calls"] = 0
-            warm = _run(PROFILE_2D, CIRCLE, config, store)
-            assert pave_calls["calls"] == 1
-            assert warm.total_samples == 0
-            assert (warm.mean, warm.variance) == (cold.mean, cold.variance)
-            store.close()
-        finally:
-            unregister_method("strat-legacy")
 
 
 # --------------------------------------------------------------------------- #
