@@ -11,11 +11,16 @@ benchmark runs both in the same process and records:
 * **subset** — whether the pruned paths and the pruned target set are subsets
   of the reference's (by canonical condition text, events and bound flag);
 * **seconds** — best-of-``repeats`` symbolic-execution wall clock, per
-  executor, with the two alternating so host drift hits both alike.
+  executor, with the two alternating so host drift hits both alike;
+* **session** — one cold and one warm ``Session.analyze`` of the assertion
+  (seconds each, small budget, in-memory store), and the warm pass's
+  ``qcoral_plan_reuse_total``: the session plans each program once, so every
+  warm query must take its plan from the session's memo.
 
-``benchmarks/check_regression.py`` gates two hard contracts: no assertion's
-path count may grow beyond its committed baseline, and the pruned sets must be
-subsets of the reference sets.  Timings are recorded, not gated.
+``benchmarks/check_regression.py`` gates three hard contracts: no assertion's
+path count may grow beyond its committed baseline, the pruned sets must be
+subsets of the reference sets, and the warm plan reuse count must equal the
+number of warm queries.  Timings are recorded, not gated.
 
 Writes ``benchmarks/BENCH_symexec.json``.  Directly runnable::
 
@@ -40,11 +45,18 @@ except ImportError:  # executed directly: benchmarks/ is sys.path[0]
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 from symexec_reference import DomainOnlyExecutor
 
+from repro.api import Session
+from repro.obs import Observability
+from repro.store.backends import open_store
 from repro.subjects.volcomp_suite import TARGET_EVENT, all_assertion_cases
 from repro.symexec.symbolic import SymbolicExecutionResult, SymbolicExecutor
 
 #: Summary file this benchmark writes (uploaded as a CI artifact).
 SUMMARY_FILE = "BENCH_symexec.json"
+
+#: Per-factor budget of the session row's queries: enough to exercise the
+#: whole pipeline, small enough that the front end is a visible share.
+SESSION_BUDGET = 2000
 
 
 def rendered(result: SymbolicExecutionResult, target_only: bool = False) -> set:
@@ -61,6 +73,20 @@ def timed(executor_class, program, max_depth: int) -> Tuple[float, SymbolicExecu
     started = time.perf_counter()
     result = executor_class(program, max_depth=max_depth).execute()
     return time.perf_counter() - started, result
+
+
+def session_row(source: str, max_depth: int) -> Dict:
+    """Cold and warm ``Session.analyze`` seconds and the warm pass's plan reuses."""
+    hub = Observability()
+    row: Dict = {"warm_queries": 1}
+    with Session(store=open_store(None, "memory"), observability=hub) as session:
+        for phase in ("cold", "warm"):
+            reused = hub.snapshot().counter("qcoral_plan_reuse_total")
+            started = time.perf_counter()
+            session.analyze(source, TARGET_EVENT, max_depth=max_depth).with_budget(SESSION_BUDGET).seed(0).run()
+            row[f"{phase}_s"] = time.perf_counter() - started
+        row["plan_reuse"] = int(hub.snapshot().counter("qcoral_plan_reuse_total") - reused)
+    return row
 
 
 def collect_results(repeats: Optional[int] = None) -> Dict:
@@ -89,6 +115,7 @@ def collect_results(repeats: Optional[int] = None) -> Dict:
         case["subset"] = all(
             rendered(pruned, target_only) <= rendered(reference, target_only) for target_only in (False, True)
         )
+        case["session"] = session_row(subject.program_source(assertion), subject.max_depth)
         cases[f"{subject.name}: {assertion.label}"] = case
     payload = {
         "repeats": repeats,
@@ -106,6 +133,8 @@ class TestSymexecBench:
         payload = collect_results(repeats=1)
         assert all(case["subset"] for case in payload["cases"].values())
         assert payload["paths"]["pruned"] < payload["paths"]["reference"]
+        sessions = [case["session"] for case in payload["cases"].values()]
+        assert all(row["plan_reuse"] == row["warm_queries"] for row in sessions)
 
 
 def main(argv=None) -> int:
@@ -113,13 +142,14 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None, help="timing repetitions (best-of)")
     args = parser.parse_args(argv)
     payload = collect_results(repeats=args.repeats)
-    print(f"{'assertion':<42} {'paths':>13} {'targets':>13} {'seconds':>15}  subset")
+    print(f"{'assertion':<42} {'paths':>13} {'targets':>13} {'seconds':>15}  subset  {'session cold->warm':>18}")
     for label, case in payload["cases"].items():
-        pruned, reference = case["pruned"], case["reference"]
+        pruned, reference, session = case["pruned"], case["reference"], case["session"]
         print(
             f"{label:<42} {reference['paths']:>6}->{pruned['paths']:<6} "
             f"{reference['targets']:>6}->{pruned['targets']:<6} "
-            f"{reference['seconds']:>7.3f}->{pruned['seconds']:<7.3f} {case['subset']}"
+            f"{reference['seconds']:>7.3f}->{pruned['seconds']:<7.3f} {str(case['subset']):<6}  "
+            f"{session['cold_s']:>8.3f}->{session['warm_s']:<8.3f} (plan reuse {session['plan_reuse']})"
         )
     totals = payload["paths"], payload["seconds"]
     print(

@@ -27,9 +27,11 @@ a tracked quality metric regressed by more than the tolerance:
   identical to the recursive reference's (unconditional), and the tape must
   pave at least 3× faster than the reference timed in the same process.
 * **symbolic execution** (``BENCH_symexec.json``) — per VolComp assertion,
-  the explored path count must not grow beyond its baseline, and the pruned
-  path and target sets must be subsets of the domain-only reference's (both
-  hard).  Timings are recorded, not gated.
+  the explored path count must not grow beyond its baseline, the pruned
+  path and target sets must be subsets of the domain-only reference's, and
+  the warm ``Session.analyze`` pass must take every plan from the session's
+  memo (reuse count equal to the warm query count; all three hard).  Timings
+  are recorded, not gated.
 
 Families whose fresh file was not produced this run, or whose baseline does
 not exist at ``HEAD`` yet (a newly introduced family), are skipped with a
@@ -338,11 +340,13 @@ def compare_icp(family: str, baseline: dict, fresh: dict) -> List[Finding]:
 
 
 def compare_symexec(family: str, baseline: dict, fresh: dict) -> List[Finding]:
-    """Symbolic-execution summary: two hard checks per assertion.
+    """Symbolic-execution summary: three hard checks per assertion.
 
     A path count above the committed one means pruning got weaker; a pruned
     set that is not a subset of the reference's means the executor invented
-    a path.  Assertions missing from the baseline gate only the subset check.
+    a path; a warm plan reuse count below the warm query count means a
+    session planned a program again.  Assertions missing from the baseline
+    gate only the subset and reuse checks.
     """
     findings: List[Finding] = []
     cases = fresh.get("symexec", {}).get("cases", {})
@@ -350,6 +354,9 @@ def compare_symexec(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     for label, case in sorted(cases.items()):
         subset = bool(case.get("subset"))
         findings.append(Finding(family, f"{label} subset", 1.0, float(subset), not subset))
+        if "session" in case:
+            queries, reused = case["session"]["warm_queries"], case["session"]["plan_reuse"]
+            findings.append(Finding(family, f"{label} plan reuse", queries, reused, reused != queries))
         if label in baseline_cases:
             paths = int(case["pruned"]["paths"])
             allowed = int(baseline_cases[label]["pruned"]["paths"])

@@ -30,9 +30,9 @@ from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, RoundReport
 from repro.errors import AnalysisError, ConfigurationError
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
+from repro.obs.diagnostics import symexec_truncated_diagnostic
 from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, ledger_backend_for, ledger_entry_for, open_ledger
 from repro.symexec.ast import Program
-from repro.symexec.symbolic import execute_program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session builds queries)
     from repro.api.session import Session
@@ -445,7 +445,8 @@ class Query:
         # the event's constraint set — streamed — and of the bound-hitting
         # paths (the paper's confidence measure) as a final blocking step.
         # One analyzer serves both, so factors shared between the event and
-        # the bound-hitting paths are sampled once.
+        # the bound-hitting paths are sampled once.  The session plans each
+        # program once; a repeat query skips straight to sampling.
         target = self._target
         profile = self._profile if self._profile is not None else UsageProfile.uniform(target.program.input_bounds())
         analyzer: Optional[QCoralAnalyzer] = None
@@ -457,12 +458,13 @@ class Query:
                 )
             # A declared event that no feasible path reaches has an empty
             # constraint set, which quantifies to exactly 0 with σ 0.
-            symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
+            planned = session._program_plan(target, config.partition_and_cache, observability)
             analyzer = QCoralAnalyzer(profile, config, pool=pool, store=store, observability=observability)
+            analyzer._adopt_plans(planned.event, planned.bounded)
             # Pump the event stream by hand (rather than `yield from`) so the
             # consumer's stop signal is visible here: a cancelled stream must
             # not fall through into a full-budget bounded-paths analysis.
-            rounds = analyzer.analyze_stream(symbolic.constraint_set_for(target.event))
+            rounds = analyzer.analyze_stream(planned.event.constraint_set)
             stopped = False
             sent: Optional[bool] = None
             try:
@@ -478,7 +480,7 @@ class Query:
                 # Closing an already-finished generator is a no-op; on
                 # abandonment this triggers the engine's GeneratorExit flush.
                 rounds.close()
-            bounded_set = symbolic.bounded_constraint_set()
+            bounded_set = planned.bounded.constraint_set
             bounded: Optional[Estimate]
             if not bounded_set.path_conditions:
                 # No path hit the execution bound: exactly zero mass.
@@ -496,6 +498,9 @@ class Query:
             if owned_obs is not None:
                 owned_obs.flush_trace()
         report = Report.from_qcoral(result, kind="program", event=target.event, bounded=bounded)
+        if planned.truncated:
+            diagnostic = symexec_truncated_diagnostic(planned.paths, target.max_paths)
+            report = replace(report, diagnostics=report.diagnostics + (diagnostic,))
         self._record_run(report, profile)
         return report
 

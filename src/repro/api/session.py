@@ -24,17 +24,24 @@ Both query shapes — direct constraint sets and symbolically executed
 programs — go through the same fluent :class:`~repro.api.query.Query`, stream
 the same per-round results, and return the same unified
 :class:`~repro.api.report.Report`.
+
+A session also plans each program once: the first query of a program runs
+symbolic execution, simplification, the dependency partition and store
+keying, and later queries of the same program take that plan from a small
+in-memory memo and go straight to sampling.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.api.query import Query, _ConstraintTarget, _ProgramTarget
 from repro.core.profiles import Distribution, UniformDistribution, UsageProfile, parse_distribution_spec
-from repro.core.qcoral import QCoralConfig
+from repro.core.qcoral import FactorPlan, QCoralConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
@@ -43,11 +50,25 @@ from repro.lang.parser import parse_constraint_set
 from repro.store.backends import STORE_BACKENDS, EstimateStore, open_store
 from repro.symexec.ast import Program
 from repro.symexec.parser import parse_program
+from repro.symexec.symbolic import execute_program
 
 #: What callers may pass wherever a usage profile is expected: a finished
 #: profile, or a mapping of variable name → distribution / ``(lo, hi)``
 #: uniform bounds / CLI-style distribution spec string.
 ProfileLike = Union[UsageProfile, Mapping[str, object]]
+
+#: Programs a session keeps planned; the least recently used goes first.
+_PLAN_MEMO_SIZE = 32
+
+
+@dataclass(frozen=True)
+class _ProgramPlan:
+    """One symbolic execution of a program, planned for one event."""
+
+    event: FactorPlan
+    bounded: FactorPlan
+    paths: int
+    truncated: bool
 
 
 def _coerce_profile(profile: Optional[ProfileLike]) -> Optional[UsageProfile]:
@@ -119,6 +140,18 @@ class Session:
         ledger_backend: Ledger backend name (``memory``/``jsonl``/``sqlite``);
             with a None ``ledger`` path this opens the backend without a path
             (only meaningful for ``memory``).
+
+    Program plans: every :meth:`analyze` query takes its plan from a memo of
+    the last 32 programs this session planned, keyed by ``repr(program)``
+    (exact, unlike dataclass equality, which conflates ``0.0`` and ``-0.0``),
+    the event, ``max_depth``, ``max_paths`` and the PARTCACHE flag.  A plan
+    holds the event's and the bound-hitting constraint sets, their factor
+    layouts, the truncation flag, and the store keys per store context
+    (estimator version, method tag, profile fingerprint).  A plan is a pure
+    function of its key, so answers, store rows and ledger families are
+    bit-identical to planning afresh; factor states, samplers and store
+    claims are still built per run.  The memo lives and dies with the
+    session; constraint-set queries do not use it.
     """
 
     def __init__(
@@ -169,8 +202,9 @@ class Session:
         self._closed = False
         # Guards the lazy pool/store creation: concurrent queries (e.g. a
         # server's requests) must share one instance, never race two into
-        # existence and leak the loser.
+        # existence and leak the loser.  It guards the plan memo too.
         self._lock = threading.Lock()
+        self._plans: "OrderedDict[Tuple[str, str, int, int, bool], _ProgramPlan]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Owned resources (lazy, borrowed by every query)
@@ -266,6 +300,39 @@ class Session:
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigurationError("this Session is closed; create a new one")
+
+    def _program_plan(
+        self, target: _ProgramTarget, partition_and_cache: bool, observability: Optional[Observability]
+    ) -> _ProgramPlan:
+        """The plan of ``target``, symbolically executing its program on a memo miss.
+
+        The memo key is exact: ``repr`` keeps ``0.0`` and ``-0.0`` apart,
+        where dataclass equality does not.  A hit counts
+        ``qcoral_plan_reuse_total`` on ``observability``.  Concurrent misses
+        of one key each execute the program; the first to finish is kept.
+        """
+        key = (repr(target.program), target.event, target.max_depth, target.max_paths, partition_and_cache)
+        with self._lock:
+            planned = self._plans.get(key)
+            if planned is not None:
+                self._plans.move_to_end(key)
+        if planned is not None:
+            if observability is not None:
+                observability.count("qcoral_plan_reuse_total")
+            return planned
+        symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
+        planned = _ProgramPlan(
+            event=FactorPlan(symbolic.constraint_set_for(target.event), partition_and_cache),
+            bounded=FactorPlan(symbolic.bounded_constraint_set(), partition_and_cache),
+            paths=symbolic.path_count,
+            truncated=symbolic.truncated,
+        )
+        with self._lock:
+            planned = self._plans.setdefault(key, planned)
+            self._plans.move_to_end(key)
+            if len(self._plans) > _PLAN_MEMO_SIZE:
+                self._plans.popitem(last=False)
+        return planned
 
     # ------------------------------------------------------------------ #
     # Query builders

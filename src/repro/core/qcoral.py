@@ -35,6 +35,7 @@ Typical use::
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -584,6 +585,9 @@ class QCoralAnalyzer:
             # feature there is no canonical factor to key, so the store — if
             # one was passed — stays idle.
             self._cache = EstimateCache(observability=self._obs)
+        # Plans handed over by _adopt_plans, by the id of their constraint
+        # set (each plan holds its set, so the ids stay theirs).
+        self._plans: Dict[int, FactorPlan] = {}
         self._closed = False
 
     @property
@@ -681,10 +685,11 @@ class QCoralAnalyzer:
                 method=self._config.method,
                 config_fingerprint=config_fingerprint(self._config),
             )
-        self._profile.check_covers(constraint_set.free_variables())
-        plan, states, claimed = self._build_plan(
-            *plan_factors(constraint_set.path_conditions, self._config.partition_and_cache)
-        )
+        planned = self._plans.get(id(constraint_set))
+        if planned is None:
+            planned = FactorPlan(constraint_set, self._config.partition_and_cache)
+        self._profile.check_covers(planned.variables())
+        plan, states, claimed = self._build_plan(planned)
 
         try:
             try:
@@ -829,7 +834,9 @@ class QCoralAnalyzer:
 
     def analyze_path_condition(self, pc: ast.PathCondition) -> PathConditionReport:
         """Quantify a single path condition in isolation."""
-        plan, states, claimed = self._build_plan(*plan_factors([pc], self._config.partition_and_cache))
+        plan, states, claimed = self._build_plan(
+            FactorPlan(ast.ConstraintSet.of([pc]), self._config.partition_and_cache)
+        )
         try:
             self._run_rounds(plan, states)
             estimates = _estimates_of(states)
@@ -847,12 +854,21 @@ class QCoralAnalyzer:
     # ------------------------------------------------------------------ #
     # Algorithm 2: planning — split PCs into unique resumable factors
     # ------------------------------------------------------------------ #
+    def _adopt_plans(self, *plans: "FactorPlan") -> None:
+        """Analyse these plans' constraint sets with them instead of planning afresh.
+
+        A :class:`~repro.api.session.Session` hands over the plans it keeps
+        for a program, so :meth:`analyze_stream` skips simplification,
+        partitioning and keying.  The plans must have been built under this
+        analyzer's PARTCACHE flag.
+        """
+        for planned in plans:
+            self._plans[id(planned.constraint_set)] = planned
+
     def _build_plan(
-        self,
-        layout: Sequence[Tuple[ast.PathCondition, List[str]]],
-        factors: Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]],
+        self, planned: "FactorPlan"
     ) -> Tuple[List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]], List[_FactorState], FrozenSet[str]]:
-        """Turn :func:`plan_factors` output into resumable factor states.
+        """Turn a :class:`FactorPlan` into resumable factor states.
 
         Each plan entry pairs a path condition with its factors; an occurrence
         is ``(state, first)`` where ``first`` marks the occurrence that owns
@@ -862,15 +878,11 @@ class QCoralAnalyzer:
         entry is read (:meth:`EstimateCache.claim`), so a factor another run
         is sampling right now is read after that run has published it.  The
         claimed keys are returned last; release them once the run's deltas
-        are published.
+        are published.  The store keys are carried on the run's factor
+        reports for the ledger to read.
         """
-        store_keys: Dict[str, FactorKey] = {}
-        if self._store_context is not None:
-            # The one place a run computes store keys: they are carried on
-            # the run's factor reports for the ledger to read.
-            store_keys = {
-                key: self._store_context.key_for(factor) for key, (factor, ordered) in factors.items() if ordered
-            }
+        layout, factors = planned.factors()
+        store_keys = planned.store_keys(self._store_context) if self._store_context is not None else {}
         claimed = self._cache.claim(store_keys.values())
         try:
             states: Dict[str, _FactorState] = {}
@@ -1371,6 +1383,60 @@ def plan_factors(
                 keys.append(key)
         layout.append((pc, keys))
     return layout, factors
+
+
+#: Store contexts whose keys one :class:`FactorPlan` keeps (oldest dropped
+#: first); a program is usually analysed under one profile and method.
+_STORE_CONTEXTS_PER_PLAN = 4
+
+
+class FactorPlan:
+    """Everything an analysis of one constraint set computes before sampling.
+
+    That is the set's free variables, :func:`plan_factors`' ``(layout,
+    factors)`` and the factors' store keys.  Each is a pure function of the
+    set, the PARTCACHE flag and (for keys) the store context, so one plan
+    serves every analysis of the set; a :class:`~repro.api.session.Session`
+    keeps the plans of the programs it analysed.  Each part is computed on
+    first use, under a lock, so concurrent analyses share one result.
+    """
+
+    def __init__(self, constraint_set: ast.ConstraintSet, partition_and_cache: bool) -> None:
+        self.constraint_set = constraint_set
+        self._partition_and_cache = partition_and_cache
+        self._lock = threading.Lock()
+        self._variables: Optional[FrozenSet[str]] = None
+        self._factors: Optional[tuple] = None
+        self._store_keys: Dict[Tuple[str, str, str], Dict[str, FactorKey]] = {}
+
+    def variables(self) -> FrozenSet[str]:
+        """The set's free variables, which the profile must cover."""
+        with self._lock:
+            if self._variables is None:
+                self._variables = self.constraint_set.free_variables()
+            return self._variables
+
+    def factors(
+        self,
+    ) -> Tuple[List[Tuple[ast.PathCondition, List[str]]], Dict[str, Tuple[ast.PathCondition, Tuple[str, ...]]]]:
+        """:func:`plan_factors` of the set under this plan's PARTCACHE flag."""
+        with self._lock:
+            if self._factors is None:
+                self._factors = plan_factors(self.constraint_set.path_conditions, self._partition_and_cache)
+            return self._factors
+
+    def store_keys(self, context: StoreContext) -> Dict[str, FactorKey]:
+        """The store key of every factor with variables, under ``context``."""
+        _, factors = self.factors()
+        tag = context.tag()
+        with self._lock:
+            keys = self._store_keys.get(tag)
+            if keys is None:
+                keys = {key: context.key_for(factor) for key, (factor, ordered) in factors.items() if ordered}
+                if len(self._store_keys) >= _STORE_CONTEXTS_PER_PLAN:
+                    del self._store_keys[next(iter(self._store_keys))]
+                self._store_keys[tag] = keys
+            return keys
 
 
 def _estimates_of(states: Sequence[_FactorState]) -> Dict[_FactorState, Estimate]:

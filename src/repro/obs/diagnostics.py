@@ -29,6 +29,9 @@ assumptions the qCORAL estimator relies on:
 * **Time-capped paving** — ICP stops on its wall-clock budget as a last
   resort, which makes a paving depend on machine load; a run that paved any
   factor under that cap gets ``PAVING_TIME_CAPPED`` (``timing=True``).
+* **Truncated exploration** — a program run whose symbolic execution stopped
+  at ``max_paths`` leaves the unexplored paths out of the estimate
+  (``SYMEXEC_TRUNCATED``).
 * **Wall-clock attribution** — from the run's span histograms: paving vs
   sampling vs kernel compile vs store I/O (``WALL_CLOCK_ATTRIBUTION``), and
   ``OVERHEAD_DOMINANT`` when non-sampling overhead exceeds sampling time.
@@ -489,6 +492,27 @@ def reuse_summary_diagnostic(
         samples_saved=samples_saved,
         residual_budget=residual_budget,
         samples_drawn=samples_drawn,
+    )
+
+
+def symexec_truncated_diagnostic(explored_paths: int, max_paths: int) -> Diagnostic:
+    """The SYMEXEC_TRUNCATED record of a program run whose exploration was cut.
+
+    Symbolic execution stopped at ``max_paths``, so the paths it never
+    explored are missing from the estimate, which can then understate the
+    event's probability.  Emitted by the program branch of
+    :class:`~repro.api.query.Query`; a pure function of the two counts, so
+    ``timing=False``.
+    """
+    return _diag(
+        "warning",
+        "SYMEXEC_TRUNCATED",
+        (
+            f"symbolic execution stopped at max_paths={max_paths} after {explored_paths} paths; "
+            "unexplored paths are missing from the estimate, which may understate the probability"
+        ),
+        explored_paths=explored_paths,
+        max_paths=max_paths,
     )
 
 

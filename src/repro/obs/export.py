@@ -36,6 +36,7 @@ METRIC_HELP: Mapping[str, str] = {
     "qcoral_store_outright_reuse_total": "Factors answered exactly from the store without sampling",
     "qcoral_store_warm_freeze_total": "Warm-started factors frozen without further sampling",
     "qcoral_store_paving_reuse_total": "Factors whose strata were rebuilt from a stored paving instead of ICP",
+    "qcoral_plan_reuse_total": "Program queries planned from the session's memo instead of symbolic execution",
     "sampler_draws_total": "Samples drawn, labelled by estimation method",
     "sampler_hits_total": "Satisfying samples, labelled by estimation method",
     "importance_refinement_splits_total": "Upfront mass-driven paving splits",

@@ -161,6 +161,18 @@ class StoreContext:
     method: str
     version: str = ESTIMATOR_VERSION
 
+    def tag(self) -> Tuple[str, str, str]:
+        """Version, method and profile fingerprint: all that keys depend on.
+
+        :meth:`key_for` sees the profile only through its distribution
+        fingerprints, so two contexts with equal tags key every factor alike.
+        """
+        profile = ";".join(
+            f"{name}={distribution_fingerprint(self.profile.distribution(name))}"
+            for name in sorted(self.profile.variables)
+        )
+        return self.version, self.method, profile
+
     def key_for(self, factor: ast.PathCondition) -> FactorKey:
         """Canonical store key of ``factor`` under this context.
 

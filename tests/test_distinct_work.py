@@ -25,7 +25,7 @@ from repro.core.cache import EstimateCache
 from repro.core.dependency import compute_dependency_partition
 from repro.core.methods import store_method_tag
 from repro.core.profiles import UsageProfile
-from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, plan_factors
+from repro.core.qcoral import FactorPlan, QCoralAnalyzer, QCoralConfig
 from repro.incremental.diff import factor_versions
 from repro.lang import ast
 from repro.lang.analysis import group_constraints_by_block
@@ -177,10 +177,11 @@ def test_plan_keys_states_and_path_conditions_equal_the_unmemoised_functions(sou
         [EstimateCache.key_for(factor) for _, factor in group_constraints_by_block(pc, blocks)] for pc in reference_pcs
     ]
 
-    layout, factors = plan_factors(constraint_set.path_conditions)
+    planned = FactorPlan(constraint_set, True)
+    layout, _ = planned.factors()
     assert [pc.canonical() for pc, _ in layout] == [pc.canonical() for pc in reference_pcs]
     analyzer = QCoralAnalyzer(profile, SET_CONFIG)
-    plan, states, _ = analyzer._build_plan(layout, factors)
+    plan, states, _ = analyzer._build_plan(planned)
     assert [[state.key for state, _ in occurrences] for _, occurrences in plan] == reference_keys
     assert len(states) == len({key for keys in reference_keys for key in keys})
 
@@ -188,7 +189,7 @@ def test_plan_keys_states_and_path_conditions_equal_the_unmemoised_functions(sou
 def test_signed_zero_factors_stay_apart():
     constraint_set = signed_set()
     analyzer = QCoralAnalyzer(SET_PROFILE, SET_CONFIG)
-    _, states, _ = analyzer._build_plan(*plan_factors(constraint_set.path_conditions))
+    _, states, _ = analyzer._build_plan(FactorPlan(constraint_set, True))
     keys = {state.key for state in states}
     assert {"x <= 0.0", "x <= -0.0", "x > 0.0", "x > -0.0"} <= keys
     # The integer-constant path condition shares its text, so its states.
