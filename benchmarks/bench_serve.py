@@ -11,14 +11,18 @@ sampling).  This benchmark measures that directly against a real
   as the bit-identity contract check: every served report must equal its
   in-process twin field for field (timing excluded).
 * **warm latency** — the identical request repeated against the warm store:
-  must draw zero samples and answer in a fraction of the cold time.
+  must draw zero samples and answer in a fraction of the cold time.  The
+  server's counters must show that every repeat took its plan from the
+  session's memo, that none built a sampler, and that no repeat after the
+  first decoded a stored paving again.
 * **throughput** — distinct-family request floods at 1/4/8 concurrent
   clients against one shared server (recorded for trajectory, not gated:
   shared-runner scheduling noise dominates).
 
 The summary lands in ``benchmarks/BENCH_serve.json`` and is gated by
-``benchmarks/check_regression.py`` (hard gates on bit identity and
-zero-sample warm hits; a loose ceiling on the warm/cold latency ratio).
+``benchmarks/check_regression.py`` (hard gates on bit identity, zero-sample
+warm hits and the warm reuse counters; a loose ceiling on the warm/cold
+latency ratio).
 
 Run directly (``python benchmarks/bench_serve.py``) for the table, or via
 pytest for the assertion-checked version.
@@ -65,6 +69,15 @@ def _family(index: int) -> str:
     return f"x*x + y*y <= {0.5 + index * 0.01}"
 
 
+#: Server counters read around the warm repeats.
+REUSE_COUNTERS = ("qcoral_plan_reuse_total", "qcoral_samplers_built_total", "qcoral_paving_decodes_total")
+
+
+def _reuse_counters(handle) -> dict:
+    snapshot = handle.server.observability.snapshot()
+    return {name: int(snapshot.counter(name)) for name in REUSE_COUNTERS}
+
+
 def _strip_volatile(report: dict) -> dict:
     clean = {key: value for key, value in report.items() if key not in ("time", "metrics", "diagnostics")}
     return clean
@@ -102,11 +115,15 @@ def run_benchmark() -> dict:
 
         # Warm hits: the identical request against the now-warm store.
         warm_samples = []
+        before = _reuse_counters(handle)
         started = time.perf_counter()
-        for _ in range(WARM_REPEATS):
+        for repeat in range(WARM_REPEATS):
             warm_samples.append(client.quantify(_family(0), DOMAINS, seed=SEED, budget=BUDGET)["samples"])
+            if repeat == 0:
+                after_first = _reuse_counters(handle)
         warm_seconds_each = (time.perf_counter() - started) / WARM_REPEATS
         warm_zero_samples = all(samples == 0 for samples in warm_samples)
+        after = _reuse_counters(handle)
 
         # Throughput: distinct families per request so every run samples.
         throughput = []
@@ -155,6 +172,12 @@ def run_benchmark() -> dict:
         "served_overhead_ratio": round(served_seconds / in_process_seconds, 3),
         "warm_seconds_each": round(warm_seconds_each, 4),
         "warm_over_cold_ratio": round(warm_seconds_each / cold_each, 3),
+        "warm_requests": WARM_REPEATS,
+        "warm_plan_reuse": after["qcoral_plan_reuse_total"] - before["qcoral_plan_reuse_total"],
+        "warm_samplers_built": after["qcoral_samplers_built_total"] - before["qcoral_samplers_built_total"],
+        "warm_paving_decodes_after_first": (
+            after["qcoral_paving_decodes_total"] - after_first["qcoral_paving_decodes_total"]
+        ),
         "throughput": throughput,
     }
 
@@ -164,6 +187,9 @@ def test_serve_latency_and_throughput():
     # The two hard contracts; latency ratios are gated by check_regression.
     assert payload["bit_identical"], "served reports diverged from in-process runs"
     assert payload["warm_zero_samples"], "a repeated identical request drew samples"
+    assert payload["warm_plan_reuse"] == payload["warm_requests"], payload
+    assert payload["warm_samplers_built"] == 0, payload
+    assert payload["warm_paving_decodes_after_first"] == 0, payload
     assert payload["warm_over_cold_ratio"] < 0.75, payload
     assert all(row["errors"] == 0 for row in payload["throughput"]), payload
     record_bench("serve", payload, summary=SUMMARY)
@@ -184,6 +210,11 @@ def main() -> None:
     )
     print(table.render())
     print(f"bit identical: {payload['bit_identical']}   warm zero samples: {payload['warm_zero_samples']}")
+    print(
+        f"warm repeats: {payload['warm_plan_reuse']}/{payload['warm_requests']} plans reused, "
+        f"{payload['warm_samplers_built']} samplers built, "
+        f"{payload['warm_paving_decodes_after_first']} paving decodes after the first"
+    )
     for row in payload["throughput"]:
         print(
             f"{row['clients']} client(s): {row['requests']} requests in {row['seconds']:.2f}s "

@@ -298,12 +298,14 @@ def compare_observability(family: str, baseline: dict, fresh: dict) -> List[Find
 
 
 def compare_serve(family: str, baseline: dict, fresh: dict) -> List[Finding]:
-    """Serving summary: two hard contracts plus an absolute latency ceiling.
+    """Serving summary: hard contracts plus an absolute latency ceiling.
 
     ``bit_identical`` (served == in-process at the same seed) and
     ``warm_zero_samples`` (a repeated request draws nothing) need no
-    baseline and no tolerance.  The warm/cold latency ratio gates against
-    the fixed :data:`SERVE_WARM_RATIO_CEILING` — the committed baseline
+    baseline and no tolerance, nor do the warm reuse counters: every warm
+    repeat takes its plan from the session's memo, builds no sampler, and
+    after the first decodes no stored paving.  The warm/cold latency ratio
+    gates against the fixed :data:`SERVE_WARM_RATIO_CEILING` — the committed baseline
     documents the trajectory, the ceiling is the promise.  Throughput rows
     are recorded but not gated: shared-runner scheduling noise dominates.
     """
@@ -315,6 +317,12 @@ def compare_serve(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     findings.append(Finding(family, "bit_identical", 1.0, float(bit_identical), not bit_identical))
     warm_zero = bool(payload.get("warm_zero_samples"))
     findings.append(Finding(family, "warm_zero_samples", 1.0, float(warm_zero), not warm_zero))
+    # A summary without the counters (-1) fails these gates.
+    requests, reused = float(payload.get("warm_requests", 0)), float(payload.get("warm_plan_reuse", -1))
+    findings.append(Finding(family, "warm plan reuse", requests, reused, reused != requests))
+    for name in ("warm_samplers_built", "warm_paving_decodes_after_first"):
+        value = float(payload.get(name, -1))
+        findings.append(Finding(family, name, 0.0, value, value != 0.0))
     ratio = float(payload.get("warm_over_cold_ratio", 0.0))
     findings.append(
         Finding(family, "warm_over_cold_ratio", SERVE_WARM_RATIO_CEILING, ratio, ratio > SERVE_WARM_RATIO_CEILING)

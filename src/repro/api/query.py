@@ -43,9 +43,14 @@ _CONFIG_FIELDS = frozenset(field.name for field in fields(QCoralConfig))
 
 @dataclass(frozen=True)
 class _ConstraintTarget:
-    """A constraint set to quantify directly (the paper's microbenchmark mode)."""
+    """A constraint set to quantify directly (the paper's microbenchmark mode).
+
+    ``text`` is the constraint-language text the set was parsed from, when it
+    was given as text; the session's plan memo keys on it.
+    """
 
     constraint_set: ConstraintSet
+    text: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -415,7 +420,10 @@ class Query:
                     "quantifying a constraint set needs a usage profile "
                     "(pass one to Session.quantify, e.g. {'x': (-1, 1)})"
                 )
+            planned = session._constraint_plan(self._target, config.partition_and_cache, observability)
             analyzer = QCoralAnalyzer(self._profile, config, pool=pool, store=store, observability=observability)
+            analyzer._adopt_plans(planned)
+            analyzer._adopt_pavings(session._pavings)
             try:
                 # An incremental run plans its reuse before sampling: the
                 # diff and the store-coverage projection are RNG-free, so
@@ -428,7 +436,7 @@ class Query:
 
                     diff = self._baseline_diff(config)
                     reuse = (diff, plan_reuse(diff, analyzer.store, config.samples_per_query))
-                result = yield from analyzer.analyze_stream(self._target.constraint_set)
+                result = yield from analyzer.analyze_stream(planned.constraint_set)
             finally:
                 analyzer.close()
                 if owned_obs is not None:
@@ -461,6 +469,7 @@ class Query:
             planned = session._program_plan(target, config.partition_and_cache, observability)
             analyzer = QCoralAnalyzer(profile, config, pool=pool, store=store, observability=observability)
             analyzer._adopt_plans(planned.event, planned.bounded)
+            analyzer._adopt_pavings(session._pavings)
             # Pump the event stream by hand (rather than `yield from`) so the
             # consumer's stop signal is visible here: a cancelled stream must
             # not fall through into a full-budget bounded-paths analysis.

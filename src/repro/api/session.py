@@ -25,23 +25,27 @@ programs — go through the same fluent :class:`~repro.api.query.Query`, stream
 the same per-round results, and return the same unified
 :class:`~repro.api.report.Report`.
 
-A session also plans each program once: the first query of a program runs
-symbolic execution, simplification, the dependency partition and store
-keying, and later queries of the same program take that plan from a small
-in-memory memo and go straight to sampling.
+A session also plans each query target once: the first query of a program
+or constraint set runs symbolic execution (or parsing), simplification, the
+dependency partition and store keying, and later queries of the same target
+take that plan from a small in-memory memo and go straight to the store and
+sampling.  Stored pavings are decoded and weighed by the profile once per
+session too, so a repeat whose factors the store already covers reads its
+counts and reports, without building a sampler.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple, Union
+from typing import Callable, Mapping, Optional, TypeVar, Union
 
 from repro.api.query import Query, _ConstraintTarget, _ProgramTarget
+from repro.core.cache import LRUMemo
 from repro.core.profiles import Distribution, UniformDistribution, UsageProfile, parse_distribution_spec
 from repro.core.qcoral import FactorPlan, QCoralConfig
+from repro.core.stratified import PAVING_MEMO_SIZE
 from repro.errors import ConfigurationError, ReproError
 from repro.lang.ast import ConstraintSet
 from repro.obs import Observability
@@ -57,8 +61,11 @@ from repro.symexec.symbolic import execute_program
 #: uniform bounds / CLI-style distribution spec string.
 ProfileLike = Union[UsageProfile, Mapping[str, object]]
 
-#: Programs a session keeps planned; the least recently used goes first.
-_PLAN_MEMO_SIZE = 32
+#: Query targets (programs and constraint sets) a session keeps planned; the
+#: least recently used goes first.  A served-mix pass sends 58–68 distinct
+#: constraint texts, so 32 would thrash; 128 plans of the largest VolComp
+#: program (ATRIAL, 2 250 paths) hold ~44 MB.
+_PLAN_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,10 @@ class _ProgramPlan:
     bounded: FactorPlan
     paths: int
     truncated: bool
+
+
+#: A memoised plan: a :class:`_ProgramPlan` or a constraint set's :class:`FactorPlan`.
+_Plan = TypeVar("_Plan", _ProgramPlan, FactorPlan)
 
 
 def _coerce_profile(profile: Optional[ProfileLike]) -> Optional[UsageProfile]:
@@ -141,17 +152,23 @@ class Session:
             with a None ``ledger`` path this opens the backend without a path
             (only meaningful for ``memory``).
 
-    Program plans: every :meth:`analyze` query takes its plan from a memo of
-    the last 32 programs this session planned, keyed by ``repr(program)``
-    (exact, unlike dataclass equality, which conflates ``0.0`` and ``-0.0``),
-    the event, ``max_depth``, ``max_paths`` and the PARTCACHE flag.  A plan
-    holds the event's and the bound-hitting constraint sets, their factor
-    layouts, the truncation flag, and the store keys per store context
-    (estimator version, method tag, profile fingerprint).  A plan is a pure
-    function of its key, so answers, store rows and ledger families are
-    bit-identical to planning afresh; factor states, samplers and store
-    claims are still built per run.  The memo lives and dies with the
-    session; constraint-set queries do not use it.
+    Plans: every query takes its plan from a memo of the last 128 targets
+    this session planned.  A program is keyed by ``repr(program)`` (exact,
+    unlike dataclass equality, which conflates ``0.0`` and ``-0.0``), the
+    event, ``max_depth``, ``max_paths`` and the PARTCACHE flag; its plan holds
+    the event's and the bound-hitting constraint sets, their factor layouts,
+    the truncation flag, and the store keys per store context (estimator
+    version, method tag, profile fingerprint).  A constraint set given as
+    text is keyed by the exact text and the PARTCACHE flag, so a repeated
+    text is parsed once; a :class:`ConstraintSet` object by its ``repr`` and
+    the flag.  Its plan holds the set, its factor layout and its store keys.
+    Stored pavings: the session also keeps each stored paving it read decoded,
+    with its boxes' profile masses, keyed by store context, paving text and
+    the two variable orders; the entry's counts are read afresh every run.
+    Plans and pavings are pure functions of their keys, so answers, store
+    rows and ledger families are bit-identical to planning afresh; factor
+    states and store claims are still built per run, and samplers whenever a
+    factor needs samples.  Both memos live and die with the session.
     """
 
     def __init__(
@@ -202,9 +219,10 @@ class Session:
         self._closed = False
         # Guards the lazy pool/store creation: concurrent queries (e.g. a
         # server's requests) must share one instance, never race two into
-        # existence and leak the loser.  It guards the plan memo too.
+        # existence and leak the loser.
         self._lock = threading.Lock()
-        self._plans: "OrderedDict[Tuple[str, str, int, int, bool], _ProgramPlan]" = OrderedDict()
+        self._plans = LRUMemo(_PLAN_MEMO_SIZE)
+        self._pavings = LRUMemo(PAVING_MEMO_SIZE)
 
     # ------------------------------------------------------------------ #
     # Owned resources (lazy, borrowed by every query)
@@ -270,12 +288,16 @@ class Session:
         stay open for their owner, no matter how often this runs.  Taking the
         creation lock first means a lazy creation racing this close either
         completes (and its resource is closed here) or starts after the
-        closed flag is set (and raises instead of creating).
+        closed flag is set (and raises instead of creating).  The plan and
+        paving memos are emptied too, so a closed session that is still
+        referenced holds none of them.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._plans.clear()
+            self._pavings.clear()
             pool = self._pool
             store = self._store if self._owns_store else None
             ledger = self._ledger if self._owns_ledger else None
@@ -301,38 +323,63 @@ class Session:
         if self._closed:
             raise ConfigurationError("this Session is closed; create a new one")
 
+    def _plan(self, key: tuple, plan: Callable[[], _Plan], observability: Optional[Observability]) -> _Plan:
+        """The memo's plan under ``key``, made by ``plan()`` on a miss.
+
+        A hit counts ``qcoral_plan_reuse_total`` on ``observability``.
+        Concurrent misses of one key each plan; the first to finish is kept.
+        """
+        planned, reused = self._plans.get(key, plan)
+        if reused and observability is not None:
+            observability.count("qcoral_plan_reuse_total")
+        return planned
+
     def _program_plan(
         self, target: _ProgramTarget, partition_and_cache: bool, observability: Optional[Observability]
     ) -> _ProgramPlan:
         """The plan of ``target``, symbolically executing its program on a memo miss.
 
         The memo key is exact: ``repr`` keeps ``0.0`` and ``-0.0`` apart,
-        where dataclass equality does not.  A hit counts
-        ``qcoral_plan_reuse_total`` on ``observability``.  Concurrent misses
-        of one key each execute the program; the first to finish is kept.
+        where dataclass equality does not.
         """
+
+        def plan() -> _ProgramPlan:
+            symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
+            return _ProgramPlan(
+                event=FactorPlan(symbolic.constraint_set_for(target.event), partition_and_cache),
+                bounded=FactorPlan(symbolic.bounded_constraint_set(), partition_and_cache),
+                paths=symbolic.path_count,
+                truncated=symbolic.truncated,
+            )
+
         key = (repr(target.program), target.event, target.max_depth, target.max_paths, partition_and_cache)
-        with self._lock:
-            planned = self._plans.get(key)
+        return self._plan(key, plan, observability)
+
+    @staticmethod
+    def _constraint_key(target: _ConstraintTarget, partition_and_cache: bool) -> tuple:
+        if target.text is not None:
+            return ("text", target.text, partition_and_cache)
+        return ("set", repr(target.constraint_set), partition_and_cache)
+
+    def _constraint_plan(
+        self, target: _ConstraintTarget, partition_and_cache: bool, observability: Optional[Observability]
+    ) -> FactorPlan:
+        """The plan of a constraint-set target, planning its set on a memo miss.
+
+        Text is keyed exactly as sent and a set by its ``repr``, so
+        ``x <= 0.0`` and ``x <= -0.0`` plan apart.  The plan holds the set
+        it was built for: analyse that one, which equals ``target``'s.
+        """
+        key = self._constraint_key(target, partition_and_cache)
+        return self._plan(key, lambda: FactorPlan(target.constraint_set, partition_and_cache), observability)
+
+    def _parse(self, text: str) -> ConstraintSet:
+        """``text`` parsed, taken from a memoised plan of the same text when there is one."""
+        for partition_and_cache in (True, False):
+            planned = self._plans.peek(("text", text, partition_and_cache))
             if planned is not None:
-                self._plans.move_to_end(key)
-        if planned is not None:
-            if observability is not None:
-                observability.count("qcoral_plan_reuse_total")
-            return planned
-        symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
-        planned = _ProgramPlan(
-            event=FactorPlan(symbolic.constraint_set_for(target.event), partition_and_cache),
-            bounded=FactorPlan(symbolic.bounded_constraint_set(), partition_and_cache),
-            paths=symbolic.path_count,
-            truncated=symbolic.truncated,
-        )
-        with self._lock:
-            planned = self._plans.setdefault(key, planned)
-            self._plans.move_to_end(key)
-            if len(self._plans) > _PLAN_MEMO_SIZE:
-                self._plans.popitem(last=False)
-        return planned
+                return planned.constraint_set
+        return parse_constraint_set(text)
 
     # ------------------------------------------------------------------ #
     # Query builders
@@ -350,10 +397,13 @@ class Session:
         text (parsed here, so syntax errors surface at build time).
         """
         self._check_open()
-        constraint_set = parse_constraint_set(constraints) if isinstance(constraints, str) else constraints
+        if isinstance(constraints, str):
+            target = _ConstraintTarget(self._parse(constraints), constraints)
+        else:
+            target = _ConstraintTarget(constraints)
         return Query(
             _session=self,
-            _target=_ConstraintTarget(constraint_set),
+            _target=target,
             _profile=_coerce_profile(profile),
             _base=config if config is not None else self._defaults,
         )

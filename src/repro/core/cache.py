@@ -35,8 +35,9 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.core.estimate import Estimate
 from repro.lang import ast
@@ -327,3 +328,49 @@ class EstimateCache:
         with self._lock:
             self._entries.clear()
             self._statistics = CacheStatistics()
+
+
+class LRUMemo:
+    """Thread-safe memo of values computed from their keys, bounded least recently used first.
+
+    A key must determine its value: :meth:`get` computes a missing value
+    outside the lock, so concurrent misses of one key may each compute it,
+    and the first to finish is kept.  A :class:`~repro.api.session.Session`
+    keeps its query plans and its decoded stored pavings in two of these.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, compute: Callable[[], Any]) -> Tuple[Any, bool]:
+        """``key``'s value, now the most recently used, and whether it was memoised.
+
+        On a miss ``compute()`` supplies the value; past the bound the least
+        recently used entry goes.
+        """
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key], True
+        value = compute()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._size:
+                self._entries.popitem(last=False)
+        return value, False
+
+    def peek(self, key: Hashable) -> Any:
+        """``key``'s value, or None, without computing it or marking it used."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            self._entries.clear()

@@ -122,13 +122,7 @@ class ImportanceSampler(StratifiedSampler):
         adaptive_splits: int = 0,
         observability: Optional[Observability] = None,
     ) -> None:
-        if max_boxes < 1:
-            raise ConfigurationError("importance sampling needs a positive stratum cap")
-        if adaptive_splits < 0:
-            raise ConfigurationError("adaptive split budget may not be negative")
-        self._max_boxes = max_boxes
-        self._adaptive_remaining = adaptive_splits
-        self._discarded_samples = 0
+        self._configure(max_boxes, adaptive_splits)
         super().__init__(
             pc,
             profile,
@@ -140,6 +134,16 @@ class ImportanceSampler(StratifiedSampler):
             chunk_size=chunk_size,
             observability=observability,
         )
+
+    def _configure(self, max_boxes: int, adaptive_splits: int) -> None:
+        """Check and keep the refinement knobs (before the strata are built)."""
+        if max_boxes < 1:
+            raise ConfigurationError("importance sampling needs a positive stratum cap")
+        if adaptive_splits < 0:
+            raise ConfigurationError("adaptive split budget may not be negative")
+        self._max_boxes = max_boxes
+        self._adaptive_remaining = adaptive_splits
+        self._discarded_samples = 0
 
     # ------------------------------------------------------------------ #
     # Mass-driven refinement
@@ -386,18 +390,26 @@ class _StoredImportanceSampler(ImportanceSampler):
     """An :class:`ImportanceSampler` whose strata are a stored, already refined paving.
 
     Building it runs neither ICP nor the upfront mass refinement: the stored
-    boxes are the strata as they were when the entry was written.
+    boxes become the strata as they are, as :class:`StratifiedSampler` takes
+    a given ``paving`` (with their profile ``masses`` when the caller has
+    them).  Stored pavings are only adopted without adaptive splits.  The
+    public :class:`ImportanceSampler` constructor takes no paving, so this
+    one runs its checks and then builds the strata itself.
     """
 
-    def __init__(self, *args: Any, paving: Paving, **kwargs: Any) -> None:
-        self._stored_paving = paving
-        super().__init__(*args, **kwargs)
-
-    def _pave(self, solver: ICPSolver, domain: Box) -> Paving:
-        return self._stored_paving
-
-    def _refined_boxes(self, paving: Paving) -> Sequence[PavedBox]:
-        return paving.boxes
+    def __init__(
+        self,
+        pc: ast.PathCondition,
+        profile: UsageProfile,
+        seed: SeedLike,
+        *,
+        paving: Paving,
+        masses: Optional[Sequence[float]] = None,
+        max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
+        **kwargs: Any,
+    ) -> None:
+        self._configure(max_boxes, adaptive_splits=0)
+        StratifiedSampler.__init__(self, pc, profile, seed, paving=paving, masses=masses, **kwargs)
 
 
 def importance_sampling(

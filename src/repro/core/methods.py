@@ -41,13 +41,14 @@ def make_sampler(
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
     paving: Optional[Paving] = None,
+    masses: Optional[Sequence[float]] = None,
 ) -> StratifiedSampler:
     """Build the resumable sampler ``config.method`` estimates ``factor`` with.
 
     ``seed`` is the factor's keyed ``SeedSequence``, so every chunk is keyed
     by (master seed, factor, stratum, sample offset).  ``paving`` is a warm
-    factor's stored paving; the sampler builds its strata from it instead of
-    re-paving with ICP.
+    factor's stored paving, and ``masses`` its boxes' profile masses; the
+    sampler builds its strata from them instead of re-paving with ICP.
     """
     if config.method != "importance":
         return StratifiedSampler(
@@ -59,20 +60,20 @@ def make_sampler(
             chunk_size=chunk_size,
             observability=observability,
             paving=paving,
+            masses=masses,
         )
     kwargs = dict(
         variables=variables,
         solver=solver,
         chunk_size=chunk_size,
         max_boxes=config.mass_split_boxes,
-        adaptive_splits=config.mass_split_adaptive,
         observability=observability,
     )
     # Adaptive splits make the stored paving depend on the sample history,
     # so such runs re-pave and re-refine rather than adopt it.
     if paving is not None and config.mass_split_adaptive == 0:
-        return _StoredImportanceSampler(factor, profile, seed, paving=paving, **kwargs)
-    return ImportanceSampler(factor, profile, seed, **kwargs)
+        return _StoredImportanceSampler(factor, profile, seed, paving=paving, masses=masses, **kwargs)
+    return ImportanceSampler(factor, profile, seed, adaptive_splits=config.mass_split_adaptive, **kwargs)
 
 
 def store_method_tag(config: "QCoralConfig") -> str:

@@ -43,7 +43,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cache import CacheStatistics, EstimateCache
+from repro.core.cache import CacheStatistics, EstimateCache, LRUMemo
 from repro.core.composition import (
     compose_disjoint_path_conditions,
     compose_independent_factors,
@@ -56,6 +56,8 @@ from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
     ALLOCATION_POLICIES,
+    PAVING_MEMO_SIZE,
+    StoredPaving,
     StratifiedSampler,
     allocate_budget,
     decode_paving,
@@ -472,7 +474,6 @@ class _FactorState:
         key: str,
         factor: ast.PathCondition,
         variables: Tuple[str, ...],
-        seed: np.random.SeedSequence,
         store_key: Optional[FactorKey],
     ) -> None:
         self.key = key
@@ -483,9 +484,10 @@ class _FactorState:
         self.sampler: Optional[StratifiedSampler] = None
         self.mc_result: Optional[SamplingResult] = None
         self.predicate = None
-        # The master seed keyed by ``key``: every chunk this factor draws is
-        # seeded from it (see repro.exec.scheduler.chunk_seed).
-        self.seed = seed
+        # The master seed keyed by ``key``, set once the factor is to be
+        # sampled: every chunk it draws is seeded from it (see
+        # repro.exec.scheduler.chunk_seed).
+        self.seed: Optional[np.random.SeedSequence] = None
         # Persistent-store bookkeeping: the resolved key, how much of the
         # current accumulator state was *loaded* rather than drawn (so the
         # write-back publishes only this run's delta), and whether the factor
@@ -588,6 +590,9 @@ class QCoralAnalyzer:
         # Plans handed over by _adopt_plans, by the id of their constraint
         # set (each plan holds its set, so the ids stay theirs).
         self._plans: Dict[int, FactorPlan] = {}
+        # Decoded stored pavings; a Session shares its own through
+        # _adopt_pavings so they outlive this analyzer.
+        self._pavings = LRUMemo(PAVING_MEMO_SIZE)
         self._closed = False
 
     @property
@@ -753,7 +758,7 @@ class QCoralAnalyzer:
         estimate = compose_disjoint_path_conditions(report.estimate for report in reports)
         elapsed = time.perf_counter() - started
         self._record_kernel_delta(kernel_before)
-        diagnostics = self._diagnose(states, round_reports, estimates)
+        diagnostics = self._diagnose(states, round_reports, estimates, estimate)
         return QCoralResult(
             estimate=estimate,
             path_reports=tuple(reports),
@@ -775,6 +780,7 @@ class QCoralAnalyzer:
         states: Sequence["_FactorState"],
         round_reports: Tuple[RoundReport, ...],
         estimates: Dict["_FactorState", Estimate],
+        final: Estimate,
     ) -> Tuple[Diagnostic, ...]:
         """The run-health diagnostics pass over the finished run.
 
@@ -830,6 +836,7 @@ class QCoralAnalyzer:
             tuple(healths),
             target_std=self._config.target_std,
             metrics=self._obs.snapshot() if self._obs.enabled else None,
+            estimate=final,
         )
 
     def analyze_path_condition(self, pc: ast.PathCondition) -> PathConditionReport:
@@ -858,12 +865,21 @@ class QCoralAnalyzer:
         """Analyse these plans' constraint sets with them instead of planning afresh.
 
         A :class:`~repro.api.session.Session` hands over the plans it keeps
-        for a program, so :meth:`analyze_stream` skips simplification,
-        partitioning and keying.  The plans must have been built under this
-        analyzer's PARTCACHE flag.
+        for a program or a constraint set, so :meth:`analyze_stream` skips
+        simplification, partitioning and keying.  The plans must have been
+        built under this analyzer's PARTCACHE flag.
         """
         for planned in plans:
             self._plans[id(planned.constraint_set)] = planned
+
+    def _adopt_pavings(self, memo: LRUMemo) -> None:
+        """Decode stored pavings through ``memo``, shared with other analyzers.
+
+        A :class:`~repro.api.session.Session` hands over its memo, so a warm
+        factor's paving is decoded, checked and weighed by the profile once
+        per session and store context rather than once per run.
+        """
+        self._pavings = memo
 
     def _build_plan(
         self, planned: "FactorPlan"
@@ -910,7 +926,7 @@ class QCoralAnalyzer:
     def _new_state(
         self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], store_key: Optional[FactorKey]
     ) -> _FactorState:
-        state = _FactorState(key, factor, variables, factor_seed(self._entropy, key), store_key)
+        state = _FactorState(key, factor, variables, store_key)
         entry: Optional[StoreEntry] = None
         if self._config.partition_and_cache:
             cached = self._cache.get(factor, key=key)
@@ -929,11 +945,19 @@ class QCoralAnalyzer:
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
         if self._config.stratified:
-            paving = self._stored_paving(entry, state.store_key, variables)
-            if paving is not None:
+            stored = self._stored_paving(entry, state.store_key, variables)
+            if stored is not None:
                 # A warm factor rebuilds its strata from the stored paving
                 # instead of re-paving with ICP.
                 self._obs.count("qcoral_store_paving_reuse_total")
+                if self._covers_budget(stored, entry):
+                    # Its stored counts already cover the budget: freeze it
+                    # from them, exactly as a sampler preloaded with them
+                    # would report, without building one.
+                    state.warm = True
+                    self._cache.record_warm_start()
+                    return self._freeze(state, stored.estimate(entry.strata))
+            state.seed = factor_seed(self._entropy, key)
             sampler: StratifiedSampler = make_sampler(
                 factor,
                 self._profile,
@@ -943,8 +967,10 @@ class QCoralAnalyzer:
                 chunk_size=self._config.chunk_size,
                 config=self._config,
                 observability=self._obs,
-                paving=paving,
+                paving=stored.paving if stored is not None else None,
+                masses=stored.masses if stored is not None else None,
             )
+            self._obs.count("qcoral_samplers_built_total")
             if sampler.is_exact:
                 state.exact = sampler.estimate()
             else:
@@ -957,43 +983,74 @@ class QCoralAnalyzer:
 
                 state.exact = Estimate.exact(1.0 if holds_path_condition(factor, {}) else 0.0)
             else:
+                state.seed = factor_seed(self._entropy, key)
                 state.predicate = get_kernel(factor)
                 if entry is not None:
                     self._warm_start_mc(state, entry)
-        if state.warm and self._need(state) == 0:
-            # The stored counts already cover this run's budget: the factor
-            # is a finished cross-run reuse, frozen before any sampling.
-            state.exact = state.estimate()
-            state.cached = True
-            self._cache.put(factor, state.exact, key=key)
-            self._obs.count("qcoral_store_warm_freeze_total")
+        if state.warm and self._need(state.samples) == 0:
+            return self._freeze(state, state.estimate())
+        return state
+
+    def _freeze(self, state: _FactorState, estimate: Estimate) -> _FactorState:
+        """Settle a warm factor whose stored counts already cover this run's budget.
+
+        The factor is a finished cross-run reuse, frozen before any sampling.
+        """
+        state.exact = estimate
+        state.cached = True
+        self._cache.put(state.factor, estimate, key=state.key)
+        self._obs.count("qcoral_store_warm_freeze_total")
         return state
 
     # ------------------------------------------------------------------ #
     # Persistent-store integration: warm starts and write-back
     # ------------------------------------------------------------------ #
-    def _need(self, state: _FactorState) -> int:
-        """Samples still owed to this factor's nominal per-factor budget."""
-        return max(0, self._config.samples_per_query - state.samples)
+    def _need(self, samples: int) -> int:
+        """Samples still owed to the nominal per-factor budget of a factor holding ``samples``."""
+        return max(0, self._config.samples_per_query - samples)
+
+    def _covers_budget(self, stored: StoredPaving, entry: StoreEntry) -> bool:
+        """True when a hit-or-miss sampler on ``stored``, preloaded from ``entry``, would be frozen unsampled.
+
+        It would adopt the entry's counts and not be exact
+        (:attr:`StoredPaving.adoptable`), and would owe no samples.  The
+        importance method combines its strata differently and keeps its
+        sampler.
+        """
+        return self._config.method != "importance" and stored.adoptable and self._need(entry.samples) == 0
 
     def _stored_paving(
         self, entry: Optional[StoreEntry], key: Optional[FactorKey], variables: Tuple[str, ...]
-    ) -> Optional[Paving]:
+    ) -> Optional[StoredPaving]:
         """The paving a stratified entry's counts refer to, decoded from its text.
 
         None — pave with ICP instead — unless the text decodes into one box
         per stored stratum, each over the factor's variables and inside its
-        domain.
+        domain.  Decoding goes through the paving memo, keyed by everything
+        the decoded boxes and their masses depend on; the stratum count is
+        checked against the entry on every read.
         """
         if entry is None or key is None or entry.kind != "stratified" or entry.samples <= 0:
             return None
-        boxes = decode_paving(entry.paving, key.variables, variables)
-        if boxes is None or len(boxes) != len(entry.strata):
+        assert self._store_context is not None  # a store key implies a store context
+        memo_key = (self._store_context.tag(), entry.paving, key.variables, variables)
+        stored, _ = self._pavings.get(memo_key, lambda: self._decode_paving(entry.paving, key.variables, variables))
+        if stored is None or len(stored.masses) != len(entry.strata):
+            return None
+        return stored
+
+    def _decode_paving(
+        self, text: str, canonical_order: Tuple[str, ...], variables: Tuple[str, ...]
+    ) -> Optional[StoredPaving]:
+        """Decode and check stored paving ``text``, and weigh its boxes by the profile."""
+        self._obs.count("qcoral_paving_decodes_total")
+        boxes = decode_paving(text, canonical_order, variables)
+        if boxes is None:
             return None
         domain = self._profile.restrict(variables).domain()
         if not all(domain.contains_box(paved.box) for paved in boxes):
             return None
-        return Paving(domain, boxes)
+        return StoredPaving.weigh(text, canonical_order, Paving(domain, boxes), self._profile)
 
     def _warm_start_mc(self, state: _FactorState, entry: StoreEntry) -> None:
         if entry.kind != "mc" or entry.samples <= 0:
@@ -1106,7 +1163,7 @@ class QCoralAnalyzer:
         # Warm-started factors only owe the store what their prior is short
         # of, so the pooled budget is the sum of per-factor residual needs
         # (identical to samples_per_query × factors on a cold run).
-        total_budget = sum(self._need(state) for state in active)
+        total_budget = sum(self._need(state.samples) for state in active)
         warm_run = any(state.prior_samples for state in active)
         max_rounds = config.max_rounds
         rounds: List[RoundReport] = []
@@ -1140,7 +1197,7 @@ class QCoralAnalyzer:
                     # budget are not re-sampled (on a cold run all needs are
                     # equal and the two rules coincide).
                     if warm_run:
-                        priorities = [float(self._need(state)) for state in active]
+                        priorities = [float(self._need(state.samples)) for state in active]
                     else:
                         priorities = [1.0] * len(active)
                 else:
@@ -1397,8 +1454,9 @@ class FactorPlan:
     factors)`` and the factors' store keys.  Each is a pure function of the
     set, the PARTCACHE flag and (for keys) the store context, so one plan
     serves every analysis of the set; a :class:`~repro.api.session.Session`
-    keeps the plans of the programs it analysed.  Each part is computed on
-    first use, under a lock, so concurrent analyses share one result.
+    keeps the plans of the programs and constraint sets it analysed.  Each
+    part is computed on first use, under a lock, so concurrent analyses share
+    one result.
     """
 
     def __init__(self, constraint_set: ast.ConstraintSet, partition_and_cache: bool) -> None:

@@ -65,6 +65,11 @@ ALLOCATION_POLICIES = ("even", "neyman", "mass")
 #: ceiling, so unexplored strata are prioritised by their weight alone.
 _PRIOR_SIGMA = 0.5
 
+#: Decoded stored pavings (:class:`StoredPaving`) a session keeps; the least
+#: recently used goes first.  A paving-heavy or many-paths session reads ~50
+#: distinct stored pavings per store context, and served-mix ~25.
+PAVING_MEMO_SIZE = 256
+
 
 def laplace_sigma_floor(hits: int, samples: int) -> float:
     """Smoothed Bernoulli σ from raw counts: ``√(p̃ (1 − p̃))``, ``p̃ = (h+1)/(n+2)``.
@@ -187,6 +192,28 @@ class Stratum:
     def report(self) -> StratumReport:
         """Immutable snapshot for :class:`StratifiedResult`."""
         return StratumReport(self.box, self.weight, self.inner, self.estimate(), self.samples)
+
+
+def stratified_estimate(terms: Iterable[Tuple[float, Estimate]]) -> Estimate:
+    """Equation (3) over ``(weight, conditional estimate)`` terms, in order.
+
+    Strata without mass contribute nothing and are skipped.  The sums run in
+    plain floats, term by term, exactly as folding :meth:`Estimate.scale` and
+    :meth:`Estimate.add_disjoint` would.  Both a live
+    :class:`StratifiedSampler` and a fully covered stored entry
+    (:meth:`StoredPaving.estimate`) sum through here, so the two agree bit for
+    bit.
+    """
+    mean = 0.0
+    variance = 0.0
+    for weight, part in terms:
+        if weight == 0.0:
+            continue
+        if weight < 0.0:
+            raise ValueError("stratum weight must be non-negative")
+        mean += weight * part.mean
+        variance += weight * weight * part.variance
+    return Estimate(mean, variance)
 
 
 # --------------------------------------------------------------------------- #
@@ -322,6 +349,55 @@ def decode_paving(
     return tuple(boxes)
 
 
+@dataclass(frozen=True)
+class StoredPaving:
+    """A stored paving, decoded and checked once, with each box's profile mass.
+
+    Both are pure functions of the paving text, the two variable orders and
+    the profile's distributions, so one decoding serves every run that reads
+    the entry under one store context.  The entry's counts are not part of
+    it: other runs keep pooling into them.  ``plain`` is True when the text is
+    exactly the boxes' :func:`render_paving` text (it carries no sampler's
+    header), which is the paving fingerprint of a :class:`StratifiedSampler`
+    built on them.
+    """
+
+    paving: Paving
+    masses: Tuple[float, ...]
+    plain: bool
+
+    @staticmethod
+    def weigh(text: str, canonical_order: Sequence[str], paving: Paving, profile: UsageProfile) -> "StoredPaving":
+        """``paving``, decoded from stored ``text`` (see :func:`decode_paving`), with its boxes weighed by ``profile``."""
+        return StoredPaving(
+            paving,
+            tuple(profile.mass(paved.box) for paved in paving.boxes),
+            plain=render_paving(paving.boxes, canonical_order) == text,
+        )
+
+    @property
+    def adoptable(self) -> bool:
+        """True when a :class:`StratifiedSampler` on these strata would adopt the entry's counts and sample.
+
+        Its paving fingerprint equals the stored text (``plain``), and some
+        stratum would consume budget (a boundary box with mass), so the
+        sampler is not exact.
+        """
+        return self.plain and any(
+            not paved.inner and mass > 0.0 for paved, mass in zip(self.paving.boxes, self.masses)
+        )
+
+    def estimate(self, counts: Sequence[Tuple[int, int]]) -> Estimate:
+        """What a :class:`StratifiedSampler` on these strata, preloaded with ``counts``, reports."""
+        return stratified_estimate(
+            (
+                mass,
+                Estimate.one() if paved.inner else RunningEstimate.from_counts(int(hits), int(samples)).to_estimate(),
+            )
+            for paved, mass, (hits, samples) in zip(self.paving.boxes, self.masses, counts)
+        )
+
+
 # --------------------------------------------------------------------------- #
 # The persistent sampler
 # --------------------------------------------------------------------------- #
@@ -330,7 +406,8 @@ class StratifiedSampler:
 
     The paving is computed once at construction — or handed in ready-made
     through ``paving``, whose boxes then become the strata as they are (a
-    warm run rebuilds them from its store entry, see :func:`decode_paving`) —
+    warm run rebuilds them from its store entry, see :func:`decode_paving`,
+    and may pass their profile ``masses`` too) —
     and every call to :meth:`extend` then distributes an additional sample
     budget over the persistent strata and folds the new counts into the
     per-stratum accumulators.  The current combined estimate is available at
@@ -360,6 +437,7 @@ class StratifiedSampler:
         chunk_size: Optional[int] = None,
         observability: Optional[Observability] = None,
         paving: Optional[Paving] = None,
+        masses: Optional[Sequence[float]] = None,
     ) -> None:
         self._pc = pc
         self._profile = profile
@@ -399,9 +477,12 @@ class StratifiedSampler:
                 self._exact = Estimate.zero()
                 return
             boxes = self._refined_boxes(paving)
+            masses = None
+        if masses is None:
+            masses = [profile.mass(paved.box) for paved in boxes]
 
-        for paved in boxes:
-            self._strata.append(Stratum(paved.box, profile.mass(paved.box), paved.inner))
+        for paved, mass in zip(boxes, masses):
+            self._strata.append(Stratum(paved.box, mass, paved.inner))
 
         if not any(stratum.sampleable for stratum in self._strata):
             # Every box is inner or mass-free: the paving resolves the
@@ -596,12 +677,7 @@ class StratifiedSampler:
         """Combined stratified estimate per Equation (3)."""
         if self._exact is not None:
             return self._exact
-        total = Estimate.zero()
-        for stratum in self._strata:
-            if stratum.weight == 0.0:
-                continue
-            total = total.add_disjoint(stratum.estimate().scale(stratum.weight))
-        return total
+        return stratified_estimate((stratum.weight, stratum.estimate()) for stratum in self._strata)
 
     def result(self) -> StratifiedResult:
         """Snapshot of the combined estimate plus per-stratum details."""

@@ -14,6 +14,9 @@ assumptions the qCORAL estimator relies on:
 * **Estimate consistency** — intermediate round means should stay within a
   few reported σ of the final mean; a violation (``SIGMA_INCONSISTENT``)
   suggests the variance estimate undershot the realized scatter.
+* **Range** — a probability lies in [0, 1], but composing sampled factors
+  can carry the mean past either end; the answer is reported as computed,
+  never clamped, and ``MEAN_OUT_OF_RANGE`` says so.
 * **Importance-weight degeneracy** — the self-normalised importance
   estimator's effective sample size (``ESS = M² / Σ m_i²/n_i`` over sampled
   strata of mass ``m_i`` with ``n_i`` draws) collapses when allocation
@@ -276,6 +279,24 @@ def _sigma_consistency_check(round_reports: Sequence[Any]) -> List[Diagnostic]:
     ]
 
 
+def _range_check(estimate: Optional[Any]) -> List[Diagnostic]:
+    """Flag a final mean outside [0, 1]; it is reported as computed, never clamped."""
+    if estimate is None or 0.0 <= estimate.mean <= 1.0:
+        return []
+    return [
+        _diag(
+            "warning",
+            "MEAN_OUT_OF_RANGE",
+            (
+                f"the estimated probability {estimate.mean:.6g} (sigma {estimate.std:.3g}) lies outside [0, 1] "
+                f"and is reported unclamped"
+            ),
+            mean=estimate.mean,
+            std=estimate.std,
+        )
+    ]
+
+
 def _factor_checks(factors: Sequence[FactorHealth]) -> List[Diagnostic]:
     """Per-factor checks in index order: ESS, starvation, discard burn."""
     diagnostics: List[Diagnostic] = []
@@ -429,23 +450,26 @@ def diagnose_run(
     *,
     target_std: Optional[float] = None,
     metrics: Optional[MetricsSnapshot] = None,
+    estimate: Optional[Any] = None,
 ) -> Tuple[Diagnostic, ...]:
     """The full diagnostics pass over one finished run.
 
     ``round_reports`` are the engine's :class:`~repro.core.qcoral.RoundReport`
     values (anything with ``round_index`` / ``total_samples`` / ``estimate``
     works); ``factors`` the per-factor health inputs in metric-label order.
-    ``metrics`` is optional — without a snapshot the wall-clock attribution
-    records are simply skipped, which keeps the remaining output identical
-    whether observability was enabled or not.
+    ``estimate`` is the run's final answer (anything with ``mean`` / ``std``),
+    checked against [0, 1].  ``metrics`` is optional — without a snapshot the
+    wall-clock attribution records are simply skipped, which keeps the
+    remaining output identical whether observability was enabled or not.
 
-    Emission order is fixed (trajectory, consistency, per-factor in index
-    order, time-capped paving, timing last) so equal inputs produce
+    Emission order is fixed (trajectory, consistency, range, per-factor in
+    index order, time-capped paving, timing last) so equal inputs produce
     byte-identical output.
     """
     diagnostics: List[Diagnostic] = []
     diagnostics.extend(_convergence_checks(round_reports, target_std))
     diagnostics.extend(_sigma_consistency_check(round_reports))
+    diagnostics.extend(_range_check(estimate))
     diagnostics.extend(_factor_checks(factors))
     diagnostics.extend(_paving_check(factors))
     if metrics is not None:

@@ -36,7 +36,12 @@ METRIC_HELP: Mapping[str, str] = {
     "qcoral_store_outright_reuse_total": "Factors answered exactly from the store without sampling",
     "qcoral_store_warm_freeze_total": "Warm-started factors frozen without further sampling",
     "qcoral_store_paving_reuse_total": "Factors whose strata were rebuilt from a stored paving instead of ICP",
-    "qcoral_plan_reuse_total": "Program queries planned from the session's memo instead of symbolic execution",
+    "qcoral_plan_reuse_total": (
+        "Queries planned from the session's memo instead of parsing or symbolic execution, "
+        "simplification, partitioning and keying"
+    ),
+    "qcoral_samplers_built_total": "Factor samplers built (a fully covered stored factor needs none)",
+    "qcoral_paving_decodes_total": "Stored pavings decoded and weighed by the profile (once per memo miss)",
     "sampler_draws_total": "Samples drawn, labelled by estimation method",
     "sampler_hits_total": "Satisfying samples, labelled by estimation method",
     "importance_refinement_splits_total": "Upfront mass-driven paving splits",

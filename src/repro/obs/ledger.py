@@ -47,13 +47,18 @@ def config_fingerprint(config: Any) -> str:
     Used both in trace headers and ledger entries so two runs can be checked
     for "same settings" without embedding the whole config.  Dataclass field
     order is definition order, so the rendering — and the digest — is stable
-    across processes.
+    across processes.  A frozen dataclass keeps its digest, so a run that
+    stamps its trace header and its ledger entry renders the config once.
     """
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = repr(dataclasses.asdict(config))
-    else:
-        payload = repr(config)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    if not dataclasses.is_dataclass(config) or isinstance(config, type):
+        return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
+    cached = getattr(config, "__dict__", None)
+    fingerprint = cached.get("_config_fingerprint") if cached is not None else None
+    if fingerprint is None:
+        fingerprint = hashlib.sha256(repr(dataclasses.asdict(config)).encode("utf-8")).hexdigest()[:16]
+        if cached is not None and type(config).__dataclass_params__.frozen:
+            object.__setattr__(config, "_config_fingerprint", fingerprint)
+    return fingerprint
 
 
 @dataclass(frozen=True)

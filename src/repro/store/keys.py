@@ -166,12 +166,18 @@ class StoreContext:
 
         :meth:`key_for` sees the profile only through its distribution
         fingerprints, so two contexts with equal tags key every factor alike.
+        Computed once per context; a run asks for it once per plan and once
+        per stored paving it reads.
         """
-        profile = ";".join(
-            f"{name}={distribution_fingerprint(self.profile.distribution(name))}"
-            for name in sorted(self.profile.variables)
-        )
-        return self.version, self.method, profile
+        tag = self.__dict__.get("_tag")
+        if tag is None:
+            profile = ";".join(
+                f"{name}={distribution_fingerprint(self.profile.distribution(name))}"
+                for name in sorted(self.profile.variables)
+            )
+            tag = (self.version, self.method, profile)
+            object.__setattr__(self, "_tag", tag)
+        return tag
 
     def key_for(self, factor: ast.PathCondition) -> FactorKey:
         """Canonical store key of ``factor`` under this context.

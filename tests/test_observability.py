@@ -403,6 +403,31 @@ def test_time_capped_paving_is_reported():
     assert "PAVING_TIME_CAPPED" not in {record.code for record in _run().diagnostics}
 
 
+#: Truth 1: the four quadrants of the unit square.  Under PARTCACHE the two
+#: halves of each axis are sampled as separate factors, shared by two path
+#: conditions each, so the composed mean can land on either side of 1.
+QUADRANTS = "x <= 0.5 && y <= 0.5 || x <= 0.5 && y > 0.5 || x > 0.5 && y <= 0.5 || x > 0.5 && y > 0.5"
+
+
+def _quadrants(seed):
+    with Session() as session:
+        query = session.quantify(QUADRANTS, {"x": (0, 1), "y": (0, 1)}).features(stratified=False)
+        return query.with_budget(1000).seed(seed).run()
+
+
+def test_mean_outside_the_unit_interval_is_reported_not_clamped():
+    report = _quadrants(0)
+    assert report.mean > 1.0
+    (record,) = [record for record in report.diagnostics if record.code == "MEAN_OUT_OF_RANGE"]
+    assert record.severity == "warning" and not record.timing
+    assert dict(record.evidence) == {"mean": report.mean, "std": report.std}
+    assert record in deterministic_diagnostics(report.diagnostics)
+    # An in-range run reports nothing.
+    in_range = _quadrants(3)
+    assert 0.0 <= in_range.mean <= 1.0
+    assert "MEAN_OUT_OF_RANGE" not in {record.code for record in in_range.diagnostics}
+
+
 def test_metrics_from_dict_rejects_malformed_payloads():
     good = _run(observability=Observability()).metrics.to_dict()
     assert MetricsSnapshot.from_dict(good) is not None
