@@ -32,6 +32,11 @@ a tracked quality metric regressed by more than the tolerance:
   the warm ``Session.analyze`` pass must take every plan from the session's
   memo (reuse count equal to the warm query count; all three hard).  Timings
   are recorded, not gated.
+* **composition** (``BENCH_composition.json``) — the incidence-array
+  composition must equal the reference per-path-condition loops bit for bit
+  on ATRIAL's plans (unconditional), and must compose a round at least
+  ``COMPOSITION_SPEEDUP_FLOOR`` times faster than them, timed in the same
+  process.
 
 Families whose fresh file was not produced this run, or whose baseline does
 not exist at ``HEAD`` yet (a newly introduced family), are skipped with a
@@ -91,6 +96,11 @@ SERVE_WARM_RATIO_CEILING = 0.75
 #: Both trees are timed in one process, so the ratio survives the host drift
 #: that absolute times do not.
 ICP_SPEEDUP_FLOOR = 3.0
+
+#: Hard floor on the reference/incidence composition speedup
+#: (``BENCH_composition.json``), far below the 40–50× a 2-vCPU host measures, so
+#: only losing the vectorised pass trips it.
+COMPOSITION_SPEEDUP_FLOOR = 10.0
 
 #: Environment variable that downgrades failures to warnings.
 OVERRIDE_ENV = "QCORAL_BENCH_ALLOW_REGRESSION"
@@ -372,6 +382,25 @@ def compare_symexec(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     return findings
 
 
+def compare_composition(family: str, baseline: dict, fresh: dict) -> List[Finding]:
+    """Composition summary: bit identity and the speedup floor, both hard.
+
+    Both are properties of the fresh run alone: the incidence array and the
+    reference loops compose the same plans in one process.
+    """
+    findings: List[Finding] = []
+    payload = fresh.get("composition", {})
+    if not payload:
+        return findings
+    identical = bool(payload.get("identical"))
+    findings.append(Finding(family, "identical", 1.0, float(identical), not identical))
+    speedup = float(payload.get("speedup", 0.0))
+    findings.append(
+        Finding(family, "incidence speedup", COMPOSITION_SPEEDUP_FLOOR, speedup, speedup < COMPOSITION_SPEEDUP_FLOOR)
+    )
+    return findings
+
+
 #: Benchmark families and the comparator handling each.
 FAMILIES = (
     ("BENCH_adaptive.json", lambda b, f: compare_sigma_ratios("adaptive", b, f, "adaptive_allocation")),
@@ -383,6 +412,7 @@ FAMILIES = (
     ("BENCH_serve.json", lambda b, f: compare_serve("serve", b, f)),
     ("BENCH_icp.json", lambda b, f: compare_icp("icp", b, f)),
     ("BENCH_symexec.json", lambda b, f: compare_symexec("symexec", b, f)),
+    ("BENCH_composition.json", lambda b, f: compare_composition("composition", b, f)),
 )
 
 

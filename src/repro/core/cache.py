@@ -223,8 +223,8 @@ class EstimateCache:
         with self._lock:
             self._entries[key] = estimate
 
-    def record_shared_hit(self) -> None:
-        """Count a reuse that bypassed the cache (an in-run shared factor).
+    def record_shared_hit(self, count: int = 1) -> None:
+        """Count ``count`` reuses that bypassed the cache (in-run shared factors).
 
         The incremental analyzer deduplicates factors before sampling starts,
         so a factor shared by several path conditions is looked up only once;
@@ -232,7 +232,7 @@ class EstimateCache:
         lookups.
         """
         with self._lock:
-            self._statistics.hits += 1
+            self._statistics.hits += count
 
     def record_warm_start(self) -> None:
         """Count a factor that resumed sampling from stored counts."""

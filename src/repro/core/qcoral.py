@@ -45,8 +45,12 @@ import numpy as np
 
 from repro.core.cache import CacheStatistics, EstimateCache, LRUMemo
 from repro.core.composition import (
-    compose_disjoint_path_conditions,
-    compose_independent_factors,
+    Incidence,
+    combined_estimate,
+    moments,
+    neyman_coefficients,
+    path_condition_moments,
+    sum_in_order,
 )
 from repro.core.dependency import compute_dependency_partition
 from repro.core.estimate import Estimate
@@ -694,21 +698,21 @@ class QCoralAnalyzer:
         if planned is None:
             planned = FactorPlan(constraint_set, self._config.partition_and_cache)
         self._profile.check_covers(planned.variables())
-        plan, states, claimed = self._build_plan(planned)
+        states, claimed = self._build_plan(planned)
 
         try:
             try:
-                rounds = yield from self._round_loop(plan, states)
+                rounds = yield from self._round_loop(planned.incidence(), states)
             except GeneratorExit:
                 # The consumer abandoned the stream without asking for a result;
                 # still flush caches/stores with what was drawn (best-effort —
                 # whoever closed us cannot handle errors raised from here).
                 try:
-                    self._finalize(plan, states, (), started, kernel_before)
+                    self._finalize(planned, states, (), started, kernel_before)
                 except Exception:
                     pass
                 raise
-            return self._finalize(plan, states, rounds, started, kernel_before)
+            return self._finalize(planned, states, rounds, started, kernel_before)
         finally:
             self._cache.release(claimed)
 
@@ -734,7 +738,7 @@ class QCoralAnalyzer:
 
     def _finalize(
         self,
-        plan: Sequence[Tuple[ast.PathCondition, List[Tuple["_FactorState", bool]]]],
+        planned: "FactorPlan",
         states: Sequence["_FactorState"],
         round_reports: Tuple[RoundReport, ...],
         started: float,
@@ -742,20 +746,10 @@ class QCoralAnalyzer:
     ) -> QCoralResult:
         """Assemble the result and flush caches/stores after the round loop."""
         estimates = _estimates_of(states)
-        reports = []
-        total_samples = 0
-        for pc, occurrences in plan:
-            report = self._report_for(pc, occurrences, estimates)
-            reports.append(report)
-            total_samples += sum(factor.samples for factor in report.factors)
-
-        if self._config.partition_and_cache:
-            for state in states:
-                if not state.cached:
-                    self._cache.put(state.factor, estimates[state], key=state.key)
-            self._publish_states(states)
-
-        estimate = compose_disjoint_path_conditions(report.estimate for report in reports)
+        reports, estimate = _path_reports(planned, states, estimates)
+        # Each state's first occurrence owns its samples; the rest are shares.
+        total_samples = sum(state.fresh_samples for state in states if not state.cached)
+        self._flush(states, estimates)
         elapsed = time.perf_counter() - started
         self._record_kernel_delta(kernel_before)
         diagnostics = self._diagnose(states, round_reports, estimates, estimate)
@@ -779,7 +773,7 @@ class QCoralAnalyzer:
         self,
         states: Sequence["_FactorState"],
         round_reports: Tuple[RoundReport, ...],
-        estimates: Dict["_FactorState", Estimate],
+        estimates: Sequence[Estimate],
         final: Estimate,
     ) -> Tuple[Diagnostic, ...]:
         """The run-health diagnostics pass over the finished run.
@@ -795,11 +789,10 @@ class QCoralAnalyzer:
         # set mid-loop), so `factor` evidence lines up with the run's
         # qcoral_factor_* metric labels.
         index = 0
-        for state in states:
+        for state, estimate in zip(states, estimates):
             if not state.sampleable:
                 continue
             sampler = state.sampler
-            estimate = estimates[state]
             strata: Tuple[StratumHealth, ...] = ()
             ess: Optional[float] = None
             method = "montecarlo"
@@ -841,22 +834,25 @@ class QCoralAnalyzer:
 
     def analyze_path_condition(self, pc: ast.PathCondition) -> PathConditionReport:
         """Quantify a single path condition in isolation."""
-        plan, states, claimed = self._build_plan(
-            FactorPlan(ast.ConstraintSet.of([pc]), self._config.partition_and_cache)
-        )
+        planned = FactorPlan(ast.ConstraintSet.of([pc]), self._config.partition_and_cache)
+        states, claimed = self._build_plan(planned)
         try:
-            self._run_rounds(plan, states)
+            self._run_rounds(planned.incidence(), states)
             estimates = _estimates_of(states)
-            (entry,) = plan
-            report = self._report_for(*entry, estimates)
-            if self._config.partition_and_cache:
-                for state in states:
-                    if not state.cached:
-                        self._cache.put(state.factor, estimates[state], key=state.key)
-                self._publish_states(states)
+            (report,), _ = _path_reports(planned, states, estimates)
+            self._flush(states, estimates)
         finally:
             self._cache.release(claimed)
         return report
+
+    def _flush(self, states: Sequence["_FactorState"], estimates: Sequence[Estimate]) -> None:
+        """Cache the factors this run estimated and publish its draws to the store."""
+        if not self._config.partition_and_cache:
+            return
+        for state, estimate in zip(states, estimates):
+            if not state.cached:
+                self._cache.put(state.factor, estimate, key=state.key)
+        self._publish_states(states)
 
     # ------------------------------------------------------------------ #
     # Algorithm 2: planning — split PCs into unique resumable factors
@@ -881,14 +877,12 @@ class QCoralAnalyzer:
         """
         self._pavings = memo
 
-    def _build_plan(
-        self, planned: "FactorPlan"
-    ) -> Tuple[List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]], List[_FactorState], FrozenSet[str]]:
-        """Turn a :class:`FactorPlan` into resumable factor states.
+    def _build_plan(self, planned: "FactorPlan") -> Tuple[List[_FactorState], FrozenSet[str]]:
+        """Turn a :class:`FactorPlan` into one resumable state per distinct factor.
 
-        Each plan entry pairs a path condition with its factors; an occurrence
-        is ``(state, first)`` where ``first`` marks the occurrence that owns
-        the state's samples (later occurrences are in-run cache shares).
+        The states come in sorted key order, the order of the plan's
+        :meth:`FactorPlan.incidence` columns.  The occurrences after a
+        factor's first are in-run cache shares, counted as cache hits.
 
         With a store, the store keys of every factor are claimed before any
         entry is read (:meth:`EstimateCache.claim`), so a factor another run
@@ -897,31 +891,23 @@ class QCoralAnalyzer:
         are published.  The store keys are carried on the run's factor
         reports for the ledger to read.
         """
-        layout, factors = planned.factors()
+        _, factors = planned.factors()
+        shared = planned.incidence().shared
         store_keys = planned.store_keys(self._store_context) if self._store_context is not None else {}
         claimed = self._cache.claim(store_keys.values())
         try:
-            states: Dict[str, _FactorState] = {}
-            plan: List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]] = []
-            for pc, keys in layout:
-                occurrences: List[Tuple[_FactorState, bool]] = []
-                for key in keys:
-                    state = states.get(key)
-                    if state is None:
-                        factor, ordered = factors[key]
-                        state = self._new_state(key, factor, ordered, store_keys.get(key))
-                        states[key] = state
-                        occurrences.append((state, True))
-                    else:
-                        self._cache.record_shared_hit()
-                        occurrences.append((state, False))
-                plan.append((pc, occurrences))
+            # Created in the order the path conditions first name them.
+            states = [
+                self._new_state(key, factor, ordered, store_keys.get(key))
+                for key, (factor, ordered) in factors.items()
+            ]
+            self._cache.record_shared_hit(shared)
         except BaseException:
             self._cache.release(claimed)
             raise
         # Rounds allocate over the states in key order, so ties in a budget
         # split fall the same way whatever order the factors were created in.
-        return plan, sorted(states.values(), key=lambda state: state.key), claimed
+        return sorted(states, key=lambda state: state.key), claimed
 
     def _new_state(
         self, key: str, factor: ast.PathCondition, variables: Tuple[str, ...], store_key: Optional[FactorKey]
@@ -1135,29 +1121,23 @@ class QCoralAnalyzer:
     # ------------------------------------------------------------------ #
     # The iterative sampling loop
     # ------------------------------------------------------------------ #
-    def _run_rounds(
-        self,
-        plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]],
-        states: Sequence[_FactorState],
-    ) -> Tuple[RoundReport, ...]:
+    def _run_rounds(self, incidence: Incidence, states: Sequence[_FactorState]) -> Tuple[RoundReport, ...]:
         """Drain :meth:`_round_loop` to completion (the blocking path)."""
-        return _drain(self._round_loop(plan, states))
+        return _drain(self._round_loop(incidence, states))
 
-    def _round_loop(
-        self,
-        plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]],
-        states: Sequence[_FactorState],
-    ):
+    def _round_loop(self, incidence: Incidence, states: Sequence[_FactorState]):
         """Generator over the adaptive sampling rounds, yielding each report.
 
         ``send(True)`` after a yield stops the loop before the next round
         (the streaming early-stop); plain iteration runs to the budget or the
         convergence target, exactly as before the generator refactor.  The
         generator's return value is the tuple of all reports yielded.
+        ``states`` are in the order of ``incidence``'s factor indices.
         """
-        active = [state for state in states if state.sampleable]
-        if not active:
+        indices = [index for index, state in enumerate(states) if state.sampleable]
+        if not indices:
             return ()
+        active = [states[index] for index in indices]
 
         config = self._config
         # Warm-started factors only owe the store what their prior is short
@@ -1170,9 +1150,10 @@ class QCoralAnalyzer:
         spent = 0
 
         obs = self._obs
-        # One estimate per factor state, taken after each round's sampling;
-        # the next round's priorities read the same snapshot.
-        estimates: Dict[_FactorState, Estimate] = {}
+        # One estimate per factor state, and their means, taken after each
+        # round's sampling; the next round's priorities read the same snapshot.
+        estimates: List[Estimate] = []
+        means = np.empty(0)
         for round_index in range(1, max_rounds + 1):
             remaining = total_budget - spent
             if remaining <= 0:
@@ -1201,7 +1182,7 @@ class QCoralAnalyzer:
                     else:
                         priorities = [1.0] * len(active)
                 else:
-                    priorities = self._factor_priorities(plan, active, estimates)
+                    priorities = self._factor_priorities(incidence, indices, active, estimates, means)
                 shares = allocate_budget(priorities, chunk)
                 for state, share in zip(active, shares):
                     if share > 0:
@@ -1215,16 +1196,17 @@ class QCoralAnalyzer:
                 spent += used
 
             estimates = _estimates_of(states)
-            combined = self._combined_estimate(plan, estimates)
+            means, variances = moments(estimates)
+            combined = combined_estimate(incidence, means, variances)
             if obs.enabled:
                 obs.count("qcoral_rounds_total")
                 obs.count("qcoral_samples_total", used)
                 obs.observe("qcoral_round_seconds", time.perf_counter() - round_started)
                 obs.gauge("qcoral_estimate_std", combined.std)
-                for factor_index, (state, share) in enumerate(zip(active, shares)):
+                for factor_index, (index, share) in enumerate(zip(indices, shares)):
                     if share:
                         obs.count("qcoral_factor_allocated_total", share, factor=factor_index)
-                    obs.gauge("qcoral_factor_sigma", estimates[state].std, factor=factor_index)
+                    obs.gauge("qcoral_factor_sigma", estimates[index].std, factor=factor_index)
             report = RoundReport(round_index, used, spent, combined)
             rounds.append(report)
             stop = yield report
@@ -1289,41 +1271,27 @@ class QCoralAnalyzer:
 
     def _factor_priorities(
         self,
-        plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]],
+        incidence: Incidence,
+        indices: Sequence[int],
         active: Sequence[_FactorState],
-        estimates: Dict[_FactorState, Estimate],
+        estimates: Sequence[Estimate],
+        means: np.ndarray,
     ) -> List[float]:
-        """Generalised Neyman priorities for the active factors.
+        """Generalised Neyman priorities for the active factors (at ``indices`` of ``incidence``).
 
         The combined variance is ``Σ_pc Var(pc)`` with ``Var(pc)`` given by
         the product rule, so factor ``f`` contributes roughly
-        ``c_f · Var_f`` where ``c_f = Σ_{pc ∋ f} (Π_{g ≠ f} mean_g)²``.
-        Since ``Var_f`` shrinks like ``S_f² / n_f``, the variance-minimising
-        split of the next chunk is ``n_f ∝ √c_f · S_f`` — the factor-level
-        analogue of per-stratum Neyman allocation.
+        ``c_f · Var_f`` where ``c_f = Σ_{pc ∋ f} (Π_{g ≠ f} mean_g)²``
+        (:func:`~repro.core.composition.neyman_coefficients`).  Since
+        ``Var_f`` shrinks like ``S_f² / n_f``, the variance-minimising split
+        of the next chunk is ``n_f ∝ √c_f · S_f`` — the factor-level analogue
+        of per-stratum Neyman allocation.
         """
-        coefficients = {id(state): 0.0 for state in active}
-        for _, occurrences in plan:
-            unique = []
-            seen = set()
-            for state, _ in occurrences:
-                if id(state) not in seen:
-                    seen.add(id(state))
-                    unique.append(state)
-            means = [estimates[state].mean for state in unique]
-            for position, state in enumerate(unique):
-                if id(state) not in coefficients:
-                    continue
-                product = 1.0
-                for other, mean in enumerate(means):
-                    if other != position:
-                        product *= mean
-                coefficients[id(state)] += product * product
-
+        coefficients = neyman_coefficients(incidence, means)
         priorities = []
-        for state in active:
+        for index, state in zip(indices, active):
             samples = state.samples
-            estimate = estimates[state]
+            estimate = estimates[index]
             if samples == 0:
                 per_sample_std = 0.5
             else:
@@ -1336,50 +1304,8 @@ class QCoralAnalyzer:
                     estimate.std * math.sqrt(samples),
                     laplace_sigma_floor(equivalent_hits, samples),
                 )
-            priorities.append(math.sqrt(coefficients[id(state)]) * per_sample_std)
+            priorities.append(math.sqrt(coefficients[index]) * per_sample_std)
         return priorities
-
-    def _combined_estimate(
-        self,
-        plan: Sequence[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]],
-        estimates: Dict[_FactorState, Estimate],
-    ) -> Estimate:
-        pc_estimates = []
-        for pc, occurrences in plan:
-            if not pc.constraints:
-                pc_estimates.append(Estimate.one())
-            else:
-                pc_estimates.append(compose_independent_factors(estimates[state] for state, _ in occurrences))
-        return compose_disjoint_path_conditions(pc_estimates)
-
-    # ------------------------------------------------------------------ #
-    # Report assembly
-    # ------------------------------------------------------------------ #
-    def _report_for(
-        self,
-        pc: ast.PathCondition,
-        occurrences: Sequence[Tuple[_FactorState, bool]],
-        estimates: Dict[_FactorState, Estimate],
-    ) -> PathConditionReport:
-        if not pc.constraints:
-            # A trivially true path condition covers the whole domain.
-            return PathConditionReport(pc, Estimate.one(), ())
-        factor_reports = []
-        for state, first in occurrences:
-            owns_samples = first and not state.cached
-            factor_reports.append(
-                FactorReport(
-                    variables=frozenset(state.variables),
-                    factor=state.factor,
-                    estimate=estimates[state],
-                    from_cache=state.cached or not first,
-                    samples=state.fresh_samples if owns_samples else 0,
-                    warm=state.warm,
-                    key=state.store_key,
-                )
-            )
-        estimate = compose_independent_factors(report.estimate for report in factor_reports)
-        return PathConditionReport(pc, estimate, tuple(factor_reports))
 
 
 def plan_factors(
@@ -1451,7 +1377,8 @@ class FactorPlan:
     """Everything an analysis of one constraint set computes before sampling.
 
     That is the set's free variables, :func:`plan_factors`' ``(layout,
-    factors)`` and the factors' store keys.  Each is a pure function of the
+    factors)``, the set's :class:`~repro.core.composition.Incidence` array
+    and the factors' store keys.  Each is a pure function of the
     set, the PARTCACHE flag and (for keys) the store context, so one plan
     serves every analysis of the set; a :class:`~repro.api.session.Session`
     keeps the plans of the programs and constraint sets it analysed.  Each
@@ -1465,6 +1392,7 @@ class FactorPlan:
         self._lock = threading.Lock()
         self._variables: Optional[FrozenSet[str]] = None
         self._factors: Optional[tuple] = None
+        self._incidence: Optional[Incidence] = None
         self._store_keys: Dict[Tuple[str, str, str], Dict[str, FactorKey]] = {}
 
     def variables(self) -> FrozenSet[str]:
@@ -1483,6 +1411,15 @@ class FactorPlan:
                 self._factors = plan_factors(self.constraint_set.path_conditions, self._partition_and_cache)
             return self._factors
 
+    def incidence(self) -> Incidence:
+        """The path conditions × factors array of the set, factors indexed in sorted key order."""
+        layout, factors = self.factors()
+        with self._lock:
+            if self._incidence is None:
+                index = {key: position for position, key in enumerate(sorted(factors))}
+                self._incidence = Incidence([[index[key] for key in keys] for _, keys in layout], len(index))
+            return self._incidence
+
     def store_keys(self, context: StoreContext) -> Dict[str, FactorKey]:
         """The store key of every factor with variables, under ``context``."""
         _, factors = self.factors()
@@ -1497,9 +1434,42 @@ class FactorPlan:
             return keys
 
 
-def _estimates_of(states: Sequence[_FactorState]) -> Dict[_FactorState, Estimate]:
+def _estimates_of(states: Sequence[_FactorState]) -> List[Estimate]:
     """One :meth:`_FactorState.estimate` per state (a full stratum sum each)."""
-    return {state: state.estimate() for state in states}
+    return [state.estimate() for state in states]
+
+
+def _path_reports(
+    planned: FactorPlan, states: Sequence[_FactorState], estimates: Sequence[Estimate]
+) -> Tuple[Tuple[PathConditionReport, ...], Estimate]:
+    """Every path condition's report, and the estimate of their disjunction.
+
+    ``states`` and ``estimates`` are in the order of the plan's incidence
+    columns.  A state gets two factor reports, one for the occurrence that
+    owns its samples and one for the in-run shares (the same one when the
+    factor came from a cache), and every occurrence refers to one of them.
+    """
+    layout, _ = planned.factors()
+    incidence = planned.incidence()
+    means, variances = path_condition_moments(incidence, *moments(estimates))
+    means, variances = means.tolist(), variances.tolist()
+    factor_reports: List[FactorReport] = []
+    for state, estimate in zip(states, estimates):
+        owning = FactorReport(
+            variables=frozenset(state.variables),
+            factor=state.factor,
+            estimate=estimate,
+            from_cache=state.cached,
+            samples=0 if state.cached else state.fresh_samples,
+            warm=state.warm,
+            key=state.store_key,
+        )
+        factor_reports += (owning, owning if state.cached else replace(owning, from_cache=True, samples=0))
+    reports = tuple(
+        PathConditionReport(pc, Estimate(mean, variance), tuple(map(factor_reports.__getitem__, slots)))
+        for (pc, _), mean, variance, slots in zip(layout, means, variances, incidence.slots)
+    )
+    return reports, sum_in_order(means, variances)
 
 
 def _drain(stream):

@@ -245,7 +245,7 @@ class JsonlLedger(RunLedger):
         with self._lock:
             self._check_open()
             with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+                handle.write(_entry_json(entry) + "\n")
 
     def entries(self, family: Optional[str] = None) -> List[LedgerEntry]:
         with self._lock:
@@ -296,7 +296,7 @@ class SqliteLedger(RunLedger):
             self._check_open()
             self._connection.execute(
                 "INSERT INTO runs (family, created, payload) VALUES (?, ?, ?)",
-                (entry.family, entry.created, json.dumps(entry.to_dict(), sort_keys=True)),
+                (entry.family, entry.created, _entry_json(entry)),
             )
             self._connection.commit()
 
@@ -434,13 +434,23 @@ def ledger_entry_for(report: Any, profile: Any = None, *, created: Optional[floa
     family = family_digest(method_tag, factor_keys)
     payload = report.to_dict()
     fingerprint = config_fingerprint(report.config) if report.config is not None else ""
-    run_material = json.dumps(
-        {"family": family, "config": fingerprint, "report": payload},
-        sort_keys=True,
-        default=str,
+    try:
+        # Encoded once: the run id hashes this text and the ledger line
+        # splices it in (see _entry_json).
+        payload_text: Optional[str] = json.dumps(payload, sort_keys=True)
+    except TypeError:
+        # Not plain JSON: the run id renders the odd values with str(), and
+        # appending the entry fails as it always has.
+        payload_text = None
+    # The text of json.dumps({"family": family, "config": fingerprint,
+    # "report": payload}, sort_keys=True, default=str).
+    run_material = '{"config": %s, "family": %s, "report": %s}' % (
+        json.dumps(fingerprint),
+        json.dumps(family),
+        payload_text if payload_text is not None else json.dumps(payload, sort_keys=True, default=str),
     )
     run_id = hashlib.sha256(run_material.encode("utf-8")).hexdigest()[:16]
-    return LedgerEntry(
+    entry = LedgerEntry(
         family=family,
         run_id=run_id,
         seed=report.seed,
@@ -452,6 +462,25 @@ def ledger_entry_for(report: Any, profile: Any = None, *, created: Optional[floa
         factor_keys=factor_keys,
         report=payload,
     )
+    if payload_text is not None:
+        object.__setattr__(entry, "_report_json", payload_text)
+    return entry
+
+
+def _entry_json(entry: LedgerEntry) -> str:
+    """The ledger line of ``entry``: the text of ``json.dumps(entry.to_dict(), sort_keys=True)``.
+
+    An entry made by :func:`ledger_entry_for` carries its report's encoding,
+    which is spliced in here rather than encoded a second time.
+    """
+    fields = entry.to_dict()
+    report_text = entry.__dict__.get("_report_json")
+    if report_text is None:
+        return json.dumps(fields, sort_keys=True)
+    del fields["report"]
+    parts = {key: json.dumps(value, sort_keys=True) for key, value in fields.items()}
+    parts["report"] = report_text
+    return "{" + ", ".join(f"{json.dumps(key)}: {parts[key]}" for key in sorted(parts)) + "}"
 
 
 def estimate_drift_sigmas(a: LedgerEntry, b: LedgerEntry) -> float:

@@ -376,8 +376,19 @@ class QuantifyServer:
                     emit("done", {"stopped": stopped})
                 emit(None, None)
 
+            counted = False
+
+            def client_gone() -> None:
+                # The watcher and the write path both run on the event loop;
+                # whichever notices the disconnect first counts it, once.
+                nonlocal counted
+                if not counted:
+                    counted = True
+                    self.observability.count("serve_stream_disconnects_total")
+                stop.set()
+
             await start_sse(writer)
-            watcher = asyncio.ensure_future(self._watch_disconnect(reader, stop))
+            watcher = asyncio.ensure_future(self._watch_disconnect(reader, client_gone))
             future = loop.run_in_executor(self._pool, worker)
             try:
                 while True:
@@ -388,7 +399,7 @@ class QuantifyServer:
                         writer.write(sse_event(event, data))
                         await writer.drain()
                     except (ConnectionError, OSError):
-                        stop.set()
+                        client_gone()
                         break
             finally:
                 watcher.cancel()
@@ -396,8 +407,8 @@ class QuantifyServer:
                 self._unregister_stop(stop)
         return 200
 
-    async def _watch_disconnect(self, reader: asyncio.StreamReader, stop: threading.Event) -> None:
-        """Flip the run's early-stop event when the SSE client goes away."""
+    async def _watch_disconnect(self, reader: asyncio.StreamReader, client_gone: Callable[[], None]) -> None:
+        """Call ``client_gone`` (which stops the run) when the SSE client goes away."""
         try:
             while True:
                 chunk = await reader.read(1024)
@@ -407,9 +418,7 @@ class QuantifyServer:
             pass
         except asyncio.CancelledError:
             return
-        if not stop.is_set():
-            stop.set()
-            self.observability.count("serve_stream_disconnects_total")
+        client_gone()
 
     # ------------------------------------------------------------------ #
     # The blocking engine driver (runs in the worker pool)

@@ -181,15 +181,15 @@ def test_plan_keys_states_and_path_conditions_equal_the_unmemoised_functions(sou
     layout, _ = planned.factors()
     assert [pc.canonical() for pc, _ in layout] == [pc.canonical() for pc in reference_pcs]
     analyzer = QCoralAnalyzer(profile, SET_CONFIG)
-    plan, states, _ = analyzer._build_plan(planned)
-    assert [[state.key for state, _ in occurrences] for _, occurrences in plan] == reference_keys
+    states, _ = analyzer._build_plan(planned)
+    assert [[states[index].key for index in row] for row in planned.incidence().rows] == reference_keys
     assert len(states) == len({key for keys in reference_keys for key in keys})
 
 
 def test_signed_zero_factors_stay_apart():
     constraint_set = signed_set()
     analyzer = QCoralAnalyzer(SET_PROFILE, SET_CONFIG)
-    _, states, _ = analyzer._build_plan(FactorPlan(constraint_set, True))
+    states, _ = analyzer._build_plan(FactorPlan(constraint_set, True))
     keys = {state.key for state in states}
     assert {"x <= 0.0", "x <= -0.0", "x > 0.0", "x > -0.0"} <= keys
     # The integer-constant path condition shares its text, so its states.

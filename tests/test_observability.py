@@ -17,10 +17,15 @@ Regenerate the metrics golden file after an intentional change with::
     QCORAL_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_observability.py
 """
 
+import contextlib
+import dataclasses
+import decimal
+import hashlib
 import json
 import logging
 import os
 import re
+import sqlite3
 
 import pytest
 
@@ -31,7 +36,7 @@ from repro.lang.kernel import kernel_cache_info
 from repro.obs import DISABLED, Observability, ensure_observability
 from repro.obs.diagnostics import Diagnostic, deterministic_diagnostics
 from repro.obs.export import TRACE_SCHEMA, lint_trace, prometheus_text, write_trace_jsonl
-from repro.obs.ledger import estimate_drift_sigmas, ledger_entry_for, open_ledger, phase_timings
+from repro.obs.ledger import config_fingerprint, estimate_drift_sigmas, ledger_entry_for, open_ledger, phase_timings
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, render_key
 from repro.obs.trace import Tracer
 
@@ -476,6 +481,56 @@ def test_ledger_round_trips_runs(tmp_path, suffix, backend):
     assert parsed and all(isinstance(record, Diagnostic) for record in parsed)
     # No metrics snapshot stored (observability off) => no phase timings.
     assert phase_timings(second) == {}
+
+
+@pytest.mark.parametrize("suffix", ["ledger.jsonl", "ledger.db"])
+def test_ledger_encodes_the_report_once_with_unchanged_bytes(tmp_path, suffix, monkeypatch):
+    report = _run(observability=Observability())  # a report carrying its metrics
+    payload_text = json.dumps(report.to_dict(), sort_keys=True)
+    encoded = []
+    dumps = json.dumps
+
+    def counting_dumps(value, *args, **kwargs):
+        text = dumps(value, *args, **kwargs)
+        if payload_text in text:
+            encoded.append(text)
+        return text
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    entry = ledger_entry_for(report, created=1.0)
+    path = str(tmp_path / suffix)
+    with open_ledger(path) as ledger:
+        ledger.append(entry)
+    monkeypatch.undo()
+    assert len(encoded) == 1
+    # The run id and the stored line are the bytes of the two full encodings.
+    material = json.dumps(
+        {"family": entry.family, "config": config_fingerprint(report.config), "report": report.to_dict()},
+        sort_keys=True,
+        default=str,
+    )
+    assert entry.run_id == hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+    line = json.dumps(entry.to_dict(), sort_keys=True)
+    if suffix.endswith(".jsonl"):
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == line + "\n"
+    else:
+        with contextlib.closing(sqlite3.connect(path)) as connection:
+            assert connection.execute("SELECT payload FROM runs").fetchall() == [(line,)]
+
+
+def test_ledger_run_id_of_a_report_that_is_not_plain_json(tmp_path):
+    report = dataclasses.replace(_run(), seed=decimal.Decimal(7))
+    entry = ledger_entry_for(report, created=1.0)
+    material = json.dumps(
+        {"family": entry.family, "config": config_fingerprint(report.config), "report": report.to_dict()},
+        sort_keys=True,
+        default=str,
+    )
+    assert entry.run_id == hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+    with open_ledger(str(tmp_path / "ledger.jsonl")) as ledger:
+        with pytest.raises(TypeError):
+            ledger.append(entry)
 
 
 def test_session_and_query_level_ledgers(tmp_path):

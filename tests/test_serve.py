@@ -9,6 +9,7 @@ identical request draws zero samples, a client disconnect stops sampling
 early, and a graceful drain flushes store and ledger.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -30,6 +31,8 @@ from repro.serve import (
     parse_quantify_payload,
     serve_in_thread,
 )
+from repro.serve.app import QuantifyServer
+from repro.serve.routes import HttpRequest
 from repro.serve.wire import build_query, error_status, payload_from_query_params, sse_event
 
 CIRCLE = "x*x + y*y <= 1"
@@ -435,3 +438,51 @@ class TestServedEndpoints:
         # New connections are refused after the drain.
         with pytest.raises(ServeClientError):
             client.healthz()
+
+
+class _SilentReader:
+    """A client connection that never reports EOF: only a failed write can reveal its loss."""
+
+    async def read(self, size):
+        await asyncio.Event().wait()
+        return b""
+
+
+class _BrokenPipeWriter:
+    """Takes the SSE head, then fails every later drain, as a vanished client's socket does."""
+
+    def __init__(self):
+        self.drains = 0
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        self.drains += 1
+        if self.drains > 1:
+            raise ConnectionResetError("client went away")
+
+
+def test_disconnect_noticed_by_the_write_path_is_counted_once():
+    hub = Observability()
+    server = QuantifyServer(observability=hub)
+    payload = {
+        "constraints": CIRCLE,
+        "domains": DOMAINS,
+        "seed": 9,
+        "budget": 50_000_000,
+        "max_rounds": 500,
+        "target_std": 1e-12,
+        "initial_fraction": 0.001,
+    }
+    request = HttpRequest("POST", "/v1/quantify/stream", body=json.dumps(payload).encode("utf-8"))
+    writer = _BrokenPipeWriter()
+    try:
+        assert asyncio.run(server._handle_stream(request, _SilentReader(), writer)) == 200
+    finally:
+        asyncio.run(server.drain())
+    # The head went out, the first event's drain failed, and the run stopped.
+    assert writer.drains == 2
+    metrics = hub.snapshot()
+    assert metrics.counter("serve_stream_disconnects_total") == 1
+    assert metrics.counter("serve_early_stops_total", reason="cancelled") == 1
