@@ -27,9 +27,8 @@ from repro.lang.parser import parse_constraint_set, parse_path_condition
 
 
 def run_engine(constraint_set, profile, config):
-    """One engine run of ``constraint_set``; closes any pool the config opened."""
-    with QCoralAnalyzer(profile, config) as analyzer:
-        return analyzer.analyze(constraint_set)
+    """One engine run of ``constraint_set``."""
+    return QCoralAnalyzer(profile, config).analyze(constraint_set)
 
 _PROFILE = UsageProfile.uniform({"x": (-5, 5), "y": (-5, 5)})
 _CIRCLE = parse_path_condition("x * x + y * y <= 1")
@@ -73,8 +72,8 @@ def generate_cache_table() -> Table:
         ("estimate", "σ", "samples", "time (s)"),
     )
     for label, config in (
-        ("STRAT (no cache)", QCoralConfig.strat(4_000, seed=5)),
-        ("STRAT+PARTCACHE", QCoralConfig.strat_partcache(4_000, seed=5)),
+        ("STRAT (no cache)", QCoralConfig(samples_per_query=4_000, partition_and_cache=False, seed=5)),
+        ("STRAT+PARTCACHE", QCoralConfig(samples_per_query=4_000, seed=5)),
     ):
         result = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, config)
         table.add_row(label, result.mean, result.std, result.total_samples, result.analysis_time)
@@ -93,8 +92,9 @@ class TestAblationBenchmarks:
         assert many.estimate.variance <= few.estimate.variance * 1.5
 
     def test_cache_preserves_estimate(self):
-        uncached = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, QCoralConfig.strat(3_000, seed=9))
-        cached = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, QCoralConfig.strat_partcache(3_000, seed=9))
+        strat = QCoralConfig(samples_per_query=3_000, partition_and_cache=False, seed=9)
+        uncached = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, strat)
+        cached = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, QCoralConfig(samples_per_query=3_000, seed=9))
         assert cached.mean == pytest.approx(uncached.mean, abs=0.05)
         assert cached.total_samples <= uncached.total_samples
 
@@ -103,7 +103,7 @@ class TestAblationBenchmarks:
         estimates = []
         reported = []
         for seed in range(repetitions(default=5, full=30)):
-            result = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, QCoralConfig.strat_partcache(2_000, seed=seed))
+            result = run_engine(_SHARED_FACTORS, _SHARED_PROFILE, QCoralConfig(samples_per_query=2_000, seed=seed))
             estimates.append(result.mean)
             reported.append(result.variance)
         empirical = float(np.var(estimates, ddof=1))

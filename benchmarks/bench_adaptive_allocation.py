@@ -41,8 +41,8 @@ BUDGET = 100_000 if FULL_SCALE else 10_000
 def run_pair(name: str, samples: int, seed: int) -> dict:
     """One seed-matched fixed-vs-adaptive comparison on one solid."""
     solid = solid_by_name(name)
-    fixed_config = QCoralConfig.strat_partcache(samples, seed=seed)
-    adaptive_config = QCoralConfig.adaptive(samples, seed=seed)
+    fixed_config = QCoralConfig(samples_per_query=samples, seed=seed)
+    adaptive_config = QCoralConfig(samples_per_query=samples, seed=seed, allocation="neyman")
 
     fixed = QCoralAnalyzer(solid.profile(), fixed_config).analyze(solid.constraint_set())
     adaptive = QCoralAnalyzer(solid.profile(), adaptive_config).analyze(solid.constraint_set())
@@ -121,7 +121,7 @@ class TestAdaptiveAllocation:
     def test_target_std_terminates_early(self):
         """A reachable precision target stops the loop before the budget."""
         solid = solid_by_name("Sphere")
-        config = QCoralConfig.adaptive(100_000, target_std=5e-3, seed=7)
+        config = QCoralConfig(samples_per_query=100_000, target_std=5e-3, seed=7, allocation="neyman")
         result = QCoralAnalyzer(solid.profile(), config).analyze(solid.constraint_set())
         assert result.met_target
         assert result.total_samples < 100_000

@@ -45,8 +45,8 @@ BUDGET = 100_000 if FULL_SCALE else 10_000
 def run_pair(name: str, samples: int, seed: int) -> dict:
     """One seed-matched hit-or-miss vs importance comparison on one subject."""
     subject = discrete_subject_by_name(name)
-    base_config = QCoralConfig.strat_partcache(samples, seed=seed)
-    imp_config = QCoralConfig.importance(samples, seed=seed)
+    base_config = QCoralConfig(samples_per_query=samples, seed=seed)
+    imp_config = QCoralConfig(samples_per_query=samples, seed=seed, method="importance")
 
     base = QCoralAnalyzer(subject.profile, base_config).analyze(subject.constraint_set())
     imp = QCoralAnalyzer(subject.profile, imp_config).analyze(subject.constraint_set())
@@ -70,7 +70,7 @@ def run_pair(name: str, samples: int, seed: int) -> dict:
 def determinism_check(samples: int = 8_000, seed: int = 5) -> dict:
     """Same-seed importance runs at 1, 2 and 3 workers must be bit-identical."""
     subject = discrete_subject_by_name("BurstySensor")
-    config = QCoralConfig.importance(samples, seed=seed)
+    config = QCoralConfig(samples_per_query=samples, seed=seed, method="importance")
     outcomes = {}
     for workers in (1, 2, 3):
         with Session(workers=workers) as session:

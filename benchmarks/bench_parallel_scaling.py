@@ -79,10 +79,10 @@ def run_once(name: str, workers: int, budget: int = BUDGET, seed: int = SEED):
     try:
         if pool is not None:
             list(pool.map(_noop, range(workers)))
-        with QCoralAnalyzer(solid.profile(), config, pool=pool) as analyzer:
-            started = time.perf_counter()
-            result = analyzer.analyze(solid.constraint_set())
-            elapsed = time.perf_counter() - started
+        analyzer = QCoralAnalyzer(solid.profile(), config, pool=pool)
+        started = time.perf_counter()
+        result = analyzer.analyze(solid.constraint_set())
+        elapsed = time.perf_counter() - started
     finally:
         if pool is not None:
             pool.shutdown()

@@ -24,7 +24,7 @@ def run_pipeline(samples: int = 30_000, seed: int = 0):
         query = session.analyze(
             programs.SAFETY_MONITOR,
             programs.SAFETY_MONITOR_EVENT,
-            config=QCoralConfig.strat_partcache(samples, seed=seed),
+            config=QCoralConfig(samples_per_query=samples, seed=seed),
         )
         return query.run()
 
@@ -59,7 +59,7 @@ class TestSection44Benchmarks:
         profile = UsageProfile.uniform(program.input_bounds())
 
         def run():
-            analyzer = QCoralAnalyzer(profile, QCoralConfig.strat_partcache(10_000, seed=5))
+            analyzer = QCoralAnalyzer(profile, QCoralConfig(samples_per_query=10_000, seed=5))
             return analyzer.analyze(target)
 
         result = benchmark(run)

@@ -71,9 +71,9 @@ def counting_paves():
 
 def run_phase(source: str, store_path: str, backend: str, seed: int) -> dict:
     """One program analysis against the store; returns reuse metrics."""
-    config = QCoralConfig.strat_partcache(BUDGET, seed=seed).with_store(store_path, backend)
+    config = QCoralConfig(samples_per_query=BUDGET, seed=seed)
     started = time.perf_counter()
-    with counting_paves() as paves, Session() as session:
+    with counting_paves() as paves, Session(store=store_path, store_backend=backend) as session:
         report = session.analyze(source, EVENT, config=config).run()
     elapsed = time.perf_counter() - started
     stats = report.cache_statistics

@@ -34,7 +34,7 @@ VOLCOMP_CONFIG = VolCompConfig(max_boxes=4_000 if FULL_SCALE else 800, time_budg
 
 def run_qcoral(subject, assertion, samples: int, seed: int):
     constraint_set = subject.constraint_set(assertion)
-    analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig.strat_partcache(samples, seed=seed))
+    analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig(samples_per_query=samples, seed=seed))
     result = analyzer.analyze(constraint_set)
     return result.mean, result.std
 

@@ -32,19 +32,25 @@ SCALE = 1.0 if FULL_SCALE else 0.75
 #: Sample budgets: the paper sweeps 1K / 10K / 100K.
 BUDGETS = sample_counts(default=(1_000,), full=(1_000, 10_000, 100_000))
 
+#: The paper's STRAT and PARTCACHE flags of each qCORAL configuration.
+PLAIN = {"stratified": False, "partition_and_cache": False}
+STRAT = {"stratified": True, "partition_and_cache": False}
+STRAT_PARTCACHE = {"stratified": True, "partition_and_cache": True}
+
+#: Each configuration's flags; None is the global Monte Carlo baseline.
 CONFIGURATIONS = (
     ("Monte Carlo (global)", None),
-    ("qCORAL{}", QCoralConfig.plain),
-    ("qCORAL{STRAT}", QCoralConfig.strat),
-    ("qCORAL{STRAT,PARTCACHE}", QCoralConfig.strat_partcache),
+    ("qCORAL{}", PLAIN),
+    ("qCORAL{STRAT}", STRAT),
+    ("qCORAL{STRAT,PARTCACHE}", STRAT_PARTCACHE),
 )
 
 
-def run_configuration(subject, label, config_factory, samples: int, seed: int):
-    if config_factory is None:
+def run_configuration(subject, label, features, samples: int, seed: int):
+    if features is None:
         result = plain_monte_carlo(subject.constraint_set, subject.profile(), samples, seed=seed)
         return result.mean, result.std
-    analyzer = QCoralAnalyzer(subject.profile(), config_factory(samples, seed=seed))
+    analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig(samples_per_query=samples, seed=seed, **features))
     result = analyzer.analyze(subject.constraint_set)
     return result.mean, result.std
 
@@ -56,9 +62,9 @@ def generate_table() -> Table:
     )
     for subject in all_subjects(scale=SCALE):
         for samples in BUDGETS:
-            for label, factory in CONFIGURATIONS:
+            for label, features in CONFIGURATIONS:
                 aggregated = repeat_analysis(
-                    lambda seed: run_configuration(subject, label, factory, samples, seed),
+                    lambda seed: run_configuration(subject, label, features, samples, seed),
                     runs=repetitions(default=2),
                     base_seed=31,
                 )
@@ -76,7 +82,7 @@ class TestTable4Benchmarks:
     @pytest.mark.parametrize("name", ["Conflict", "Turn Logic"])
     def test_full_configuration(self, benchmark, name):
         subject = subject_by_name(name, scale=SCALE)
-        mean, _ = benchmark(lambda: run_configuration(subject, "full", QCoralConfig.strat_partcache, 1_000, seed=2))
+        mean, _ = benchmark(lambda: run_configuration(subject, "full", STRAT_PARTCACHE, 1_000, seed=2))
         assert 0.0 <= mean <= 1.05
 
     def test_monte_carlo_baseline(self, benchmark):
@@ -86,8 +92,8 @@ class TestTable4Benchmarks:
 
     def test_stratification_reduces_sigma_on_conflict(self):
         subject = subject_by_name("Conflict", scale=SCALE)
-        _, plain_sigma = run_configuration(subject, "plain", QCoralConfig.plain, 2_000, seed=9)
-        _, strat_sigma = run_configuration(subject, "strat", QCoralConfig.strat, 2_000, seed=9)
+        _, plain_sigma = run_configuration(subject, "plain", PLAIN, 2_000, seed=9)
+        _, strat_sigma = run_configuration(subject, "strat", STRAT, 2_000, seed=9)
         assert strat_sigma <= plain_sigma * 1.5
 
     def test_partcache_reduces_time_on_apollo(self):
@@ -95,18 +101,18 @@ class TestTable4Benchmarks:
 
         subject = subject_by_name("Apollo", scale=0.75)
 
-        def timed(factory):
+        def timed(features):
             started = time.perf_counter()
-            run_configuration(subject, "x", factory, 1_000, seed=4)
+            run_configuration(subject, "x", features, 1_000, seed=4)
             return time.perf_counter() - started
 
-        without_cache = timed(QCoralConfig.strat)
-        with_cache = timed(QCoralConfig.strat_partcache)
+        without_cache = timed(STRAT)
+        with_cache = timed(STRAT_PARTCACHE)
         assert with_cache <= without_cache * 1.2
 
     def test_configurations_agree_on_the_estimate(self):
         subject = subject_by_name("Turn Logic", scale=0.75)
-        means = [run_configuration(subject, label, factory, 4_000, seed=8)[0] for label, factory in CONFIGURATIONS]
+        means = [run_configuration(subject, label, features, 4_000, seed=8)[0] for label, features in CONFIGURATIONS]
         assert max(means) - min(means) < 0.1
 
 

@@ -48,7 +48,7 @@ if (currentDistance <= 5.0) {
 
 def analyze_under_profile(name: str, profile: UsageProfile) -> None:
     with Session() as session:
-        config = QCoralConfig.strat_partcache(20_000, seed=11)
+        config = QCoralConfig(samples_per_query=20_000, seed=11)
         result = session.analyze(CONFLICT_PROBE, "conflict", profile, config=config).run()
     print(f"{name:28s} P(conflict) = {result.mean:.6f}  std = {result.std:.3e}")
 
@@ -85,9 +85,9 @@ def main() -> None:
     print("=" * 76)
     subject = tsafe_conflict(depth=5)
     for config in (
-        QCoralConfig.plain(5_000, seed=4),
-        QCoralConfig.strat(5_000, seed=4),
-        QCoralConfig.strat_partcache(5_000, seed=4),
+        QCoralConfig(samples_per_query=5_000, stratified=False, partition_and_cache=False, seed=4),
+        QCoralConfig(samples_per_query=5_000, partition_and_cache=False, seed=4),
+        QCoralConfig(samples_per_query=5_000, seed=4),
     ):
         analyzer = QCoralAnalyzer(subject.profile(), config)
         result = analyzer.analyze(subject.constraint_set)

@@ -58,9 +58,9 @@ def compare_feature_configurations() -> None:
 
     with Session() as session:
         for config in (
-            QCoralConfig.plain(10_000, seed=7),
-            QCoralConfig.strat(10_000, seed=7),
-            QCoralConfig.strat_partcache(10_000, seed=7),
+            QCoralConfig(samples_per_query=10_000, stratified=False, partition_and_cache=False, seed=7),
+            QCoralConfig(samples_per_query=10_000, partition_and_cache=False, seed=7),
+            QCoralConfig(samples_per_query=10_000, seed=7),
         ):
             report = session.quantify(constraints, profile, config=config).run()
             print(
@@ -186,8 +186,8 @@ def diagnostics_and_the_ledger() -> None:
     handle, ledger_path = tempfile.mkstemp(suffix=".jsonl")
     os.close(handle)
     try:
-        # Two runs of the same constraint family, recorded in one ledger
-        # (a session-level ledger; .with_ledger(...) does it per query).
+        # Two runs of the same constraint family, recorded in the session's
+        # ledger (every query of a session appends to it).
         with Session(ledger=ledger_path) as session:
             for seed in (21, 22):
                 report = session.quantify("x * x + y * y <= 1", BOUNDS).with_budget(20_000).seed(seed).run()

@@ -17,7 +17,7 @@ The public way in is the **Session facade** (:mod:`repro.api`)::
         )
         print(report.mean, report.std)
 
-* :class:`Session` — owns the sampling pool + store lifecycles, builds queries.
+* :class:`Session` — owns the sampling pool, store and ledger, builds queries.
 * :class:`Query` — fluent, immutable builder; ``run()`` blocks,
   ``stream()`` yields per-round results, ``repeat()`` aggregates trials.
 * :class:`Report` — the unified result type with a versioned JSON schema.

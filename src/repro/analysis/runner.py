@@ -103,11 +103,6 @@ class RepeatedResult:
         return statistics.fmean(outcome.samples for outcome in self.outcomes)
 
     @property
-    def mean_rounds(self) -> float:
-        """Average adaptive rounds per trial (0 when trials did not report it)."""
-        return statistics.fmean(outcome.rounds for outcome in self.outcomes)
-
-    @property
     def total_store_hits(self) -> int:
         """Persistent-store hits summed over all trials."""
         return sum(outcome.store_hits for outcome in self.outcomes)

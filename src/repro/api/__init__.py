@@ -2,8 +2,8 @@
 
 The one documented way in:
 
-* :class:`Session` — owns the sampling pool + store lifecycles once, shared by every
-  analysis; context-managed, close-idempotent.
+* :class:`Session` — the one home of the sampling pool, store, ledger and hub,
+  shared by every analysis; context-managed, close-idempotent.
 * :class:`Query` — fluent, immutable builder over both direct constraint-set
   quantification and end-to-end program analysis; compiles to the engine's
   :class:`~repro.core.qcoral.QCoralConfig`.

@@ -15,7 +15,8 @@ and re-run freely::
 Queries *compile* down to the engine's :class:`~repro.core.qcoral.QCoralConfig`
 (:meth:`Query.compile`), so the facade adds no second configuration system —
 and a fixed seed produces bit-identical results through the facade and through
-the legacy entry points.
+:class:`~repro.core.qcoral.QCoralAnalyzer` directly.  A query carries no
+resources: every run uses its session's pool, store, ledger and hub.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig, RoundReport
 from repro.errors import AnalysisError, ConfigurationError
 from repro.lang.ast import ConstraintSet
-from repro.obs import Observability
 from repro.obs.diagnostics import symexec_truncated_diagnostic
-from repro.obs.ledger import LEDGER_BACKENDS, RunLedger, ledger_backend_for, ledger_entry_for, open_ledger
+from repro.obs.ledger import RunLedger, ledger_entry_for
 from repro.symexec.ast import Program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session builds queries)
@@ -55,12 +55,17 @@ class _ConstraintTarget:
 
 @dataclass(frozen=True)
 class _ProgramTarget:
-    """A program + target event to analyse end to end (paper Figure 1)."""
+    """A program + target event to analyse end to end (paper Figure 1).
+
+    ``text`` is the source the program was parsed from, when it was given as
+    text; the session's plan memo keys on it.
+    """
 
     program: Program
     event: str
     max_depth: int
     max_paths: int
+    text: Optional[str] = None
 
 
 class RoundStream(Iterator[RoundReport]):
@@ -158,11 +163,6 @@ class Query:
     _profile: Optional[object]
     _base: QCoralConfig
     _settings: Tuple[Tuple[str, Any], ...] = ()
-    _tracing: bool = False
-    _trace_path: Optional[str] = None
-    _trace_sample_every: int = 1
-    _ledger_path: Optional[str] = None
-    _ledger_backend: Optional[str] = None
     _baseline: Optional[ConstraintSet] = None
 
     # ------------------------------------------------------------------ #
@@ -230,47 +230,6 @@ class Query:
             raise ConfigurationError("features() needs stratified= and/or partition_and_cache=")
         return self._with(**updates)
 
-    def with_store(self, path: Optional[str], backend: Optional[str] = None, readonly: bool = False) -> "Query":
-        """Persistent estimate store override for this query (backend inferred unless named)."""
-        return self._with(store_path=path, store_backend=backend, store_readonly=readonly)
-
-    def with_tracing(self, path: Optional[str] = None, *, sample_every: int = 1) -> "Query":
-        """Enable observability for this query with a private hub.
-
-        The run records the full metrics surface (exposed as
-        :attr:`Report.metrics <repro.api.report.Report.metrics>`) and, with a
-        ``path``, appends the tracing spans to it as JSONL when the run
-        finishes — even on error.  ``sample_every`` keeps every N-th span per
-        span name (deterministic counter-based sampling, so it never touches
-        an RNG stream; fixed-seed estimates stay bit-identical at any rate).
-
-        Overrides any session-level :class:`~repro.obs.Observability` hub for
-        this query only.
-        """
-        if sample_every < 1:
-            raise ConfigurationError(f"sample_every must be >= 1, not {sample_every}")
-        return replace(self, _tracing=True, _trace_path=path, _trace_sample_every=sample_every)
-
-    def with_ledger(self, path: Optional[str] = None, *, backend: Optional[str] = None) -> "Query":
-        """Append this query's run record to a run ledger when it finishes.
-
-        The ledger (see :mod:`repro.obs.ledger`) receives one provenance
-        entry per completed run — the full report payload (metrics snapshot
-        and diagnostics included) keyed by the constraint family's canonical
-        factor digests — which ``qcoral obs diff`` / ``history`` analyse
-        across runs.  The backend is inferred from the path like
-        :meth:`with_store` (``*.jsonl`` → JSONL, else SQLite) unless named
-        explicitly.  Overrides any session-level ledger for this query;
-        abandoned streams (``close()`` without reading a report) record
-        nothing.
-        """
-        if path is None and backend is None:
-            raise ConfigurationError("with_ledger() needs a path, a backend name, or both")
-        if backend is not None and backend not in LEDGER_BACKENDS:
-            raise ConfigurationError(f"unknown ledger backend {backend!r}; expected one of {LEDGER_BACKENDS}")
-        ledger_backend_for(path, backend)
-        return replace(self, _ledger_path=path, _ledger_backend=backend)
-
     def against_baseline(self, baseline: Union[str, ConstraintSet]) -> "Query":
         """Run this query *incrementally* against a previous version.
 
@@ -305,29 +264,13 @@ class Query:
         Diffs the baseline (set with :meth:`against_baseline`) against this
         query's constraint set and folds in the store's per-factor coverage;
         returns the :class:`~repro.incremental.plan.ReusePlan` the run would
-        execute.  A store named by this query (``with_store``) is opened
-        read-only for the lookup and closed again.
+        execute.  The session's store (if any) supplies the coverage.
         """
         config = self.compile()
         diff = self._baseline_diff(config)
-        session = self._session
-        session._check_open()
-        settings = dict(self._settings)
-        owned = None
-        if "store_path" in settings or "store_backend" in settings or config.wants_store:
-            from repro.store.backends import open_store
+        from repro.incremental.plan import plan_reuse
 
-            owned = open_store(config.store_path, config.store_backend, readonly=True)
-            store = owned
-        else:
-            store = session.store
-        try:
-            from repro.incremental.plan import plan_reuse
-
-            return plan_reuse(diff, store, config.samples_per_query)
-        finally:
-            if owned is not None:
-                owned.close()
+        return plan_reuse(diff, self._session.store, config.samples_per_query)
 
     def _baseline_diff(self, config: QCoralConfig):
         """The constraint-set diff of this query's baseline vs its target."""
@@ -396,23 +339,9 @@ class Query:
         config = self.compile()
         session = self._session
         session._check_open()
-        # The session's store is borrowed only when neither the fluent
-        # settings nor the base config ask for a specific backend; an explicit
-        # request always wins, and the analyzer then creates/owns/closes the
-        # requested store itself.
-        settings = dict(self._settings)
         pool = session.pool
-        store = None
-        if "store_path" not in settings and "store_backend" not in settings and not config.wants_store:
-            store = session.store
-        # A query-level with_tracing() hub wins over the session's borrowed
-        # hub; it is owned by this execution, so its trace buffer is flushed
-        # here (session hubs are flushed by whoever constructed them).
+        store = session.store
         observability = session.observability
-        owned_obs: Optional[Observability] = None
-        if self._tracing:
-            owned_obs = Observability(trace_path=self._trace_path, trace_sample_every=self._trace_sample_every)
-            observability = owned_obs
 
         if isinstance(self._target, _ConstraintTarget):
             if self._profile is None:
@@ -424,23 +353,17 @@ class Query:
             analyzer = QCoralAnalyzer(self._profile, config, pool=pool, store=store, observability=observability)
             analyzer._adopt_plans(planned)
             analyzer._adopt_pavings(session._pavings)
-            try:
-                # An incremental run plans its reuse before sampling: the
-                # diff and the store-coverage projection are RNG-free, so
-                # they cannot perturb the estimates (the bit-identity
-                # contract of an all-changed diff vs a cold run rests on
-                # exactly this).
-                reuse = None
-                if self._baseline is not None:
-                    from repro.incremental.plan import plan_reuse
+            # An incremental run plans its reuse before sampling: the diff and
+            # the store-coverage projection are RNG-free, so they cannot
+            # perturb the estimates (the bit-identity contract of an
+            # all-changed diff vs a cold run rests on exactly this).
+            reuse = None
+            if self._baseline is not None:
+                from repro.incremental.plan import plan_reuse
 
-                    diff = self._baseline_diff(config)
-                    reuse = (diff, plan_reuse(diff, analyzer.store, config.samples_per_query))
-                result = yield from analyzer.analyze_stream(planned.constraint_set)
-            finally:
-                analyzer.close()
-                if owned_obs is not None:
-                    owned_obs.flush_trace()
+                diff = self._baseline_diff(config)
+                reuse = (diff, plan_reuse(diff, store, config.samples_per_query))
+            result = yield from analyzer.analyze_stream(planned.constraint_set)
             report = Report.from_qcoral(result)
             if reuse is not None:
                 from repro.incremental.plan import attach_reuse_summary
@@ -457,55 +380,48 @@ class Query:
         # program once; a repeat query skips straight to sampling.
         target = self._target
         profile = self._profile if self._profile is not None else UsageProfile.uniform(target.program.input_bounds())
-        analyzer: Optional[QCoralAnalyzer] = None
+        declared = target.program.declared_events()
+        if target.event not in declared:
+            raise AnalysisError(
+                f"event {target.event!r} does not occur in the program; declared events: {list(declared)}"
+            )
+        # A declared event that no feasible path reaches has an empty
+        # constraint set, which quantifies to exactly 0 with σ 0.
+        planned = session._program_plan(target, config.partition_and_cache, observability)
+        analyzer = QCoralAnalyzer(profile, config, pool=pool, store=store, observability=observability)
+        analyzer._adopt_plans(planned.event, planned.bounded)
+        analyzer._adopt_pavings(session._pavings)
+        # Pump the event stream by hand (rather than `yield from`) so the
+        # consumer's stop signal is visible here: a cancelled stream must
+        # not fall through into a full-budget bounded-paths analysis.
+        rounds = analyzer.analyze_stream(planned.event.constraint_set)
+        stopped = False
+        sent: Optional[bool] = None
         try:
-            declared = target.program.declared_events()
-            if target.event not in declared:
-                raise AnalysisError(
-                    f"event {target.event!r} does not occur in the program; declared events: {list(declared)}"
-                )
-            # A declared event that no feasible path reaches has an empty
-            # constraint set, which quantifies to exactly 0 with σ 0.
-            planned = session._program_plan(target, config.partition_and_cache, observability)
-            analyzer = QCoralAnalyzer(profile, config, pool=pool, store=store, observability=observability)
-            analyzer._adopt_plans(planned.event, planned.bounded)
-            analyzer._adopt_pavings(session._pavings)
-            # Pump the event stream by hand (rather than `yield from`) so the
-            # consumer's stop signal is visible here: a cancelled stream must
-            # not fall through into a full-budget bounded-paths analysis.
-            rounds = analyzer.analyze_stream(planned.event.constraint_set)
-            stopped = False
-            sent: Optional[bool] = None
-            try:
-                while True:
-                    try:
-                        report = rounds.send(sent)
-                    except StopIteration as finished:
-                        result = finished.value
-                        break
-                    sent = yield report
-                    stopped = stopped or bool(sent)
-            finally:
-                # Closing an already-finished generator is a no-op; on
-                # abandonment this triggers the engine's GeneratorExit flush.
-                rounds.close()
-            bounded_set = planned.bounded.constraint_set
-            bounded: Optional[Estimate]
-            if not bounded_set.path_conditions:
-                # No path hit the execution bound: exactly zero mass.
-                bounded = Estimate.zero()
-            elif stopped:
-                # The caller cancelled the run: the bound-hitting mass was
-                # never quantified, and None says so (0.0 would claim an
-                # exact confidence measure that was not computed).
-                bounded = None
-            else:
-                bounded = analyzer.analyze(bounded_set).estimate
+            while True:
+                try:
+                    report = rounds.send(sent)
+                except StopIteration as finished:
+                    result = finished.value
+                    break
+                sent = yield report
+                stopped = stopped or bool(sent)
         finally:
-            if analyzer is not None:
-                analyzer.close()
-            if owned_obs is not None:
-                owned_obs.flush_trace()
+            # Closing an already-finished generator is a no-op; on
+            # abandonment this triggers the engine's GeneratorExit flush.
+            rounds.close()
+        bounded_set = planned.bounded.constraint_set
+        bounded: Optional[Estimate]
+        if not bounded_set.path_conditions:
+            # No path hit the execution bound: exactly zero mass.
+            bounded = Estimate.zero()
+        elif stopped:
+            # The caller cancelled the run: the bound-hitting mass was
+            # never quantified, and None says so (0.0 would claim an
+            # exact confidence measure that was not computed).
+            bounded = None
+        else:
+            bounded = analyzer.analyze(bounded_set).estimate
         report = Report.from_qcoral(result, kind="program", event=target.event, bounded=bounded)
         if planned.truncated:
             diagnostic = symexec_truncated_diagnostic(planned.paths, target.max_paths)
@@ -514,16 +430,7 @@ class Query:
         return report
 
     def _record_run(self, report: Report, profile: Optional[object]) -> None:
-        """Append one finished run's provenance record to the active ledger.
-
-        A query-level :meth:`with_ledger` target is opened for the append and
-        closed again (runs must not hold file handles between executions);
-        otherwise the session's borrowed ledger — if any — receives the entry.
-        """
-        if self._ledger_path is not None or self._ledger_backend is not None:
-            with open_ledger(self._ledger_path, self._ledger_backend) as ledger:
-                ledger.append(ledger_entry_for(report, profile))
-            return
-        session_ledger: Optional[RunLedger] = self._session.ledger
-        if session_ledger is not None:
-            session_ledger.append(ledger_entry_for(report, profile))
+        """Append one finished run's provenance record to the session's ledger, if any."""
+        ledger: Optional[RunLedger] = self._session.ledger
+        if ledger is not None:
+            ledger.append(ledger_entry_for(report, profile))

@@ -72,6 +72,7 @@ _PLAN_MEMO_SIZE = 128
 class _ProgramPlan:
     """One symbolic execution of a program, planned for one event."""
 
+    program: Program
     event: FactorPlan
     bounded: FactorPlan
     paths: int
@@ -138,26 +139,24 @@ class Session:
         observability: An :class:`~repro.obs.Observability` hub shared by
             every query of this session — *borrowed*, never flushed or reset
             here, so one hub can aggregate metrics across sessions.  None
-            runs with observability disabled (the zero-overhead path); a
-            query-level :meth:`~repro.api.query.Query.with_tracing` overrides
-            this per query.
+            runs with observability disabled (the zero-overhead path).
         ledger: Run ledger every finished query appends its provenance
             record to — a path (backend inferred, or named by
             ``ledger_backend``) opened lazily and owned by the session, or a
             :class:`~repro.obs.ledger.RunLedger` instance, which is borrowed.
-            None records nothing; a query-level
-            :meth:`~repro.api.query.Query.with_ledger` overrides this per
-            query.
+            None records nothing.
         ledger_backend: Ledger backend name (``memory``/``jsonl``/``sqlite``);
             with a None ``ledger`` path this opens the backend without a path
             (only meaningful for ``memory``).
 
     Plans: every query takes its plan from a memo of the last 128 targets
-    this session planned.  A program is keyed by ``repr(program)`` (exact,
-    unlike dataclass equality, which conflates ``0.0`` and ``-0.0``), the
-    event, ``max_depth``, ``max_paths`` and the PARTCACHE flag; its plan holds
-    the event's and the bound-hitting constraint sets, their factor layouts,
-    the truncation flag, and the store keys per store context (estimator
+    this session planned.  A program given as source text is keyed by the
+    exact text, the event, ``max_depth``, ``max_paths`` and the PARTCACHE
+    flag, so a repeated text is parsed once; a :class:`Program` object by its
+    ``repr`` (exact, unlike dataclass equality, which conflates ``0.0`` and
+    ``-0.0``) and the same four.  Its plan holds the parsed program, the
+    event's and the bound-hitting constraint sets, their factor layouts, the
+    truncation flag, and the store keys per store context (estimator
     version, method tag, profile fingerprint).  A constraint set given as
     text is keyed by the exact text and the PARTCACHE flag, so a repeated
     text is parsed once; a :class:`ConstraintSet` object by its ``repr`` and
@@ -339,20 +338,23 @@ class Session:
     ) -> _ProgramPlan:
         """The plan of ``target``, symbolically executing its program on a memo miss.
 
-        The memo key is exact: ``repr`` keeps ``0.0`` and ``-0.0`` apart,
-        where dataclass equality does not.
+        Source text is keyed exactly as sent and a program by its ``repr``,
+        which keeps ``0.0`` and ``-0.0`` apart, where dataclass equality does
+        not.
         """
 
         def plan() -> _ProgramPlan:
             symbolic = execute_program(target.program, max_depth=target.max_depth, max_paths=target.max_paths)
             return _ProgramPlan(
+                program=target.program,
                 event=FactorPlan(symbolic.constraint_set_for(target.event), partition_and_cache),
                 bounded=FactorPlan(symbolic.bounded_constraint_set(), partition_and_cache),
                 paths=symbolic.path_count,
                 truncated=symbolic.truncated,
             )
 
-        key = (repr(target.program), target.event, target.max_depth, target.max_paths, partition_and_cache)
+        source = ("program-text", target.text) if target.text is not None else ("program", repr(target.program))
+        key = source + (target.event, target.max_depth, target.max_paths, partition_and_cache)
         return self._plan(key, plan, observability)
 
     @staticmethod
@@ -372,6 +374,14 @@ class Session:
         """
         key = self._constraint_key(target, partition_and_cache)
         return self._plan(key, lambda: FactorPlan(target.constraint_set, partition_and_cache), observability)
+
+    def _parse_program(self, text: str, event: str, max_depth: int, max_paths: int) -> Program:
+        """``text`` parsed, taken from a memoised plan of the same query target when there is one."""
+        for partition_and_cache in (True, False):
+            planned = self._plans.peek(("program-text", text, event, max_depth, max_paths, partition_and_cache))
+            if planned is not None:
+                return planned.program
+        return parse_program(text)
 
     def _parse(self, text: str) -> ConstraintSet:
         """``text`` parsed, taken from a memoised plan of the same text when there is one."""
@@ -420,14 +430,20 @@ class Session:
     ) -> Query:
         """A query analysing ``program`` end to end for ``event`` (Figure 1).
 
-        With ``profile`` None the program's declared input bounds define a
-        uniform profile.
+        ``program`` is a :class:`Program` or source text (parsed here, so
+        syntax errors surface at build time).  With ``profile`` None the
+        program's declared input bounds define a uniform profile.
         """
         self._check_open()
-        parsed = parse_program(program) if isinstance(program, str) else program
+        if isinstance(program, str):
+            target = _ProgramTarget(
+                self._parse_program(program, event, max_depth, max_paths), event, max_depth, max_paths, program
+            )
+        else:
+            target = _ProgramTarget(program, event, max_depth, max_paths)
         return Query(
             _session=self,
-            _target=_ProgramTarget(parsed, event, max_depth, max_paths),
+            _target=target,
             _profile=_coerce_profile(profile),
             _base=config if config is not None else self._defaults,
         )

@@ -264,23 +264,6 @@ class ImportanceSampler(StratifiedSampler):
         """Samples written off by adaptive splits (still charged to the budget)."""
         return self._discarded_samples
 
-    def ess_parts(self) -> Tuple[Tuple[float, int], ...]:
-        """Per-stratum ``(mass, samples)`` parts of the self-normalised ESS.
-
-        The importance estimator weights each draw from stratum ``i`` by the
-        constant ``w_i = m_i · N / n_i``; these pairs are the inputs to the
-        cross-strata effective sample size
-        ``M² / Σ m_i²/n_i`` computed by
-        :meth:`~repro.core.stratified.StratifiedSampler.effective_sample_size`,
-        exposed separately so diagnostics can attribute degeneracy to
-        specific strata.  Sampled sampleable strata only, paving order.
-        """
-        return tuple(
-            (stratum.weight, stratum.draw_count)
-            for stratum in self._strata
-            if stratum.sampleable and stratum.draw_count > 0
-        )
-
     @property
     def total_samples(self) -> int:
         """Samples consumed so far, including those adaptive splits wrote off."""
@@ -449,4 +432,3 @@ def importance_sampling(
     )
     sampler.extend(samples, allocation=allocation)
     return sampler.result()
-

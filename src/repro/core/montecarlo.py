@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.estimate import Estimate, RunningEstimate
+from repro.core.estimate import Estimate
 from repro.core.profiles import UsageProfile
 from repro.errors import AnalysisError
 from repro.intervals.box import Box
@@ -40,10 +40,6 @@ class SamplingResult:
         hits = self.hits + other.hits
         samples = self.samples + other.samples
         return SamplingResult(Estimate.from_hits(hits, samples), hits, samples)
-
-    def to_running(self) -> RunningEstimate:
-        """The raw counts as a mergeable :class:`RunningEstimate` accumulator."""
-        return RunningEstimate.from_counts(self.hits, self.samples)
 
 
 def _extend_prior(hits: int, samples: int, prior: Optional[SamplingResult]) -> SamplingResult:

@@ -79,7 +79,7 @@ from repro.obs import Observability, ensure_observability
 from repro.obs.diagnostics import Diagnostic, FactorHealth, StratumHealth, diagnose_run
 from repro.obs.ledger import config_fingerprint
 from repro.obs.metrics import MetricsSnapshot
-from repro.store.backends import STORE_BACKENDS, EstimateStore, StoreStatistics, open_store
+from repro.store.backends import EstimateStore, StoreStatistics
 from repro.store.entry import StoreEntry
 from repro.store.keys import FactorKey, StoreContext
 
@@ -139,16 +139,6 @@ class QCoralConfig:
             planned as keyed chunks (:func:`repro.exec.scheduler.chunk_seed`),
             so for a fixed ``seed`` results are bit-identical at any worker
             count; the chunk size itself does change the answer.
-        store_path: Path of a persistent estimate store; stored per-factor
-            counts are reused across runs (outright when they cover the
-            budget, as warm-start priors otherwise) and this run's counts are
-            merged back on completion.  Requires ``partition_and_cache`` (the
-            store persists exactly what PARTCACHE caches); ignored without it.
-        store_backend: Store backend (one of
-            :data:`repro.store.backends.STORE_BACKENDS`); None infers it from
-            the path (``.jsonl`` → jsonl, otherwise sqlite; no path → memory).
-        store_readonly: Open the store read-only — stored estimates are still
-            reused, but nothing this run computes is written back.
     """
 
     samples_per_query: int = 30_000
@@ -164,9 +154,6 @@ class QCoralConfig:
     initial_fraction: float = 0.25
     allocation: str = "even"
     chunk_size: Optional[int] = None
-    store_path: Optional[str] = None
-    store_backend: Optional[str] = None
-    store_readonly: bool = False
 
     def __post_init__(self) -> None:
         if self.samples_per_query <= 0:
@@ -196,10 +183,6 @@ class QCoralConfig:
             object.__setattr__(self, "allocation", "neyman")
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive when set")
-        if self.store_backend is not None and self.store_backend not in STORE_BACKENDS:
-            raise ConfigurationError(f"unknown store backend {self.store_backend!r}; expected one of {STORE_BACKENDS}")
-        if self.store_readonly and not self.wants_store:
-            raise ConfigurationError("store_readonly requires a store path or backend")
         if self.max_rounds == 1 and (
             self.target_std is not None or self.allocation == "neyman" or importance
         ):
@@ -210,75 +193,6 @@ class QCoralConfig:
     def is_adaptive(self) -> bool:
         """True when the iterative multi-round loop is active."""
         return self.max_rounds > 1
-
-    @property
-    def wants_store(self) -> bool:
-        """True when the configuration names a persistent estimate store."""
-        return self.store_path is not None or self.store_backend is not None
-
-    def with_store(
-        self,
-        path: Optional[str],
-        backend: Optional[str] = None,
-        readonly: bool = False,
-    ) -> "QCoralConfig":
-        """Copy of this configuration backed by a persistent estimate store."""
-        return replace(self, store_path=path, store_backend=backend, store_readonly=readonly)
-
-    # ------------------------------------------------------------------ #
-    # Presets matching the configurations named in the paper's Table 4
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def plain(samples: int = 30_000, seed: Optional[int] = None) -> "QCoralConfig":
-        """qCORAL{}: per-path hit-or-miss, no stratification, no caching."""
-        return QCoralConfig(samples_per_query=samples, stratified=False, partition_and_cache=False, seed=seed)
-
-    @staticmethod
-    def strat(samples: int = 30_000, seed: Optional[int] = None) -> "QCoralConfig":
-        """qCORAL{STRAT}: stratified sampling per path condition."""
-        return QCoralConfig(samples_per_query=samples, stratified=True, partition_and_cache=False, seed=seed)
-
-    @staticmethod
-    def strat_partcache(samples: int = 30_000, seed: Optional[int] = None) -> "QCoralConfig":
-        """qCORAL{STRAT, PARTCACHE}: the full approach evaluated in the paper."""
-        return QCoralConfig(samples_per_query=samples, stratified=True, partition_and_cache=True, seed=seed)
-
-    @staticmethod
-    def adaptive(
-        samples: int = 30_000,
-        target_std: Optional[float] = None,
-        seed: Optional[int] = None,
-        max_rounds: int = DEFAULT_ADAPTIVE_ROUNDS,
-        initial_fraction: float = 0.25,
-    ) -> "QCoralConfig":
-        """qCORAL{STRAT, PARTCACHE, ADAPT}: variance-driven iterative sampling."""
-        return QCoralConfig(
-            samples_per_query=samples,
-            seed=seed,
-            target_std=target_std,
-            max_rounds=max_rounds,
-            initial_fraction=initial_fraction,
-            allocation="neyman",
-        )
-
-    @staticmethod
-    def importance(
-        samples: int = 30_000,
-        seed: Optional[int] = None,
-        target_std: Optional[float] = None,
-        mass_split_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
-        mass_split_adaptive: int = 0,
-    ) -> "QCoralConfig":
-        """qCORAL{STRAT, PARTCACHE, IMP}: distribution-aware importance sampling."""
-        return QCoralConfig(
-            samples_per_query=samples,
-            seed=seed,
-            target_std=target_std,
-            method="importance",
-            mass_split_boxes=mass_split_boxes,
-            mass_split_adaptive=mass_split_adaptive,
-            allocation="neyman",
-        )
 
     def feature_label(self) -> str:
         """Human-readable feature-set label, e.g. ``qCORAL{STRAT,PARTCACHE}``."""
@@ -292,14 +206,6 @@ class QCoralConfig:
         if self.method == "importance":
             features.append("IMP")
         return "qCORAL{" + ",".join(features) + "}"
-
-    def with_samples(self, samples: int) -> "QCoralConfig":
-        """Copy of this configuration with a different sampling budget."""
-        return replace(self, samples_per_query=samples)
-
-    def with_seed(self, seed: Optional[int]) -> "QCoralConfig":
-        """Copy of this configuration with a different random seed."""
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -414,33 +320,6 @@ class QCoralResult:
         target = self.config.target_std
         return target is not None and self.std <= target
 
-    def _distinct_factors(self) -> Tuple[FactorReport, ...]:
-        """Each distinct factor once (later occurrences are in-run shares)."""
-        seen = set()
-        distinct: List[FactorReport] = []
-        for path_report in self.path_reports:
-            for factor_report in path_report.factors:
-                key = factor_report.factor.canonical()
-                if key not in seen:
-                    seen.add(key)
-                    distinct.append(factor_report)
-        return tuple(distinct)
-
-    @property
-    def reused_factor_count(self) -> int:
-        """Distinct factors settled without drawing a sample this run.
-
-        Counts warm store freezes, outright exact reuses, and ICP-exact
-        resolutions alike — everything the incremental gate may claim as
-        "paid for by a previous run or by the solver, not by this budget".
-        """
-        return sum(1 for factor in self._distinct_factors() if factor.samples == 0)
-
-    @property
-    def fresh_factor_count(self) -> int:
-        """Distinct factors that drew at least one sample this run."""
-        return sum(1 for factor in self._distinct_factors() if factor.samples > 0)
-
     def __repr__(self) -> str:
         suffix = f", exec={self.executor}" if self.executor is not None else ""
         return (
@@ -549,6 +428,13 @@ class QCoralAnalyzer:
     box and the samples already held, so for a fixed seed the analysis is
     bit-identical at every worker count, and independent of the order the
     factors were created in.
+
+    ``pool``, ``store`` and ``observability`` are borrowed: their owner (a
+    :class:`~repro.api.session.Session`, or the caller) shuts them down, and
+    the analyzer holds nothing to close.  With a store and PARTCACHE, stored
+    per-factor counts are reused across runs (outright when they cover the
+    budget, as warm-start priors otherwise) and this run's counts are merged
+    back on completion; without PARTCACHE the store stays idle.
     """
 
     def __init__(
@@ -567,19 +453,8 @@ class QCoralAnalyzer:
         # and accumulates across analyses.  ``None`` resolves to the disabled
         # singleton, whose operations are no-ops (the zero-overhead path).
         self._obs = ensure_observability(observability)
-        # Borrowed too: the pool's owner (a Session) shuts it down.
         self._pool = pool
-        if store is not None:
-            # Shared store handles (e.g. one store across a session's
-            # analyzers) are never closed here.
-            self._store: Optional[EstimateStore] = store
-            self._owns_store = False
-        elif config.wants_store:
-            self._store = open_store(config.store_path, config.store_backend, readonly=config.store_readonly)
-            self._owns_store = True
-        else:
-            self._store = None
-            self._owns_store = False
+        self._store = store
         self._store_context: Optional[StoreContext] = None
         if self._store is not None and config.partition_and_cache:
             # The same tag the run ledger and the incremental differ key
@@ -597,7 +472,6 @@ class QCoralAnalyzer:
         # Decoded stored pavings; a Session shares its own through
         # _adopt_pavings so they outlive this analyzer.
         self._pavings = LRUMemo(PAVING_MEMO_SIZE)
-        self._closed = False
 
     @property
     def profile(self) -> UsageProfile:
@@ -620,44 +494,9 @@ class QCoralAnalyzer:
         return self._store
 
     @property
-    def cache(self) -> EstimateCache:
-        """The (possibly two-tier) factor estimate cache."""
-        return self._cache
-
-    @property
     def observability(self) -> Observability:
         """The observability hub (the shared disabled singleton when off)."""
         return self._obs
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Clear the factor cache and re-seed the sampling chunks."""
-        self._cache.clear()
-        self._entropy = np.random.SeedSequence(self._config.seed if seed is None else seed).entropy
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run."""
-        return self._closed
-
-    def close(self) -> None:
-        """Release the store this analyzer opened.
-
-        Idempotent: the second and later calls are no-ops, so nested
-        context-manager entry (or an explicit ``close`` followed by ``with``)
-        never double-closes a resource.  The borrowed pool and store handles
-        stay open for their owner in every case.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_store and self._store is not None:
-            self._store.close()
-
-    def __enter__(self) -> "QCoralAnalyzer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Algorithm 1: main loop over the disjoint path conditions
@@ -831,19 +670,6 @@ class QCoralAnalyzer:
             metrics=self._obs.snapshot() if self._obs.enabled else None,
             estimate=final,
         )
-
-    def analyze_path_condition(self, pc: ast.PathCondition) -> PathConditionReport:
-        """Quantify a single path condition in isolation."""
-        planned = FactorPlan(ast.ConstraintSet.of([pc]), self._config.partition_and_cache)
-        states, claimed = self._build_plan(planned)
-        try:
-            self._run_rounds(planned.incidence(), states)
-            estimates = _estimates_of(states)
-            (report,), _ = _path_reports(planned, states, estimates)
-            self._flush(states, estimates)
-        finally:
-            self._cache.release(claimed)
-        return report
 
     def _flush(self, states: Sequence["_FactorState"], estimates: Sequence[Estimate]) -> None:
         """Cache the factors this run estimated and publish its draws to the store."""
@@ -1121,10 +947,6 @@ class QCoralAnalyzer:
     # ------------------------------------------------------------------ #
     # The iterative sampling loop
     # ------------------------------------------------------------------ #
-    def _run_rounds(self, incidence: Incidence, states: Sequence[_FactorState]) -> Tuple[RoundReport, ...]:
-        """Drain :meth:`_round_loop` to completion (the blocking path)."""
-        return _drain(self._round_loop(incidence, states))
-
     def _round_loop(self, incidence: Incidence, states: Sequence[_FactorState]):
         """Generator over the adaptive sampling rounds, yielding each report.
 

@@ -70,10 +70,6 @@ class Box:
         """Iterate over ``(name, interval)`` pairs."""
         return iter(self._intervals.items())
 
-    def as_dict(self) -> Dict[str, Interval]:
-        """Copy of the underlying mapping."""
-        return dict(self._intervals)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):
             return NotImplemented

@@ -26,15 +26,6 @@ class ConstraintSetStatistics:
     distinct_operation_count: int
     variable_count: int
 
-    def as_row(self) -> Tuple[int, int, int, int]:
-        """The four size columns of Table 3."""
-        return (
-            self.path_count,
-            self.conjunct_count,
-            self.arithmetic_operation_count,
-            self.distinct_operation_count,
-        )
-
 
 def constraint_set_statistics(constraint_set: ast.ConstraintSet) -> ConstraintSetStatistics:
     """Compute path/conjunct/operation counts for a constraint set."""

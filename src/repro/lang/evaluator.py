@@ -140,8 +140,3 @@ def holds_path_condition(pc: ast.PathCondition, assignment: Assignment) -> bool:
 def holds_any(constraint_set: ast.ConstraintSet, assignment: Assignment) -> bool:
     """Indicator function of the paper's Equation (1): any PC satisfied."""
     return any(holds_path_condition(pc, assignment) for pc in constraint_set.path_conditions)
-
-
-def supported_function_names() -> Sequence[str]:
-    """Names of all functions the concrete evaluator understands."""
-    return sorted(set(_UNARY_FUNCTIONS) | set(_BINARY_FUNCTIONS))

@@ -17,11 +17,11 @@ Construction::
     obs = Observability(trace_path="run.jsonl", trace_sample_every=10)
     with Session(observability=obs) as session:
         report = session.quantify("x*x + y*y <= 1").run()
+    obs.flush_trace()
     print(obs.prometheus())
 
-Or per query, without touching the session::
-
-    report = session.quantify(...).with_tracing("run.jsonl").run()
+The hub is borrowed: the session never flushes or resets it, so one hub can
+aggregate the metrics of many sessions and writes its trace when flushed.
 """
 
 from __future__ import annotations

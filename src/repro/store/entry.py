@@ -28,7 +28,7 @@ versions may carry a ``spawned`` count; it is ignored on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.estimate import Estimate, RunningEstimate

@@ -18,7 +18,7 @@ paper exactly; the remaining instances are documented in EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.profiles import UsageProfile
@@ -333,8 +333,7 @@ def estimate_volume(
     bounding-box volume; the reported standard deviation is rescaled the same
     way so it is directly comparable to the paper's Table 2 columns.
     """
-    analysis_config = config if config is not None else QCoralConfig.strat_partcache(samples, seed=seed)
-    analysis_config = analysis_config.with_samples(samples).with_seed(seed)
+    analysis_config = replace(config if config is not None else QCoralConfig(), samples_per_query=samples, seed=seed)
     analyzer = QCoralAnalyzer(solid.profile(), analysis_config)
     result = analyzer.analyze(solid.constraint_set())
     scale = solid.bounding_volume()

@@ -33,9 +33,8 @@ from repro.lang.parser import parse_constraint_set, parse_path_condition
 
 
 def run_engine(constraint_set, profile, config):
-    """One engine run of ``constraint_set``; closes any pool the config opened."""
-    with QCoralAnalyzer(profile, config) as analyzer:
-        return analyzer.analyze(constraint_set)
+    """One engine run of ``constraint_set``."""
+    return QCoralAnalyzer(profile, config).analyze(constraint_set)
 
 
 @pytest.fixture
@@ -266,7 +265,7 @@ class TestAdaptiveConfig:
         assert config.is_adaptive
 
     def test_adaptive_preset_label(self):
-        assert QCoralConfig.adaptive().feature_label() == "qCORAL{STRAT,PARTCACHE,ADAPT}"
+        assert QCoralConfig(allocation="neyman").feature_label() == "qCORAL{STRAT,PARTCACHE,ADAPT}"
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -313,21 +312,21 @@ class TestAdaptiveLoop:
 
     def test_adaptive_reproduces_fixed_budget_mean(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
-        fixed = run_engine(cs, square_profile, QCoralConfig.strat_partcache(20_000, seed=24))
-        adaptive = run_engine(cs, square_profile, QCoralConfig.adaptive(20_000, seed=24))
+        fixed = run_engine(cs, square_profile, QCoralConfig(samples_per_query=20_000, seed=24))
+        adaptive = run_engine(cs, square_profile, QCoralConfig(samples_per_query=20_000, seed=24, allocation="neyman"))
         assert adaptive.total_samples == fixed.total_samples
         assert adaptive.mean == pytest.approx(fixed.mean, abs=0.02)
         assert adaptive.mean == pytest.approx(np.pi / 4, abs=0.02)
 
     def test_single_round_has_one_report(self, square_profile):
         cs = parse_constraint_set("x * x + y * y <= 1")
-        result = run_engine(cs, square_profile, QCoralConfig.strat_partcache(2000, seed=25))
+        result = run_engine(cs, square_profile, QCoralConfig(samples_per_query=2000, seed=25))
         assert result.rounds == 1
         assert result.round_reports[0].total_samples == result.total_samples
 
     def test_exact_queries_have_no_rounds(self, square_profile):
         cs = parse_constraint_set("x <= 2")
-        result = run_engine(cs, square_profile, QCoralConfig.adaptive(1000, seed=26))
+        result = run_engine(cs, square_profile, QCoralConfig(samples_per_query=1000, seed=26, allocation="neyman"))
         assert result.rounds == 0
         assert result.total_samples == 0
         assert result.mean == pytest.approx(1.0, abs=1e-9)
@@ -351,5 +350,5 @@ class TestAdaptiveLoop:
         """Non-exact single-factor queries spend exactly their budget."""
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         cs = parse_constraint_set("x * x + y * y <= 1")
-        result = run_engine(cs, profile, QCoralConfig.adaptive(budget, seed=seed))
+        result = run_engine(cs, profile, QCoralConfig(samples_per_query=budget, seed=seed, allocation="neyman"))
         assert result.total_samples == budget

@@ -1,6 +1,7 @@
 """Tests of the Session/Query/Report facade and its method and backend names."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -50,6 +51,13 @@ class TestQueryBuilder:
             with pytest.raises(ConfigurationError):
                 session.quantify(TRIANGLE, BOUNDS).configure(no_such_knob=1)
 
+    @pytest.mark.parametrize("field", ["store_path", "store_backend", "store_readonly"])
+    def test_configure_rejects_resource_fields(self, field):
+        # Stores belong to the session; a query cannot name its own.
+        with Session() as session:
+            with pytest.raises(ConfigurationError, match="unknown configuration fields"):
+                session.quantify(TRIANGLE, BOUNDS).configure(**{field: None})
+
     def test_until_needs_an_argument(self):
         with Session() as session:
             with pytest.raises(ConfigurationError):
@@ -80,7 +88,7 @@ class TestQueryBuilder:
 
 class TestRunAndStream:
     def test_run_matches_engine_bit_for_bit(self):
-        config = QCoralConfig.strat_partcache(4000, seed=11)
+        config = QCoralConfig(samples_per_query=4000, seed=11)
         engine = QCoralAnalyzer(triangle_profile(), config).analyze(parse_constraint_set(TRIANGLE))
         with Session() as session:
             report = session.quantify(TRIANGLE, BOUNDS, config=config).run()
@@ -141,7 +149,7 @@ class TestRunAndStream:
     def test_program_query_matches_hand_built_engine_run(self):
         # Figure 1 by hand: symbolic execution, then the engine on the
         # event's constraint set under the program's uniform profile.
-        config = QCoralConfig.strat_partcache(3000, seed=5)
+        config = QCoralConfig(samples_per_query=3000, seed=5)
         program = parse_program(programs.SAFETY_MONITOR)
         symbolic = execute_program(program)
         profile = UsageProfile.uniform(program.input_bounds())
@@ -179,16 +187,17 @@ class TestRunAndStream:
 
     def test_program_query_unknown_event(self):
         with Session() as session:
-            query = session.analyze(programs.SAFETY_MONITOR, "noSuchEvent", config=QCoralConfig.plain(100))
+            plain = QCoralConfig(samples_per_query=100, stratified=False, partition_and_cache=False)
+            query = session.analyze(programs.SAFETY_MONITOR, "noSuchEvent", config=plain)
             with pytest.raises(AnalysisError):
                 query.run()
 
     def test_repeat_matches_hand_rolled_trials(self):
-        config = QCoralConfig.strat_partcache(1500)
+        config = QCoralConfig(samples_per_query=1500)
         constraint_set = parse_constraint_set(TRIANGLE)
 
         def trial(seed):
-            result = QCoralAnalyzer(triangle_profile(), config.with_seed(seed)).analyze(constraint_set)
+            result = QCoralAnalyzer(triangle_profile(), replace(config, seed=seed)).analyze(constraint_set)
             return result.mean, result.std
 
         hand_rolled = repeat_analysis(trial, runs=3, base_seed=9)
@@ -232,14 +241,6 @@ class TestLifecycles:
             first.submit(int)  # shut down with the session
         with pytest.raises(ConfigurationError):
             session.quantify(TRIANGLE, BOUNDS)
-
-    def test_explicit_config_store_beats_the_session_store(self, tmp_path):
-        session_store = MemoryStore()
-        config = QCoralConfig(samples_per_query=1000, seed=1).with_store(str(tmp_path / "own.jsonl"))
-        with Session(store=session_store) as session:
-            report = session.quantify(TRIANGLE, BOUNDS, config=config).run()
-        assert report.store == "jsonl:own.jsonl"
-        assert len(session_store) == 0  # nothing leaked into the session store
 
     def test_failed_stream_report_names_the_real_cause(self):
         with Session() as session:
@@ -338,24 +339,16 @@ class TestLifecycles:
             with pytest.raises(ConfigurationError):
                 session.quantify(TRIANGLE, {"x": (0, "wide")})
 
-    def test_analyzer_close_is_idempotent(self):
-        analyzer = QCoralAnalyzer(triangle_profile(), QCoralConfig())
-        assert not analyzer.closed
-        analyzer.close()
-        analyzer.close()
-        assert analyzer.closed
-
-    def test_analyzer_nested_context_entry_never_double_closes(self):
+    def test_analyzer_borrows_pool_and_store(self):
         store = CountingStore()
+        config = QCoralConfig(samples_per_query=1000, seed=1)
         with ThreadPoolExecutor(2) as pool:
-            analyzer = QCoralAnalyzer(triangle_profile(), QCoralConfig(), pool=pool, store=store)
-            with analyzer:
-                with analyzer:
-                    pass
-                # Inner exit already closed; outer exit must be a no-op.
-                assert analyzer.closed
+            analyzer = QCoralAnalyzer(triangle_profile(), config, pool=pool, store=store)
+            result = analyzer.analyze(parse_constraint_set(TRIANGLE))
             assert pool.submit(int, "7").result() == 7  # borrowed, still open
+        assert result.store == "memory"
         assert store.closes == 0  # borrowed
+        assert len(store) > 0  # the run published through it
 
 
 class TestRegistries:
@@ -390,7 +383,6 @@ def _raised_message(make):
     "surface,message",
     [
         ("config-method", METHOD_MESSAGE),
-        ("config-backend", BACKEND_MESSAGE),
         ("session-method", METHOD_MESSAGE),
         ("session-backend", BACKEND_MESSAGE),
         ("open-store", BACKEND_MESSAGE),
@@ -404,7 +396,6 @@ def test_unknown_name_message_text(surface, message):
 
     raisers = {
         "config-method": lambda: QCoralConfig(method="nope"),
-        "config-backend": lambda: QCoralConfig(store_backend="nope"),
         "session-method": session_method,
         "session-backend": lambda: Session(store_backend="nope"),
         "open-store": lambda: open_store(None, "nope"),
@@ -457,7 +448,7 @@ class TestCliFacade:
 
         payload = json.loads(captured.out)
         with Session() as session:
-            report = session.quantify(TRIANGLE, BOUNDS, config=QCoralConfig.strat_partcache(2000, seed=1)).run()
+            report = session.quantify(TRIANGLE, BOUNDS, config=QCoralConfig(samples_per_query=2000, seed=1)).run()
         expected = report.to_dict()
         payload["time"] = expected["time"] = 0.0
         assert payload == expected

@@ -227,7 +227,7 @@ class TestDiscretePaving:
     def test_discrete_estimate_is_unbiased(self):
         subject = discrete_subject_by_name("SensorGrid")
         exact = subject.exact_probability()
-        config = QCoralConfig.strat_partcache(40_000, seed=3)
+        config = QCoralConfig(samples_per_query=40_000, seed=3)
         result = QCoralAnalyzer(subject.profile, config).analyze(subject.constraint_set())
         assert result.mean == pytest.approx(exact, abs=5 * max(result.std, 1e-4))
 

@@ -3,7 +3,6 @@
 import os
 import tempfile
 
-import numpy as np
 import pytest
 
 from repro.api import Session
@@ -21,6 +20,7 @@ from repro.core.stratified import stratified_sampling
 from repro.errors import ConfigurationError
 from repro.icp.config import ICPConfig
 from repro.lang.parser import parse_path_condition
+from repro.store import open_store
 from repro.subjects.discrete import all_discrete_subjects, discrete_subject_by_name
 
 
@@ -155,7 +155,7 @@ class TestImportanceConfig:
         assert config.allocation == "mass"
 
     def test_preset_and_label(self):
-        config = QCoralConfig.importance(5_000, seed=1, mass_split_boxes=32)
+        config = QCoralConfig(samples_per_query=5_000, seed=1, mass_split_boxes=32, method="importance")
         assert config.method == "importance"
         assert config.mass_split_boxes == 32
         assert config.feature_label() == "qCORAL{STRAT,PARTCACHE,ADAPT,IMP}"
@@ -167,10 +167,10 @@ class TestImportanceAnalyzer:
         for name in ("LoadSpike", "BurstySensor"):
             subject = discrete_subject_by_name(name)
             base = QCoralAnalyzer(
-                subject.profile, QCoralConfig.strat_partcache(15_000, seed=11)
+                subject.profile, QCoralConfig(samples_per_query=15_000, seed=11)
             ).analyze(subject.constraint_set())
             imp = QCoralAnalyzer(
-                subject.profile, QCoralConfig.importance(15_000, seed=11)
+                subject.profile, QCoralConfig(samples_per_query=15_000, seed=11, method="importance")
             ).analyze(subject.constraint_set())
             assert imp.total_samples == base.total_samples
             if imp.std < base.std:
@@ -182,15 +182,14 @@ class TestImportanceAnalyzer:
         for subject in all_discrete_subjects():
             if subject.group != "discrete":
                 continue
-            result = QCoralAnalyzer(
-                subject.profile, QCoralConfig.importance(5_000, seed=2, mass_split_boxes=256)
-            ).analyze(subject.constraint_set())
+            config = QCoralConfig(samples_per_query=5_000, seed=2, mass_split_boxes=256, method="importance")
+            result = QCoralAnalyzer(subject.profile, config).analyze(subject.constraint_set())
             assert result.mean == pytest.approx(subject.exact_probability(), abs=1e-9)
 
     def test_bit_identical_across_executors(self):
         subject = discrete_subject_by_name("BurstySensor")
         outcomes = set()
-        config = QCoralConfig.importance(8_000, seed=5, mass_split_adaptive=2)
+        config = QCoralConfig(samples_per_query=8_000, seed=5, mass_split_adaptive=2, method="importance")
         for workers in (1, 2, 3):
             with Session(workers=workers) as session:
                 result = session.quantify(subject.constraint_set(), subject.profile, config=config).run()
@@ -199,7 +198,7 @@ class TestImportanceAnalyzer:
 
     def test_serial_path_matches_itself_across_runs(self):
         subject = discrete_subject_by_name("LoadSpike")
-        config = QCoralConfig.importance(6_000, seed=9)
+        config = QCoralConfig(samples_per_query=6_000, seed=9, method="importance")
         first = QCoralAnalyzer(subject.profile, config).analyze(subject.constraint_set())
         second = QCoralAnalyzer(subject.profile, config).analyze(subject.constraint_set())
         assert first.mean == second.mean and first.variance == second.variance
@@ -212,16 +211,17 @@ class TestImportanceStore:
         os.remove(path)
         return path
 
+    def _run(self, subject, config, path):
+        """One analysis on a fresh handle of the store at ``path``."""
+        with open_store(path) as store:
+            return QCoralAnalyzer(subject.profile, config, store=store).analyze(subject.constraint_set())
+
     def test_method_tags_never_pool_across_methods(self):
         subject = discrete_subject_by_name("BurstySensor")
         path = self._store_path()
         try:
-            imp_config = QCoralConfig.importance(5_000, seed=5).with_store(path)
-            with QCoralAnalyzer(subject.profile, imp_config) as analyzer:
-                analyzer.analyze(subject.constraint_set())
-            hom_config = QCoralConfig.strat_partcache(5_000, seed=5).with_store(path)
-            with QCoralAnalyzer(subject.profile, hom_config) as analyzer:
-                result = analyzer.analyze(subject.constraint_set())
+            self._run(subject, QCoralConfig(samples_per_query=5_000, seed=5, method="importance"), path)
+            result = self._run(subject, QCoralConfig(samples_per_query=5_000, seed=5), path)
             # The hit-or-miss run sees a store with only importance entries:
             # every lookup must miss and its own counts publish separately.
             assert result.cache_statistics.store_hits == 0
@@ -233,11 +233,9 @@ class TestImportanceStore:
         subject = discrete_subject_by_name("BurstySensor")
         path = self._store_path()
         try:
-            config = QCoralConfig.importance(5_000, seed=5).with_store(path)
-            with QCoralAnalyzer(subject.profile, config) as analyzer:
-                cold = analyzer.analyze(subject.constraint_set())
-            with QCoralAnalyzer(subject.profile, config) as analyzer:
-                warm = analyzer.analyze(subject.constraint_set())
+            config = QCoralConfig(samples_per_query=5_000, seed=5, method="importance")
+            cold = self._run(subject, config, path)
+            warm = self._run(subject, config, path)
             assert warm.total_samples == 0
             assert warm.cache_statistics.store_hits > 0
             assert warm.mean == cold.mean
@@ -261,12 +259,9 @@ class TestImportanceStore:
         subject = discrete_subject_by_name("BurstySensor")
         path = self._store_path()
         try:
-            cold_config = QCoralConfig.importance(4_000, seed=5).with_store(path)
-            with QCoralAnalyzer(subject.profile, cold_config) as analyzer:
-                analyzer.analyze(subject.constraint_set())
-            warm_config = QCoralConfig.importance(8_000, seed=6, mass_split_adaptive=4).with_store(path)
-            with QCoralAnalyzer(subject.profile, warm_config) as analyzer:
-                warm = analyzer.analyze(subject.constraint_set())
+            self._run(subject, QCoralConfig(samples_per_query=4_000, seed=5, method="importance"), path)
+            warm_config = QCoralConfig(samples_per_query=8_000, seed=6, mass_split_adaptive=4, method="importance")
+            warm = self._run(subject, warm_config, path)
             stats = warm.cache_statistics
             if stats.warm_starts > 0 and warm.total_samples > 0:
                 # Either the paving survived (publish merges) or it drifted

@@ -19,9 +19,8 @@ from symexec_reference import DomainOnlyExecutor
 
 
 def run_engine(constraint_set, profile, config):
-    """One engine run of ``constraint_set``; closes any pool the config opened."""
-    with QCoralAnalyzer(profile, config) as analyzer:
-        return analyzer.analyze(constraint_set)
+    """One engine run of ``constraint_set``."""
+    return QCoralAnalyzer(profile, config).analyze(constraint_set)
 
 
 class TestCrossValidationAgainstGroundTruth:
@@ -49,7 +48,7 @@ class TestCrossValidationAgainstGroundTruth:
     def test_qcoral_matches_exact_values(self, text, exact):
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         cs = parse_constraint_set(text)
-        result = run_engine(cs, profile, QCoralConfig.strat_partcache(20_000, seed=3))
+        result = run_engine(cs, profile, QCoralConfig(samples_per_query=20_000, seed=3))
         assert result.mean == pytest.approx(exact, abs=0.02)
 
     def test_all_techniques_agree_on_nonlinear_subject(self):
@@ -57,7 +56,7 @@ class TestCrossValidationAgainstGroundTruth:
         domain = profile.domain()
         cs = parse_constraint_set("sin(3 * x) * y <= 0.2 && x * x + y * y <= 0.9")
 
-        qcoral = run_engine(cs, profile, QCoralConfig.strat_partcache(20_000, seed=5))
+        qcoral = run_engine(cs, profile, QCoralConfig(samples_per_query=20_000, seed=5))
         mc = plain_monte_carlo(cs, profile, 20_000, seed=5)
         numint = integrate_indicator(cs, domain, NumIntConfig(accuracy_goal=5e-3))
         bounds = bound_probability(cs, profile, VolCompConfig(max_boxes=3000))
@@ -70,7 +69,7 @@ class TestCrossValidationAgainstGroundTruth:
         """Table 3 consistency property: estimates fall within the bounding intervals."""
         profile = UsageProfile.uniform({"x": (0, 10), "y": (0, 10)})
         cs = parse_constraint_set("x + y <= 12 && x - y <= 4 || x + y > 18")
-        result = run_engine(cs, profile, QCoralConfig.strat_partcache(10_000, seed=6))
+        result = run_engine(cs, profile, QCoralConfig(samples_per_query=10_000, seed=6))
         bounds = bound_probability(cs, profile, VolCompConfig(max_boxes=4000))
         assert bounds.lower - 0.02 <= result.mean <= bounds.upper + 0.02
 
@@ -80,7 +79,7 @@ class TestCrossValidationAgainstGroundTruth:
         cs = symbolic.constraint_set_for(programs.SAFETY_MONITOR_EVENT)
         profile = UsageProfile.uniform(program.input_bounds())
         brute = self._brute_force(cs, profile, samples=50_000, seed=4)
-        result = run_engine(cs, profile, QCoralConfig.strat_partcache(20_000, seed=4))
+        result = run_engine(cs, profile, QCoralConfig(samples_per_query=20_000, seed=4))
         assert result.mean == pytest.approx(brute, abs=0.02)
         assert result.mean == pytest.approx(programs.SAFETY_MONITOR_EXACT, abs=0.02)
 
@@ -112,15 +111,15 @@ class TestNonUniformProfiles:
         cs = parse_constraint_set("x >= 0.5")
         uniform = UsageProfile.uniform({"x": (0, 1)})
         skewed = UsageProfile({"x": TruncatedNormalDistribution(0.8, 0.15, 0.0, 1.0)})
-        uniform_result = run_engine(cs, uniform, QCoralConfig.strat_partcache(20_000, seed=8))
-        skewed_result = run_engine(cs, skewed, QCoralConfig.strat_partcache(20_000, seed=8))
+        uniform_result = run_engine(cs, uniform, QCoralConfig(samples_per_query=20_000, seed=8))
+        skewed_result = run_engine(cs, skewed, QCoralConfig(samples_per_query=20_000, seed=8))
         assert uniform_result.mean == pytest.approx(0.5, abs=0.02)
         assert skewed_result.mean > uniform_result.mean + 0.2
 
     def test_mixed_profile_composition(self):
         profile = UsageProfile({"x": UniformDistribution(0, 1), "y": TruncatedNormalDistribution(0.5, 0.2, 0.0, 1.0)})
         cs = parse_constraint_set("x <= 0.5 && y <= 0.5")
-        result = run_engine(cs, profile, QCoralConfig.strat_partcache(30_000, seed=9))
+        result = run_engine(cs, profile, QCoralConfig(samples_per_query=30_000, seed=9))
         # Independence: P = 0.5 * P(y <= 0.5) = 0.5 * 0.5 (the normal is symmetric).
         assert result.mean == pytest.approx(0.25, abs=0.03)
 
@@ -131,16 +130,17 @@ class TestFeatureAblationTrends:
     def test_stratification_reduces_variance_on_box_friendly_subject(self):
         profile = UsageProfile.uniform({"x": (-5, 5), "y": (-5, 5)})
         cs = parse_constraint_set("x * x + y * y <= 1")
-        plain = run_engine(cs, profile, QCoralConfig.plain(5000, seed=10))
-        strat = run_engine(cs, profile, QCoralConfig.strat(5000, seed=10))
+        plain_config = QCoralConfig(samples_per_query=5000, stratified=False, partition_and_cache=False, seed=10)
+        plain = run_engine(cs, profile, plain_config)
+        strat = run_engine(cs, profile, QCoralConfig(samples_per_query=5000, partition_and_cache=False, seed=10))
         assert strat.variance < plain.variance
 
     def test_partcache_reduces_sampling_work_on_shared_factors(self):
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
         text = " || ".join(f"sin(x * y) > 0.25 && z > {threshold}" for threshold in (-0.5, 0.0, 0.5))
         cs = parse_constraint_set(text)
-        no_cache = run_engine(cs, profile, QCoralConfig.strat(3000, seed=11))
-        cached = run_engine(cs, profile, QCoralConfig.strat_partcache(3000, seed=11))
+        no_cache = run_engine(cs, profile, QCoralConfig(samples_per_query=3000, partition_and_cache=False, seed=11))
+        cached = run_engine(cs, profile, QCoralConfig(samples_per_query=3000, seed=11))
         assert cached.total_samples < no_cache.total_samples
         assert cached.mean == pytest.approx(no_cache.mean, abs=0.05)
 
@@ -148,10 +148,10 @@ class TestFeatureAblationTrends:
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         cs = parse_constraint_set("sin(x * y * 4) > 0.25")
         errors = []
-        reference = run_engine(cs, profile, QCoralConfig.strat_partcache(100_000, seed=12)).mean
+        reference = run_engine(cs, profile, QCoralConfig(samples_per_query=100_000, seed=12)).mean
         for samples in (500, 50_000):
             estimates = [
-                run_engine(cs, profile, QCoralConfig.strat_partcache(samples, seed=seed)).mean
+                run_engine(cs, profile, QCoralConfig(samples_per_query=samples, seed=seed)).mean
                 for seed in range(5)
             ]
             errors.append(float(np.std(estimates)))

@@ -57,16 +57,19 @@ _DETERMINISTIC_RE = re.compile(
 
 
 def _run(workers=1, observability=None, trace_path=None, sample_every=1, store_backend=None):
-    config = QCoralConfig.strat_partcache(SAMPLES, seed=SEED)
+    """One fixed-seed run; with ``trace_path`` on a session hub that writes its trace there."""
+    config = QCoralConfig(samples_per_query=SAMPLES, seed=SEED)
+    if trace_path is not None:
+        observability = Observability(trace_path=str(trace_path), trace_sample_every=sample_every)
     with Session(
         workers=workers,
         observability=observability,
         store_backend=store_backend,
     ) as session:
-        query = session.quantify(CONSTRAINTS, BOUNDS, config=config)
-        if trace_path is not None:
-            query = query.with_tracing(str(trace_path), sample_every=sample_every)
-        return query.run()
+        report = session.quantify(CONSTRAINTS, BOUNDS, config=config).run()
+    if trace_path is not None:
+        observability.flush_trace()
+    return report
 
 
 def _deterministic_counters(snapshot: MetricsSnapshot):
@@ -394,7 +397,7 @@ def test_time_capped_paving_is_reported():
     from repro.icp.config import ICPConfig
 
     capped = dataclasses.replace(
-        QCoralConfig.strat_partcache(SAMPLES, seed=SEED), icp=ICPConfig(max_boxes=1000, time_budget=1e-9)
+        QCoralConfig(samples_per_query=SAMPLES, seed=SEED), icp=ICPConfig(max_boxes=1000, time_budget=1e-9)
     )
     hub = Observability()
     with Session(observability=hub) as session:
@@ -533,19 +536,13 @@ def test_ledger_run_id_of_a_report_that_is_not_plain_json(tmp_path):
             ledger.append(entry)
 
 
-def test_session_and_query_level_ledgers(tmp_path):
+def test_session_level_ledgers(tmp_path):
     path = str(tmp_path / "runs.jsonl")
-    config = QCoralConfig.strat_partcache(SAMPLES, seed=SEED)
+    config = QCoralConfig(samples_per_query=SAMPLES, seed=SEED)
     with Session(ledger=path) as session:
         session.quantify(CONSTRAINTS, BOUNDS, config=config).run()
-    override = str(tmp_path / "override.jsonl")
-    with Session(ledger=path) as session:
-        session.quantify(CONSTRAINTS, BOUNDS, config=config).with_ledger(override).run()
     with open_ledger(path) as ledger:
         assert len(ledger.entries()) == 1
-    with open_ledger(override) as ledger:
-        entries = ledger.entries()
-        assert len(entries) == 1
     # Different constraints land in a different family.
     with Session(ledger=path) as session:
         session.quantify("x <= 0.5", {"x": (-1.0, 1.0)}, config=config).run()
@@ -558,13 +555,9 @@ def test_ledger_backend_needs_a_path_before_any_run(tmp_path):
         open_ledger(None, "sqlite")
     with pytest.raises(ConfigurationError, match="^unknown ledger backend 'nope'"):
         open_ledger(str(tmp_path / "runs.db"), "nope")
-    # Session and Query reject the pair at construction, before any sampling.
+    # A Session rejects the pair at construction, before any sampling.
     with pytest.raises(ConfigurationError, match="^ledger backend 'sqlite' requires a path$"):
         Session(ledger_backend="sqlite")
-    with Session() as session:
-        query = session.quantify(CONSTRAINTS, BOUNDS)
-        with pytest.raises(ConfigurationError, match="^ledger backend 'jsonl' requires a path$"):
-            query.with_ledger(backend="jsonl")
 
 
 def test_memory_ledger_refuses_a_file_path(tmp_path):

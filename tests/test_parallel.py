@@ -30,8 +30,8 @@ def run_engine(constraint_set, profile, config, workers=1):
     """One engine run of ``constraint_set``, on a pool of ``workers`` threads above 1."""
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
-        with QCoralAnalyzer(profile, config, pool=pool) as analyzer:
-            return analyzer.analyze(constraint_set)
+        analyzer = QCoralAnalyzer(profile, config, pool=pool)
+        return analyzer.analyze(constraint_set)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -250,8 +250,8 @@ class TestAnalyzerDeterminism:
         if kind == "serial":
             result = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
         else:
-            with ThreadPoolExecutor(workers) as pool, QCoralAnalyzer(_profile(), config, pool=pool) as analyzer:
-                result = analyzer.analyze(parse_constraint_set(CONSTRAINTS))
+            with ThreadPoolExecutor(workers) as pool:
+                result = QCoralAnalyzer(_profile(), config, pool=pool).analyze(parse_constraint_set(CONSTRAINTS))
             assert result.executor == f"thread×{workers}"
         assert result.mean == reference.mean
         assert result.variance == reference.variance
@@ -259,7 +259,7 @@ class TestAnalyzerDeterminism:
 
     def test_adaptive_neyman_invariance(self):
         """The variance-driven loop re-allocates identically at every worker count."""
-        config = replace(QCoralConfig.adaptive(4_000, seed=5), chunk_size=CHUNK)
+        config = replace(QCoralConfig(samples_per_query=4_000, seed=5, allocation="neyman"), chunk_size=CHUNK)
         serial = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config)
         threaded = run_engine(parse_constraint_set(CONSTRAINTS), _profile(), config, workers=3)
         assert serial.rounds == threaded.rounds
@@ -310,8 +310,8 @@ class TestAnalyzerDeterminism:
     def test_borrowed_executor_not_closed(self):
         with ThreadPoolExecutor(2) as pool:
             config = QCoralConfig(samples_per_query=1_000, seed=3, chunk_size=CHUNK)
-            with QCoralAnalyzer(_profile(), config, pool=pool) as analyzer:
-                analyzer.analyze(parse_constraint_set(CONSTRAINTS))
+            analyzer = QCoralAnalyzer(_profile(), config, pool=pool)
+            analyzer.analyze(parse_constraint_set(CONSTRAINTS))
             # The borrowed pool must still be usable after analyzer close.
             assert pool.submit(int, "42").result() == 42
 

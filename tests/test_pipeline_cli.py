@@ -14,6 +14,10 @@ from repro.subjects import programs
 from repro.subjects.volcomp_suite import TARGET_EVENT, subject_by_name
 
 
+#: qCORAL{} (neither STRAT nor PARTCACHE) at a token budget.
+PLAIN_100 = QCoralConfig(samples_per_query=100, stratified=False, partition_and_cache=False)
+
+
 def analyze(source, event, config, profile=None, max_depth=50):
     with Session() as session:
         return session.analyze(source, event, profile=profile, max_depth=max_depth, config=config).run()
@@ -24,24 +28,25 @@ class TestPipeline:
         report = analyze(
             programs.SAFETY_MONITOR,
             programs.SAFETY_MONITOR_EVENT,
-            QCoralConfig.strat_partcache(20_000, seed=1),
+            QCoralConfig(samples_per_query=20_000, seed=1),
         )
         assert report.mean == pytest.approx(programs.SAFETY_MONITOR_EXACT, abs=0.02)
         assert report.bounded.mean == 0.0
 
     def test_unknown_event_rejected(self):
         with pytest.raises(AnalysisError):
-            analyze(programs.SAFETY_MONITOR, "noSuchEvent", QCoralConfig.plain(100))
+            analyze(programs.SAFETY_MONITOR, "noSuchEvent", PLAIN_100)
 
     def test_unknown_event_message_lists_the_declared_events(self):
         with pytest.raises(AnalysisError, match="declared events: \\['callSupervisor'\\]"):
-            analyze(programs.SAFETY_MONITOR, "noSuchEvent", QCoralConfig.plain(100))
+            analyze(programs.SAFETY_MONITOR, "noSuchEvent", PLAIN_100)
 
     @pytest.mark.parametrize("name,label", [("ATRIAL", "points - pointsErr >= 5"), ("PACK", "count >= 10")])
     def test_declared_event_on_no_feasible_path_answers_zero(self, name, label):
         subject = subject_by_name(name)
         source = subject.program_source(subject.assertion(label))
-        report = analyze(source, TARGET_EVENT, QCoralConfig.strat_partcache(1000, seed=2), max_depth=subject.max_depth)
+        config = QCoralConfig(samples_per_query=1000, seed=2)
+        report = analyze(source, TARGET_EVENT, config, max_depth=subject.max_depth)
         assert report.mean == 0.0 and report.std == 0.0
         assert report.paths == 0 and report.path_reports == ()
         assert report.bounded.mean == 0.0
@@ -53,7 +58,7 @@ class TestPipeline:
         report = analyze(
             programs.SAFETY_MONITOR,
             programs.SAFETY_MONITOR_EVENT,
-            QCoralConfig.strat_partcache(2000, seed=3),
+            QCoralConfig(samples_per_query=2000, seed=3),
             profile=profile,
         )
         # With altitude always above 9000 the supervisor is always called.
@@ -66,14 +71,14 @@ class TestPipeline:
         while (total <= 3) { total = total + x; }
         observe(done);
         """
-        report = analyze(source, "done", QCoralConfig.strat_partcache(1000, seed=4), max_depth=8)
+        report = analyze(source, "done", QCoralConfig(samples_per_query=1000, seed=4), max_depth=8)
         assert report.bounded.mean > 0.0
 
     def test_assert_violation_analysis(self):
         report = analyze(
             programs.SCORING_WITH_ASSERT,
             "assert.violation",
-            QCoralConfig.strat_partcache(5000, seed=5),
+            QCoralConfig(samples_per_query=5000, seed=5),
         )
         # P(score + bonus > 110) over [0,100]x[0,20] = 50/2000 = 0.025.
         assert report.mean == pytest.approx(0.025, abs=0.01)

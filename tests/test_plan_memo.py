@@ -15,12 +15,14 @@ import pytest
 
 from repro.api import Session
 from repro.api import session as session_module
+from repro.errors import ParseError
 from repro.lang import ast
 from repro.obs import Observability
 from repro.obs.ledger import MemoryLedger
 from repro.store.backends import open_store
 from repro.subjects.volcomp_suite import subject_by_name
 from repro.symexec import ast as prog_ast
+from repro.symexec.parser import parse_program
 
 from test_distinct_work import MANY_PATHS, answer
 
@@ -157,6 +159,49 @@ def test_signed_zero_programs_never_share_a_plan(executions):
     texts = [[path.pc.canonical() for path in report.path_reports] for report in reports]
     assert texts[0] == texts[2] == ["x <= 0.0"]
     assert texts[1] == texts[3] == ["x <= -0.0"]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts program texts the sessions parse."""
+    calls = []
+    original = session_module.parse_program
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(session_module, "parse_program", counting)
+    return calls
+
+
+def test_repeated_program_text_is_parsed_once(parses, executions):
+    with Session() as session:
+        reports = [answer(build(session, MANY_PATHS).run()) for _ in range(2)]
+        assert len(parses) == 1
+        # Another event of the same text is another plan, so it parses again.
+        build(session, MANY_PATHS, "other")
+        assert len(parses) == 2
+    assert len(executions) == 1
+    assert reports[0] == reports[1]
+
+
+def test_program_syntax_errors_raise_when_the_query_is_built(parses):
+    broken = MANY_PATHS + "\nif (x <= "
+    with Session() as session:
+        build(session, MANY_PATHS).run()
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                session.analyze(broken, "target")
+    assert len(parses) == 3  # a failed parse memoises nothing
+
+
+def test_text_and_parsed_programs_plan_apart_with_equal_answers(executions):
+    with Session() as session:
+        from_text = answer(build(session, MANY_PATHS).run())
+        from_program = answer(build(session, parse_program(MANY_PATHS)).run())
+    assert len(executions) == 2
+    assert from_text == from_program
 
 
 # --------------------------------------------------------------------------- #

@@ -401,7 +401,7 @@ class TestQuantificationProperties:
         y_high = y_low + y_width
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
         cs = parse_constraint_set(f"x >= {x_low} && x <= {x_high} && y >= {y_low} && y <= {y_high}")
-        result = QCoralAnalyzer(profile, QCoralConfig.strat_partcache(200, seed=1)).analyze(cs)
+        result = QCoralAnalyzer(profile, QCoralConfig(samples_per_query=200, seed=1)).analyze(cs)
         exact = (x_width / 2.0) * (y_width / 2.0)
         assert result.mean == pytest.approx(exact, abs=1e-6)
         assert result.variance == pytest.approx(0.0, abs=1e-12)

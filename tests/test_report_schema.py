@@ -35,7 +35,7 @@ SEED = 1
 
 
 def _golden_report_dict():
-    config = QCoralConfig.strat_partcache(SAMPLES, seed=SEED)
+    config = QCoralConfig(samples_per_query=SAMPLES, seed=SEED)
     with Session() as session:
         report = session.quantify(CONSTRAINTS, BOUNDS, config=config).run()
     payload = report.to_dict()
@@ -65,7 +65,7 @@ def test_report_to_json_matches_golden():
 
 
 def test_report_json_round_trips():
-    config = QCoralConfig.strat_partcache(SAMPLES, seed=SEED)
+    config = QCoralConfig(samples_per_query=SAMPLES, seed=SEED)
     with Session() as session:
         report = session.quantify(CONSTRAINTS, BOUNDS, config=config).run()
     assert json.loads(report.to_json()) == report.to_dict()

@@ -65,8 +65,8 @@ def _analyze(constraint_set, config, store, kind, workers):
             return session.quantify(constraint_set, PROFILE, config=config).run()
     pool = ThreadPoolExecutor(workers) if kind == "thread" else None
     try:
-        with QCoralAnalyzer(PROFILE, config, pool=pool, store=store) as analyzer:
-            return analyzer.analyze(constraint_set)
+        analyzer = QCoralAnalyzer(PROFILE, config, pool=pool, store=store)
+        return analyzer.analyze(constraint_set)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -79,7 +79,7 @@ def _cold_and_warm(config, kind="bare", workers=None):
     config = replace(config, chunk_size=CHUNK)
     outcomes = []
     for budget in (config.samples_per_query, 2 * config.samples_per_query):
-        result = _analyze(constraint_set, config.with_samples(budget), store, kind, workers)
+        result = _analyze(constraint_set, replace(config, samples_per_query=budget), store, kind, workers)
         outcomes.append((_answer(result), _stored(store)))
     store.close()
     return outcomes
@@ -135,8 +135,8 @@ class TestOrderAndKeys:
         keys = []
         for budget in (2_000, 5_000):
             config = QCoralConfig(samples_per_query=budget, seed=9, chunk_size=CHUNK)
-            with _RecordingPool() as recorder, QCoralAnalyzer(PROFILE, config, pool=recorder, store=store) as analyzer:
-                result = analyzer.analyze(constraint_set)
+            with _RecordingPool() as recorder:
+                result = QCoralAnalyzer(PROFILE, config, pool=recorder, store=store).analyze(constraint_set)
             assert (result.cache_statistics.warm_starts > 0) == (budget == 5_000)
             keys.append(recorder.keys)
         cold, warm = keys

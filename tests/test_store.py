@@ -14,7 +14,6 @@ import pytest
 from repro.api import Session
 from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
-from repro.errors import ConfigurationError
 from repro.lang.canonical import alpha_canonical, alpha_equivalent
 from repro.lang.parser import parse_constraint_set, parse_path_condition
 from repro.obs import Observability
@@ -385,12 +384,12 @@ class TestAnalyzerReuse:
     def test_warm_rerun_samples_nothing(self, backend, tmp_path):
         path = None if backend == "memory" else str(tmp_path / f"store.{backend}")
         store = open_store(path, backend)
-        config = QCoralConfig.strat_partcache(5000, seed=11)
+        config = QCoralConfig(samples_per_query=5000, seed=11)
         constraint_set = parse_constraint_set(CIRCLE)
-        with QCoralAnalyzer(PROFILE_2D, config, store=store) as cold:
-            first = cold.analyze(constraint_set)
-        with QCoralAnalyzer(PROFILE_2D, config, store=store) as warm:
-            second = warm.analyze(constraint_set)
+        cold = QCoralAnalyzer(PROFILE_2D, config, store=store)
+        first = cold.analyze(constraint_set)
+        warm = QCoralAnalyzer(PROFILE_2D, config, store=store)
+        second = warm.analyze(constraint_set)
         assert first.total_samples == 5000
         assert second.total_samples == 0
         assert second.mean == first.mean
@@ -400,24 +399,24 @@ class TestAnalyzerReuse:
 
     def test_renamed_subject_reuses_the_entry(self, tmp_path):
         store = open_store(str(tmp_path / "store.db"))
-        config = QCoralConfig.strat_partcache(4000, seed=7)
-        with QCoralAnalyzer(PROFILE_2D, config, store=store) as cold:
-            cold.analyze(parse_constraint_set(CIRCLE))
+        config = QCoralConfig(samples_per_query=4000, seed=7)
+        cold = QCoralAnalyzer(PROFILE_2D, config, store=store)
+        cold.analyze(parse_constraint_set(CIRCLE))
         renamed_profile = UsageProfile.uniform({"u": (-1, 1), "v": (-1, 1)})
-        with QCoralAnalyzer(renamed_profile, config, store=store) as warm:
-            result = warm.analyze(parse_constraint_set("u * u + v * v <= 1"))
+        warm = QCoralAnalyzer(renamed_profile, config, store=store)
+        result = warm.analyze(parse_constraint_set("u * u + v * v <= 1"))
         assert result.total_samples == 0
         assert result.cache_statistics.store_hits == 1
         store.close()
 
     def test_profile_mismatch_misses(self, tmp_path):
         store = open_store(str(tmp_path / "store.db"))
-        config = QCoralConfig.strat_partcache(2000, seed=7)
-        with QCoralAnalyzer(PROFILE_2D, config, store=store) as cold:
-            cold.analyze(parse_constraint_set(CIRCLE))
+        config = QCoralConfig(samples_per_query=2000, seed=7)
+        cold = QCoralAnalyzer(PROFILE_2D, config, store=store)
+        cold.analyze(parse_constraint_set(CIRCLE))
         wider = UsageProfile.uniform({"x": (-2, 2), "y": (-1, 1)})
-        with QCoralAnalyzer(wider, config, store=store) as other:
-            result = other.analyze(parse_constraint_set(CIRCLE))
+        other = QCoralAnalyzer(wider, config, store=store)
+        result = other.analyze(parse_constraint_set(CIRCLE))
         assert result.cache_statistics.store_hits == 0
         assert result.total_samples == 2000
         store.close()
@@ -425,12 +424,12 @@ class TestAnalyzerReuse:
     def test_estimator_config_mismatch_misses(self, tmp_path):
         store = open_store(str(tmp_path / "store.db"))
         constraint_set = parse_constraint_set(CIRCLE)
-        strat = QCoralConfig.strat_partcache(2000, seed=7)
+        strat = QCoralConfig(samples_per_query=2000, seed=7)
         plain_cached = QCoralConfig(samples_per_query=2000, stratified=False, partition_and_cache=True, seed=7)
-        with QCoralAnalyzer(PROFILE_2D, strat, store=store) as first:
-            first.analyze(constraint_set)
-        with QCoralAnalyzer(PROFILE_2D, plain_cached, store=store) as second:
-            result = second.analyze(constraint_set)
+        first = QCoralAnalyzer(PROFILE_2D, strat, store=store)
+        first.analyze(constraint_set)
+        second = QCoralAnalyzer(PROFILE_2D, plain_cached, store=store)
+        result = second.analyze(constraint_set)
         assert result.cache_statistics.store_hits == 0
         assert result.total_samples == 2000
         store.close()
@@ -438,10 +437,10 @@ class TestAnalyzerReuse:
     def test_merge_on_write_pools_samples(self, tmp_path):
         store = open_store(str(tmp_path / "store.db"))
         constraint_set = parse_constraint_set(CIRCLE)
-        with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(3000, seed=1), store=store) as a:
-            a.analyze(constraint_set)
-        with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(8000, seed=2), store=store) as b:
-            topup = b.analyze(constraint_set)
+        a = QCoralAnalyzer(PROFILE_2D, QCoralConfig(samples_per_query=3000, seed=1), store=store)
+        a.analyze(constraint_set)
+        b = QCoralAnalyzer(PROFILE_2D, QCoralConfig(samples_per_query=8000, seed=2), store=store)
+        topup = b.analyze(constraint_set)
         assert topup.total_samples == 5000  # only the shortfall is drawn
         (key,) = store.keys()
         entry = store.get(key)
@@ -457,10 +456,10 @@ class TestAnalyzerReuse:
         constraint_set = parse_constraint_set(CIRCLE)
         results = []
         for store in (first_store, second_store):
-            with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(2000, seed=3), store=store) as cold:
-                cold.analyze(constraint_set)
-            with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(6000, seed=3), store=store) as warm:
-                results.append(warm.analyze(constraint_set))
+            cold = QCoralAnalyzer(PROFILE_2D, QCoralConfig(samples_per_query=2000, seed=3), store=store)
+            cold.analyze(constraint_set)
+            warm = QCoralAnalyzer(PROFILE_2D, QCoralConfig(samples_per_query=6000, seed=3), store=store)
+            results.append(warm.analyze(constraint_set))
             store.close()
         assert results[0].mean == results[1].mean
         assert results[0].variance == results[1].variance
@@ -471,8 +470,8 @@ class TestAnalyzerReuse:
         base = dict(stratified=False, seed=42, chunk_size=10_000)
         short = QCoralConfig(samples_per_query=20_000, **base)
         full = QCoralConfig(samples_per_query=50_000, **base)
-        with QCoralAnalyzer(PROFILE_2D, full) as reference:
-            long_run = reference.analyze(constraint_set)
+        reference = QCoralAnalyzer(PROFILE_2D, full)
+        long_run = reference.analyze(constraint_set)
         entries = []
         for workers in (1, 2, 4):
             store = open_store(str(tmp_path / f"store-{workers}.db"))
@@ -490,10 +489,10 @@ class TestAnalyzerReuse:
         """A same-seed continuation must not replay the prior's stream."""
         store = open_store(str(tmp_path / "store.db"))
         constraint_set = parse_constraint_set(CIRCLE)
-        with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(4000, seed=9), store=store) as cold:
-            first = cold.analyze(constraint_set)
-        with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(8000, seed=9), store=store) as warm:
-            second = warm.analyze(constraint_set)
+        cold = QCoralAnalyzer(PROFILE_2D, QCoralConfig(samples_per_query=4000, seed=9), store=store)
+        first = cold.analyze(constraint_set)
+        warm = QCoralAnalyzer(PROFILE_2D, QCoralConfig(samples_per_query=8000, seed=9), store=store)
+        second = warm.analyze(constraint_set)
         # Replaying the same 4000 samples would reproduce the mean exactly;
         # a decorrelated continuation virtually never does.
         assert second.mean != first.mean
@@ -503,15 +502,15 @@ class TestAnalyzerReuse:
     def test_readonly_store_reuses_but_never_writes(self, tmp_path):
         path = str(tmp_path / "store.db")
         constraint_set = parse_constraint_set(CIRCLE)
-        config = QCoralConfig.strat_partcache(2000, seed=5)
-        with QCoralAnalyzer(PROFILE_2D, config.with_store(path)) as cold:
-            cold.analyze(constraint_set)
+        config = QCoralConfig(samples_per_query=2000, seed=5)
+        with open_store(path) as store:
+            QCoralAnalyzer(PROFILE_2D, config, store=store).analyze(constraint_set)
         snapshot = open_store(path)
         before = {key: snapshot.get(key).samples for key in snapshot.keys()}
         snapshot.close()
-        bigger = QCoralConfig.strat_partcache(6000, seed=5).with_store(path, readonly=True)
-        with QCoralAnalyzer(PROFILE_2D, bigger) as warm:
-            result = warm.analyze(constraint_set)
+        bigger = QCoralConfig(samples_per_query=6000, seed=5)
+        with open_store(path, readonly=True) as store:
+            result = QCoralAnalyzer(PROFILE_2D, bigger, store=store).analyze(constraint_set)
         assert result.cache_statistics.store_hits == 1
         assert result.total_samples == 4000  # the shortfall is still drawn...
         snapshot = open_store(path)
@@ -519,21 +518,10 @@ class TestAnalyzerReuse:
         snapshot.close()
 
     def test_store_requires_partcache(self, tmp_path):
-        config = QCoralConfig(
-            samples_per_query=1000,
-            partition_and_cache=False,
-            seed=1,
-            store_path=str(tmp_path / "store.db"),
-        )
-        with QCoralAnalyzer(PROFILE_2D, config) as analyzer:
-            result = analyzer.analyze(parse_constraint_set(CIRCLE))
+        config = QCoralConfig(samples_per_query=1000, partition_and_cache=False, seed=1)
+        with open_store(str(tmp_path / "store.db")) as store:
+            result = QCoralAnalyzer(PROFILE_2D, config, store=store).analyze(parse_constraint_set(CIRCLE))
         assert result.cache_statistics.store_lookups == 0
-
-    def test_config_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            QCoralConfig(store_backend="bogus")
-        with pytest.raises(ConfigurationError):
-            QCoralConfig(store_readonly=True)
 
 
 class TestConcurrentAnalyzers:
@@ -571,25 +559,27 @@ class _StoreTrial:
         self.path = path
 
     def __call__(self, seed: int) -> int:
-        """Run one trial and return its store-hit count."""
-        config = QCoralConfig(samples_per_query=1500, stratified=False, seed=seed, store_path=self.path)
-        with QCoralAnalyzer(PROFILE_2D, config) as analyzer:
+        """Run one trial on its own handle of the store and return its store-hit count."""
+        config = QCoralConfig(samples_per_query=1500, stratified=False, seed=seed)
+        with open_store(self.path) as store:
+            analyzer = QCoralAnalyzer(PROFILE_2D, config, store=store)
             return analyzer.analyze(parse_constraint_set(CIRCLE)).cache_statistics.store_hits
 
 
 # --------------------------------------------------------------------------- #
 # Cross-run reuse through program analysis
 # --------------------------------------------------------------------------- #
-def _analyze_program(source, config):
-    with Session() as session:
+def _analyze_program(source, config, store):
+    with Session(store=store) as session:
         return session.analyze(source, programs.SAFETY_MONITOR_EVENT, config=config).run()
 
 
 class TestPipelineReuse:
     def test_warm_pipeline_rerun_resamples_zero_factors(self, tmp_path):
-        config = QCoralConfig.strat_partcache(3000, seed=2).with_store(str(tmp_path / "p.db"))
-        cold = _analyze_program(programs.SAFETY_MONITOR, config)
-        warm = _analyze_program(programs.SAFETY_MONITOR, config)
+        config = QCoralConfig(samples_per_query=3000, seed=2)
+        store = str(tmp_path / "p.db")
+        cold = _analyze_program(programs.SAFETY_MONITOR, config, store)
+        warm = _analyze_program(programs.SAFETY_MONITOR, config, store)
         assert cold.total_samples > 0
         assert warm.total_samples == 0
         assert warm.mean == cold.mean
@@ -597,10 +587,11 @@ class TestPipelineReuse:
         assert warm.store is not None
 
     def test_mutated_program_reuses_unaffected_factors(self, tmp_path):
-        config = QCoralConfig.strat_partcache(3000, seed=2).with_store(str(tmp_path / "p.db"))
-        _analyze_program(programs.SAFETY_MONITOR, config)
+        config = QCoralConfig(samples_per_query=3000, seed=2)
+        store = str(tmp_path / "p.db")
+        _analyze_program(programs.SAFETY_MONITOR, config, store)
         mutated = programs.SAFETY_MONITOR.replace("sin(headFlap * tailFlap) > 0.25", "sin(headFlap * tailFlap) > 0.3")
-        report = _analyze_program(mutated, config)
+        report = _analyze_program(mutated, config, store)
         stats = report.cache_statistics
         # The altitude factors are untouched by the mutation and must be
         # served from the store; the flap-angle factor changed and must miss
@@ -642,8 +633,8 @@ def _force_icp(monkeypatch):
 
 
 def _run(profile, text, config, store, observability=None):
-    with QCoralAnalyzer(profile, config, store=store, observability=observability) as analyzer:
-        return analyzer.analyze(parse_constraint_set(text))
+    analyzer = QCoralAnalyzer(profile, config, store=store, observability=observability)
+    return analyzer.analyze(parse_constraint_set(text))
 
 
 def _entries(store):
@@ -666,7 +657,7 @@ class TestStoredPavingReuse:
     @pytest.mark.parametrize("backend", FILE_BACKENDS)
     def test_warm_rerun_makes_no_pave_calls(self, backend, tmp_path, pave_calls):
         store = make_store(backend, tmp_path)
-        config = QCoralConfig.strat_partcache(4000, seed=5)
+        config = QCoralConfig(samples_per_query=4000, seed=5)
         cold = _run(PROFILE_3D, TWO_FACTORS, config, store)
         assert cold.total_samples > 0
         assert pave_calls["calls"] == 2
@@ -676,7 +667,7 @@ class TestStoredPavingReuse:
         assert (warm.mean, warm.variance) == (cold.mean, cold.variance)
         # A top-up warm-starts both factors from their stored pavings.
         hub = Observability()
-        topup = _run(PROFILE_3D, TWO_FACTORS, QCoralConfig.strat_partcache(9000, seed=5), store, hub)
+        topup = _run(PROFILE_3D, TWO_FACTORS, QCoralConfig(samples_per_query=9000, seed=5), store, hub)
         assert topup.total_samples == 10_000
         assert topup.cache_statistics.warm_starts == 2
         assert hub.snapshot().counter("qcoral_store_paving_reuse_total") == 2
@@ -688,12 +679,12 @@ class TestStoredPavingReuse:
     def test_decoded_paving_matches_forced_icp(self, backend, method, tmp_path, pave_calls, monkeypatch):
         if method == "importance":
             profile = _normal_profile()
-            cold_config = QCoralConfig.importance(3000, seed=21, mass_split_boxes=12)
-            warm_config = QCoralConfig.importance(7000, seed=21, mass_split_boxes=12)
+            cold_config = QCoralConfig(samples_per_query=3000, seed=21, mass_split_boxes=12, method="importance")
+            warm_config = QCoralConfig(samples_per_query=7000, seed=21, mass_split_boxes=12, method="importance")
         else:
             profile = PROFILE_3D
-            cold_config = QCoralConfig.strat_partcache(3000, seed=21)
-            warm_config = QCoralConfig.strat_partcache(7000, seed=21)
+            cold_config = QCoralConfig(samples_per_query=3000, seed=21)
+            warm_config = QCoralConfig(samples_per_query=7000, seed=21)
         stores = []
         for name in ("decoded", "forced"):
             (tmp_path / name).mkdir()
@@ -721,7 +712,7 @@ class TestStoredPavingReuse:
     def test_malformed_paving_falls_back_to_icp(self, backend, damage, tmp_path, pave_calls):
         import re
 
-        config = QCoralConfig.strat_partcache(3000, seed=4)
+        config = QCoralConfig(samples_per_query=3000, seed=4)
         source = MemoryStore()
         cold = _run(PROFILE_2D, CIRCLE, config, source)
         (key,) = source.keys()
@@ -757,8 +748,8 @@ class TestStoredPavingReuse:
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (0, 1.5)})
         renamed_profile = UsageProfile.uniform({"b": (-1, 1), "a": (0, 1.5)})
         text, renamed = "x * x + y <= 1.2", "b * b + a <= 1.2"
-        config = QCoralConfig.strat_partcache(3000, seed=13)
-        topup = QCoralConfig.strat_partcache(6000, seed=13)
+        config = QCoralConfig(samples_per_query=3000, seed=13)
+        topup = QCoralConfig(samples_per_query=6000, seed=13)
         stores = []
         for name in ("decoded", "forced"):
             (tmp_path / name).mkdir()
@@ -789,20 +780,17 @@ class TestStoredPavingReuse:
 # --------------------------------------------------------------------------- #
 def _hold(config, store):
     """Start a run and stop after its first round: it holds its factors' claims."""
-    analyzer = QCoralAnalyzer(PROFILE_3D, config, store=store)
-    stream = analyzer.analyze_stream(parse_constraint_set(TWO_FACTORS))
+    stream = QCoralAnalyzer(PROFILE_3D, config, store=store).analyze_stream(parse_constraint_set(TWO_FACTORS))
     next(stream)
-    return analyzer, stream
+    return stream
 
 
-def _finish(analyzer, stream):
+def _finish(stream):
     try:
         while True:
             next(stream)
     except StopIteration as done:
         return done.value
-    finally:
-        analyzer.close()
 
 
 def _in_thread(config, store, hub):
@@ -816,13 +804,13 @@ class TestClaimedFactors:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_second_run_waits_for_the_first_and_reuses_it(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        config = QCoralConfig.strat_partcache(4000, seed=5)
-        analyzer, stream = _hold(config, store)
+        config = QCoralConfig(samples_per_query=4000, seed=5)
+        stream = _hold(config, store)
         hub = Observability()
         thread, results = _in_thread(dataclasses.replace(config, seed=6), store, hub)
         thread.join(0.3)
         assert thread.is_alive()  # waiting for the first run to publish
-        first = _finish(analyzer, stream)
+        first = _finish(stream)
         thread.join(10)
         assert not thread.is_alive()
         assert first.total_samples == 8000
@@ -834,12 +822,12 @@ class TestClaimedFactors:
 
     def test_a_thread_never_waits_for_its_own_run(self, tmp_path):
         store = make_store("sqlite", tmp_path)
-        config = QCoralConfig.strat_partcache(4000, seed=5)
-        analyzer, stream = _hold(config, store)
+        config = QCoralConfig(samples_per_query=4000, seed=5)
+        stream = _hold(config, store)
         # Same thread, same factors: waiting would deadlock, so it samples.
         second = _run(PROFILE_3D, TWO_FACTORS, dataclasses.replace(config, seed=6), store)
         assert second.total_samples == 8000
-        _finish(analyzer, stream)
+        _finish(stream)
         assert sorted(entry["samples"] for entry in _entries(store).values()) == [8000, 8000]
         store.close()
 
@@ -848,19 +836,18 @@ class TestClaimedFactors:
 
         monkeypatch.setattr(cache_module, "CLAIM_WAIT_S", 0.2)
         store = make_store("sqlite", tmp_path)
-        config = QCoralConfig.strat_partcache(4000, seed=5)
-        analyzer, stream = _hold(config, store)
+        config = QCoralConfig(samples_per_query=4000, seed=5)
+        stream = _hold(config, store)
         thread, results = _in_thread(dataclasses.replace(config, seed=6), store, Observability())
         thread.join(10)
         assert not thread.is_alive()
         assert results["report"].total_samples == 8000
         stream.close()
-        analyzer.close()
         store.close()
 
     def test_a_failed_run_releases_its_claims(self, tmp_path, monkeypatch):
         store = make_store("sqlite", tmp_path)
-        config = QCoralConfig.strat_partcache(4000, seed=5)
+        config = QCoralConfig(samples_per_query=4000, seed=5)
 
         def fail(self, plan, states):
             raise RuntimeError("sampling failed")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.lang.analysis import constraint_set_statistics
-from repro.subjects import aerospace, solids, volcomp_suite
+from repro.subjects import aerospace, volcomp_suite
 from repro.subjects.solids import all_solids, estimate_volume, solid_by_name
 
 
@@ -94,7 +94,7 @@ class TestVolCompSuite:
         probabilities = []
         for label in ("count >= 5", "count >= 6", "count >= 7"):
             cs = subject.constraint_set(subject.assertion(label))
-            analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig.strat_partcache(2000, seed=4))
+            analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig(samples_per_query=2000, seed=4))
             probabilities.append(analyzer.analyze(cs).estimate.clamped().mean)
         assert probabilities[0] >= probabilities[1] - 0.05
         assert probabilities[1] >= probabilities[2] - 0.05
@@ -145,7 +145,7 @@ class TestAerospace:
 
     def test_quantification_is_bounded_away_from_extremes(self):
         subject = aerospace.tsafe_conflict(depth=4)
-        analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig.strat_partcache(1500, seed=6))
+        analyzer = QCoralAnalyzer(subject.profile(), QCoralConfig(samples_per_query=1500, seed=6))
         result = analyzer.analyze(subject.constraint_set)
         assert 0.05 < result.mean < 0.99
 
