@@ -93,8 +93,8 @@ def _closure_hits(tasks, predicate) -> int:
     hits = 0
     for task in tasks:
         rng = np.random.default_rng(task.seed)
-        result = hit_or_miss(task.pc, task.profile, task.samples, rng, variables=task.variables, predicate=predicate)
-        hits += result.hits
+        chunk_hits, _ = hit_or_miss(task.pc, task.profile, task.samples, rng, variables=task.variables, predicate=predicate)
+        hits += chunk_hits
     return hits
 
 

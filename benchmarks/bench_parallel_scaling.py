@@ -1,8 +1,8 @@
 """Parallel scaling of the sampling stack on the Table 2 microbenchmarks.
 
 The estimator is embarrassingly parallel: hit-or-miss chunks over disjoint
-strata are independent and merge exactly (``SamplingResult.merge`` /
-``RunningEstimate``), so a pool of sampling threads may convert worker count
+strata are independent and merge exactly (their integer hit and draw counts
+add), so a pool of sampling threads may convert worker count
 into wall-clock speedup, but must leave the *estimate itself untouched*.
 This benchmark measures both halves of that claim on the paper's Table 2
 workload:

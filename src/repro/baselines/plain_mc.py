@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.estimate import Estimate
-from repro.core.montecarlo import hit_or_miss_constraint_set
+from repro.core.montecarlo import hit_or_miss
 from repro.core.profiles import UsageProfile
+from repro.errors import AnalysisError
 from repro.lang import ast
+from repro.lang.kernel import get_kernel
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,39 @@ class BaselineResult:
         return self.estimate.std
 
 
+def hit_or_miss_constraint_set(
+    constraint_set: ast.ConstraintSet,
+    profile: UsageProfile,
+    samples: int,
+    rng: np.random.Generator,
+    batch_size: int = 100_000,
+) -> Tuple[int, int]:
+    """Whole-domain hit-or-miss over a disjunction of path conditions.
+
+    This counts the indicator of Equation (1) directly (a sample is a hit
+    when it satisfies *any* path condition) and returns the raw
+    ``(hits, samples)`` counts, like :func:`~repro.core.montecarlo.hit_or_miss`.
+    """
+    if samples <= 0:
+        raise AnalysisError("hit-or-miss sampling needs a positive sample count")
+    names = tuple(sorted(constraint_set.free_variables()))
+    profile.check_covers(names)
+    if not names:
+        from repro.lang.evaluator import holds_any
+
+        return (samples if holds_any(constraint_set, {}) else 0), samples
+
+    compiled = get_kernel(constraint_set)
+    hits = 0
+    drawn = 0
+    while drawn < samples:
+        batch_count = min(batch_size, samples - drawn)
+        batch = profile.sample(rng, batch_count, variables=names)
+        hits += int(np.count_nonzero(compiled(batch)))
+        drawn += batch_count
+    return hits, samples
+
+
 def plain_monte_carlo(
     constraint_set: ast.ConstraintSet,
     profile: UsageProfile,
@@ -54,9 +89,9 @@ def plain_monte_carlo(
     """
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    result = hit_or_miss_constraint_set(constraint_set, profile, samples, rng)
+    hits, drawn = hit_or_miss_constraint_set(constraint_set, profile, samples, rng)
     elapsed = time.perf_counter() - started
-    return BaselineResult(result.estimate, elapsed, result.samples)
+    return BaselineResult(Estimate.from_hits(hits, drawn), elapsed, drawn)
 
 
 def per_path_monte_carlo(
@@ -71,15 +106,13 @@ def per_path_monte_carlo(
     baseline interface; it exists so the ablation benchmarks can compare the
     global and the per-path flavours of plain Monte Carlo directly.
     """
-    from repro.core.montecarlo import hit_or_miss
-
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     total = Estimate.zero()
     used = 0
     for pc in constraint_set.path_conditions:
-        result = hit_or_miss(pc, profile, samples_per_path, rng)
-        total = total.add_disjoint(result.estimate)
-        used += result.samples
+        hits, drawn = hit_or_miss(pc, profile, samples_per_path, rng)
+        total = total.add_disjoint(Estimate.from_hits(hits, drawn))
+        used += drawn
     elapsed = time.perf_counter() - started
     return BaselineResult(total, elapsed, used)

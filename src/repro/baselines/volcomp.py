@@ -118,7 +118,7 @@ def bound_probability(
 
     def classify_and_push(box: Box) -> None:
         nonlocal lower, undecided_mass
-        weight = profile.weight(box)
+        weight = profile.mass(box)
         if weight == 0.0:
             return
         if _certainly_satisfies(constraint_set, box):

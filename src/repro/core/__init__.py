@@ -1,25 +1,16 @@
 """qCORAL core: estimators, samplers, compositional analysis."""
 
 from repro.core.cache import CacheStatistics, EstimateCache
-from repro.core.composition import (
-    compose_disjoint_path_conditions,
-    compose_independent_factors,
-    variance_upper_bound_holds,
-)
 from repro.core.dependency import (
     DependencyPartition,
     UnionFind,
     compute_dependency_partition,
     partition_for_constraint_set,
 )
-from repro.core.estimate import Estimate, RunningEstimate, product_independent, sum_disjoint
+from repro.core.estimate import Estimate, product_independent, sum_disjoint
 from repro.core.importance import ImportanceSampler, importance_sampling
 from repro.core.methods import ESTIMATION_METHODS
-from repro.core.montecarlo import (
-    SamplingResult,
-    hit_or_miss,
-    hit_or_miss_constraint_set,
-)
+from repro.core.montecarlo import hit_or_miss
 from repro.core.profiles import (
     BinomialDistribution,
     CategoricalDistribution,
@@ -54,7 +45,6 @@ from repro.core.stratified import (
 
 __all__ = [
     "Estimate",
-    "RunningEstimate",
     "sum_disjoint",
     "product_independent",
     "UsageProfile",
@@ -71,9 +61,7 @@ __all__ = [
     "ESTIMATION_METHODS",
     "ImportanceSampler",
     "importance_sampling",
-    "SamplingResult",
     "hit_or_miss",
-    "hit_or_miss_constraint_set",
     "StratifiedResult",
     "StratifiedSampler",
     "Stratum",
@@ -88,9 +76,6 @@ __all__ = [
     "partition_for_constraint_set",
     "EstimateCache",
     "CacheStatistics",
-    "compose_disjoint_path_conditions",
-    "compose_independent_factors",
-    "variance_upper_bound_holds",
     "QCoralAnalyzer",
     "QCoralConfig",
     "QCoralResult",

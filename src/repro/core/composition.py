@@ -9,8 +9,9 @@ qCORAL composes an answer from two rules of Section 4:
   from the dependency partition are statistically independent, so their
   estimators multiply.
 
-:func:`compose_disjoint_path_conditions` and :func:`compose_independent_factors`
-fold the corresponding :class:`Estimate` methods over a few estimates.  The
+:func:`~repro.core.estimate.sum_disjoint` and
+:func:`~repro.core.estimate.product_independent` fold the corresponding
+:class:`Estimate` methods over a few estimates.  The
 analyzer applies the same rules to a whole constraint set at once, through an
 :class:`Incidence` array that its plan builds once:
 
@@ -38,37 +39,11 @@ array operations per column instead of one object per product.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimate import Estimate, product_independent, sum_disjoint
-
-
-def compose_disjoint_path_conditions(estimates: Iterable[Estimate]) -> Estimate:
-    """Estimator of the disjunction of pairwise-disjoint path conditions.
-
-    The mean is the exact sum of the member means (Equation 5); the variance is
-    the sum of the member variances, which Theorem 1 shows is an upper bound on
-    the true variance of the summed estimator.
-    """
-    return sum_disjoint(estimates)
-
-
-def compose_independent_factors(estimates: Iterable[Estimate]) -> Estimate:
-    """Estimator of the conjunction of independent factors (Equations 7–8)."""
-    return product_independent(estimates)
-
-
-def variance_upper_bound_holds(
-    member_variances: Sequence[float], combined_variance: float, tolerance: float = 1e-12
-) -> bool:
-    """Check the Theorem 1 inequality ``Var[X] <= Σ Var[X_i]`` up to ``tolerance``.
-
-    Used by the property-based tests to validate that empirical variances of
-    summed estimators never exceed the bound reported by the analyzer.
-    """
-    return combined_variance <= sum(member_variances) + tolerance
+from repro.core.estimate import Estimate
 
 
 class Incidence:
@@ -131,7 +106,7 @@ def path_condition_moments(
 
     Folds the occurrence columns left to right with the expression of
     :meth:`Estimate.multiply_independent`, so each row equals
-    :func:`compose_independent_factors` over its factors bit for bit.
+    :func:`~repro.core.estimate.product_independent` over its factors bit for bit.
     Raises ``ValueError`` when a result is NaN, as :class:`Estimate` does.
     """
     column_means, column_variances = means[incidence.columns], variances[incidence.columns]
@@ -148,7 +123,7 @@ def path_condition_moments(
 def sum_in_order(means: Sequence[float], variances: Sequence[float]) -> Estimate:
     """The disjoint-sum rule over per-path-condition moments, in their order.
 
-    A plain left-to-right loop, as :func:`compose_disjoint_path_conditions`
+    A plain left-to-right loop, as :func:`~repro.core.estimate.sum_disjoint`
     adds: ``np.sum`` sums pairwise and ``math.fsum`` (like ``sum()`` on
     Python 3.12 and later) compensates, and either can move the last bits.
     """

@@ -11,10 +11,9 @@ paper become methods here:
 * :meth:`Estimate.scale` — the weighting step of stratified sampling,
   Equation (3).
 
-:class:`RunningEstimate` is the incremental counterpart of
-:meth:`Estimate.from_hits`: a Welford/Chan accumulator that can absorb further
-sample batches and merge with accumulators built elsewhere, so any estimate in
-the stack can be resumed instead of recomputed from zero.
+A hit-or-miss estimate is a pure function of its integer counts
+(:meth:`Estimate.from_hits`); resuming one is adding counts, so equal counts
+give the same estimate however they were gathered.
 """
 
 from __future__ import annotations
@@ -129,111 +128,6 @@ class Estimate:
 
     def __repr__(self) -> str:
         return f"Estimate(mean={self.mean:.6g}, variance={self.variance:.6g})"
-
-
-@dataclass
-class RunningEstimate:
-    """Mergeable accumulator of a hit-or-miss estimator (Welford/Chan form).
-
-    The accumulator tracks the sample count, the running mean, and the running
-    sum of squared deviations ``m2``.  Bernoulli batches enter through
-    :meth:`absorb_counts` (a batch of ``n`` indicator samples with ``h`` hits
-    has mean ``h/n`` and ``m2 = n p (1 - p)``), and two accumulators combine
-    with Chan's parallel update, so partial results computed in different
-    rounds — or on different workers — merge exactly.
-    """
-
-    samples: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.samples < 0:
-            raise ValueError("sample count may not be negative")
-        if self.m2 < 0.0:
-            self.m2 = 0.0
-
-    @staticmethod
-    def from_counts(hits: int, samples: int) -> "RunningEstimate":
-        """Accumulator equivalent to one Bernoulli batch of raw counts."""
-        accumulator = RunningEstimate()
-        accumulator.absorb_counts(hits, samples)
-        return accumulator
-
-    # ------------------------------------------------------------------ #
-    # Accumulation
-    # ------------------------------------------------------------------ #
-    def absorb_counts(self, hits: int, samples: int) -> None:
-        """Absorb a batch of ``samples`` indicator draws with ``hits`` hits."""
-        if samples < 0:
-            raise ValueError("batch sample count may not be negative")
-        if samples == 0:
-            return
-        if hits < 0 or hits > samples:
-            raise ValueError(f"hit count {hits} outside [0, {samples}]")
-        batch_mean = hits / samples
-        self.absorb_moments(samples, batch_mean, samples * batch_mean * (1.0 - batch_mean))
-
-    def absorb_moments(self, samples: int, mean: float, m2: float) -> None:
-        """Chan's parallel merge of another accumulator's raw moments."""
-        if samples <= 0:
-            return
-        combined = self.samples + samples
-        delta = mean - self.mean
-        self.m2 = self.m2 + m2 + delta * delta * self.samples * samples / combined
-        self.mean = self.mean + delta * samples / combined
-        self.samples = combined
-
-    def merge(self, other: "RunningEstimate") -> None:
-        """Absorb ``other`` into this accumulator (``other`` is unchanged)."""
-        self.absorb_moments(other.samples, other.mean, other.m2)
-
-    def merged(self, other: "RunningEstimate") -> "RunningEstimate":
-        """New accumulator combining this one and ``other``."""
-        result = RunningEstimate(self.samples, self.mean, self.m2)
-        result.merge(other)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Derived quantities
-    # ------------------------------------------------------------------ #
-    @property
-    def hits(self) -> float:
-        """Equivalent hit count (exact for purely Bernoulli input)."""
-        return self.mean * self.samples
-
-    @property
-    def per_sample_variance(self) -> float:
-        """Population variance of one draw (``p (1 - p)`` for Bernoulli data)."""
-        if self.samples == 0:
-            return 0.0
-        return self.m2 / self.samples
-
-    @property
-    def per_sample_std(self) -> float:
-        """Population standard deviation of one draw — the σ of Neyman allocation."""
-        return math.sqrt(self.per_sample_variance)
-
-    def variance_of_mean(self) -> float:
-        """Variance of the sample mean (``p (1 - p) / n`` for Bernoulli data)."""
-        if self.samples == 0:
-            return 0.0
-        return self.per_sample_variance / self.samples
-
-    def to_estimate(self) -> Estimate:
-        """Snapshot as an immutable :class:`Estimate`.
-
-        Matches :meth:`Estimate.from_hits` exactly when the accumulator has
-        only absorbed Bernoulli batches.  An empty accumulator has no data at
-        all; it reports the maximally uncertain prior (mean ½, the Bernoulli
-        variance ceiling ¼) rather than a spurious exact zero.
-        """
-        if self.samples == 0:
-            return Estimate(0.5, 0.25)
-        return Estimate(self.mean, self.variance_of_mean())
-
-    def __repr__(self) -> str:
-        return f"RunningEstimate(samples={self.samples}, mean={self.mean:.6g}, m2={self.m2:.6g})"
 
 
 def sum_disjoint(estimates: Iterable[Estimate]) -> Estimate:

@@ -2,9 +2,11 @@
 
 The analyzer estimates every factor with one of two methods — the paper's
 hit-or-miss sampling inside ICP pavings, or the distribution-aware
-importance-sampling layer (:mod:`repro.core.importance`).  This module is the
-one place that maps a method name to its sampler (:func:`make_sampler`) and
-to its persistent-store method tag (:func:`store_method_tag`), which keys
+importance-sampling layer (:mod:`repro.core.importance`).  Without the STRAT
+feature a factor is sampled by hit-or-miss over its whole domain, which is a
+:class:`StratifiedSampler` with that domain as its only stratum.  This module
+is the one place that maps a method name to its sampler (:func:`make_sampler`)
+and to its persistent-store method tag (:func:`store_method_tag`), which keys
 counts apart so methods with different sampling semantics never pool their
 Bernoulli counts (see :mod:`repro.store.keys`).
 """
@@ -18,7 +20,7 @@ import numpy as np
 from repro.core.importance import ImportanceSampler, _StoredImportanceSampler
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedSampler
-from repro.icp.solver import ICPSolver, Paving
+from repro.icp.solver import ICPSolver, PavedBox, Paving
 from repro.lang import ast
 from repro.store.keys import importance_method, mc_method, stratified_method
 
@@ -49,7 +51,12 @@ def make_sampler(
     by (master seed, factor, stratum, sample offset).  ``paving`` is a warm
     factor's stored paving, and ``masses`` its boxes' profile masses; the
     sampler builds its strata from them instead of re-paving with ICP.
+    Without STRAT the paving is the factor's whole domain as one boundary
+    box, and ICP is never asked.
     """
+    if not config.stratified and paving is None:
+        domain = profile.restrict(variables).domain()
+        paving = Paving(domain, (PavedBox(domain, inner=False),))
     if config.method != "importance":
         return StratifiedSampler(
             factor,
@@ -84,7 +91,8 @@ def store_method_tag(config: "QCoralConfig") -> str:
     digests from it, and the incremental differ must produce digests that
     line up with both — so all three call here.  Non-stratified runs always
     tag ``mc`` regardless of the configured method name (the STRAT feature
-    off means whole-domain hit-or-miss counts).
+    off means whole-domain hit-or-miss counts, which never pool with counts
+    over ICP strata).
     """
     if not config.stratified:
         return mc_method()

@@ -613,10 +613,6 @@ class UsageProfile:
             total += term
         return total
 
-    def weight(self, box: Box) -> float:
-        """Historical name of :meth:`mass`, kept for API compatibility."""
-        return self.mass(box)
-
     def sample(
         self,
         rng: np.random.Generator,

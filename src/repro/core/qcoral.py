@@ -6,19 +6,21 @@ optional features evaluated in the paper (Table 4) are exposed as configuration
 flags:
 
 * ``stratified`` (STRAT) — estimate each factor with ICP-driven stratified
-  sampling instead of whole-domain hit-or-miss Monte Carlo;
+  sampling instead of whole-domain hit-or-miss Monte Carlo (a sampler whose
+  only stratum is the factor's domain);
 * ``partition_and_cache`` (PARTCACHE) — split each path condition into
   independent factors along the dependency partition of the input variables,
   estimate factors separately, compose with the product rule, and cache factor
   estimates for reuse across path conditions.
 
 Beyond the paper, the estimation loop is **iterative and adaptive**: every
-factor is backed by a resumable sampler, and the total budget is spent over
-one or more rounds.  After a pilot round the remaining budget flows to the
-factors (and, within a stratified factor, the strata) with the largest
-variance contribution — a generalised Neyman allocation — until either the
-combined standard deviation drops below ``QCoralConfig.target_std`` or the
-budget is exhausted.  Per-round convergence is recorded in
+sampled factor is backed by a resumable
+:class:`~repro.core.stratified.StratifiedSampler`, and the total budget is
+spent over one or more rounds.  After a pilot round the remaining budget
+flows to the factors (and, within a stratified factor, the strata) with the
+largest variance contribution — a generalised Neyman allocation — until
+either the combined standard deviation drops below
+``QCoralConfig.target_std`` or the budget is exhausted.  Per-round convergence is recorded in
 :attr:`QCoralResult.round_reports`.
 
 Typical use::
@@ -56,7 +58,6 @@ from repro.core.dependency import compute_dependency_partition
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
 from repro.core.methods import ESTIMATION_METHODS, make_sampler, store_method_tag
-from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
     ALLOCATION_POLICIES,
@@ -68,12 +69,12 @@ from repro.core.stratified import (
     laplace_sigma_floor,
 )
 from repro.errors import ConfigurationError
-from repro.exec.scheduler import SamplingTask, factor_seed, plan_chunks, pool_label, run_sampling_tasks
+from repro.exec.scheduler import SamplingTask, factor_seed, pool_label, run_sampling_tasks
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver, Paving
 from repro.lang import ast
 from repro.lang.analysis import group_constraints_by_block
-from repro.lang.kernel import KernelCacheStats, get_kernel, kernel_cache_stats
+from repro.lang.kernel import KernelCacheStats, kernel_cache_stats
 from repro.lang.simplify import simplify_path_condition
 from repro.obs import Observability, ensure_observability
 from repro.obs.diagnostics import Diagnostic, FactorHealth, StratumHealth, diagnose_run
@@ -98,6 +99,8 @@ class QCoralConfig:
             in adaptive runs the budget of all factors is pooled and
             re-allocated where the variance is.
         stratified: Enable the STRAT feature (ICP + stratified sampling).
+            Off, each factor is sampled by hit-or-miss over its whole domain
+            (one stratum of weight 1, no ICP).
         method: Estimation method for the sampled factors: ``"hit-or-miss"``
             (the paper's sampling inside the ICP paving) or ``"importance"``
             (distribution-aware importance sampling: the paving is refined by
@@ -339,11 +342,8 @@ class _FactorState:
         "exact",
         "cached",
         "sampler",
-        "mc_result",
-        "predicate",
         "seed",
         "store_key",
-        "prior_hits",
         "prior_samples",
         "prior_strata",
         "prior_fingerprint",
@@ -365,18 +365,15 @@ class _FactorState:
         self.exact: Optional[Estimate] = None
         self.cached = False
         self.sampler: Optional[StratifiedSampler] = None
-        self.mc_result: Optional[SamplingResult] = None
-        self.predicate = None
         # The master seed keyed by ``key``, set once the factor is to be
         # sampled: every chunk it draws is seeded from it (see
         # repro.exec.scheduler.chunk_seed).
         self.seed: Optional[np.random.SeedSequence] = None
-        # Persistent-store bookkeeping: the resolved key, how much of the
-        # current accumulator state was *loaded* rather than drawn (so the
-        # write-back publishes only this run's delta), and whether the factor
-        # resumed from stored counts.
+        # Persistent-store bookkeeping: the resolved key, how many of the
+        # sampler's counts were *loaded* rather than drawn (so the write-back
+        # publishes only this run's delta), and whether the factor resumed
+        # from stored counts.
         self.store_key = store_key
-        self.prior_hits = 0
         self.prior_samples = 0
         self.prior_strata: Optional[Tuple[Tuple[int, int], ...]] = None
         self.prior_fingerprint: Optional[str] = None
@@ -395,11 +392,7 @@ class _FactorState:
     @property
     def samples(self) -> int:
         """Samples backing this factor's estimate (warm-start prior included)."""
-        if self.sampler is not None:
-            return self.sampler.total_samples
-        if self.mc_result is not None:
-            return self.mc_result.samples
-        return 0
+        return self.sampler.total_samples if self.sampler is not None else 0
 
     @property
     def fresh_samples(self) -> int:
@@ -410,12 +403,7 @@ class _FactorState:
         """Current estimate of the factor's probability."""
         if self.exact is not None:
             return self.exact
-        if self.sampler is not None:
-            return self.sampler.estimate()
-        if self.mc_result is not None:
-            return self.mc_result.estimate
-        # No samples yet: the maximally uncertain Bernoulli prior.
-        return Estimate(0.5, 0.25)
+        return self.sampler.estimate()
 
 
 class QCoralAnalyzer:
@@ -632,34 +620,28 @@ class QCoralAnalyzer:
             if not state.sampleable:
                 continue
             sampler = state.sampler
-            strata: Tuple[StratumHealth, ...] = ()
-            ess: Optional[float] = None
-            method = "montecarlo"
-            if sampler is not None:
-                method = sampler.method_label
-                ess = sampler.effective_sample_size()
-                strata = tuple(
-                    StratumHealth(
-                        weight=stratum.weight,
-                        samples=stratum.draw_count,
-                        hits=stratum.hit_count,
-                        sampleable=stratum.sampleable,
-                        zero_allocation_streak=stratum.max_zero_allocation_streak,
-                    )
-                    for stratum in sampler.strata
+            strata = tuple(
+                StratumHealth(
+                    weight=stratum.weight,
+                    samples=stratum.draw_count,
+                    hits=stratum.hit_count,
+                    sampleable=stratum.sampleable,
+                    zero_allocation_streak=stratum.max_zero_allocation_streak,
                 )
+                for stratum in sampler.strata
+            )
             healths.append(
                 FactorHealth(
                     index=index,
-                    method=method,
+                    method=sampler.method_label,
                     samples=state.samples,
                     mean=estimate.mean,
                     std=estimate.std,
                     zero_share_streak=state.max_zero_share_streak,
                     discarded_samples=getattr(sampler, "discarded_samples", 0),
-                    effective_sample_size=ess,
+                    effective_sample_size=sampler.effective_sample_size(),
                     strata=strata,
-                    paving_time_capped=sampler is not None and sampler.time_capped,
+                    paving_time_capped=sampler.time_capped,
                 )
             )
             index += 1
@@ -756,49 +738,38 @@ class QCoralAnalyzer:
                     self._cache.put(factor, state.exact, key=key)
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
-        if self._config.stratified:
-            stored = self._stored_paving(entry, state.store_key, variables)
-            if stored is not None:
-                # A warm factor rebuilds its strata from the stored paving
-                # instead of re-paving with ICP.
-                self._obs.count("qcoral_store_paving_reuse_total")
-                if self._covers_budget(stored, entry):
-                    # Its stored counts already cover the budget: freeze it
-                    # from them, exactly as a sampler preloaded with them
-                    # would report, without building one.
-                    state.warm = True
-                    self._cache.record_warm_start()
-                    return self._freeze(state, stored.estimate(entry.strata))
-            state.seed = factor_seed(self._entropy, key)
-            sampler: StratifiedSampler = make_sampler(
-                factor,
-                self._profile,
-                variables=variables,
-                solver=self._solver,
-                seed=state.seed,
-                chunk_size=self._config.chunk_size,
-                config=self._config,
-                observability=self._obs,
-                paving=stored.paving if stored is not None else None,
-                masses=stored.masses if stored is not None else None,
-            )
-            self._obs.count("qcoral_samplers_built_total")
-            if sampler.is_exact:
-                state.exact = sampler.estimate()
-            else:
-                state.sampler = sampler
-                if entry is not None:
-                    self._warm_start_stratified(state, entry)
+        stored = self._stored_paving(entry, state.store_key, variables)
+        if stored is not None:
+            # A warm factor rebuilds its strata from the stored paving
+            # instead of re-paving with ICP.
+            self._obs.count("qcoral_store_paving_reuse_total")
+            if self._covers_budget(stored, entry):
+                # Its stored counts already cover the budget: freeze it
+                # from them, exactly as a sampler preloaded with them
+                # would report, without building one.
+                state.warm = True
+                self._cache.record_warm_start()
+                return self._freeze(state, stored.estimate(entry.strata))
+        state.seed = factor_seed(self._entropy, key)
+        sampler: StratifiedSampler = make_sampler(
+            factor,
+            self._profile,
+            variables=variables,
+            solver=self._solver,
+            seed=state.seed,
+            chunk_size=self._config.chunk_size,
+            config=self._config,
+            observability=self._obs,
+            paving=stored.paving if stored is not None else None,
+            masses=stored.masses if stored is not None else None,
+        )
+        self._obs.count("qcoral_samplers_built_total")
+        if sampler.is_exact:
+            state.exact = sampler.estimate()
         else:
-            if not variables:
-                from repro.lang.evaluator import holds_path_condition
-
-                state.exact = Estimate.exact(1.0 if holds_path_condition(factor, {}) else 0.0)
-            else:
-                state.seed = factor_seed(self._entropy, key)
-                state.predicate = get_kernel(factor)
-                if entry is not None:
-                    self._warm_start_mc(state, entry)
+            state.sampler = sampler
+            if entry is not None:
+                self._warm_start(state, entry)
         if state.warm and self._need(state.samples) == 0:
             return self._freeze(state, state.estimate())
         return state
@@ -864,16 +835,7 @@ class QCoralAnalyzer:
             return None
         return StoredPaving.weigh(text, canonical_order, Paving(domain, boxes), self._profile)
 
-    def _warm_start_mc(self, state: _FactorState, entry: StoreEntry) -> None:
-        if entry.kind != "mc" or entry.samples <= 0:
-            return
-        state.mc_result = SamplingResult(Estimate.from_hits(entry.hits, entry.samples), entry.hits, entry.samples)
-        state.prior_hits = entry.hits
-        state.prior_samples = entry.samples
-        state.warm = True
-        self._cache.record_warm_start()
-
-    def _warm_start_stratified(self, state: _FactorState, entry: StoreEntry) -> None:
+    def _warm_start(self, state: _FactorState, entry: StoreEntry) -> None:
         sampler = state.sampler
         if entry.kind != "stratified" or entry.samples <= 0 or sampler is None:
             return
@@ -933,11 +895,6 @@ class QCoralAnalyzer:
                 # valid Bernoulli count pool must never reach the store.
                 return None
             return StoreEntry.from_strata(delta, paving=fingerprint)
-        if state.mc_result is not None:
-            fresh = state.mc_result.samples - state.prior_samples
-            if fresh <= 0:
-                return None
-            return StoreEntry.from_mc(state.mc_result.hits - state.prior_hits, fresh)
         if state.exact is not None and state.variables and not state.warm:
             # ICP resolved the factor without sampling this run; store the
             # exact probability so re-runs skip the paving too.
@@ -1050,46 +1007,19 @@ class QCoralAnalyzer:
         depend only on allocation decisions and counts already merged, so the
         round is deterministic for a fixed master seed at every worker count.
         """
-        planned: List[Tuple[_FactorState, Optional[int], SamplingTask]] = []
+        planned: List[Tuple[StratifiedSampler, int, SamplingTask]] = []
         for state, share in zip(active, shares):
             if share <= 0 or not state.sampleable:
                 continue
-            if state.sampler is not None:
-                for stratum_index, task in state.sampler.plan_extension(share, allocation=self._config.allocation):
-                    planned.append((state, stratum_index, task))
-            else:
-                planned.extend(self._plan_mc_factor(state, share))
+            for stratum_index, task in state.sampler.plan_extension(share, allocation=self._config.allocation):
+                planned.append((state.sampler, stratum_index, task))
 
         outcomes = run_sampling_tasks(self._pool, [task for _, _, task in planned], observability=self._obs)
         used = 0
-        for (state, stratum_index, task), (hits, samples) in zip(planned, outcomes):
-            if state.sampler is not None:
-                state.sampler.absorb_chunk(stratum_index, hits, samples)
-            else:
-                addition = SamplingResult(Estimate.from_hits(hits, samples), hits, samples)
-                state.mc_result = (addition if state.mc_result is None else state.mc_result.merge(addition))
-                if self._obs.enabled:
-                    self._obs.count("sampler_draws_total", samples, method="montecarlo")
-                    self._obs.count("sampler_hits_total", hits, method="montecarlo")
+        for (sampler, stratum_index, _), (hits, samples) in zip(planned, outcomes):
+            sampler.absorb_chunk(stratum_index, hits, samples)
             used += samples
         return used
-
-    def _plan_mc_factor(
-        self, state: _FactorState, share: int
-    ) -> List[Tuple[_FactorState, Optional[int], SamplingTask]]:
-        """Shard a plain hit-or-miss factor's share into keyed chunks (stratum word 0)."""
-        tasks = plan_chunks(
-            state.factor,
-            self._profile,
-            state.variables,
-            share,
-            state.seed,
-            0,
-            state.samples,
-            self._config.chunk_size,
-            predicate=state.predicate,
-        )
-        return [(state, None, task) for task in tasks]
 
     def _factor_priorities(
         self,

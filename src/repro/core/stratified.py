@@ -20,12 +20,18 @@ Two refinements the ICP output enables:
   exact estimate 0.
 
 Beyond the paper's one-shot scheme, strata are *persistent*: a
-:class:`StratifiedSampler` keeps a mergeable accumulator per stratum and can
-receive additional budget round after round via :meth:`StratifiedSampler.extend`.
+:class:`StratifiedSampler` keeps each stratum's integer hit and draw counts,
+estimates it from them (:func:`counts_estimate`), and can receive additional
+budget round after round via :meth:`StratifiedSampler.extend`.
 Each round's budget is split either evenly across the sampleable strata (the
 paper's choice) or by **Neyman allocation** — proportional to each stratum's
 weighted standard deviation ``w_i · σ_i``, which minimises the combined
 variance ``Σ w_i² σ_i² / n_i`` for a fixed total budget.
+
+The paper's plain hit-or-miss estimator (Equation 2) is the one-stratum case:
+a sampler whose only stratum is its whole domain, of weight 1, keys its
+chunks as whole-domain sampling does (stratum word 0), so its answers are
+exactly those of hit-or-miss over the domain.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.estimate import Estimate, RunningEstimate
+from repro.core.estimate import Estimate
 from repro.core.profiles import UsageProfile
 from repro.errors import AnalysisError, ConfigurationError
 from repro.exec.scheduler import SamplingTask, digest_word, plan_chunks, run_sampling_tasks
@@ -85,6 +91,30 @@ def laplace_sigma_floor(hits: int, samples: int) -> float:
     return math.sqrt(smoothed * (1.0 - smoothed))
 
 
+def counts_estimate(hits: int, samples: int) -> Estimate:
+    """Hit-or-miss estimate of a stratum holding ``hits`` of ``samples`` draws.
+
+    :meth:`Estimate.from_hits` of the counts; a stratum without draws reports
+    the maximally uncertain prior (mean ½, the Bernoulli variance ceiling ¼).
+    Live strata, preloaded strata and entries frozen from the store all
+    estimate through here, so equal counts give bit-identical answers.
+    """
+    if samples == 0:
+        return Estimate(0.5, 0.25)
+    return Estimate.from_hits(hits, samples)
+
+
+def stratum_masses(boxes: Iterable[PavedBox], profile: UsageProfile, domain: Box) -> Tuple[float, ...]:
+    """Each box's profile mass; a box spanning the whole ``domain`` weighs exactly 1.
+
+    The domain's mass is 1 by definition, while the per-variable product of
+    :meth:`UsageProfile.mass` can round below it (histogram profiles), so a
+    whole-domain stratum weighs the same whether it was built cold or decoded
+    from the store.
+    """
+    return tuple(1.0 if paved.box == domain else profile.mass(paved.box) for paved in boxes)
+
+
 @dataclass(frozen=True)
 class StratumReport:
     """Per-stratum record kept for reporting and debugging."""
@@ -111,19 +141,19 @@ class StratifiedResult:
 
 
 class Stratum:
-    """One persistent stratum: an ICP box plus a resumable accumulator.
+    """One persistent stratum: an ICP box plus its integer hit and draw counts.
 
-    Alongside the moment accumulator the stratum keeps exact integer hit and
-    draw counts; the persistent store serialises those (integers merge across
-    runs without floating-point drift).  ``word`` is the 64-bit digest of the
-    box that keys the stratum's chunk seeds (set when first sampled).
+    The counts are the stratum's whole sampling state: its estimate and σ are
+    functions of them, and the persistent store serialises them (integers
+    merge across runs without floating-point drift).  ``word`` keys the
+    stratum's chunk seeds (set when first sampled, see
+    :meth:`StratifiedSampler.plan_extension`).
     """
 
     __slots__ = (
         "box",
         "weight",
         "inner",
-        "accumulator",
         "hit_count",
         "draw_count",
         "word",
@@ -135,7 +165,6 @@ class Stratum:
         self.box = box
         self.weight = weight
         self.inner = inner
-        self.accumulator = RunningEstimate()
         self.hit_count = 0
         self.draw_count = 0
         self.word: Optional[int] = None
@@ -153,19 +182,18 @@ class Stratum:
     @property
     def samples(self) -> int:
         """Samples spent inside this stratum so far."""
-        return self.accumulator.samples
+        return self.draw_count
 
     def absorb(self, hits: int, samples: int) -> None:
-        """Fold a batch of raw counts into the accumulator and the counters."""
-        self.accumulator.absorb_counts(hits, samples)
+        """Add a batch of raw counts to the stratum's counts."""
         self.hit_count += hits
         self.draw_count += samples
 
     def sigma(self) -> float:
         """Per-sample standard deviation, with the Bernoulli prior when unsampled.
 
-        The observed σ is floored by its Laplace-smoothed counterpart
-        (``p̃ = (h + 1) / (n + 2)``): a stratum whose pilot saw 0 hits (or
+        The observed σ ``√(p (1 − p))``, ``p = h / n``, is floored by its
+        Laplace-smoothed counterpart (``p̃ = (h + 1) / (n + 2)``): a stratum whose pilot saw 0 hits (or
         only hits) has an observed σ̂ of exactly 0, which under Neyman
         allocation would starve it of budget *permanently* no matter how
         little evidence the pilot carried.  The smoothed floor decays like
@@ -174,12 +202,10 @@ class Stratum:
         """
         if not self.sampleable:
             return 0.0
-        if self.accumulator.samples == 0:
+        if self.draw_count == 0:
             return _PRIOR_SIGMA
-        return max(
-            self.accumulator.per_sample_std,
-            laplace_sigma_floor(self.hit_count, self.draw_count),
-        )
+        p = self.hit_count / self.draw_count
+        return max(math.sqrt(p * (1.0 - p)), laplace_sigma_floor(self.hit_count, self.draw_count))
 
     def estimate(self) -> Estimate:
         """Current estimate of the conditional probability within the box."""
@@ -187,7 +213,7 @@ class Stratum:
             return Estimate.one()
         if self.weight == 0.0:
             return Estimate.zero()
-        return self.accumulator.to_estimate()
+        return counts_estimate(self.hit_count, self.draw_count)
 
     def report(self) -> StratumReport:
         """Immutable snapshot for :class:`StratifiedResult`."""
@@ -371,7 +397,7 @@ class StoredPaving:
         """``paving``, decoded from stored ``text`` (see :func:`decode_paving`), with its boxes weighed by ``profile``."""
         return StoredPaving(
             paving,
-            tuple(profile.mass(paved.box) for paved in paving.boxes),
+            stratum_masses(paving.boxes, profile, paving.domain),
             plain=render_paving(paving.boxes, canonical_order) == text,
         )
 
@@ -390,10 +416,7 @@ class StoredPaving:
     def estimate(self, counts: Sequence[Tuple[int, int]]) -> Estimate:
         """What a :class:`StratifiedSampler` on these strata, preloaded with ``counts``, reports."""
         return stratified_estimate(
-            (
-                mass,
-                Estimate.one() if paved.inner else RunningEstimate.from_counts(int(hits), int(samples)).to_estimate(),
-            )
+            (mass, Estimate.one() if paved.inner else counts_estimate(int(hits), int(samples)))
             for paved, mass, (hits, samples) in zip(self.paving.boxes, self.masses, counts)
         )
 
@@ -409,17 +432,17 @@ class StratifiedSampler:
     warm run rebuilds them from its store entry, see :func:`decode_paving`,
     and may pass their profile ``masses`` too) —
     and every call to :meth:`extend` then distributes an additional sample
-    budget over the persistent strata and folds the new counts into the
-    per-stratum accumulators.  The current combined estimate is available at
-    any time through :meth:`estimate` / :meth:`result`, so callers can
-    interleave sampling with convergence checks.
+    budget over the persistent strata and adds the new counts to theirs.
+    The current combined estimate is available at any time through
+    :meth:`estimate` / :meth:`result`, so callers can interleave sampling
+    with convergence checks.
 
     Each round is planned as per-stratum chunks (:meth:`plan_extension`)
-    whose seeds are keyed by ``seed``, the stratum's box and the samples the
-    stratum already holds (:func:`~repro.exec.scheduler.chunk_seed`); the
-    chunks run on ``pool`` (None: in the calling thread) and merge back
-    through :meth:`absorb_chunk`, so the result is the same at every worker
-    count.
+    whose seeds are keyed by ``seed``, the stratum's box (word 0 for a lone
+    whole-domain stratum) and the samples the stratum already holds
+    (:func:`~repro.exec.scheduler.chunk_seed`); the chunks run on ``pool``
+    (None: in the calling thread) and merge back through
+    :meth:`absorb_chunk`, so the result is the same at every worker count.
     """
 
     #: Label the sampler reports its draws/hits under (importance overrides).
@@ -467,11 +490,12 @@ class StratifiedSampler:
         icp_solver = solver if solver is not None else ICPSolver(icp_config)
         self._icp_config = icp_solver.config
         self._integer_names = restricted.discrete_variables()
+        self._domain = restricted.domain()
         if paving is not None:
             # Ready-made strata (a stored paving): no ICP, no refinement.
             boxes: Sequence[PavedBox] = paving.boxes
         else:
-            paving = self._pave(icp_solver, restricted.domain())
+            paving = self._pave(icp_solver, self._domain)
             self.time_capped = paving.time_capped
             if paving.is_unsatisfiable():
                 self._exact = Estimate.zero()
@@ -479,7 +503,7 @@ class StratifiedSampler:
             boxes = self._refined_boxes(paving)
             masses = None
         if masses is None:
-            masses = [profile.mass(paved.box) for paved in boxes]
+            masses = stratum_masses(boxes, profile, self._domain)
 
         for paved, mass in zip(boxes, masses):
             self._strata.append(Stratum(paved.box, mass, paved.inner))
@@ -602,7 +626,7 @@ class StratifiedSampler:
         (:func:`~repro.exec.scheduler.plan_chunks`).  The plan is a pure
         function of the sampler's state, so running the tasks anywhere and
         feeding the counts back through :meth:`absorb_chunk` gives the same
-        accumulator state at any worker count.
+        counts at any worker count.
         """
         if budget < 0:
             raise AnalysisError("stratified budget may not be negative")
@@ -615,7 +639,11 @@ class StratifiedSampler:
             if share == 0:
                 continue
             if stratum.word is None:
-                stratum.word = digest_word(render_paving((stratum,), self._names))
+                # A lone whole-domain stratum is plain hit-or-miss and keys
+                # its chunks with word 0, as whole-domain sampling does; any
+                # other stratum by the digest of its box.
+                whole_domain = len(self._strata) == 1 and stratum.box == self._domain
+                stratum.word = 0 if whole_domain else digest_word(render_paving((stratum,), self._names))
             for task in plan_chunks(
                 self._pc,
                 self._profile,

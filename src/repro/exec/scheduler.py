@@ -160,7 +160,7 @@ def execute_sampling_task(task: SamplingTask) -> Tuple[int, int]:
     """
     from repro.core.montecarlo import hit_or_miss
 
-    result = hit_or_miss(
+    return hit_or_miss(
         task.pc,
         task.profile,
         task.samples,
@@ -170,7 +170,6 @@ def execute_sampling_task(task: SamplingTask) -> Tuple[int, int]:
         predicate=task.predicate,
         batch_size=task.batch_size,
     )
-    return result.hits, result.samples
 
 
 def _timed_chunk(task: SamplingTask) -> Tuple[int, int, float, float, str]:

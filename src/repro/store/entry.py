@@ -2,17 +2,16 @@
 
 A :class:`StoreEntry` is what the persistent store keeps per canonical factor
 key.  It records *raw Bernoulli counts* rather than a finished estimate, in
-one of three kinds:
+one of two kinds:
 
-``"mc"``
-    Whole-domain hit-or-miss counts — ``hits`` out of ``samples``.
 ``"stratified"``
-    Per-stratum hit-or-miss counts, one ``(hits, samples)`` pair per ICP
-    stratum in paving order, plus the paving itself: ``paving`` renders every
-    stratum box exactly (:func:`repro.core.stratified.render_paving`), so a
-    warm reader rebuilds its strata from the entry instead of re-paving with
-    ICP.  The key already commits to every input of that paving (factor,
-    domain, ICP configuration).
+    Per-stratum hit-or-miss counts, one ``(hits, samples)`` pair per stratum
+    in paving order, plus the paving itself: ``paving`` renders every stratum
+    box exactly (:func:`repro.core.stratified.render_paving`), so a warm
+    reader rebuilds its strata from the entry instead of re-paving with ICP.
+    The key already commits to every input of that paving (factor, domain,
+    ICP configuration).  Whole-domain hit-or-miss (the STRAT feature off) is
+    the one-stratum case, its paving the factor's domain.
 ``"exact"``
     A probability resolved without sampling (ICP-exact factors), stored so a
     re-run skips the paving work too.
@@ -23,15 +22,17 @@ budgets, which is statistically exact for independent Bernoulli pools.  A
 warm-starting run needs nothing else to continue a same-seed stream: its
 chunk seeds are keyed by the samples each stratum already holds, so it starts
 past the pooled counts instead of replaying them.  Payloads written by older
-versions may carry a ``spawned`` count; it is ignored on load.
+versions may carry a ``spawned`` count; it is ignored on load.  Their
+whole-domain ``"mc"`` kind is gone: such a payload fails to load
+(:class:`StoreError`), which every backend reads as a miss, and the next
+write replaces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.core.estimate import Estimate, RunningEstimate
 from repro.errors import ReproError
 
 
@@ -40,7 +41,7 @@ class StoreError(ReproError):
 
 
 #: Entry kinds a store recognises.
-ENTRY_KINDS = ("mc", "stratified", "exact")
+ENTRY_KINDS = ("stratified", "exact")
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class StoreEntry:
 
     Attributes:
         kind: One of :data:`ENTRY_KINDS`.
-        hits: Hit count (``"mc"`` kind; 0 otherwise).
         samples: Total samples drawn for this factor, across all merged runs.
         strata: Per-stratum ``(hits, samples)`` pairs (``"stratified"`` kind).
         exact_mean: The resolved probability (``"exact"`` kind).
@@ -65,7 +65,6 @@ class StoreEntry:
     """
 
     kind: str
-    hits: int = 0
     samples: int = 0
     strata: Tuple[Tuple[int, int], ...] = ()
     exact_mean: float = 0.0
@@ -84,20 +83,15 @@ class StoreEntry:
             total = sum(samples for _, samples in self.strata)
             if total != self.samples:
                 object.__setattr__(self, "samples", total)
-        if self.hits < 0 or self.samples < 0 or (self.kind == "mc" and self.hits > self.samples):
-            raise StoreError(f"inconsistent counts: {self.hits} hits of {self.samples} samples")
+        if self.samples < 0:
+            raise StoreError(f"negative sample count {self.samples}")
 
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
     @staticmethod
-    def from_mc(hits: int, samples: int) -> "StoreEntry":
-        """Entry for a plain hit-or-miss factor."""
-        return StoreEntry(kind="mc", hits=hits, samples=samples)
-
-    @staticmethod
     def from_strata(strata: Tuple[Tuple[int, int], ...], paving: str) -> "StoreEntry":
-        """Entry for an ICP-stratified factor (counts in paving order)."""
+        """Entry for a sampled factor (counts in paving order)."""
         return StoreEntry(
             kind="stratified",
             strata=tuple((int(h), int(n)) for h, n in strata),
@@ -118,32 +112,6 @@ class StoreEntry:
         """True when the entry needs no sampling to be reused."""
         return self.kind == "exact"
 
-    def to_estimate(self, weights: Optional[Tuple[float, ...]] = None) -> Estimate:
-        """The finished estimate this entry encodes.
-
-        Stratified entries need the per-stratum *weights* (probability masses
-        of the stored boxes under the profile), which the reader computes from
-        the boxes decoded out of ``paving``; inner strata carry no counts, so
-        callers that need the full stratified estimate should instead build a
-        :class:`~repro.core.stratified.StratifiedSampler` over the decoded
-        paving, preload the counts, and ask it.
-        """
-        if self.kind == "exact":
-            return Estimate.exact(self.exact_mean)
-        if self.kind == "mc":
-            if self.samples == 0:
-                return Estimate(0.5, 0.25)
-            return Estimate.from_hits(self.hits, self.samples)
-        if weights is None:
-            raise StoreError("a stratified entry needs per-stratum weights to form an estimate")
-        if len(weights) != len(self.strata):
-            raise StoreError(f"weights for {len(weights)} strata given, entry has {len(self.strata)}")
-        total = Estimate.zero()
-        for (hits, samples), weight in zip(self.strata, weights):
-            accumulator = RunningEstimate.from_counts(hits, samples)
-            total = total.add_disjoint(accumulator.to_estimate().scale(weight))
-        return total
-
     # ------------------------------------------------------------------ #
     # Merging
     # ------------------------------------------------------------------ #
@@ -162,7 +130,7 @@ class StoreEntry:
         one key.  Similarly, stratified counts are only poolable over *the
         same paving*.  Warm runs adopt the stored paving, so their deltas
         match it; a concurrent cold run may have paved differently, and on
-        such a paving (or residual kind) mismatch the merge keeps whichever
+        such a paving mismatch the merge keeps whichever
         pool holds more samples instead of corrupting both — losing the
         smaller pool is the price of an append-forever store that never
         blocks a writer.
@@ -170,15 +138,6 @@ class StoreEntry:
         if self.kind == "exact" or other.kind == "exact":
             exact = self if self.kind == "exact" else other
             return replace(exact, runs=self.runs + other.runs)
-        if self.kind != other.kind:
-            return self if self.samples >= other.samples else other
-        if self.kind == "mc":
-            return replace(
-                self,
-                hits=self.hits + other.hits,
-                samples=self.samples + other.samples,
-                runs=self.runs + other.runs,
-            )
         if len(self.strata) != len(other.strata) or self.paving != other.paving:
             return self if self.samples >= other.samples else other
         merged = tuple((mine[0] + theirs[0], mine[1] + theirs[1]) for mine, theirs in zip(self.strata, other.strata))
@@ -195,9 +154,7 @@ class StoreEntry:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (inverse of :meth:`from_dict`)."""
         payload: Dict[str, Any] = {"kind": self.kind, "samples": self.samples, "runs": self.runs}
-        if self.kind == "mc":
-            payload["hits"] = self.hits
-        elif self.kind == "stratified":
+        if self.kind == "stratified":
             payload["strata"] = [list(pair) for pair in self.strata]
             payload["paving"] = self.paving
         else:
@@ -215,7 +172,6 @@ class StoreEntry:
             kind = payload["kind"]
             return StoreEntry(
                 kind=kind,
-                hits=int(payload.get("hits", 0)),
                 samples=int(payload.get("samples", 0)),
                 strata=tuple((int(h), int(n)) for h, n in payload.get("strata", ())),
                 exact_mean=float(payload.get("exact_mean", 0.0)),

@@ -11,15 +11,14 @@ of factor indices; the incidence array must reproduce them bit for bit.
 
 from typing import Dict, List, Sequence
 
-from repro.core.composition import compose_disjoint_path_conditions, compose_independent_factors
-from repro.core.estimate import Estimate
+from repro.core.estimate import Estimate, product_independent, sum_disjoint
 
 
 def path_condition_estimate(row: Sequence[int], estimates: Sequence[Estimate]) -> Estimate:
     """The product rule over one path condition's factors (a trivially true one is certain)."""
     if not row:
         return Estimate.one()
-    return compose_independent_factors(estimates[factor] for factor in row)
+    return product_independent(estimates[factor] for factor in row)
 
 
 def path_condition_estimates(rows: Sequence[Sequence[int]], estimates: Sequence[Estimate]) -> List[Estimate]:
@@ -29,7 +28,7 @@ def path_condition_estimates(rows: Sequence[Sequence[int]], estimates: Sequence[
 
 def combined_estimate(rows: Sequence[Sequence[int]], estimates: Sequence[Estimate]) -> Estimate:
     """The estimate of the disjunction of the path conditions, as every round computed it."""
-    return compose_disjoint_path_conditions(path_condition_estimates(rows, estimates))
+    return sum_disjoint(path_condition_estimates(rows, estimates))
 
 
 def neyman_coefficients(

@@ -2,8 +2,9 @@
 
 Covers the tentpole invariants of the iterative refactor:
 
-* :class:`RunningEstimate` is a faithful, mergeable accumulator;
-* the samplers are resumable (extending a prior equals one longer run);
+* strata hold integer counts and estimate from them alone;
+* the samplers are resumable (a sampler preloaded with counts continues like
+  the live one that drew them);
 * budget allocation conserves every sample (no leak on inner/empty strata);
 * the adaptive loop respects ``target_std``, never exceeds the budget, and
   reproduces the fixed-budget mean;
@@ -11,24 +12,29 @@ Covers the tentpole invariants of the iterative refactor:
   event and bounded-path analyses.
 """
 
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimate import Estimate, RunningEstimate
+from repro.core.estimate import Estimate
 from repro.core.montecarlo import hit_or_miss
 from repro.core.profiles import UsageProfile
 from repro.core.qcoral import DEFAULT_ADAPTIVE_ROUNDS, QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import (
     StratifiedSampler,
+    Stratum,
     allocate_budget,
     allocation_priorities,
+    counts_estimate,
+    laplace_sigma_floor,
     stratified_sampling,
 )
 from repro.errors import ConfigurationError
 from repro.icp.config import ICPConfig
+from repro.intervals.box import Box
 from repro.lang.parser import parse_constraint_set, parse_path_condition
 
 
@@ -43,88 +49,66 @@ def square_profile():
 
 
 # --------------------------------------------------------------------------- #
-# RunningEstimate
+# Strata hold integer counts
 # --------------------------------------------------------------------------- #
-class TestRunningEstimate:
-    def test_matches_from_hits(self):
-        accumulator = RunningEstimate.from_counts(30, 100)
-        reference = Estimate.from_hits(30, 100)
-        assert accumulator.to_estimate().mean == pytest.approx(reference.mean)
-        assert accumulator.to_estimate().variance == pytest.approx(reference.variance)
+class TestStratumCounts:
+    @staticmethod
+    def stratum():
+        return Stratum(Box.from_bounds({"x": (0, 1)}), 0.5, inner=False)
 
-    def test_incremental_equals_one_shot(self):
-        incremental = RunningEstimate()
-        incremental.absorb_counts(10, 40)
-        incremental.absorb_counts(25, 60)
-        one_shot = RunningEstimate.from_counts(35, 100)
-        assert incremental.samples == 100
-        assert incremental.mean == pytest.approx(one_shot.mean)
-        assert incremental.m2 == pytest.approx(one_shot.m2)
+    def test_estimate_is_from_hits(self):
+        stratum = self.stratum()
+        stratum.absorb(30, 100)
+        assert stratum.estimate() == Estimate.from_hits(30, 100)
 
-    def test_merge_is_commutative(self):
-        a = RunningEstimate.from_counts(3, 10)
-        b = RunningEstimate.from_counts(45, 90)
-        ab = a.merged(b)
-        ba = b.merged(a)
-        assert ab.samples == ba.samples == 100
-        assert ab.mean == pytest.approx(ba.mean)
-        assert ab.m2 == pytest.approx(ba.m2)
-
-    def test_empty_accumulator_is_maximally_uncertain(self):
-        estimate = RunningEstimate().to_estimate()
+    def test_empty_stratum_is_maximally_uncertain(self):
+        estimate = self.stratum().estimate()
         assert estimate.mean == 0.5
         assert estimate.variance == 0.25
 
     @given(st.lists(st.tuples(st.integers(min_value=1, max_value=500), st.floats(0.0, 1.0)), min_size=1, max_size=8))
-    def test_batched_absorption_matches_totals(self, batches):
-        accumulator = RunningEstimate()
+    def test_batched_absorption_equals_the_totals(self, batches):
+        stratum = self.stratum()
         total_hits = 0
         total_samples = 0
         for samples, rate in batches:
             hits = int(rate * samples)
-            accumulator.absorb_counts(hits, samples)
+            stratum.absorb(hits, samples)
             total_hits += hits
             total_samples += samples
-        reference = Estimate.from_hits(total_hits, total_samples)
-        assert accumulator.samples == total_samples
-        assert accumulator.mean == pytest.approx(reference.mean, abs=1e-12)
-        assert accumulator.variance_of_mean() == pytest.approx(reference.variance, abs=1e-12)
+        assert (stratum.hit_count, stratum.draw_count) == (total_hits, total_samples)
+        assert stratum.estimate() == counts_estimate(total_hits, total_samples)
 
-    def test_invalid_counts_rejected(self):
-        accumulator = RunningEstimate()
-        with pytest.raises(ValueError):
-            accumulator.absorb_counts(5, 3)
-        with pytest.raises(ValueError):
-            accumulator.absorb_counts(-1, 3)
+    def test_sigma_is_floored_by_the_laplace_sigma(self):
+        stratum = self.stratum()
+        stratum.absorb(30, 100)
+        assert stratum.sigma() == max(math.sqrt(0.3 * 0.7), laplace_sigma_floor(30, 100))
+        resolved = self.stratum()
+        resolved.absorb(0, 100)
+        assert resolved.sigma() == laplace_sigma_floor(0, 100) > 0.0
 
 
 # --------------------------------------------------------------------------- #
 # Resumable samplers
 # --------------------------------------------------------------------------- #
 class TestResumableSampling:
-    def test_prior_extends_counts(self, square_profile):
+    def test_hit_or_miss_returns_raw_counts(self, square_profile):
         pc = parse_path_condition("x >= 0")
-        rng = np.random.default_rng(1)
-        first = hit_or_miss(pc, square_profile, 1000, rng)
-        second = hit_or_miss(pc, square_profile, 2000, rng, prior=first)
-        assert second.samples == 3000
-        assert second.hits >= first.hits
-        assert second.estimate.mean == pytest.approx(second.hits / 3000)
+        hits, samples = hit_or_miss(pc, square_profile, 1000, np.random.default_rng(1))
+        assert samples == 1000
+        assert 0 < hits < samples
 
-    def test_resumed_run_equals_merged_runs(self, square_profile):
+    def test_preloaded_sampler_continues_like_a_live_one(self, square_profile):
         pc = parse_path_condition("x * x + y * y <= 1")
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        merged = hit_or_miss(pc, square_profile, 500, rng_a).merge(hit_or_miss(pc, square_profile, 700, rng_a))
-        resumed = hit_or_miss(
-            pc,
-            square_profile,
-            700,
-            rng_b,
-            prior=hit_or_miss(pc, square_profile, 500, rng_b),
-        )
-        assert resumed.hits == merged.hits
-        assert resumed.samples == merged.samples
+        live = StratifiedSampler(pc, square_profile, 3)
+        live.extend(500)
+        resumed = StratifiedSampler(pc, square_profile, 3)
+        resumed.preload_counts(live.counts())
+        assert resumed.estimate() == live.estimate()
+        live.extend(700)
+        resumed.extend(700)
+        assert resumed.counts() == live.counts()
+        assert resumed.estimate() == live.estimate()
 
     def test_sampler_extension_accumulates(self, square_profile):
         pc = parse_path_condition("x * x + y * y <= 1")

@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from repro.core.composition import (
     Incidence,
     combined_estimate,
-    compose_disjoint_path_conditions,
     moments,
     neyman_coefficients,
     path_condition_moments,
 )
-from repro.core.estimate import Estimate
+from repro.core.estimate import Estimate, sum_disjoint
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.subjects.volcomp_suite import subject_by_name
 
@@ -122,6 +121,6 @@ def test_atrial_run_shares_factor_reports_and_composes_them_exactly():
     for report in result.path_reports:
         estimates = [factor.estimate for factor in report.factors]
         assert hexed(report.estimate) == hexed(path_condition_estimate(range(len(estimates)), estimates))
-    summed = compose_disjoint_path_conditions(report.estimate for report in result.path_reports)
+    summed = sum_disjoint(report.estimate for report in result.path_reports)
     assert hexed(result.estimate) == hexed(summed)
     assert hexed(result.round_reports[-1].estimate) == hexed(result.estimate)

@@ -176,7 +176,6 @@ class TestProfileMass:
         box = Box.from_bounds({"x": (2.5, 7.5), "y": (0.0, 1.0)})
         expected = profile.distribution("x").mass(Interval.make(2.5, 7.5)) * 0.5
         assert profile.mass(box) == pytest.approx(expected)
-        assert profile.weight(box) == profile.mass(box)
         assert profile.log_mass(box) == pytest.approx(math.log(expected))
 
     def test_mass_free_box_short_circuits(self):

@@ -45,9 +45,9 @@ def closure_kernel(constraint):
 @pytest.fixture
 def closure_oracle(monkeypatch):
     """Route every evaluator through the closure compiler instead of fused kernels."""
-    from repro.core import montecarlo, qcoral, stratified
+    from repro.core import montecarlo, stratified
 
-    for module in (montecarlo, qcoral, stratified):
+    for module in (montecarlo, stratified):
         monkeypatch.setattr(module, "get_kernel", closure_kernel)
     clear_kernel_cache()
 

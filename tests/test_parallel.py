@@ -16,7 +16,6 @@ from repro.api import Session
 from repro.cli import main
 from repro.core.cache import EstimateCache
 from repro.core.estimate import Estimate
-from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.qcoral import QCoralAnalyzer, QCoralConfig
 from repro.core.stratified import StratifiedSampler
@@ -162,16 +161,25 @@ class TestShardedSampling:
         tasks = _circle_tasks(4_000, 11, chunk_size=1_000)
         assert [task.samples for task in tasks] == [1_000] * 4
         hits = sum(chunk_hits for chunk_hits, _ in run_sampling_tasks(None, tasks))
-        one_shot = SamplingResult(Estimate.from_hits(hits, 4_000), hits, 4_000)
 
-        merged = None
+        merged_hits = merged_samples = 0
         for task in tasks:
             chunk_hits, samples = execute_sampling_task(task)
-            part = SamplingResult(Estimate.from_hits(chunk_hits, samples), chunk_hits, samples)
-            merged = part if merged is None else merged.merge(part)
-        assert merged.hits == one_shot.hits
-        assert merged.samples == one_shot.samples
-        assert merged.estimate == one_shot.estimate
+            merged_hits += chunk_hits
+            merged_samples += samples
+        assert (merged_hits, merged_samples) == (hits, 4_000)
+        assert Estimate.from_hits(merged_hits, merged_samples) == Estimate.from_hits(hits, 4_000)
+
+    def test_no_strat_factor_samples_its_whole_domain_with_word_0(self):
+        """A STRAT-off factor is plain hit-or-miss: unboxed chunks keyed with stratum word 0."""
+        profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
+        config = QCoralConfig(samples_per_query=2_000, stratified=False, seed=7, chunk_size=CHUNK)
+        result = run_engine(parse_constraint_set("x * x + y * y <= 1"), profile, config)
+        (factor,) = result.path_reports[0].factors
+        seed = factor_seed(np.random.SeedSequence(7).entropy, factor.factor.canonical())
+        tasks = plan_chunks(factor.factor, profile, ("x", "y"), 2_000, seed, 0, 0, CHUNK)
+        hits = sum(chunk_hits for chunk_hits, _ in run_sampling_tasks(None, tasks))
+        assert result.estimate == Estimate.from_hits(hits, 2_000)
 
     @pytest.mark.parametrize("kind,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
     def test_backends_bit_identical(self, kind, workers):

@@ -122,12 +122,12 @@ class TestUsageProfile:
     def test_weight_matches_relative_volume_for_uniform(self):
         profile = UsageProfile.uniform({"x": (0, 2), "y": (0, 2)})
         box = Box.from_bounds({"x": (0, 1), "y": (0, 1)})
-        assert profile.weight(box) == pytest.approx(0.25)
+        assert profile.mass(box) == pytest.approx(0.25)
 
     def test_weight_for_projected_box(self):
         profile = UsageProfile.uniform({"x": (0, 2), "y": (0, 2)})
         box = Box.from_bounds({"x": (0, 1)})
-        assert profile.weight(box) == pytest.approx(0.5)
+        assert profile.mass(box) == pytest.approx(0.5)
 
     def test_sample_returns_requested_variables(self, rng):
         profile = UsageProfile.uniform({"x": (0, 1), "y": (0, 1), "z": (0, 1)})
@@ -159,4 +159,4 @@ class TestUsageProfile:
         profile = UsageProfile({"u": UniformDistribution(0, 1), "n": TruncatedNormalDistribution(0.5, 0.2, 0.0, 1.0)})
         batch = profile.sample(rng, 300)
         assert set(batch) == {"u", "n"}
-        assert profile.weight(Box.from_bounds({"u": (0, 0.5), "n": (0, 1)})) == pytest.approx(0.5, abs=1e-6)
+        assert profile.mass(Box.from_bounds({"u": (0, 0.5), "n": (0, 1)})) == pytest.approx(0.5, abs=1e-6)

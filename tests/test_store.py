@@ -42,8 +42,15 @@ def make_store(backend: str, tmp_path):
 
 BACKENDS = ("memory", "jsonl", "sqlite")
 
+
+def counts_entry(hits: int, samples: int) -> StoreEntry:
+    """A one-stratum entry holding ``hits`` of ``samples`` draws."""
+    return StoreEntry.from_strata(((hits, samples),), paving="B[0.0,1.0]")
+
+
 #: Entry payloads exactly as stores wrote them before entries dropped their
-#: ``spawned`` seed-stream count.
+#: ``spawned`` seed-stream count (and, for ``legacy-mc``, before whole-domain
+#: counts became one-stratum ``stratified`` entries).
 LEGACY_PAYLOADS = {
     "legacy-mc": '{"hits": 7, "kind": "mc", "runs": 1, "samples": 100, "spawned": 2}',
     "legacy-s": (
@@ -53,23 +60,27 @@ LEGACY_PAYLOADS = {
 }
 
 
-def make_legacy_store(backend: str, tmp_path):
-    """A store of ``backend`` holding :data:`LEGACY_PAYLOADS` as written."""
+def make_legacy_store(backend: str, tmp_path, mc_key: str):
+    """A store of ``backend`` holding :data:`LEGACY_PAYLOADS` as written, ``legacy-mc`` at ``mc_key``.
+
+    A memory store holds only entries that load, so it gets ``legacy-s``
+    alone: the ``mc`` payload no longer loads.
+    """
+    payloads = {(mc_key if key == "legacy-mc" else key): text for key, text in LEGACY_PAYLOADS.items()}
     if backend == "memory":
         store = MemoryStore()
-        for key, text in LEGACY_PAYLOADS.items():
-            store.merge(key, StoreEntry.from_dict(json.loads(text)))
+        store.merge("legacy-s", StoreEntry.from_dict(json.loads(LEGACY_PAYLOADS["legacy-s"])))
         return store
     if backend == "jsonl":
         path = tmp_path / "store.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
-            for key, text in LEGACY_PAYLOADS.items():
+            for key, text in payloads.items():
                 handle.write(json.dumps({"key": key, **json.loads(text)}, sort_keys=True) + "\n")
         return JsonlStore(str(path))
     path = str(tmp_path / "store.db")
     SqliteStore(path).close()
     with sqlite3.connect(path) as connection:
-        for key, text in LEGACY_PAYLOADS.items():
+        for key, text in payloads.items():
             payload = json.loads(text)
             connection.execute(
                 "INSERT INTO estimates (key, kind, samples, runs, payload) VALUES (?, ?, ?, ?, ?)",
@@ -171,10 +182,10 @@ class TestBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_round_trip(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        entry = StoreEntry.from_mc(7, 100)
+        entry = counts_entry(7, 100)
         store.merge("key-1", entry)
         loaded = store.get("key-1")
-        assert (loaded.hits, loaded.samples) == (7, 100)
+        assert (loaded.strata, loaded.samples) == (((7, 100),), 100)
         assert loaded == store.get("key-1")
         assert store.get("missing") is None
         assert len(store) == 1
@@ -192,17 +203,30 @@ class TestBackends:
         store.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pre_change_payload_loads_and_merges(self, backend, tmp_path):
-        store = make_legacy_store(backend, tmp_path)
-        loaded = store.get("legacy-mc")
-        assert (loaded.kind, loaded.hits, loaded.samples, loaded.runs) == ("mc", 7, 100, 1)
-        assert "spawned" not in loaded.to_dict()
-        merged = store.merge("legacy-mc", StoreEntry.from_mc(3, 50))
-        assert (merged.hits, merged.samples, merged.runs) == (10, 150, 2)
-        assert store.get("legacy-mc") == merged
+    def test_pre_change_payloads_miss_or_merge(self, backend, tmp_path):
+        # The whole-domain "mc" kind is gone: a legacy row reads as a miss,
+        # and a STRAT-off run over it samples cold and publishes a
+        # one-stratum "stratified" row in its place.
+        with pytest.raises(StoreError, match="unknown entry kind"):
+            StoreEntry.from_dict(json.loads(LEGACY_PAYLOADS["legacy-mc"]))
+        constraint_set = parse_constraint_set(CIRCLE)
+        config = QCoralConfig(samples_per_query=2000, stratified=False, seed=5)
+        with MemoryStore() as scratch:
+            cold = QCoralAnalyzer(PROFILE_2D, config, store=scratch).analyze(constraint_set)
+        key = cold.path_reports[0].factors[0].key.digest
+        store = make_legacy_store(backend, tmp_path, mc_key=key)
+        assert store.get(key) is None
+        result = QCoralAnalyzer(PROFILE_2D, config, store=store).analyze(constraint_set)
+        assert result.cache_statistics.store_hits == 0
+        assert result.total_samples == 2000
+        assert (result.mean.hex(), result.variance.hex()) == (cold.mean.hex(), cold.variance.hex())
+        published = store.get(key)
+        assert (published.kind, published.samples, published.runs) == ("stratified", 2000, 1)
+        assert published.paving == "B[-1.0,1.0],[-1.0,1.0]"
 
         stratified = store.get("legacy-s")
         assert (stratified.strata, stratified.samples, stratified.runs) == (((3, 10), (0, 5)), 15, 2)
+        assert "spawned" not in stratified.to_dict()
         merged = store.merge("legacy-s", StoreEntry.from_strata(((1, 5), (2, 5)), paving="B[0.0,1.0]|B[1.0,2.0]"))
         assert (merged.strata, merged.samples, merged.runs) == (((4, 15), (2, 10)), 25, 3)
         assert store.get("legacy-s") == merged
@@ -211,9 +235,9 @@ class TestBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_merge_on_write_accumulates(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        store.merge("key", StoreEntry.from_mc(10, 100))
-        merged = store.merge("key", StoreEntry.from_mc(5, 50))
-        assert (merged.hits, merged.samples, merged.runs) == (15, 150, 2)
+        store.merge("key", counts_entry(10, 100))
+        merged = store.merge("key", counts_entry(5, 50))
+        assert (merged.strata, merged.samples, merged.runs) == (((15, 150),), 150, 2)
         assert store.get("key").samples == 150
         assert store.statistics.creates == 1
         assert store.statistics.merges == 1
@@ -223,11 +247,11 @@ class TestBackends:
     def test_persistence_across_handles(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
         path = store._path
-        store.merge("key", StoreEntry.from_mc(10, 100))
+        store.merge("key", counts_entry(10, 100))
         store.close()
         reopened = open_store(path, backend)
         assert reopened.get("key").samples == 100
-        reopened.merge("key", StoreEntry.from_mc(1, 10))
+        reopened.merge("key", counts_entry(1, 10))
         assert reopened.get("key").samples == 110
         reopened.close()
 
@@ -235,10 +259,10 @@ class TestBackends:
     def test_readonly_skips_writes(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
         path = store._path
-        store.merge("key", StoreEntry.from_mc(10, 100))
+        store.merge("key", counts_entry(10, 100))
         store.close()
         readonly = open_store(path, backend, readonly=True)
-        would_be = readonly.merge("key", StoreEntry.from_mc(5, 50))
+        would_be = readonly.merge("key", counts_entry(5, 50))
         assert would_be.samples == 150  # the caller sees the would-be total
         assert readonly.get("key").samples == 100  # ...but nothing was written
         assert readonly.statistics.readonly_skips == 1
@@ -271,11 +295,11 @@ class TestBackends:
     def test_jsonl_ignores_corrupt_lines(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = JsonlStore(str(path))
-        store.merge("key", StoreEntry.from_mc(10, 100))
+        store.merge("key", counts_entry(10, 100))
         store.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
-            handle.write(json.dumps({"key": "key", "kind": "mc", "hits": 1, "samples": 10}) + "\n")
+            handle.write(json.dumps({"key": "key", **counts_entry(1, 10).to_dict()}) + "\n")
         reopened = JsonlStore(str(path))
         assert reopened.get("key").samples == 110
         reopened.close()
@@ -316,7 +340,7 @@ class TestBackends:
         # A readonly handle on an unwritable store file still reads fine.
         path = str(tmp_path / "frozen.db")
         writer = SqliteStore(path)
-        writer.merge("key", StoreEntry.from_mc(10, 100))
+        writer.merge("key", counts_entry(10, 100))
         writer.close()
         os.chmod(path, 0o444)
         try:
@@ -334,7 +358,7 @@ class TestBackends:
         def writer(worker: int) -> None:
             try:
                 for _ in range(25):
-                    store.merge(f"key-{worker % 3}", StoreEntry.from_mc(1, 10))
+                    store.merge(f"key-{worker % 3}", counts_entry(1, 10))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -368,7 +392,7 @@ class TestBackends:
 def _process_writer(path: str, worker: int) -> None:
     store = SqliteStore(path)
     for _ in range(20):
-        store.merge(f"key-{worker % 2}", StoreEntry.from_mc(2, 10))
+        store.merge(f"key-{worker % 2}", counts_entry(2, 10))
     store.close()
 
 
@@ -524,6 +548,56 @@ class TestAnalyzerReuse:
         assert result.cache_statistics.store_lookups == 0
 
 
+class TestSameCountsSameAnswer:
+    """An answer is a pure function of the counts it is computed from."""
+
+    SPHERE = "x * x + y * y <= 0.5 && z <= 0.2"
+    PROFILE_3D = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
+
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    @pytest.mark.parametrize("stratified", (True, False), ids=("default", "no-strat"))
+    def test_equal_counts_give_bit_identical_answers(self, stratified, backend, tmp_path):
+        # n, then 2n+ twice under one store: the second run samples on top of
+        # the first run's counts, the third reads the same pooled counts back
+        # and draws nothing.  Both must report the same mean and std.
+        store = str(tmp_path / "store.db") if backend == "sqlite" else None
+        with Session(store=store, store_backend=None if store else "memory") as session:
+            reports = [
+                session.quantify(
+                    self.SPHERE,
+                    self.PROFILE_3D,
+                    config=QCoralConfig(samples_per_query=samples, stratified=stratified, seed=5),
+                ).run()
+                for samples in (7000, 15000, 15000)
+            ]
+        assert reports[1].total_samples > 0
+        assert reports[2].total_samples == 0
+        assert reports[2].mean.hex() == reports[1].mean.hex()
+        assert reports[2].std.hex() == reports[1].std.hex()
+
+    def test_no_strat_answer_is_the_hit_ratio_of_its_counts(self):
+        # The whole domain weighs exactly 1 even where the profile's mass
+        # product rounds off it, cold and when decoded from the store, so a
+        # STRAT-off answer is plain hit-or-miss over the counts it holds.
+        from repro.core.estimate import Estimate
+        from repro.core.profiles import PiecewiseUniformDistribution, UniformDistribution
+
+        histogram = PiecewiseUniformDistribution(
+            (-16.0, -14.0, -6.0, -1.0, 1.0, 10.0, 16.0), (0.456, 0.8, 0.701, 0.196, 0.005, 0.743)
+        )
+        profile = UsageProfile({"x": histogram, "y": UniformDistribution(-1.0, 1.0)})
+        assert profile.mass(profile.domain()) != 1.0
+        constraint_set = parse_constraint_set("x + 10 * y <= 3")
+        config = QCoralConfig(samples_per_query=3000, stratified=False, seed=3)
+        with MemoryStore() as store:
+            cold = QCoralAnalyzer(profile, config, store=store).analyze(constraint_set)
+            warm = QCoralAnalyzer(profile, config, store=store).analyze(constraint_set)
+            ((hits, samples),) = store.get(store.keys()[0]).strata
+        assert (samples, warm.total_samples) == (3000, 0)
+        for result in (cold, warm):
+            assert result.estimate == Estimate.from_hits(hits, samples)
+
+
 class TestConcurrentAnalyzers:
     """Whole analyses racing on one store from threads and from processes."""
 
@@ -547,7 +621,8 @@ class TestConcurrentAnalyzers:
         # never a corrupted count.
         assert entry.samples == entry.runs * 1500
         assert 1 <= entry.runs <= 4
-        assert 0 <= entry.hits <= entry.samples
+        assert entry.kind == "stratified"
+        assert all(0 <= hits <= samples for hits, samples in entry.strata)
         assert entry.runs + store_hits == 4
         store.close()
 
