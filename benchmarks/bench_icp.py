@@ -2,9 +2,9 @@
 
 ICP paving is most of a cold stratified run on the volcomp subjects, and its
 cost is the two HC4 sweeps per constraint per box.  :class:`ConstraintTree`
-runs them on a flat tape of float bounds; :class:`ReferenceTree` is the
-recursive walk over node objects with ``Interval`` arithmetic that the tape
-reproduces bit for bit.  This benchmark paves the distinct factors of VOL,
+runs them on a flat tape of float bounds; ``ReferenceTree``
+(``tests/hc4_reference.py``) is the recursive walk over node objects with
+``Interval`` arithmetic that the tape reproduces bit for bit.  This benchmark paves the distinct factors of VOL,
 CART (``count >= 3`` and ``count >= 1``) and INVPEND — the factors
 perfbench's paving-heavy workload paves — with each, in the same process:
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from unittest import mock
@@ -40,6 +41,11 @@ try:
     from benchmarks.conftest import record_bench, repetitions, write_bench_summary
 except ImportError:  # executed directly: benchmarks/ is sys.path[0]
     from conftest import record_bench, repetitions, write_bench_summary
+
+# The recursive reference walk lives with the tests that hold the tape to it.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+import hc4_reference
+
 from repro.core.qcoral import plan_factors
 from repro.icp import hc4, solver
 from repro.icp.config import ICPConfig
@@ -75,9 +81,9 @@ def paving_jobs() -> List[Job]:
     return jobs
 
 
-def reference_trees(pc: ast.PathCondition) -> Tuple[hc4.ReferenceTree, ...]:
+def reference_trees(pc: ast.PathCondition) -> Tuple[hc4_reference.ReferenceTree, ...]:
     """:func:`~repro.icp.hc4.constraint_trees` with the recursive reference."""
-    return tuple(hc4.ReferenceTree(constraint) for constraint in pc.constraints)
+    return tuple(hc4_reference.ReferenceTree(constraint) for constraint in pc.constraints)
 
 
 def pave_all(jobs: Sequence[Job], reference: bool) -> Tuple[float, List[Paving]]:
@@ -107,8 +113,8 @@ def count_visits(jobs: Sequence[Job]) -> Dict[str, int]:
 
         return visit
 
-    forward = mock.patch.object(hc4, "_forward", counted("forward", hc4._forward))
-    backward = mock.patch.object(hc4, "_backward", counted("backward", hc4._backward))
+    forward = mock.patch.object(hc4_reference, "_forward", counted("forward", hc4_reference._forward))
+    backward = mock.patch.object(hc4_reference, "_backward", counted("backward", hc4_reference._backward))
     with forward, backward:
         pave_all(jobs, reference=True)
     return visits

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
@@ -42,9 +43,12 @@ except ImportError:  # executed directly: benchmarks/ is sys.path[0]
 from repro.analysis.results import Table
 from repro.core.montecarlo import hit_or_miss
 from repro.exec import plan_chunks, run_sampling_tasks
-from repro.lang.compiler import compile_path_condition
 from repro.lang.kernel import clear_kernel_cache, get_kernel
 from repro.subjects.volcomp_suite import subject_by_name
+
+# The closure oracle lives with the tests that hold the fused kernels to it.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+from compiler_reference import compile_path_condition
 
 #: Summary file this benchmark writes (uploaded as a CI artifact).
 SUMMARY_FILE = "BENCH_kernels.json"

@@ -61,8 +61,9 @@ from repro.symexec.symbolic import execute_program
 #: uniform bounds / CLI-style distribution spec string.
 ProfileLike = Union[UsageProfile, Mapping[str, object]]
 
-#: Query targets (programs and constraint sets) a session keeps planned; the
-#: least recently used goes first.  A served-mix pass sends 58–68 distinct
+#: Query targets (programs and constraint sets) a session keeps planned, plus
+#: the parse of each program text (one entry per text, whatever its events);
+#: the least recently used goes first.  A served-mix pass sends 58–68 distinct
 #: constraint texts, so 32 would thrash; 128 plans of the largest VolComp
 #: program (ATRIAL, 2 250 paths) hold ~44 MB.
 _PLAN_MEMO_SIZE = 128
@@ -375,13 +376,10 @@ class Session:
         key = self._constraint_key(target, partition_and_cache)
         return self._plan(key, lambda: FactorPlan(target.constraint_set, partition_and_cache), observability)
 
-    def _parse_program(self, text: str, event: str, max_depth: int, max_paths: int) -> Program:
-        """``text`` parsed, taken from a memoised plan of the same query target when there is one."""
-        for partition_and_cache in (True, False):
-            planned = self._plans.peek(("program-text", text, event, max_depth, max_paths, partition_and_cache))
-            if planned is not None:
-                return planned.program
-        return parse_program(text)
+    def _parse_program(self, text: str) -> Program:
+        """``text`` parsed once per session: the memo keeps the program under its text."""
+        program, _ = self._plans.get(("program-parse", text), lambda: parse_program(text))
+        return program
 
     def _parse(self, text: str) -> ConstraintSet:
         """``text`` parsed, taken from a memoised plan of the same text when there is one."""
@@ -436,9 +434,7 @@ class Session:
         """
         self._check_open()
         if isinstance(program, str):
-            target = _ProgramTarget(
-                self._parse_program(program, event, max_depth, max_paths), event, max_depth, max_paths, program
-            )
+            target = _ProgramTarget(self._parse_program(program), event, max_depth, max_paths, program)
         else:
             target = _ProgramTarget(program, event, max_depth, max_paths)
         return Query(

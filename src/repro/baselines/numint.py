@@ -10,8 +10,9 @@ exhausted.
 This substitute integrates the indicator function of a constraint set over the
 (uniform) input domain with the same strategy.  Because the integrand is an
 indicator, the per-region rule evaluates the constraint on a small grid of
-probe points: a region whose probes all agree and whose interval evaluation is
-conclusive contributes no error; mixed regions contribute their full volume as
+probe points: a region whose interval evaluation is conclusive (on each path
+condition's HC4 tapes, :func:`~repro.icp.hc4.constraint_trees`, built once per
+call) contributes no error; mixed regions contribute their full volume as
 error and are candidates for bisection.  The qualitative behaviour matches the
 paper's observations — exact-looking results on low-dimensional problems, poor
 scaling and possible non-convergence warnings as dimensionality grows.
@@ -23,12 +24,12 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.icp.hc4 import constraint_certainly_fails, constraint_certainly_holds
+from repro.icp.hc4 import ConstraintTree, constraint_trees
 from repro.intervals.box import Box
 from repro.lang import ast
 from repro.lang.kernel import get_kernel
@@ -82,20 +83,18 @@ def _probe_points(box: Box, config: NumIntConfig) -> dict:
     return {name: grid[:, index] for index, name in enumerate(names)}
 
 
-def _classify(constraint_set: ast.ConstraintSet, box: Box) -> Tuple[float, float]:
+def _classify(trees: Sequence[Tuple[ConstraintTree, ...]], box: Box) -> Tuple[float, float]:
     """Return ``(satisfied_fraction, error_fraction)`` for one region.
 
-    Interval evaluation settles regions that certainly satisfy one path
-    condition or certainly violate all of them; otherwise the probe grid gives
-    the fraction and the region is treated as fully uncertain.
+    ``trees`` holds each path condition's constraint trees.  Interval
+    evaluation settles regions that certainly satisfy one path condition or
+    certainly violate all of them; otherwise the probe grid gives the
+    fraction and the region is treated as fully uncertain.
     """
-    for pc in constraint_set.path_conditions:
-        if all(constraint_certainly_holds(constraint, box) for constraint in pc.constraints):
+    for pc_trees in trees:
+        if all(tree.certainly_holds(box) for tree in pc_trees):
             return 1.0, 0.0
-    if all(
-        any(constraint_certainly_fails(constraint, box) for constraint in pc.constraints)
-        for pc in constraint_set.path_conditions
-    ):
+    if all(any(tree.certainly_fails(box) for tree in pc_trees) for pc_trees in trees):
         return 0.0, 0.0
     return -1.0, 1.0  # fraction computed from probes by the caller
 
@@ -118,6 +117,7 @@ def integrate_indicator(
     started = time.perf_counter()
     deadline = started + config.time_budget
     predicate = get_kernel(constraint_set)
+    trees = [constraint_trees(pc) for pc in constraint_set.path_conditions]
     domain_volume = domain.volume()
 
     settled_probability = 0.0
@@ -127,7 +127,7 @@ def integrate_indicator(
 
     def push_region(box: Box) -> None:
         relative = box.volume() / domain_volume
-        certain, error = _classify(constraint_set, box)
+        certain, error = _classify(trees, box)
         nonlocal settled_probability
         if error == 0.0:
             settled_probability += certain * relative

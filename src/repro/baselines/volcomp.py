@@ -14,6 +14,10 @@ with an interval branch-and-bound:
 The qualitative failure mode reported in the paper is preserved: on subjects
 where interval reasoning cannot prune (highly skewed polynomials, CART; deep
 non-linearity, VOL) the returned interval stays wide, up to ``[0, 1]``.
+
+Boxes are classified on each path condition's HC4 tapes
+(:func:`~repro.icp.hc4.constraint_trees`), built once per call and swept
+over every box.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.profiles import UsageProfile
 from repro.errors import AnalysisError
-from repro.icp.hc4 import constraint_certainly_fails, constraint_certainly_holds
+from repro.icp.hc4 import ConstraintTree, constraint_trees
 from repro.intervals.box import Box
 from repro.lang import ast
 
@@ -59,26 +63,20 @@ class VolCompResult:
         return self.lower - slack <= probability <= self.upper + slack
 
 
-def _certainly_satisfies(constraint_set: ast.ConstraintSet, box: Box) -> bool:
+def _certainly_satisfies(trees: Sequence[Tuple[ConstraintTree, ...]], box: Box) -> bool:
     """True when every point of ``box`` satisfies some path condition.
 
-    Checking each path condition separately is sufficient (though not
-    necessary); it is the same corner-wise reasoning VolComp's polyhedral
-    bounding performs on linear constraints.
+    ``trees`` holds each path condition's constraint trees.  Checking each
+    path condition separately is sufficient (though not necessary); it is the
+    same corner-wise reasoning VolComp's polyhedral bounding performs on
+    linear constraints.
     """
-    return any(
-        all(constraint_certainly_holds(constraint, box) for constraint in pc.constraints)
-        for pc in constraint_set.path_conditions
-        if pc.constraints
-    )
+    return any(all(tree.certainly_holds(box) for tree in pc_trees) for pc_trees in trees if pc_trees)
 
 
-def _certainly_violates(constraint_set: ast.ConstraintSet, box: Box) -> bool:
+def _certainly_violates(trees: Sequence[Tuple[ConstraintTree, ...]], box: Box) -> bool:
     """True when no point of ``box`` satisfies any path condition."""
-    return all(
-        any(constraint_certainly_fails(constraint, box) for constraint in pc.constraints)
-        for pc in constraint_set.path_conditions
-    )
+    return all(any(tree.certainly_fails(box) for tree in pc_trees) for pc_trees in trees)
 
 
 def bound_probability(
@@ -91,6 +89,12 @@ def bound_probability(
     The profile's measure is used to weigh boxes, so the bounds are valid for
     non-uniform profiles as well (VolComp itself supports distribution
     envelopes; the uniform case reproduces the paper's tables).
+
+    Raises :class:`AnalysisError` when the constrained variables' domain is
+    unbounded or one of them is discrete.  The guarantee rests on continuous
+    measure: boxes are classified with a floating-point slack at the
+    boundary, and bisection puts a split point in both closed halves, so an
+    integer atom on a boundary or a split would be counted wrongly or twice.
     """
     started = time.perf_counter()
     deadline = started + config.time_budget
@@ -106,9 +110,14 @@ def bound_probability(
         return VolCompResult(value, value, 0, time.perf_counter() - started)
 
     profile.check_covers(variables)
-    domain = profile.restrict(variables).domain()
+    restricted = profile.restrict(variables)
+    discrete = restricted.discrete_variables()
+    if discrete:
+        raise AnalysisError(f"probability bounding needs continuous variables; {', '.join(discrete)} are discrete")
+    domain = restricted.domain()
     if not domain.is_bounded():
         raise AnalysisError("probability bounding needs a bounded domain")
+    trees = [constraint_trees(pc) for pc in constraint_set.path_conditions]
 
     lower = 0.0
     undecided_mass = 0.0
@@ -121,10 +130,10 @@ def bound_probability(
         weight = profile.mass(box)
         if weight == 0.0:
             return
-        if _certainly_satisfies(constraint_set, box):
+        if _certainly_satisfies(trees, box):
             lower += weight
             return
-        if _certainly_violates(constraint_set, box):
+        if _certainly_violates(trees, box):
             return
         undecided_mass += weight
         heapq.heappush(heap, (-weight, next(counter), box))

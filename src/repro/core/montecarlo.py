@@ -23,8 +23,7 @@ from repro.core.profiles import UsageProfile
 from repro.errors import AnalysisError
 from repro.intervals.box import Box
 from repro.lang import ast
-from repro.lang.compiler import CompiledPredicate
-from repro.lang.kernel import get_kernel
+from repro.lang.kernel import CompiledPredicate, get_kernel
 
 
 def hit_or_miss(

@@ -40,7 +40,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.intervals.box import Box
 from repro.lang import ast
-from repro.lang.compiler import CompiledPredicate
+from repro.lang.kernel import CompiledPredicate
 
 if TYPE_CHECKING:  # pragma: no cover - deferred to avoid a core<->exec cycle
     from repro.core.profiles import UsageProfile

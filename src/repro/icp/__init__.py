@@ -2,24 +2,12 @@
 
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import contract
-from repro.icp.hc4 import (
-    constraint_certainly_fails,
-    constraint_certainly_holds,
-    constraint_range,
-    evaluate_interval,
-    hc4_revise,
-)
 from repro.icp.solver import ICPSolver, PavedBox, Paving, pave
 
 __all__ = [
     "ICPConfig",
     "PAPER_CONFIG",
     "contract",
-    "hc4_revise",
-    "evaluate_interval",
-    "constraint_range",
-    "constraint_certainly_holds",
-    "constraint_certainly_fails",
     "ICPSolver",
     "Paving",
     "PavedBox",

@@ -9,20 +9,19 @@ constraint in two sweeps over the expression tree:
   down the tree, narrowing the node enclosures and ultimately the variable
   domains.
 
-Two implementations of the sweeps live here:
-
-* :class:`ConstraintTree` runs them on a flat *tape*: the ``left - right``
-  tree is numbered once, in preorder, into parallel lists of opcodes, child
-  indices and payloads, and each sweep is one ``for`` loop over two lists of
-  float bounds.  No :class:`~repro.intervals.interval.Interval` is built per
-  node, except at function calls, which reuse the extensions of
-  :mod:`repro.intervals.functions`.  The paving solver, the contractor and the
-  importance sampler sweep with it.
-* :class:`ReferenceTree` is the recursive walk over :class:`_Node` objects
-  with :class:`Interval` arithmetic that :func:`hc4_revise` runs.  It is the
-  readable reference: the tape reproduces it bit for bit (same outward
-  rounding, same ``max``/``min`` argument order, same emptiness decisions), and
-  the tests compare the two bound for bound and paving for paving.
+:class:`ConstraintTree` runs them on a flat *tape*: the ``left - right`` tree
+is numbered once, in preorder, into parallel lists of opcodes, child indices
+and payloads, and each sweep is one ``for`` loop over two lists of float
+bounds.  No :class:`~repro.intervals.interval.Interval` is built per node,
+except at function calls, which reuse the extensions of
+:mod:`repro.intervals.functions`.  The paving solver, the contractor, the
+importance sampler, the symbolic executor and the VolComp and NIntegrate
+baselines all sweep with it.  The tests keep a recursive walk over node
+objects with :class:`Interval` arithmetic (``tests/hc4_reference.py``) that
+the tape reproduces bit for bit — same outward rounding, same ``max``/``min``
+argument order, same emptiness decisions, same errors — and compare the two
+bound for bound and paving for paving; that walk imports the projections
+defined here.
 
 Every projection implemented here is *conservative*: when the exact inverse
 image is expensive to compute (periodic functions, ``atan2``, ``min``/``max``)
@@ -34,10 +33,9 @@ union of reported boxes must contain all solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ICPError
+from repro.errors import ICPError, IntervalError
 from repro.intervals.box import Box
 from repro.intervals.functions import (
     apply_function,
@@ -66,21 +64,6 @@ _RELATION_RANGES: Dict[str, Interval] = {
 _ROOT_PAD = 1e-12
 
 
-@dataclass
-class _Node:
-    """Mutable evaluation-tree node used by the two reference sweeps.
-
-    ``square`` marks ``e * e`` products, decided once when the tree is
-    built.  Every forward sweep overwrites ``value`` on every node, so a tree
-    can be swept again over any number of boxes.
-    """
-
-    expression: ast.Expression
-    children: List["_Node"] = field(default_factory=list)
-    value: Interval = ENTIRE
-    square: bool = False
-
-
 def relation_range(operator: str) -> Interval:
     """Feasible interval of ``left - right`` for a comparison operator."""
     try:
@@ -89,138 +72,12 @@ def relation_range(operator: str) -> Interval:
         raise ICPError(f"unsupported comparison operator {operator!r}") from exc
 
 
-# --------------------------------------------------------------------------- #
-# Forward sweep
-# --------------------------------------------------------------------------- #
-def _build_tree(expression: ast.Expression) -> _Node:
-    square = isinstance(expression, ast.BinaryOp) and expression.operator == "*" and _is_square(expression)
-    return _Node(expression, [_build_tree(child) for child in expression.children()], square=square)
-
-
-def _forward(node: _Node, box: Box) -> Interval:
-    expression = node.expression
-    for child in node.children:
-        _forward(child, box)
-
-    if isinstance(expression, ast.Constant):
-        node.value = Interval.point(expression.value)
-    elif isinstance(expression, ast.Variable):
-        node.value = box.interval(expression.name) if expression.name in box else ENTIRE
-    elif isinstance(expression, ast.UnaryOp):
-        node.value = -node.children[0].value
-    elif isinstance(expression, ast.BinaryOp):
-        left = node.children[0].value
-        right = node.children[1].value
-        if node.square:
-            # ``e * e`` is a square: the tight enclosure avoids the spurious
-            # negative range of the generic product rule.
-            node.value = left.sqr()
-        else:
-            node.value = _forward_binary(expression.operator, left, right)
-    elif isinstance(expression, ast.FunctionCall):
-        arguments = [child.value for child in node.children]
-        node.value = apply_function(expression.name, arguments)
-    else:  # pragma: no cover - defensive
-        raise ICPError(f"cannot evaluate node of type {type(expression).__name__}")
-    return node.value
-
-
-def _forward_binary(operator: str, left: Interval, right: Interval) -> Interval:
-    if operator == "+":
-        return left + right
-    if operator == "-":
-        return left - right
-    if operator == "*":
-        return left * right
-    if operator == "/":
-        return left / right
-    raise ICPError(f"unknown binary operator {operator!r}")
-
-
-def evaluate_interval(expression: ast.Expression, box: Box) -> Interval:
-    """Interval enclosure of ``expression`` over ``box`` (forward sweep only).
-
-    The same rules as :func:`_forward`, walked straight over the expression:
-    a one-shot enclosure needs no tree to keep node values in.
-    """
-    if isinstance(expression, ast.Constant):
-        return Interval.point(expression.value)
-    if isinstance(expression, ast.Variable):
-        return box.interval(expression.name) if expression.name in box else ENTIRE
-    if isinstance(expression, ast.UnaryOp):
-        return -evaluate_interval(expression.operand, box)
-    if isinstance(expression, ast.BinaryOp):
-        left = evaluate_interval(expression.left, box)
-        right = evaluate_interval(expression.right, box)
-        if expression.operator == "*" and _is_square(expression):
-            return left.sqr()
-        return _forward_binary(expression.operator, left, right)
-    if isinstance(expression, ast.FunctionCall):
-        return apply_function(expression.name, [evaluate_interval(argument, box) for argument in expression.arguments])
-    raise ICPError(f"cannot evaluate node of type {type(expression).__name__}")  # pragma: no cover
-
-
-class ReferenceTree:
-    """One constraint's ``left - right`` tree of :class:`_Node` objects.
-
-    The recursive reference for :class:`ConstraintTree`: the same two
-    methods, computed with :class:`Interval` arithmetic one node object at a
-    time.  :func:`hc4_revise` runs it; the tests compare the tape against it.
-    """
-
-    __slots__ = ("constraint", "root")
-
-    def __init__(self, constraint: ast.Constraint) -> None:
-        self.constraint = constraint
-        self.root = _build_tree(ast.BinaryOp("-", constraint.left, constraint.right))
-
-    def certainly_holds(self, box: Box, strict_boundaries: bool = False) -> bool:
-        """:func:`constraint_certainly_holds` on this tree."""
-        return _certainly_holds(self.constraint.operator, _forward(self.root, box), strict_boundaries)
-
-    def revise(self, box: Box) -> Optional[Box]:
-        """:func:`hc4_revise` on this tree."""
-        value = _forward(self.root, box)
-        feasible = value.intersect(relation_range(self.constraint.operator))
-        if feasible.is_empty():
-            return None
-        domains: Dict[str, Interval] = {name: iv for name, iv in box.items()}
-        if not _backward(self.root, feasible, domains):
-            return None
-        return Box(domains)
-
-
-def constraint_range(constraint: ast.Constraint, box: Box) -> Interval:
-    """Interval enclosure of ``left - right`` for a constraint over ``box``."""
-    return evaluate_interval(ast.BinaryOp("-", constraint.left, constraint.right), box)
-
-
 #: Tolerance used when classifying a box as certainly satisfying a constraint.
 #: The outward rounding of interval arithmetic can push an exact boundary a few
 #: ULPs past zero; since the boundary itself has measure zero, absorbing that
 #: slack keeps "inner" classification useful without affecting soundness of the
 #: probability estimate beyond floating-point noise.
 _CERTAINTY_TOLERANCE = 1e-12
-
-
-def constraint_certainly_holds(constraint: ast.Constraint, box: Box, strict_boundaries: bool = False) -> bool:
-    """True when every point of ``box`` satisfies ``constraint``.
-
-    Used to classify paving boxes as *inner* (tight) boxes: sampling inside an
-    inner box is unnecessary because the hit ratio is exactly one.
-
-    The default mode grants the strict operators ``<`` and ``>`` the same
-    floating-point boundary slack as their non-strict counterparts: under a
-    continuous profile the boundary set has probability zero, so a box that
-    touches it is still "inner up to measure zero".  That argument breaks for
-    integer-supported profiles — an atom sitting exactly on the boundary of a
-    strict inequality carries positive mass but does *not* satisfy it — so
-    callers classifying boxes over discrete variables must pass
-    ``strict_boundaries=True``, which requires the whole enclosure to clear
-    the boundary with no slack (boundary-touching boxes stay undecided and
-    get sampled, which is unbiased).
-    """
-    return _certainly_holds(constraint.operator, constraint_range(constraint, box), strict_boundaries)
 
 
 def _certainly_holds(operator: str, value: Interval, strict_boundaries: bool) -> bool:
@@ -242,67 +99,9 @@ def _certainly_holds(operator: str, value: Interval, strict_boundaries: bool) ->
     raise ICPError(f"unsupported comparison operator {operator!r}")
 
 
-def constraint_certainly_fails(constraint: ast.Constraint, box: Box) -> bool:
-    """True when no point of ``box`` satisfies ``constraint``."""
-    value = constraint_range(constraint, box)
-    if value.is_empty():
-        return True
-    feasible = relation_range(constraint.operator)
-    return value.intersect(feasible).is_empty()
-
-
 # --------------------------------------------------------------------------- #
-# Backward sweep
+# Shapes and projections the tape shares with the reference walk in the tests
 # --------------------------------------------------------------------------- #
-def hc4_revise(constraint: ast.Constraint, box: Box) -> Optional[Box]:
-    """Contract ``box`` with respect to one constraint.
-
-    Returns the contracted box, or ``None`` when the constraint is certainly
-    unsatisfiable over ``box``.  Runs the recursive :class:`ReferenceTree`.
-    """
-    return ReferenceTree(constraint).revise(box)
-
-
-def _backward(node: _Node, projected: Interval, domains: Dict[str, Interval]) -> bool:
-    """Push ``projected`` (the feasible range of ``node``) down the tree.
-
-    Returns False as soon as some variable domain becomes empty.
-    """
-    value = node.value.intersect(projected)
-    if value.is_empty():
-        return False
-    node.value = value
-    expression = node.expression
-
-    if isinstance(expression, ast.Constant):
-        return True
-
-    if isinstance(expression, ast.Variable):
-        name = expression.name
-        if name in domains:
-            narrowed = domains[name].intersect(value)
-            if narrowed.is_empty():
-                return False
-            domains[name] = narrowed
-        return True
-
-    if isinstance(expression, ast.UnaryOp):
-        return _backward(node.children[0], -value, domains)
-
-    if isinstance(expression, ast.BinaryOp):
-        return _backward_binary(expression.operator, node, value, domains)
-
-    if isinstance(expression, ast.FunctionCall):
-        children = node.children
-        power = _integer_exponent(children[1].expression) if expression.name == "pow" else None
-        projections = _project_call(expression.name, value, [child.value for child in children], power)
-        if projections is None:
-            return False
-        return all(_backward(child, projected, domains) for child, projected in zip(children, projections))
-
-    raise ICPError(f"cannot project node of type {type(expression).__name__}")  # pragma: no cover
-
-
 def _is_square(expression: ast.BinaryOp) -> bool:
     """True for products of the form ``e * e`` (syntactically identical factors)."""
     return expression.left.canonical() == expression.right.canonical()
@@ -315,57 +114,6 @@ def _integer_exponent(expression: ast.Expression) -> Optional[int]:
     return None
 
 
-def _backward_binary(operator: str, node: _Node, value: Interval, domains: Dict[str, Interval]) -> bool:
-    left_node, right_node = node.children
-    left, right = left_node.value, right_node.value
-
-    if node.square:
-        # Invert the square: |e| <= sqrt(max feasible value).
-        feasible = value.intersect(Interval(0.0, math.inf))
-        if feasible.is_empty():
-            return False
-        if math.isfinite(feasible.hi):
-            root = math.sqrt(feasible.hi) * (1.0 + _ROOT_PAD)
-            bound = Interval(-root, root)
-        else:
-            bound = ENTIRE
-        return _backward(left_node, left.intersect(bound), domains) and _backward(
-            right_node, right.intersect(bound), domains
-        )
-
-    if operator == "+":
-        new_left = value - right
-        new_right = value - left
-    elif operator == "-":
-        new_left = value + right
-        new_right = left - value
-    elif operator == "*":
-        new_left = _project_factor(value, right, left)
-        new_right = _project_factor(value, left, right)
-    elif operator == "/":
-        new_left = value * right
-        new_right = _project_factor(left, value, right)
-    else:  # pragma: no cover - defensive
-        raise ICPError(f"unknown binary operator {operator!r}")
-
-    return _backward(left_node, new_left, domains) and _backward(right_node, new_right, domains)
-
-
-def _project_factor(product: Interval, other: Interval, current: Interval) -> Interval:
-    """Feasible values of one factor given the product and the other factor.
-
-    When the other factor straddles zero, exact projection would require a
-    union of two intervals; returning the current enclosure keeps the
-    contraction conservative.
-    """
-    if other.contains(0.0):
-        return current
-    return product / other
-
-
-# --------------------------------------------------------------------------- #
-# Function projections, shared by the tape and the reference
-# --------------------------------------------------------------------------- #
 def _project_call(
     name: str, value: Interval, arguments: Sequence[Interval], power: Optional[int]
 ) -> Optional[List[Interval]]:
@@ -447,8 +195,8 @@ _NINF = -math.inf
 _nextafter = math.nextafter
 
 # Tape opcodes.  ``_RAISE`` marks a node the forward sweep cannot evaluate (a
-# NaN constant, an unknown operator): evaluating it raises the reference's
-# error at the point where the reference's sweep would.
+# NaN constant, an unknown operator): its payload is the error type and
+# message, raised at the point where a recursive sweep would raise them.
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _SQR, _CALL, _RAISE = range(10)
 _BINARY_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 
@@ -500,8 +248,8 @@ class ConstraintTree:
     Node ``i`` of the preorder numbering has opcode ``ops[i]``, children
     ``first[i]``/``second[i]`` (``-1`` when absent) and ``payload[i]``: the
     value of a constant, the name of a variable, ``(name, children,
-    integer exponent)`` for a function call, or the expression of a
-    ``_RAISE`` node.  Squares (``e * e``) are decided once, here.
+    integer exponent)`` for a function call, or the error type and message
+    of a ``_RAISE`` node.  Squares (``e * e``) are decided once, here.
 
     The forward sweep runs in postorder — the order in which the recursive
     walk finishes nodes, so even a failing function call fails first where it
@@ -552,22 +300,29 @@ class ConstraintTree:
         self.second.append(-1)
         self.payload.append(expression)
         op: int = _RAISE
-        payload: Any = expression
+        payload: Any = (ICPError, f"cannot evaluate node of type {type(expression).__name__}")
         if isinstance(expression, ast.Constant):
             value = float(expression.value)
-            if not math.isnan(value):
+            if math.isnan(value):
+                payload = (IntervalError, f"interval bounds may not be NaN: [{expression.value}, {expression.value}]")
+            else:
                 op, payload = _CONST, value
         elif isinstance(expression, ast.Variable):
             op, payload = _VAR, expression.name
         elif isinstance(expression, ast.UnaryOp):
             op, payload = _NEG, None
             self.first[index] = self._number(expression.operand)
-        elif isinstance(expression, ast.BinaryOp) and expression.operator in _BINARY_OPS:
-            op, payload = _BINARY_OPS[expression.operator], None
-            if op == _MUL and _is_square(expression):
-                op = _SQR
+        elif isinstance(expression, ast.BinaryOp):
+            # The operands come first even under an unknown operator: their
+            # errors are raised before the operator's.
             self.first[index] = self._number(expression.left)
             self.second[index] = self._number(expression.right)
+            if expression.operator in _BINARY_OPS:
+                op, payload = _BINARY_OPS[expression.operator], None
+                if op == _MUL and _is_square(expression):
+                    op = _SQR
+            else:
+                payload = (ICPError, f"unknown binary operator {expression.operator!r}")
         elif isinstance(expression, ast.FunctionCall):
             children = tuple(self._number(argument) for argument in expression.arguments)
             power = None
@@ -654,16 +409,48 @@ class ConstraintTree:
                 lo[i] = value.lo
                 hi[i] = value.hi
             else:
-                evaluate_interval(payload[i], box)  # raises the reference's error
-                raise ICPError(f"cannot evaluate {payload[i]!r}")  # pragma: no cover
+                error, message = payload[i]
+                raise error(message)
 
     def certainly_holds(self, box: Box, strict_boundaries: bool = False) -> bool:
-        """:func:`constraint_certainly_holds` on this tree."""
+        """True when every point of ``box`` satisfies the constraint.
+
+        Used to classify paving boxes as *inner* (tight) boxes: sampling inside
+        an inner box is unnecessary because the hit ratio is exactly one.
+
+        The default mode grants the strict operators ``<`` and ``>`` the same
+        floating-point boundary slack as their non-strict counterparts: under
+        a continuous profile the boundary set has probability zero, so a box
+        that touches it is still "inner up to measure zero".  That argument
+        breaks for integer-supported profiles — an atom sitting exactly on the
+        boundary of a strict inequality carries positive mass but does *not*
+        satisfy it — so callers classifying boxes over discrete variables must
+        pass ``strict_boundaries=True``, which requires the whole enclosure to
+        clear the boundary with no slack (boundary-touching boxes stay
+        undecided and get sampled, which is unbiased).
+        """
         self._forward(box)
         return _certainly_holds(self.constraint.operator, Interval(self._lo[0], self._hi[0]), strict_boundaries)
 
+    def certainly_fails(self, box: Box) -> bool:
+        """True when no point of ``box`` satisfies the constraint.
+
+        The enclosure of ``left - right`` over ``box`` is empty or misses the
+        operator's feasible range (:func:`relation_range`).
+        """
+        self._forward(box)
+        lo = self._lo[0]
+        hi = self._hi[0]
+        if lo > hi:
+            return True
+        return Interval(lo, hi).intersect(relation_range(self.constraint.operator)).is_empty()
+
     def revise(self, box: Box) -> Optional[Box]:
-        """:func:`hc4_revise` on this tree."""
+        """Contract ``box`` with respect to the constraint (one HC4-revise).
+
+        Returns the contracted box, or ``None`` when the constraint is
+        certainly unsatisfiable over ``box``.
+        """
         self._forward(box)
         lo = self._lo
         hi = self._hi

@@ -1,26 +1,27 @@
 """Fused-kernel constraint compiler with an in-process kernel cache.
 
-:mod:`repro.lang.compiler` evaluates a path condition as a tree of NumPy
-closures: every AST node is one Python call plus one intermediate ndarray per
-batch, and every constant is materialised with ``np.full``.  The estimator
-spends essentially all of its wall-clock in that tree, so this module lowers a
-whole path condition (or constraint set) into **one** generated Python
-function — a fused kernel — that computes the conjunction in a single pass
-with explicit temporaries:
+Hit-or-miss Monte Carlo evaluates the same path condition on thousands to
+millions of samples, so constraints are compiled into functions operating on
+whole NumPy arrays of samples at once.  This module lowers a whole path
+condition (or constraint set) into **one** generated Python function — a fused
+kernel — that computes the conjunction in a single pass with explicit
+temporaries:
 
 * constants stay scalar literals (NumPy broadcasting replaces ``np.full``);
 * each variable is converted to a float array once, not once per occurrence;
 * common subexpressions are computed once across conjuncts — and, for
   constraint sets, across *path conditions*, which share long prefixes under
   bounded symbolic execution;
-* the conjunction short-circuits between conjuncts exactly like the closure
-  evaluator (``if not out.any(): return out``).
+* the conjunction short-circuits between conjuncts
+  (``if not out.any(): return out``).
 
-The compiled semantics is bit-identical to the closure compiler's: the same
-ufuncs run in the same per-expression order, domain errors (division by zero,
-roots/logs of negatives) produce the same NaN/inf entries under the same
-``errstate``, and comparisons involving NaN are unsatisfied.  The closure
-compiler stays as the reference oracle the kernel tests hold this one to.
+The compiled semantics matches :mod:`repro.lang.evaluator` point-wise: domain
+errors (square roots of negatives, logs of non-positives, division by zero)
+produce NaN/inf entries under a silent ``errstate``, and comparisons involving
+NaN are unsatisfied, so a sample hitting a domain error simply does not count
+as a hit.  The tests keep a closure-tree compiler (one NumPy closure per AST
+node, ``tests/compiler_reference.py``) as the oracle these kernels are held
+to bit for bit: the same ufuncs run in the same per-expression order.
 
 Caching
 -------
@@ -40,13 +41,18 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import EvaluationError, UnknownFunctionError, UnknownVariableError
 from repro.lang import ast
-from repro.lang.compiler import CompiledPredicate, SampleBatch, _batch_length
+
+#: A batch of samples: variable name -> 1-D array of values (equal lengths).
+SampleBatch = Mapping[str, np.ndarray]
+
+#: Compiled predicate: sample batch -> boolean array.
+CompiledPredicate = Callable[[SampleBatch], np.ndarray]
 
 #: Environment variable bounding the in-process LRU (entries, default 4096).
 CACHE_SIZE_ENV = "QCORAL_KERNEL_CACHE_SIZE"
@@ -60,8 +66,7 @@ _KERNEL_FUNC = "qcoral_kernel"
 #: Anything :func:`get_kernel` accepts.
 Compilable = Union[ast.Constraint, ast.PathCondition, ast.ConstraintSet]
 
-#: NumPy spelling of every supported function, mirroring the closure
-#: compiler's ufunc tables (same ufuncs => bit-identical values).
+#: NumPy spelling of every supported function.
 _UNARY_NUMPY: Dict[str, str] = {
     "sin": "np.sin",
     "cos": "np.cos",
@@ -374,13 +379,19 @@ def _raw_kernel(node: Union[ast.PathCondition, ast.ConstraintSet]) -> Callable:
     return kernel
 
 
+def _batch_length(batch: SampleBatch) -> int:
+    """Number of samples in a batch (0 when the batch has no variables)."""
+    for values in batch.values():
+        return len(np.asarray(values))
+    return 0
+
+
 def _make_predicate(kernel: Callable, variables: Tuple[str, ...]) -> CompiledPredicate:
     """Bind a positional kernel to the caller's variable names.
 
-    The wrapper reproduces the closure compiler's input handling: each
-    variable array is converted to float64 (once, not per occurrence), a
+    Each variable array is converted to float64 (once, not per occurrence), a
     missing variable raises :class:`UnknownVariableError`, and the whole
-    evaluation runs under the same ``errstate`` so domain errors stay silent
+    evaluation runs under one ``errstate`` so domain errors stay silent
     NaN/inf entries.
     """
     if not variables:
@@ -420,9 +431,8 @@ def get_kernel(constraint: Compilable) -> CompiledPredicate:
     """The cached fused-kernel predicate of ``constraint``.
 
     This is the one entry point every evaluator goes through.  The returned
-    callable has the exact :data:`~repro.lang.compiler.CompiledPredicate`
-    contract — sample batch in, boolean hit array out — and is bit-identical
-    to the closure compiler's predicate.
+    callable is a :data:`CompiledPredicate`: sample batch in, boolean hit
+    array out.
 
     Args:
         constraint: An atomic constraint, path condition, or constraint set.

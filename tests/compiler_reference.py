@@ -1,9 +1,11 @@
-"""Compilation of constraints to vectorised NumPy evaluators.
+"""The closure-tree constraint compiler, kept as the oracle the fused kernels are held to.
 
-Hit-or-miss Monte Carlo evaluates the same path condition on thousands to
-millions of samples.  Interpreting the AST once per sample dominates the
-analysis time, so this module compiles expressions and path conditions into
-functions operating on whole NumPy arrays of samples at once.
+:mod:`repro.lang.kernel` lowers a whole path condition into one generated
+NumPy function.  This module compiles the same constraints the plain way:
+every AST node becomes one closure over whole NumPy arrays of samples, with
+one intermediate array per node and every constant materialised with
+``np.full``.  The kernel tests and ``benchmarks/bench_kernels.py`` hold the
+fused kernels to these closures bit for bit.
 
 The compiled semantics matches :mod:`repro.lang.evaluator` point-wise: domain
 errors (square roots of negatives, logs of non-positives, division by zero)
@@ -13,21 +15,16 @@ sample hitting a domain error simply does not count as a hit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.errors import EvaluationError, UnknownFunctionError, UnknownVariableError
 from repro.lang import ast
-
-#: A batch of samples: variable name -> 1-D array of values (equal lengths).
-SampleBatch = Mapping[str, np.ndarray]
+from repro.lang.kernel import CompiledPredicate, SampleBatch, _batch_length
 
 #: Compiled expression: sample batch -> array of floats.
 CompiledExpression = Callable[[SampleBatch], np.ndarray]
-
-#: Compiled predicate: sample batch -> boolean array.
-CompiledPredicate = Callable[[SampleBatch], np.ndarray]
 
 
 _UNARY_UFUNCS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -198,10 +195,3 @@ def compile_constraint_set(constraint_set: ast.ConstraintSet) -> CompiledPredica
         return result
 
     return eval_constraint_set
-
-
-def _batch_length(batch: SampleBatch) -> int:
-    """Number of samples in a batch (0 when the batch has no variables)."""
-    for values in batch.values():
-        return len(np.asarray(values))
-    return 0

@@ -8,9 +8,10 @@ the same order, dropping only paths whose condition
 :func:`~repro.icp.contractor.contract` refutes.
 """
 
-from repro.icp.hc4 import constraint_certainly_fails
 from repro.intervals.box import Box
 from repro.symexec.symbolic import SymbolicExecutor
+
+from hc4_reference import constraint_certainly_fails
 
 
 class DomainOnlyExecutor(SymbolicExecutor):

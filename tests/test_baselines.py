@@ -4,12 +4,17 @@ import math
 
 import pytest
 
+from repro.baselines import numint, volcomp
 from repro.baselines.numint import NumIntConfig, integrate_indicator, nintegrate
 from repro.baselines.plain_mc import per_path_monte_carlo, plain_monte_carlo
 from repro.baselines.volcomp import VolCompConfig, bound_probability
 from repro.core.profiles import UsageProfile
+from repro.errors import AnalysisError
 from repro.intervals import Box
 from repro.lang.parser import parse_constraint_set
+from repro.subjects.volcomp_suite import subject_by_name
+
+from hc4_reference import ReferenceTree
 
 
 @pytest.fixture
@@ -127,3 +132,52 @@ class TestVolCompBounds:
 
         result = bound_probability(ConstraintSet.of([]), square_profile)
         assert result.lower == result.upper == 0.0
+
+    @pytest.mark.parametrize(
+        "text,spec",
+        [("x < 1", "int:0:1"), ("x > 1", "int:0:1"), ("x >= 1", "int:0:4"), ("x + y <= 0.5", "binomial:4:0.5")],
+    )
+    def test_discrete_variables_are_refused(self, text, spec):
+        # Boundary slack and closed bisection halves count integer atoms on a
+        # boundary or a split wrongly: x < 1 over {0, 1} bounded to [1, 1].
+        profile = UsageProfile.from_specs({"x": spec, "y": "0:1"})
+        with pytest.raises(AnalysisError, match="discrete"):
+            bound_probability(parse_constraint_set(text), profile)
+
+
+#: Volcomp-suite assertions the baselines are held to on both kinds of tree.
+TREE_CASES = [
+    ("CORONARY", "tmp >= 5"),
+    ("EGFR EPI (SIMPLE)", "f1 <= 4.4 && f >= 4.6"),
+    ("INVPEND", "pAng <= 1"),
+    ("VOL", "count >= 20"),
+]
+
+
+def _baseline_results(subject_name, label):
+    """Both baselines at small caps, clocks lifted, as hex-exact tuples."""
+    subject = subject_by_name(subject_name)
+    constraint_set = subject.constraint_set(subject.assertion(label))
+    profile = subject.profile()
+    bounds = bound_probability(constraint_set, profile, VolCompConfig(max_boxes=120, time_budget=1e9))
+    domain = profile.restrict(sorted(constraint_set.free_variables())).domain()
+    integral = integrate_indicator(constraint_set, domain, NumIntConfig(max_regions=120, time_budget=1e9))
+    return (
+        (bounds.lower.hex(), bounds.upper.hex(), bounds.boxes_explored),
+        (integral.probability.hex(), integral.error_bound.hex(), integral.regions, integral.converged),
+    )
+
+
+@pytest.mark.parametrize("subject_name,label", TREE_CASES)
+def test_baselines_match_on_reference_trees(subject_name, label, monkeypatch):
+    tape = _baseline_results(subject_name, label)
+    built = []
+
+    def reference_trees(pc):
+        built.append(pc)
+        return tuple(ReferenceTree(constraint) for constraint in pc.constraints)
+
+    for module in (volcomp, numint):
+        monkeypatch.setattr(module, "constraint_trees", reference_trees)
+    assert _baseline_results(subject_name, label) == tape
+    assert built

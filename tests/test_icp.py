@@ -4,24 +4,25 @@ import math
 
 import pytest
 
-from repro.errors import ConfigurationError, DomainError
-from repro.icp import (
-    ICPConfig,
-    constraint_certainly_fails,
-    constraint_certainly_holds,
-    contract,
-    evaluate_interval,
-    hc4_revise,
-    pave,
-)
+from repro.errors import ConfigurationError, DomainError, ICPError, IntervalError
+from repro.icp import ICPConfig, contract, pave
 from repro.api import Session
 from repro.core.profiles import UsageProfile
 from repro.core.qcoral import plan_factors
 from repro.icp import solver
-from repro.icp.hc4 import ConstraintTree, ReferenceTree, constraint_trees
+from repro.icp.hc4 import ConstraintTree, constraint_trees
 from repro.intervals import Box, Interval
+from repro.lang import ast
 from repro.lang.parser import parse_constraint, parse_expression, parse_path_condition
 from repro.subjects import aerospace, discrete, solids, volcomp_suite
+
+from hc4_reference import (
+    ReferenceTree,
+    constraint_certainly_fails,
+    constraint_certainly_holds,
+    evaluate_interval,
+    hc4_revise,
+)
 
 
 def box(**bounds):
@@ -234,6 +235,22 @@ class TestPaving:
             for tree, constraint in zip(trees, pc.constraints):
                 assert tree.revise(start) == hc4_revise(constraint, start)
                 assert tree.certainly_holds(start) == constraint_certainly_holds(constraint, start)
+
+    def test_unevaluable_nodes_raise_the_reference_errors(self):
+        # A NaN constant raises IntervalError and an unknown operator
+        # ICPError, operands first, on the tape as in the recursive walk.
+        nan = ast.const(float("nan"))
+        for left, error in (
+            (nan, IntervalError),
+            (ast.BinaryOp("%", ast.var("x"), nan), IntervalError),
+            (ast.BinaryOp("%", ast.var("x"), ast.const(2.0)), ICPError),
+        ):
+            constraint = ast.Constraint("<=", left, ast.const(1.0))
+            for tree in (ConstraintTree(constraint), ReferenceTree(constraint)):
+                for sweep in (tree.revise, tree.certainly_holds, tree.certainly_fails):
+                    with pytest.raises(error) as raised:
+                        sweep(box(x=(0, 1)))
+                    assert type(raised.value) is error
 
     def test_inner_volume_below_exact_solution_volume(self):
         pc = parse_path_condition("x * x + y * y <= 1")

@@ -1,7 +1,7 @@
 """Fused-kernel compiler: closure-oracle equivalence and caching.
 
-The closure-tree compiler (:mod:`repro.lang.compiler`) is the reference
-oracle; every test here holds the fused codegen to *bit-identical* outputs —
+The closure-tree compiler (``tests/compiler_reference.py``) is the
+reference oracle; every test here holds the fused codegen to *bit-identical* outputs —
 including the domain-error semantics (division by zero, roots/logs of
 negatives) that feed hit counts — and pins the cache-key contract:
 constraints with the same canonical text share one kernel, distinct ones
@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 from repro.errors import UnknownFunctionError, UnknownVariableError
 from repro.lang import ast, kernel
-from repro.lang.compiler import compile_constraint_set, compile_path_condition
 from repro.lang.kernel import clear_kernel_cache, get_kernel, kernel_cache_stats, kernel_key, kernel_source
 from repro.lang.parser import parse_constraint_set, parse_path_condition
+
+from compiler_reference import compile_constraint_set, compile_path_condition
 
 
 @pytest.fixture(autouse=True)

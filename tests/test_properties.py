@@ -22,14 +22,16 @@ from hypothesis import strategies as st
 from repro.core.estimate import Estimate, product_independent, sum_disjoint
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import decode_paving, render_paving
-from repro.icp.hc4 import ConstraintTree, ReferenceTree, evaluate_interval, hc4_revise
+from repro.icp.hc4 import ConstraintTree
 from repro.icp.solver import PavedBox
 from repro.intervals import Box, Interval
 from repro.intervals.functions import supported_functions
 from repro.lang import ast
-from repro.lang.compiler import compile_expression
 from repro.lang.evaluator import evaluate, holds
 from repro.lang.simplify import simplify_expression
+
+from compiler_reference import compile_expression
+from hc4_reference import ReferenceTree, evaluate_interval, hc4_revise
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -282,6 +284,7 @@ def _assert_tape_matches_reference(constraint, box):
             assert _outcome(lambda: tape.certainly_holds(box, strict)) == _outcome(
                 lambda: reference.certainly_holds(box, strict)
             )
+        assert _outcome(lambda: tape.certainly_fails(box)) == _outcome(lambda: reference.certainly_fails(box))
 
 
 class TestTapeMatchesReference:
